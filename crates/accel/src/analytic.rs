@@ -181,7 +181,7 @@ pub fn simulate_analytic_telemetry(
         assert!(
             (source.dwell(block) - 1.0).abs() < 1e-12,
             "simulate_analytic: closed forms assume equal residency \
-             (paper assumption (b)); use simulate_exact for weighted dwell"
+             (paper assumption (b)); use simulate_exact_sharded for weighted dwell"
         );
     }
     let telemetry = telemetry.unwrap_or_else(|| Telemetry::noop());

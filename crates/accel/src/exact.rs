@@ -19,22 +19,22 @@
 //! non-uniform dwell fall back to the scalar [`DutyCycleTracker`],
 //! whose order-sensitive f64 accumulation the stored goldens pin.
 //!
-//! For campaign sweeps, [`simulate_exact_sampled`] simulates every
+//! For campaign sweeps, [`simulate_exact_sharded`] simulates every
 //! n-th memory word (the same unbiased word subsample the analytic
 //! simulator's `sample_stride` takes) and caches each block's raw words
 //! across inferences — the weight generator and quantizer are the
 //! expensive part of the inner loop, and their output is identical
 //! every inference.
 //!
-//! [`simulate_exact_sharded`] parallelizes the same loop across
-//! contiguous *word shards*: each shard runs an independent
-//! [`WriteTransducer::fork`] of the policy over its own range of
-//! sampled words, and per-shard duty vectors are concatenated in
-//! shard-index order. Per-address transducer state makes the partition
-//! invisible to the deterministic policies (any shard count is
-//! bit-identical to the serial run); the DNN-Life policy draws from an
-//! independent seed-derived TRBG stream per shard, so a given shard
-//! count is reproducible from the scenario seed alone.
+//! The same call parallelizes the loop across contiguous *word
+//! shards*: each shard runs an independent [`WriteTransducer::fork`]
+//! of the policy over its own range of sampled words, and per-shard
+//! duty vectors are concatenated in shard-index order. Per-address
+//! transducer state makes the partition invisible to the deterministic
+//! policies (any shard count is bit-identical to the serial run); the
+//! DNN-Life policy draws from an independent seed-derived TRBG stream
+//! per shard, so a given shard count is reproducible from the scenario
+//! seed alone.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -44,7 +44,7 @@ use dnnlife_mitigation::WriteTransducer;
 use dnnlife_sram::{DutyCycleTracker, DutySliceTracker};
 use dnnlife_telemetry::{Counter, SpanId, Telemetry};
 
-/// Raw-block-word cache ceiling for [`simulate_exact_sampled`]: above
+/// Raw-block-word cache ceiling for [`simulate_exact_sharded`]: above
 /// this the simulator recomputes words per inference instead of
 /// caching `block_count × sampled_words` u64s. Sharded runs partition
 /// the same budget — each shard caches only its own word range, so the
@@ -92,81 +92,30 @@ fn cancelled(cancel: Option<&AtomicBool>) -> bool {
 }
 
 /// Simulates `inferences` repeated inferences of the block stream
-/// through `transducer`, returning per-cell duty cycles (cell order:
-/// word-major, bit 0 first).
+/// through forks of `prototype`, returning per-cell duty cycles (cell
+/// order: sampled-word-major, bit 0 first — `simulate_analytic`'s cell
+/// order for the same stride).
 ///
-/// # Panics
-///
-/// Panics if the transducer width does not match the memory word width,
-/// or if the source has no blocks.
-///
-/// # Example
-///
-/// ```
-/// use dnnlife_accel::{simulate_exact, AcceleratorConfig, BlockSource, FlatWeightMemory};
-/// use dnnlife_mitigation::Passthrough;
-/// use dnnlife_nn::NetworkSpec;
-/// use dnnlife_quant::NumberFormat;
-///
-/// let mem = FlatWeightMemory::new(
-///     &AcceleratorConfig::baseline(),
-///     &NetworkSpec::custom_mnist(),
-///     NumberFormat::Int8Symmetric,
-///     42,
-/// );
-/// let mut policy = Passthrough::new(8);
-/// let duties = simulate_exact(&mem, &mut policy, 2);
-/// assert_eq!(duties.len() as u64, mem.geometry().cells());
-/// ```
-pub fn simulate_exact(
-    source: &dyn BlockSource,
-    transducer: &mut dyn WriteTransducer,
-    inferences: u64,
-) -> Vec<f64> {
-    simulate_exact_sampled(source, transducer, inferences, 1)
-}
-
-/// [`simulate_exact`] restricted to every `sample_stride`-th memory
-/// word — the strided inner loop that keeps exact campaign sweeps
-/// tractable. Returns per-cell duty cycles in sampled-word-major order
-/// (bit 0 first), matching `simulate_analytic`'s cell order for the
-/// same stride.
-///
-/// The per-address transducer state of the deterministic policies
+/// Only every `sample_stride`-th memory word is simulated — the strided
+/// inner loop that keeps exact campaign sweeps tractable. The
+/// per-address transducer state of the deterministic policies
 /// (inversion parity, barrel-shift counters) is independent across
 /// words, so a strided run produces bit-identical duties for the
 /// sampled words. The DNN-Life policy consumes one TRBG draw per word
 /// write, so striding changes *which* draws each word sees — a
 /// different but identically distributed random stream.
 ///
-/// # Panics
-///
-/// Panics if the transducer width does not match the memory word
-/// width, if the source has no blocks, or if `sample_stride == 0`.
-pub fn simulate_exact_sampled(
-    source: &dyn BlockSource,
-    transducer: &mut dyn WriteTransducer,
-    inferences: u64,
-    sample_stride: usize,
-) -> Vec<f64> {
-    let (sampled, use_cache) = check_and_sample(source, transducer, inferences, sample_stride);
-    simulate_word_range(source, transducer, inferences, &sampled, use_cache, None)
-        .expect("uncancellable run cannot be cancelled")
-}
-
-/// [`simulate_exact_sampled`] parallelized across contiguous word
-/// shards: the sampled-word list is split into `cfg.shards` balanced
+/// The sampled words are split into `cfg.shards` contiguous balanced
 /// ranges, each range runs through its own [`WriteTransducer::fork`] on
 /// a scoped thread, and per-shard duty vectors are concatenated in
-/// shard-index order — so the output cell order is exactly
-/// [`simulate_exact_sampled`]'s for every shard count.
-///
-/// Determinism: the deterministic policies (per-address state) are
-/// bit-identical to the serial simulator for **any** shard count; the
-/// DNN-Life policy consumes an independent seed-derived TRBG stream per
-/// shard, so its duties are reproducible for a *given* shard count (one
-/// shard reproduces the serial stream exactly) and distribution-
-/// identical across shard counts. The thread count is never semantic.
+/// shard-index order, so the cell order is the same for every shard
+/// count. Determinism: the deterministic policies (per-address state)
+/// are bit-identical for **any** shard count; the DNN-Life policy
+/// consumes an independent seed-derived TRBG stream per shard, so its
+/// duties are reproducible for a *given* shard count (one shard
+/// reproduces the serial stream of `prototype` exactly) and
+/// distribution-identical across shard counts. The thread count is
+/// never semantic.
 ///
 /// Returns `None` iff `cfg.cancel` was raised before the run finished;
 /// cancellation is polled once per block per shard, so an abort lands
@@ -177,6 +126,28 @@ pub fn simulate_exact_sampled(
 /// Panics if the transducer width does not match the memory word width,
 /// if the source has no blocks, if `sample_stride == 0`, or if
 /// `cfg.shards == 0`.
+///
+/// # Example
+///
+/// ```
+/// use dnnlife_accel::{
+///     simulate_exact_sharded, AcceleratorConfig, BlockSource, ExactShardConfig, FlatWeightMemory,
+/// };
+/// use dnnlife_mitigation::Passthrough;
+/// use dnnlife_nn::NetworkSpec;
+/// use dnnlife_quant::NumberFormat;
+///
+/// let mem = FlatWeightMemory::new(
+///     &AcceleratorConfig::baseline(),
+///     &NetworkSpec::custom_mnist(),
+///     NumberFormat::Int8Symmetric,
+///     42,
+/// );
+/// let policy = Passthrough::new(8);
+/// let duties = simulate_exact_sharded(&mem, &policy, 2, 1, &ExactShardConfig::default())
+///     .expect("no cancel token");
+/// assert_eq!(duties.len() as u64, mem.geometry().cells());
+/// ```
 pub fn simulate_exact_sharded(
     source: &dyn BlockSource,
     prototype: &dyn WriteTransducer,
@@ -184,7 +155,7 @@ pub fn simulate_exact_sharded(
     sample_stride: usize,
     cfg: &ExactShardConfig,
 ) -> Option<Vec<f64>> {
-    assert!(cfg.shards > 0, "simulate_exact: shards must be > 0");
+    assert!(cfg.shards > 0, "simulate_exact_sharded: shards must be > 0");
     let (sampled, use_cache) = check_and_sample(source, prototype, inferences, sample_stride);
     let width = source.geometry().word_bits as usize;
     let shards = cfg.shards.min(sampled.len()).max(1);
@@ -317,13 +288,16 @@ fn check_and_sample(
     assert_eq!(
         transducer.width(),
         geo.word_bits,
-        "simulate_exact: transducer width {} != memory word width {}",
+        "simulate_exact_sharded: transducer width {} != memory word width {}",
         transducer.width(),
         geo.word_bits
     );
-    assert!(sample_stride > 0, "simulate_exact: stride must be > 0");
+    assert!(
+        sample_stride > 0,
+        "simulate_exact_sharded: stride must be > 0"
+    );
     let k_blocks = source.block_count();
-    assert!(k_blocks > 0, "simulate_exact: source has no blocks");
+    assert!(k_blocks > 0, "simulate_exact_sharded: source has no blocks");
     let sampled: Vec<usize> = (0..geo.words).step_by(sample_stride).collect();
     let cache_len = (k_blocks as usize).saturating_mul(sampled.len());
     let use_cache = inferences > 1 && cache_len.saturating_mul(8) <= BLOCK_CACHE_BYTES;
@@ -602,6 +576,22 @@ mod tests {
     use dnnlife_nn::NetworkSpec;
     use dnnlife_quant::NumberFormat;
 
+    fn run(
+        mem: &FlatWeightMemory,
+        policy: &dyn WriteTransducer,
+        inferences: u64,
+        stride: usize,
+    ) -> Vec<f64> {
+        simulate_exact_sharded(
+            mem,
+            policy,
+            inferences,
+            stride,
+            &ExactShardConfig::default(),
+        )
+        .expect("not cancelled")
+    }
+
     fn tiny_memory() -> FlatWeightMemory {
         // Shrink the baseline config so the exact simulator is fast.
         let mut cfg = AcceleratorConfig::baseline();
@@ -618,8 +608,7 @@ mod tests {
     fn passthrough_duty_is_block_mean() {
         let mem = tiny_memory();
         let k = mem.block_count();
-        let mut policy = Passthrough::new(8);
-        let duties = simulate_exact(&mem, &mut policy, 3);
+        let duties = run(&mem, &Passthrough::new(8), 3, 1);
         // Cross-check a few cells against direct block averaging.
         for (word, bit) in [(0usize, 0usize), (7, 3), (100, 7)] {
             let ones: u64 = (0..k).map(|b| mem.word(b, word) >> bit & 1).sum();
@@ -636,8 +625,7 @@ mod tests {
     fn inversion_halves_constant_cells_when_k_odd_times_even_infs() {
         let mem = tiny_memory();
         let words = mem.geometry().words;
-        let mut policy = PeriodicInversion::new(8, words);
-        let duties = simulate_exact(&mem, &mut policy, 2);
+        let duties = run(&mem, &PeriodicInversion::new(8, words), 2, 1);
         let k = mem.block_count();
         if k % 2 == 1 {
             // Odd K with an even number of inferences: every cell is
@@ -653,10 +641,8 @@ mod tests {
         let mem = tiny_memory();
         let words = mem.geometry().words;
         let width = 8usize;
-        let mut full_policy = PeriodicInversion::new(8, words);
-        let full = simulate_exact(&mem, &mut full_policy, 3);
-        let mut strided_policy = PeriodicInversion::new(8, words);
-        let strided = simulate_exact_sampled(&mem, &mut strided_policy, 3, 7);
+        let full = run(&mem, &PeriodicInversion::new(8, words), 3, 1);
+        let strided = run(&mem, &PeriodicInversion::new(8, words), 3, 7);
         for (si, chunk) in strided.chunks(width).enumerate() {
             let word = si * 7;
             assert_eq!(
@@ -763,8 +749,7 @@ mod tests {
     #[should_panic(expected = "transducer width")]
     fn width_mismatch_rejected() {
         let mem = tiny_memory();
-        let mut policy = Passthrough::new(32);
-        let _ = simulate_exact(&mem, &mut policy, 1);
+        let _ = run(&mem, &Passthrough::new(32), 1, 1);
     }
 
     #[test]
@@ -796,8 +781,7 @@ mod tests {
             ("barrel", Box::new(BarrelShifter::new(8, words))),
         ];
         for (name, prototype) in make {
-            let mut serial_policy = prototype.fork(0);
-            let serial = simulate_exact_sampled(&mem, serial_policy.as_mut(), 3, 5);
+            let serial = run(&mem, prototype.as_ref(), 3, 5);
             for shards in [1usize, 2, 3, 8, 64] {
                 for threads in [1usize, 4] {
                     let cfg = ExactShardConfig {
@@ -823,10 +807,12 @@ mod tests {
         use dnnlife_mitigation::{AgingController, DnnLife, PseudoTrbg};
         let mem = tiny_memory();
         let proto = DnnLife::new(8, AgingController::new(PseudoTrbg::new(77, 0.7), 4));
-        let mut serial_policy = proto.fork(0);
-        let serial = simulate_exact_sampled(&mem, serial_policy.as_mut(), 4, 3);
-        let cfg = ExactShardConfig::default();
-        let sharded = simulate_exact_sharded(&mem, &proto, 4, 3, &cfg).expect("not cancelled");
+        // The unforked inner loop driven by the prototype's own stream.
+        let mut serial_policy = DnnLife::new(8, AgingController::new(PseudoTrbg::new(77, 0.7), 4));
+        let (sampled, use_cache) = check_and_sample(&mem, &serial_policy, 4, 3);
+        let serial = simulate_word_range(&mem, &mut serial_policy, 4, &sampled, use_cache, None)
+            .expect("not cancelled");
+        let sharded = run(&mem, &proto, 4, 3);
         assert_eq!(
             sharded, serial,
             "one shard must replay the serial TRBG stream"
@@ -839,8 +825,7 @@ mod tests {
         let mem = tiny_memory();
         let proto = DnnLife::new(8, AgingController::new(PseudoTrbg::new(5, 0.5), 4));
         let mean = |duties: &[f64]| duties.iter().sum::<f64>() / duties.len() as f64;
-        let base = simulate_exact_sharded(&mem, &proto, 60, 1, &ExactShardConfig::default())
-            .expect("not cancelled");
+        let base = run(&mem, &proto, 60, 1);
         let split = simulate_exact_sharded(
             &mem,
             &proto,

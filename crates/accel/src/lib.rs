@@ -42,7 +42,7 @@ pub use analytic::{
 };
 pub use config::AcceleratorConfig;
 pub use duty_map::UnitDutyMap;
-pub use exact::{simulate_exact, simulate_exact_sampled, simulate_exact_sharded, ExactShardConfig};
+pub use exact::{simulate_exact_sharded, ExactShardConfig};
 pub use plan::{
     zipf_weights, BlockSource, FifoSlotMemory, FlatWeightMemory, MemoryGeometry, RemappedMemory,
     WeightAddress,

@@ -390,7 +390,7 @@ impl FlatWeightMemory {
     /// a time proportional to the MAC work of the weights it holds
     /// (conv fills are reused across output positions and stay resident
     /// far longer than FC fills). `spec` must be the same network the
-    /// plan was built from. Honoured by [`crate::simulate_exact`]; the
+    /// plan was built from. Honoured by [`crate::simulate_exact_sharded`]; the
     /// analytic simulator rejects non-uniform dwell.
     ///
     /// # Panics
@@ -468,7 +468,7 @@ impl FlatWeightMemory {
     /// any positive scale — duties depend only on ratios). Weights are
     /// normalised to mean 1.0, with a small positive floor for
     /// zero-work padding blocks (the memory still holds them for the
-    /// transfer). Honoured by [`crate::simulate_exact`]; the analytic
+    /// transfer). Honoured by [`crate::simulate_exact_sharded`]; the analytic
     /// simulator rejects non-uniform dwell.
     ///
     /// # Panics

@@ -1,15 +1,32 @@
 //! Property tests for dataflow plans, the analytic simulator and the
 //! exact simulator's packed-bit image.
 
-use dnnlife_accel::exact::{read_bits, simulate_exact_sampled, write_bits};
+use dnnlife_accel::exact::{read_bits, write_bits};
 use dnnlife_accel::{
-    simulate_analytic, simulate_exact, simulate_exact_sharded, AcceleratorConfig, AnalyticPolicy,
+    simulate_analytic, simulate_exact_sharded, AcceleratorConfig, AnalyticPolicy,
     AnalyticSimConfig, BlockSource, ExactShardConfig, FifoSlotMemory, FlatWeightMemory,
 };
 use dnnlife_mitigation::{BarrelShifter, Passthrough, PeriodicInversion, WriteTransducer};
 use dnnlife_nn::NetworkSpec;
 use dnnlife_quant::NumberFormat;
 use proptest::prelude::*;
+
+/// One-shard exact run: the serial TRBG stream of `policy`.
+fn exact(
+    mem: &dyn BlockSource,
+    policy: &dyn WriteTransducer,
+    inferences: u64,
+    stride: usize,
+) -> Vec<f64> {
+    simulate_exact_sharded(
+        mem,
+        policy,
+        inferences,
+        stride,
+        &ExactShardConfig::default(),
+    )
+    .expect("not cancelled")
+}
 
 fn small_config(kib: u64) -> AcceleratorConfig {
     let mut cfg = AcceleratorConfig::baseline();
@@ -120,7 +137,7 @@ proptest! {
             seed,
         );
         let words = mem.geometry().words;
-        let (mut transducer, policy): (Box<dyn WriteTransducer>, AnalyticPolicy) =
+        let (transducer, policy): (Box<dyn WriteTransducer>, AnalyticPolicy) =
             match policy_pick {
                 0 => (Box::new(Passthrough::new(8)), AnalyticPolicy::Passthrough),
                 1 => (
@@ -132,7 +149,7 @@ proptest! {
                     AnalyticPolicy::BarrelShifter,
                 ),
             };
-        let exact = simulate_exact(&mem, transducer.as_mut(), inferences);
+        let exact = exact(&mem, transducer.as_ref(), inferences, 1);
         let analytic = simulate_analytic(
             &mem,
             &policy,
@@ -208,18 +225,13 @@ proptest! {
         );
         let words = mem.geometry().words;
         let width = 8usize;
-        let mut full_t: Box<dyn WriteTransducer> = match policy_pick {
+        let policy: Box<dyn WriteTransducer> = match policy_pick {
             0 => Box::new(Passthrough::new(8)),
             1 => Box::new(PeriodicInversion::new(8, words)),
             _ => Box::new(BarrelShifter::new(8, words)),
         };
-        let mut strided_t: Box<dyn WriteTransducer> = match policy_pick {
-            0 => Box::new(Passthrough::new(8)),
-            1 => Box::new(PeriodicInversion::new(8, words)),
-            _ => Box::new(BarrelShifter::new(8, words)),
-        };
-        let full = simulate_exact(&mem, full_t.as_mut(), inferences);
-        let strided = simulate_exact_sampled(&mem, strided_t.as_mut(), inferences, stride);
+        let full = exact(&mem, policy.as_ref(), inferences, 1);
+        let strided = exact(&mem, policy.as_ref(), inferences, stride);
         prop_assert_eq!(strided.len(), words.div_ceil(stride) * width);
         for (si, chunk) in strided.chunks(width).enumerate() {
             let word = si * stride;
@@ -229,7 +241,7 @@ proptest! {
 
     /// Word sharding is invisible to the deterministic policies: for
     /// any shard count, thread count and stride, the sharded exact
-    /// simulator reproduces the serial run bit for bit (per-address
+    /// simulator reproduces the one-shard run bit for bit (per-address
     /// transducer state + shard-index-order merge).
     #[test]
     fn sharded_exact_matches_serial_for_any_partition(
@@ -254,8 +266,7 @@ proptest! {
             1 => Box::new(PeriodicInversion::new(8, words)),
             _ => Box::new(BarrelShifter::new(8, words)),
         };
-        let mut serial_t = prototype.fork(0);
-        let serial = simulate_exact_sampled(&mem, serial_t.as_mut(), inferences, stride);
+        let serial = exact(&mem, prototype.as_ref(), inferences, stride);
         let cfg = ExactShardConfig {
             shards,
             threads,

@@ -3,11 +3,12 @@
 //! statistically for DNN-Life.
 
 use dnnlife_accel::{
-    simulate_analytic, simulate_exact, AcceleratorConfig, AnalyticPolicy, AnalyticSimConfig,
-    BlockSource, FifoSlotMemory, FlatWeightMemory,
+    simulate_analytic, simulate_exact_sharded, AcceleratorConfig, AnalyticPolicy,
+    AnalyticSimConfig, BlockSource, ExactShardConfig, FifoSlotMemory, FlatWeightMemory,
 };
 use dnnlife_mitigation::{
     AgingController, BarrelShifter, DnnLife, Passthrough, PeriodicInversion, PseudoTrbg,
+    WriteTransducer,
 };
 use dnnlife_nn::NetworkSpec;
 use dnnlife_quant::NumberFormat;
@@ -16,6 +17,13 @@ fn tiny_flat(format: NumberFormat) -> FlatWeightMemory {
     let mut cfg = AcceleratorConfig::baseline();
     cfg.weight_memory_bytes = 2048;
     FlatWeightMemory::new(&cfg, &NetworkSpec::custom_mnist(), format, 11)
+}
+
+/// The event-driven reference: every word, one shard (the serial TRBG
+/// stream of `policy`).
+fn run_exact(mem: &dyn BlockSource, policy: &dyn WriteTransducer, inferences: u64) -> Vec<f64> {
+    simulate_exact_sharded(mem, policy, inferences, 1, &ExactShardConfig::default())
+        .expect("not cancelled")
 }
 
 fn analytic_cfg(inferences: u64) -> AnalyticSimConfig {
@@ -30,8 +38,8 @@ fn analytic_cfg(inferences: u64) -> AnalyticSimConfig {
 #[test]
 fn passthrough_matches_exactly() {
     let mem = tiny_flat(NumberFormat::Int8Symmetric);
-    let mut transducer = Passthrough::new(8);
-    let exact = simulate_exact(&mem, &mut transducer, 4);
+    let transducer = Passthrough::new(8);
+    let exact = run_exact(&mem, &transducer, 4);
     let analytic = simulate_analytic(&mem, &AnalyticPolicy::Passthrough, &analytic_cfg(4));
     assert_eq!(exact.len(), analytic.len());
     for (i, (e, a)) in exact.iter().zip(&analytic).enumerate() {
@@ -42,8 +50,8 @@ fn passthrough_matches_exactly() {
 #[test]
 fn inversion_matches_exactly() {
     let mem = tiny_flat(NumberFormat::Int8Symmetric);
-    let mut transducer = PeriodicInversion::new(8, mem.geometry().words);
-    let exact = simulate_exact(&mem, &mut transducer, 5);
+    let transducer = PeriodicInversion::new(8, mem.geometry().words);
+    let exact = run_exact(&mem, &transducer, 5);
     let analytic = simulate_analytic(&mem, &AnalyticPolicy::PeriodicInversion, &analytic_cfg(5));
     for (i, (e, a)) in exact.iter().zip(&analytic).enumerate() {
         assert!((e - a).abs() < 1e-12, "cell {i}: exact {e}, analytic {a}");
@@ -53,8 +61,8 @@ fn inversion_matches_exactly() {
 #[test]
 fn barrel_matches_exactly() {
     let mem = tiny_flat(NumberFormat::Int8Symmetric);
-    let mut transducer = BarrelShifter::new(8, mem.geometry().words);
-    let exact = simulate_exact(&mem, &mut transducer, 5);
+    let transducer = BarrelShifter::new(8, mem.geometry().words);
+    let exact = run_exact(&mem, &transducer, 5);
     let analytic = simulate_analytic(&mem, &AnalyticPolicy::BarrelShifter, &analytic_cfg(5));
     for (i, (e, a)) in exact.iter().zip(&analytic).enumerate() {
         assert!((e - a).abs() < 1e-12, "cell {i}: exact {e}, analytic {a}");
@@ -65,8 +73,8 @@ fn barrel_matches_exactly() {
 fn barrel_matches_exactly_fp32() {
     // 32-bit words exercise the gcd/lcm arithmetic differently.
     let mem = tiny_flat(NumberFormat::Fp32);
-    let mut transducer = BarrelShifter::new(32, mem.geometry().words);
-    let exact = simulate_exact(&mem, &mut transducer, 3);
+    let transducer = BarrelShifter::new(32, mem.geometry().words);
+    let exact = run_exact(&mem, &transducer, 3);
     let analytic = simulate_analytic(&mem, &AnalyticPolicy::BarrelShifter, &analytic_cfg(3));
     for (i, (e, a)) in exact.iter().zip(&analytic).enumerate() {
         assert!((e - a).abs() < 1e-12, "cell {i}: exact {e}, analytic {a}");
@@ -81,8 +89,8 @@ fn npu_slots_match_exactly_for_inversion() {
         if slot.block_count() == 0 {
             continue;
         }
-        let mut transducer = PeriodicInversion::new(8, slot.geometry().words);
-        let exact = simulate_exact(&slot, &mut transducer, 4);
+        let transducer = PeriodicInversion::new(8, slot.geometry().words);
+        let exact = run_exact(&slot, &transducer, 4);
         let analytic =
             simulate_analytic(&slot, &AnalyticPolicy::PeriodicInversion, &analytic_cfg(4));
         for (i, (e, a)) in exact.iter().zip(&analytic).enumerate() {
@@ -99,8 +107,8 @@ fn dnn_life_matches_statistically() {
     let inferences = 20u64;
 
     let controller = AgingController::new(PseudoTrbg::new(5, 0.7), 4);
-    let mut transducer = DnnLife::new(8, controller);
-    let exact = simulate_exact(&mem, &mut transducer, inferences);
+    let transducer = DnnLife::new(8, controller);
+    let exact = run_exact(&mem, &transducer, inferences);
 
     let policy = AnalyticPolicy::DnnLife {
         bias: 0.7,
@@ -136,8 +144,8 @@ fn dnn_life_bias_unbalanced_consistency() {
     let inferences = 20u64;
 
     let controller = AgingController::without_balancing(PseudoTrbg::new(6, 0.7));
-    let mut transducer = DnnLife::new(8, controller);
-    let exact = simulate_exact(&mem, &mut transducer, inferences);
+    let transducer = DnnLife::new(8, controller);
+    let exact = run_exact(&mem, &transducer, inferences);
 
     let policy = AnalyticPolicy::DnnLife {
         bias: 0.7,
@@ -246,10 +254,8 @@ fn compute_weighted_residency_ablation() {
 
     // Unmitigated: the weighted run emphasises conv-layer fills, so the
     // duty distribution shifts measurably.
-    let mut p1 = Passthrough::new(8);
-    let mut p2 = Passthrough::new(8);
-    let equal_duties = simulate_exact(&equal, &mut p1, 2);
-    let weighted_duties = simulate_exact(&weighted, &mut p2, 2);
+    let equal_duties = run_exact(&equal, &Passthrough::new(8), 2);
+    let weighted_duties = run_exact(&weighted, &Passthrough::new(8), 2);
     let shift: f64 = equal_duties
         .iter()
         .zip(&weighted_duties)
@@ -260,8 +266,8 @@ fn compute_weighted_residency_ablation() {
 
     // DNN-Life: balanced at 0.5 under both residency models.
     let controller = AgingController::new(PseudoTrbg::new(5, 0.5), 4);
-    let mut wde = DnnLife::new(8, controller);
-    let mitigated = simulate_exact(&weighted, &mut wde, 30);
+    let wde = DnnLife::new(8, controller);
+    let mitigated = run_exact(&weighted, &wde, 30);
     let m = mean(&mitigated);
     assert!(
         (m - 0.5).abs() < 0.01,

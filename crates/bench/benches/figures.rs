@@ -4,7 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dnnlife_core::analysis::bit_distribution_report;
-use dnnlife_core::experiment::{run_experiment, ExperimentSpec, NetworkKind, PolicySpec};
+use dnnlife_core::experiment::{
+    run_experiment_with, ExperimentSpec, NetworkKind, PolicySpec, RunOptions,
+};
 use dnnlife_core::DutyCycleModel;
 use dnnlife_quant::NumberFormat;
 use dnnlife_sram::snm::{CalibratedSnmModel, SnmModel};
@@ -54,13 +56,13 @@ fn bench_figures(c: &mut Criterion) {
             42,
         );
         spec.sample_stride = 256;
-        b.iter(|| black_box(run_experiment(&spec)));
+        b.iter(|| black_box(run_experiment_with(&spec, &RunOptions::default())));
     });
 
     group.bench_function("fig11_one_panel_custom", |b| {
         let mut spec = ExperimentSpec::fig11(NetworkKind::CustomMnist, PolicySpec::Inversion, 42);
         spec.sample_stride = 64;
-        b.iter(|| black_box(run_experiment(&spec)));
+        b.iter(|| black_box(run_experiment_with(&spec, &RunOptions::default())));
     });
 
     group.bench_function("table2_full_characterisation", |b| {

@@ -11,7 +11,8 @@
 
 use criterion::{criterion_group, Criterion};
 use dnnlife_core::experiment::{
-    run_experiment, ExperimentSpec, NetworkKind, Platform, PolicySpec, SimulatorBackend,
+    run_experiment_with, ExperimentSpec, NetworkKind, Platform, PolicySpec, RunOptions,
+    SimulatorBackend,
 };
 use dnnlife_core::{DwellModel, MemoryTech, RepairPolicy};
 use dnnlife_quant::NumberFormat;
@@ -59,7 +60,7 @@ fn duty_spec(tech: MemoryTech) -> ExperimentSpec {
 /// One analytic duty simulation under the given technology; returns a
 /// checksum over the degradation summary.
 fn duty_sim(tech: MemoryTech) -> u64 {
-    let result = run_experiment(&duty_spec(tech));
+    let result = run_experiment_with(&duty_spec(tech), &RunOptions::default()).expect("no cancel");
     result.snm.mean().to_bits() ^ result.duty.mean().to_bits()
 }
 

@@ -141,7 +141,8 @@ mod tests {
             ));
             for policy in fig11_policies() {
                 let spec = opts.apply(ExperimentSpec::fig11(network, policy, opts.seed));
-                serial.push_str(&render_experiment(&dnnlife_core::run_experiment(&spec)));
+                let result = dnnlife_core::run_experiment_with(&spec, &Default::default());
+                serial.push_str(&render_experiment(&result.expect("no cancel token")));
                 serial.push('\n');
             }
         }

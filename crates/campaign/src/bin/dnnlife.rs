@@ -45,10 +45,10 @@ use dnnlife_campaign::aggregate;
 use dnnlife_campaign::grid::SweepOptions;
 use dnnlife_campaign::perf;
 use dnnlife_campaign::{
-    accuracy_vs_age_table, ecc_comparison_table, run_campaign_instrumented,
-    run_injection_campaign_instrumented, validate_scenarios_instrumented, CampaignGrid,
-    CampaignOptions, InjectCampaignOptions, InjectionGrid, InjectionParams, InjectionStore,
-    Instrumentation, Progress, ResultStore, ShardPolicy, Telemetry,
+    accuracy_vs_age_table, ecc_comparison_table, run_campaign, run_injection_campaign,
+    validate_scenarios, CampaignGrid, CampaignOptions, InjectCampaignOptions, InjectionGrid,
+    InjectionParams, InjectionStore, Instrumentation, Progress, ResultStore, ShardPolicy,
+    Telemetry,
 };
 use dnnlife_core::experiment::{NetworkKind, Platform, PolicySpec};
 use dnnlife_core::{DwellModel, MemoryTech, RepairPolicy, SimulatorBackend};
@@ -371,15 +371,14 @@ fn sweep(argv: &[String]) -> Result<(), CliError> {
         &events,
         &format!("sweep {grid_name}"),
     )?;
-    let instr = Instrumentation {
+    options.cancel = Some(&INTERRUPTED);
+    options.instr = Instrumentation {
         telemetry: telemetry.as_ref(),
         progress: progress.as_ref(),
     };
 
     let started = std::time::Instant::now();
-    let outcome =
-        run_campaign_instrumented(&grid, &store_path, &options, Some(&INTERRUPTED), instr)
-            .map_err(|e| e.to_string())?;
+    let outcome = run_campaign(&grid, &store_path, &options).map_err(|e| e.to_string())?;
     println!(
         "campaign `{grid_name}`: {} executed, {} skipped, {} thread(s), {:.1}s -> {store_path}",
         outcome.executed,
@@ -731,20 +730,19 @@ fn validate(argv: &[String]) -> Result<(), CliError> {
         &events,
         &format!("validate {grid_name}"),
     )?;
-    let instr = Instrumentation {
-        telemetry: telemetry.as_ref(),
-        progress: progress.as_ref(),
+    let options = CampaignOptions {
+        threads,
+        shards,
+        cancel: Some(&INTERRUPTED),
+        instr: Instrumentation {
+            telemetry: telemetry.as_ref(),
+            progress: progress.as_ref(),
+        },
+        ..CampaignOptions::default()
     };
 
     let started = std::time::Instant::now();
-    let results = validate_scenarios_instrumented(
-        &grid.scenarios,
-        threads,
-        shards,
-        Some(&INTERRUPTED),
-        instr,
-    )
-    .ok_or_else(|| {
+    let results = validate_scenarios(&grid.scenarios, &options).ok_or_else(|| {
         format!(
             "validate `{grid_name}` interrupted mid-scenario; \
              completed pairs were discarded"
@@ -1003,20 +1001,14 @@ fn inject(argv: &[String]) -> Result<(), CliError> {
         &events,
         "inject",
     )?;
-    let instr = Instrumentation {
+    options.instr = Instrumentation {
         telemetry: telemetry.as_ref(),
         progress: progress.as_ref(),
     };
 
     let started = std::time::Instant::now();
-    let outcome = run_injection_campaign_instrumented(
-        &grid,
-        &store_path,
-        &options,
-        Some(&INTERRUPTED),
-        instr,
-    )
-    .map_err(|e| e.to_string())?;
+    let outcome = run_injection_campaign(&grid, &store_path, &options, Some(&INTERRUPTED))
+        .map_err(|e| e.to_string())?;
     let store = InjectionStore::open(&store_path).map_err(|e| e.to_string())?;
     print!("{}", accuracy_vs_age_table(&store));
     print!("{}", ecc_comparison_table(&store));

@@ -1,6 +1,6 @@
 //! Matched analytic↔exact cross-validation over a campaign grid.
 //!
-//! For every scenario, [`dnnlife_core::cross_validate`] runs the
+//! For every scenario, [`dnnlife_core::cross_validate_with`] runs the
 //! closed-form analytic simulator (uniform dwell — paper assumption
 //! (b)) and the event-driven exact simulator (the scenario's dwell
 //! model) on the same memory plan with the same derived seed, and
@@ -15,65 +15,33 @@
 //! the exact side polls the flag at block granularity — instead of
 //! letting a minutes-long pair run to completion first.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 
-use dnnlife_core::{cross_validate_with, CrossValidation, ExperimentSpec, RunOptions, ShardPolicy};
-use dnnlife_telemetry::Instrumentation;
+use dnnlife_core::{cross_validate_with, CrossValidation, ExperimentSpec, RunOptions};
 
-use crate::executor::{execute_shared_pool, requested_threads};
+use crate::executor::{execute_shared_pool, requested_threads, CampaignOptions};
 
-/// Runs [`dnnlife_core::cross_validate`] for every scenario on
-/// `threads` workers (0 = all cores), returning results in scenario
-/// order.
-pub fn validate_scenarios(scenarios: &[ExperimentSpec], threads: usize) -> Vec<CrossValidation> {
-    validate_scenarios_sharded(scenarios, threads, ShardPolicy::Auto)
-}
-
-/// [`validate_scenarios`] with an explicit exact-backend shard policy
-/// (`dnnlife validate --shards`). The documented tolerances hold for
-/// every shard count, so the nightly tier runs this at `--shards 4` to
-/// keep the sharded exact path under the same contract as the serial
-/// one.
-pub fn validate_scenarios_sharded(
-    scenarios: &[ExperimentSpec],
-    threads: usize,
-    shards: ShardPolicy,
-) -> Vec<CrossValidation> {
-    validate_scenarios_cancellable(scenarios, threads, shards, None)
-        .expect("run without a cancel token cannot be cancelled")
-}
-
-/// [`validate_scenarios_sharded`] under an external cancellation
-/// token: returns `None` iff `cancel` was raised before every pair
+/// Runs [`dnnlife_core::cross_validate_with`] for every scenario,
+/// returning results in scenario order. The knobs are the campaign
+/// executor's: `options.threads` workers (0 = all cores), the
+/// `options.shards` exact-backend shard policy (the documented
+/// tolerances hold for every shard count, so the nightly tier runs
+/// `--shards 4` to keep the sharded exact path under the same contract
+/// as the serial one), the `options.cancel` token and the
+/// `options.instr` observability sink (the analytic/exact simulator
+/// counters of every pair accumulate into `instr.telemetry`, each
+/// finished pair ticks `instr.progress`; never semantic). `resume` has
+/// no store to act on here, and `verbose` prints nothing.
+///
+/// Returns `None` iff `options.cancel` was raised before every pair
 /// finished. Completed pairs are discarded in that case — a
 /// cross-validation report is only meaningful over the whole grid.
-pub fn validate_scenarios_cancellable(
+pub fn validate_scenarios(
     scenarios: &[ExperimentSpec],
-    threads: usize,
-    shards: ShardPolicy,
-    cancel: Option<&AtomicBool>,
+    options: &CampaignOptions,
 ) -> Option<Vec<CrossValidation>> {
-    validate_scenarios_instrumented(
-        scenarios,
-        threads,
-        shards,
-        cancel,
-        Instrumentation::default(),
-    )
-}
-
-/// [`validate_scenarios_cancellable`] with an observability sink: the
-/// analytic/exact simulator counters of every pair accumulate into
-/// `instr.telemetry`, and each finished pair ticks `instr.progress`.
-/// Never semantic.
-pub fn validate_scenarios_instrumented(
-    scenarios: &[ExperimentSpec],
-    threads: usize,
-    shards: ShardPolicy,
-    cancel: Option<&AtomicBool>,
-    instr: Instrumentation<'_>,
-) -> Option<Vec<CrossValidation>> {
-    let budget = requested_threads(threads);
+    let (shards, cancel, instr) = (options.shards, options.cancel, options.instr);
+    let budget = requested_threads(options.threads);
     if let Some(progress) = instr.progress {
         progress.set_total(scenarios.len());
     }
@@ -118,6 +86,7 @@ mod tests {
     use super::*;
     use crate::grid::{CampaignGrid, SweepOptions};
     use dnnlife_core::SimulatorBackend;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn validate_preserves_scenario_order_and_tolerances() {
@@ -128,7 +97,11 @@ mod tests {
             ..SweepOptions::default()
         });
         let subset: Vec<_> = grid.scenarios.into_iter().take(4).collect();
-        let results = validate_scenarios(&subset, 2);
+        let options = CampaignOptions {
+            threads: 2,
+            ..CampaignOptions::default()
+        };
+        let results = validate_scenarios(&subset, &options).expect("no cancel token");
         assert_eq!(results.len(), subset.len());
         for (spec, cv) in subset.iter().zip(&results) {
             assert!(cv.label.contains(spec.network.display_name()));
@@ -148,8 +121,12 @@ mod tests {
         });
         let flag = AtomicBool::new(true);
         let started = std::time::Instant::now();
-        let result =
-            validate_scenarios_cancellable(&grid.scenarios, 2, ShardPolicy::Auto, Some(&flag));
+        let options = CampaignOptions {
+            threads: 2,
+            cancel: Some(&flag),
+            ..CampaignOptions::default()
+        };
+        let result = validate_scenarios(&grid.scenarios, &options);
         assert!(result.is_none());
         assert!(
             started.elapsed().as_secs() < 30,

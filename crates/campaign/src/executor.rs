@@ -16,7 +16,7 @@
 //! scenario no longer monopolizes a single core while the rest of the
 //! pool waits.
 //!
-//! The pool itself ([`execute_shared_pool`]) is generic over the work
+//! The pool itself (`execute_shared_pool`) is generic over the work
 //! item: the scenario sweep, the cross-validation fan-out and the
 //! fault-injection campaign all run on it, so every subsystem shares
 //! the same budget arithmetic and the same cancellation story.
@@ -48,8 +48,8 @@ use crate::grid::CampaignGrid;
 use crate::store::{ResultStore, ScenarioRecord, StoreLock};
 
 /// Executor knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CampaignOptions {
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CampaignOptions<'a> {
     /// Total thread budget: scenario workers plus the spare threads
     /// handed to in-flight simulators (0 = all available cores).
     pub threads: usize,
@@ -65,6 +65,18 @@ pub struct CampaignOptions {
     /// explicitly (deterministic policies are bit-identical either
     /// way).
     pub shards: ShardPolicy,
+    /// External cancellation token (the CLI's Ctrl-C handler): when
+    /// raised, idle workers stop at their next claim, in-flight exact
+    /// simulations abort within one inference, journaled completions
+    /// are kept, and the run returns
+    /// [`std::io::ErrorKind::Interrupted`] — re-running with `resume`
+    /// picks up exactly the missing scenarios.
+    pub cancel: Option<&'a AtomicBool>,
+    /// Observability sink: counters, span timings and `events.jsonl`
+    /// records flow through `instr.telemetry`, and per-scenario
+    /// completions tick `instr.progress`. Never semantic — the finished
+    /// store is byte-identical with instrumentation on or off.
+    pub instr: Instrumentation<'a>,
 }
 
 /// What a campaign run did.
@@ -79,53 +91,20 @@ pub struct CampaignOutcome {
 }
 
 /// Runs every scenario of `grid`, journaling into (and finalizing) the
-/// store at `store_path`.
+/// store at `store_path`, under `options.cancel` and with
+/// `options.instr` observing.
 ///
 /// # Errors
 ///
-/// Propagates store I/O errors. A panic in a worker (a scenario
+/// Propagates store I/O errors, and returns
+/// [`std::io::ErrorKind::Interrupted`] when `options.cancel` was raised
+/// before every scenario finished. A panic in a worker (a scenario
 /// panicking mid-simulation) propagates after in-flight completions
 /// have been journaled.
 pub fn run_campaign(
     grid: &CampaignGrid,
     store_path: impl Into<std::path::PathBuf>,
     options: &CampaignOptions,
-) -> std::io::Result<CampaignOutcome> {
-    run_campaign_cancellable(grid, store_path, options, None)
-}
-
-/// [`run_campaign`] under an external cancellation token (the CLI's
-/// Ctrl-C handler): when `cancel` is raised, idle workers stop at
-/// their next claim, in-flight exact simulations abort within one
-/// inference, journaled completions are kept, and the call returns an
-/// [`std::io::ErrorKind::Interrupted`] error — re-running with
-/// `resume` picks up exactly the missing scenarios.
-pub fn run_campaign_cancellable(
-    grid: &CampaignGrid,
-    store_path: impl Into<std::path::PathBuf>,
-    options: &CampaignOptions,
-    cancel: Option<&AtomicBool>,
-) -> std::io::Result<CampaignOutcome> {
-    run_campaign_instrumented(
-        grid,
-        store_path,
-        options,
-        cancel,
-        Instrumentation::default(),
-    )
-}
-
-/// [`run_campaign_cancellable`] with an observability sink: counters,
-/// span timings and `events.jsonl` records flow through
-/// `instr.telemetry`, and per-scenario completions tick
-/// `instr.progress`. Telemetry is never semantic — the finished store
-/// is byte-identical with instrumentation on or off.
-pub fn run_campaign_instrumented(
-    grid: &CampaignGrid,
-    store_path: impl Into<std::path::PathBuf>,
-    options: &CampaignOptions,
-    cancel: Option<&AtomicBool>,
-    instr: Instrumentation<'_>,
 ) -> std::io::Result<CampaignOutcome> {
     let store_path = store_path.into();
     // Held for the whole campaign: a second sweep journaling into the
@@ -190,7 +169,7 @@ pub fn run_campaign_instrumented(
 
     let specs: Vec<&dnnlife_core::ExperimentSpec> =
         pending.iter().map(|&i| &grid.scenarios[i]).collect();
-    let shards = options.shards;
+    let (shards, instr) = (options.shards, options.instr);
     let done = journal_into_store(
         &grid.name,
         "scenario",
@@ -198,7 +177,7 @@ pub fn run_campaign_instrumented(
         &keys,
         &specs,
         budget,
-        cancel,
+        options.cancel,
         options.verbose,
         instr,
         |record| record.result.label.clone(),

@@ -250,8 +250,8 @@ impl InjectionGrid {
 
 /// Executor knobs for [`run_injection_campaign`] (mirrors
 /// `CampaignOptions`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct InjectCampaignOptions {
+#[derive(Debug, Clone, Copy, Default)]
+pub struct InjectCampaignOptions<'a> {
     /// Total thread budget (0 = all available cores).
     pub threads: usize,
     /// Work-shard override for each cell's analytic duty simulation
@@ -261,6 +261,10 @@ pub struct InjectCampaignOptions {
     pub resume: bool,
     /// Print per-cell progress lines to stderr.
     pub verbose: bool,
+    /// Observability sink: trial throughput and SECDED verdict roll-ups
+    /// flow through `instr.telemetry`, journaled cells tick
+    /// `instr.progress`. Never semantic.
+    pub instr: Instrumentation<'a>,
 }
 
 /// What an injection campaign run did.
@@ -275,10 +279,10 @@ pub struct InjectionOutcome {
 }
 
 /// Runs every cell of `grid`, journaling into (and finalizing) the
-/// injection store at `store_path`. Honors the campaign cancellation
-/// token exactly like the scenario executor: a raised token keeps
-/// journaled cells, aborts in-flight ones between trials, and returns
-/// [`std::io::ErrorKind::Interrupted`].
+/// injection store at `store_path`, with `options.instr` observing.
+/// Honors the `cancel` token exactly like the scenario executor: a
+/// raised token keeps journaled cells, aborts in-flight ones between
+/// trials, and returns [`std::io::ErrorKind::Interrupted`].
 ///
 /// # Errors
 ///
@@ -288,20 +292,6 @@ pub fn run_injection_campaign(
     store_path: impl Into<std::path::PathBuf>,
     options: &InjectCampaignOptions,
     cancel: Option<&AtomicBool>,
-) -> std::io::Result<InjectionOutcome> {
-    run_injection_campaign_instrumented(grid, store_path, options, cancel, Default::default())
-}
-
-/// [`run_injection_campaign`] with an observability sink (mirrors
-/// `run_campaign_instrumented`): trial throughput and SECDED verdict
-/// roll-ups flow through `instr.telemetry`, journaled cells tick
-/// `instr.progress`. Never semantic.
-pub fn run_injection_campaign_instrumented(
-    grid: &InjectionGrid,
-    store_path: impl Into<std::path::PathBuf>,
-    options: &InjectCampaignOptions,
-    cancel: Option<&AtomicBool>,
-    instr: Instrumentation<'_>,
 ) -> std::io::Result<InjectionOutcome> {
     let store_path = store_path.into();
     let _lock = StoreLock::acquire(&store_path)?;
@@ -342,6 +332,7 @@ pub fn run_injection_campaign_instrumented(
     }
 
     let specs: Vec<&FaultInjectionSpec> = pending.iter().map(|&i| &grid.specs[i]).collect();
+    let instr = options.instr;
     let done = journal_into_store(
         &grid.name,
         "cell",

@@ -8,7 +8,7 @@
 //! policy × lifetime — and the interesting questions beyond the paper
 //! (how sensitive is DNN-Life to TRBG bias? how wide must the
 //! bias-balancing counter be?) add more axes. This crate turns
-//! `dnnlife_core::run_experiment` from a one-at-a-time call into a
+//! `dnnlife_core::run_experiment_with` from a one-at-a-time call into a
 //! sweep engine:
 //!
 //! | module | contents |
@@ -82,21 +82,14 @@ pub mod perf;
 pub mod store;
 pub mod trace;
 
-pub use crossval::{
-    validate_scenarios, validate_scenarios_cancellable, validate_scenarios_instrumented,
-    validate_scenarios_sharded,
-};
+pub use crossval::validate_scenarios;
 pub use dnnlife_core::ShardPolicy;
 pub use dnnlife_telemetry::{Counter, Instrumentation, Progress, ProgressStyle, Telemetry};
-pub use executor::{
-    run_campaign, run_campaign_cancellable, run_campaign_instrumented, run_scenarios,
-    CampaignOptions, CampaignOutcome,
-};
+pub use executor::{run_campaign, run_scenarios, CampaignOptions, CampaignOutcome};
 pub use grid::{CampaignGrid, GridAxes};
 pub use inject::{
-    accuracy_vs_age_table, ecc_comparison_table, run_injection_campaign,
-    run_injection_campaign_instrumented, InjectCampaignOptions, InjectionGrid, InjectionOutcome,
-    InjectionParams, InjectionRecord, InjectionStore,
+    accuracy_vs_age_table, ecc_comparison_table, run_injection_campaign, InjectCampaignOptions,
+    InjectionGrid, InjectionOutcome, InjectionParams, InjectionRecord, InjectionStore,
 };
 pub use perf::{load_events, PerfDiff, PerfSummary};
 pub use store::{JsonlStore, ResultStore, ScenarioRecord, StoreLock, StoreRecord};

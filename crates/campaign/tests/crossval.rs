@@ -11,19 +11,27 @@
 //! * an exact-backend sweep journals and resumes like any other.
 
 use dnnlife_campaign::grid::{CampaignGrid, GridAxes, SweepOptions};
-use dnnlife_campaign::{
-    run_campaign, validate_scenarios, validate_scenarios_sharded, CampaignOptions, ResultStore,
-};
+use dnnlife_campaign::{run_campaign, validate_scenarios, CampaignOptions, ResultStore};
 use dnnlife_core::experiment::{
     fig11_policies, fig9_policies, NetworkKind, Platform, PolicySpec, RunOptions,
     CROSSVAL_STOCHASTIC_MEAN_TOL,
 };
 use dnnlife_core::{
-    run_experiment_with, DwellModel, ExperimentSpec, ShardPolicy, SimulatorBackend,
+    cross_validate_with, run_experiment_with, CrossValidation, DwellModel, ExperimentSpec,
+    ShardPolicy, SimulatorBackend,
 };
 use dnnlife_quant::NumberFormat;
 
 mod util;
+
+/// Cross-validates every scenario on all cores under `shards`.
+fn validate(scenarios: &[ExperimentSpec], shards: ShardPolicy) -> Vec<CrossValidation> {
+    let options = CampaignOptions {
+        shards,
+        ..CampaignOptions::default()
+    };
+    validate_scenarios(scenarios, &options).expect("no cancel token")
+}
 
 /// Documented mean-SNM agreement tolerance (percentage points) between
 /// the finished analytic and exact aggregation tables for the
@@ -139,7 +147,7 @@ fn per_cell_duties_agree_for_every_policy_and_format() {
     scenarios.extend(npu.build("cv-npu").scenarios);
     assert_eq!(scenarios.len(), 3 * 6 + 4);
 
-    let results = validate_scenarios(&scenarios, 0);
+    let results = validate(&scenarios, ShardPolicy::Auto);
     for cv in &results {
         assert!(cv.uniform_dwell);
         assert!(
@@ -183,7 +191,7 @@ fn nonuniform_dwell_reports_assumption_b_gap() {
         },
     ] {
         spec.dwell = dwell.clone();
-        let cv = dnnlife_core::cross_validate(&spec);
+        let cv = cross_validate_with(&spec, &RunOptions::default()).expect("no cancel token");
         assert!(!cv.uniform_dwell);
         assert!(
             cv.max_abs_duty > 1e-3,
@@ -436,7 +444,7 @@ fn sharded_dnn_life_agrees_with_unsharded_within_tolerance() {
 fn per_cell_duties_agree_under_sharded_exact_backend() {
     let (_, npu) = crossval_axes(SimulatorBackend::Exact, 11);
     let scenarios = npu.build("cv-npu-sharded").scenarios;
-    let results = validate_scenarios_sharded(&scenarios, 0, ShardPolicy::Fixed(3));
+    let results = validate(&scenarios, ShardPolicy::Fixed(3));
     for cv in &results {
         assert!(
             cv.within_tolerance(),
@@ -474,7 +482,7 @@ fn slow_crossval_finer_stride_and_alexnet_baseline() {
     alex.backend = SimulatorBackend::Exact;
     scenarios.push(alex);
 
-    let results = validate_scenarios(&scenarios, 0);
+    let results = validate(&scenarios, ShardPolicy::Auto);
     for cv in &results {
         assert!(
             cv.within_tolerance(),
@@ -509,7 +517,7 @@ fn slow_crossval_with_four_shards() {
     alex.backend = SimulatorBackend::Exact;
     scenarios.push(alex);
 
-    let results = validate_scenarios_sharded(&scenarios, 0, ShardPolicy::Fixed(4));
+    let results = validate(&scenarios, ShardPolicy::Fixed(4));
     for cv in &results {
         assert!(
             cv.within_tolerance(),

@@ -87,9 +87,8 @@ fn sweep_bytes(dir: &Path, grid: &CampaignGrid, threads: usize, shards: ShardPol
         &path,
         &CampaignOptions {
             threads,
-            resume: false,
-            verbose: false,
             shards,
+            ..CampaignOptions::default()
         },
     )
     .expect("campaign run");

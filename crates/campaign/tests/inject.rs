@@ -57,9 +57,8 @@ fn tiny_grid(policies: &[PolicySpec]) -> InjectionGrid {
 fn run(grid: &InjectionGrid, path: &Path, threads: usize, resume: bool) {
     let options = InjectCampaignOptions {
         threads,
-        shards: 0,
         resume,
-        verbose: false,
+        ..InjectCampaignOptions::default()
     };
     run_injection_campaign(grid, path, &options, None).expect("injection campaign");
 }
@@ -94,9 +93,8 @@ fn injection_store_is_deterministic_resumable_and_renders() {
     run(&partial, &resumed, 1, false);
     let options = InjectCampaignOptions {
         threads: 2,
-        shards: 0,
         resume: true,
-        verbose: false,
+        ..InjectCampaignOptions::default()
     };
     let outcome = run_injection_campaign(&full, &resumed, &options, None).expect("resume campaign");
     assert_eq!(outcome.skipped, 1, "the completed cell must be reused");
@@ -327,9 +325,8 @@ fn secded_campaign_resume_is_thread_byte_identical_and_renders() {
         &resumed,
         &InjectCampaignOptions {
             threads: 8,
-            shards: 0,
             resume: true,
-            verbose: false,
+            ..InjectCampaignOptions::default()
         },
         None,
     )

@@ -9,8 +9,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use dnnlife_campaign::grid::{CampaignGrid, GridAxes, SweepOptions};
 use dnnlife_campaign::{perf, trace};
 use dnnlife_campaign::{
-    run_campaign_instrumented, run_injection_campaign_instrumented, CampaignOptions,
-    InjectCampaignOptions, InjectionGrid, InjectionParams, Instrumentation, ShardPolicy, Telemetry,
+    run_campaign, run_injection_campaign, CampaignOptions, InjectCampaignOptions, InjectionGrid,
+    InjectionParams, Instrumentation, ShardPolicy, Telemetry,
 };
 use dnnlife_core::experiment::{DwellModel, NetworkKind, Platform, PolicySpec, SimulatorBackend};
 use dnnlife_core::RepairPolicy;
@@ -63,20 +63,14 @@ fn sweep_with(
     let options = CampaignOptions {
         threads,
         resume,
-        verbose: false,
         shards,
-    };
-    run_campaign_instrumented(
-        grid,
-        path,
-        &options,
-        None,
-        Instrumentation {
+        instr: Instrumentation {
             telemetry,
             progress: None,
         },
-    )
-    .expect("campaign run");
+        ..CampaignOptions::default()
+    };
+    run_campaign(grid, path, &options).expect("campaign run");
     std::fs::read(path).expect("read store")
 }
 
@@ -203,21 +197,13 @@ fn inject_store_bytes_identical_with_telemetry_on_or_off() {
     let run = |path: &Path, threads: usize, telemetry: Option<&Telemetry>| -> Vec<u8> {
         let options = InjectCampaignOptions {
             threads,
-            shards: 0,
-            resume: false,
-            verbose: false,
-        };
-        run_injection_campaign_instrumented(
-            &grid,
-            path,
-            &options,
-            None,
-            Instrumentation {
+            instr: Instrumentation {
                 telemetry,
                 progress: None,
             },
-        )
-        .expect("injection campaign");
+            ..InjectCampaignOptions::default()
+        };
+        run_injection_campaign(&grid, path, &options, None).expect("injection campaign");
         std::fs::read(path).expect("read store")
     };
 
@@ -415,17 +401,16 @@ fn cancelled_campaign_reports_completion_summary() {
     let events = dir.join("aborted.events.jsonl");
     let telemetry = Telemetry::with_journal(&events).expect("open journal");
     let cancel = AtomicBool::new(true); // raised before the first claim
-    let err = run_campaign_instrumented(
-        &grid,
-        dir.join("aborted.jsonl"),
-        &CampaignOptions::default(),
-        Some(&cancel),
-        Instrumentation {
+    let options = CampaignOptions {
+        cancel: Some(&cancel),
+        instr: Instrumentation {
             telemetry: Some(&telemetry),
             progress: None,
         },
-    )
-    .expect_err("pre-raised cancel token must abort the campaign");
+        ..CampaignOptions::default()
+    };
+    let err = run_campaign(&grid, dir.join("aborted.jsonl"), &options)
+        .expect_err("pre-raised cancel token must abort the campaign");
     drop(telemetry);
     assert!(cancel.load(Ordering::Relaxed));
     assert_eq!(err.kind(), std::io::ErrorKind::Interrupted);
@@ -507,21 +492,14 @@ fn injection_journal_carries_per_trial_spans() {
     let telemetry = Telemetry::with_journal(&events).expect("open journal");
     let options = InjectCampaignOptions {
         threads: 2,
-        shards: 0,
-        resume: false,
-        verbose: false,
-    };
-    run_injection_campaign_instrumented(
-        &grid,
-        dir.join("inject.jsonl"),
-        &options,
-        None,
-        Instrumentation {
+        instr: Instrumentation {
             telemetry: Some(&telemetry),
             progress: None,
         },
-    )
-    .expect("injection campaign");
+        ..InjectCampaignOptions::default()
+    };
+    run_injection_campaign(&grid, dir.join("inject.jsonl"), &options, None)
+        .expect("injection campaign");
     drop(telemetry);
 
     let forest = trace::load_trace(&events).expect("load journal");
@@ -714,6 +692,75 @@ fn trace_cli_reports_the_forest_and_json_parses() {
         .output()
         .expect("run dnnlife trace");
     assert_eq!(missing.status.code(), Some(3));
+}
+
+/// A hostile line of 200 000 `[` among valid lines is just another
+/// corrupt line: `report --store` and `trace --events` exit exactly as
+/// they do for a `{garbage` line in the same place (same exit code,
+/// same skip count, same reported line) instead of overflowing the
+/// JSON parser's stack.
+#[test]
+fn deeply_nested_line_is_handled_like_any_corrupt_line() {
+    let dir = util::scratch_dir("telemetry-deep-nesting");
+    let out = dir.join("fig11.jsonl");
+    let sweep = std::process::Command::new(env!("CARGO_BIN_EXE_dnnlife"))
+        .args(["sweep", "--grid", "fig11", "--stride", "4096"])
+        .args([
+            "--inferences",
+            "2",
+            "--threads",
+            "2",
+            "--telemetry",
+            "--out",
+        ])
+        .arg(&out)
+        .output()
+        .expect("run dnnlife sweep");
+    assert!(sweep.status.success());
+    let events = dir.join("fig11.events.jsonl");
+
+    // Splices `bad` into the middle of `path`'s lines; returns the copy.
+    let splice = |path: &Path, tag: &str, bad: &str| {
+        let text = std::fs::read_to_string(path).expect("read file");
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines.insert(lines.len() / 2, bad);
+        let copy = dir.join(format!(
+            "{tag}-{}",
+            path.file_name().unwrap().to_string_lossy()
+        ));
+        std::fs::write(&copy, lines.join("\n") + "\n").expect("write copy");
+        copy
+    };
+    let run = |args: &[&str], path: &Path| {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_dnnlife"))
+            .args(args)
+            .arg(path)
+            .output()
+            .expect("run dnnlife");
+        let text = String::from_utf8_lossy(&output.stdout).to_string()
+            + &String::from_utf8_lossy(&output.stderr);
+        (output.status.code(), text)
+    };
+    let deep = "[".repeat(200_000);
+    for (args, path) in [
+        (&["report", "--table", "fig11", "--store"][..], &out),
+        (&["trace", "--events"][..], &events),
+    ] {
+        let (garbage_code, garbage) = run(args, &splice(path, "garbage", "{garbage"));
+        let (deep_code, hostile) = run(args, &splice(path, "deep", &deep));
+        assert!(deep_code.is_some(), "{args:?} died on a signal: {hostile}");
+        assert_eq!(deep_code, garbage_code, "{args:?}: {hostile}");
+        // `report` names the corrupt line; `trace` counts skipped lines.
+        let verdict = |text: &str| {
+            text.lines()
+                .find_map(|l| match l.find("corrupt record on line") {
+                    Some(at) => l[at..].split(':').next().map(str::to_string),
+                    None => l.contains("line(s) skipped").then(|| l.to_string()),
+                })
+        };
+        assert!(verdict(&garbage).is_some(), "{args:?}: {garbage}");
+        assert_eq!(verdict(&hostile), verdict(&garbage), "{args:?}");
+    }
 }
 
 /// Satellite 3: with stderr piped (not a tty), `--progress` degrades

@@ -2,11 +2,11 @@
 //!
 //! An [`ExperimentSpec`] names a platform, workload, number format,
 //! mitigation policy, lifetime, simulator backend and block-dwell
-//! model; [`run_experiment`] simulates the weight memory (closed-form
+//! model; [`run_experiment_with`] simulates the weight memory (closed-form
 //! analytic or event-driven exact), converts every cell's lifetime
 //! duty cycle into SNM degradation with the paper-calibrated model,
 //! and returns the degradation histogram that one bar chart of Fig. 9
-//! / Fig. 11 plots. [`cross_validate`] runs a matched analytic/exact
+//! / Fig. 11 plots. [`cross_validate_with`] runs a matched analytic/exact
 //! pair and reports per-cell duty divergence.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -394,7 +394,7 @@ impl PolicySpec {
     /// analytic simulator, drawing policy randomness from `seed`
     /// (callers composing their own simulations pass
     /// [`ExperimentSpec::policy_seed`] so their duty cycles match what
-    /// [`run_experiment`] computes for the same spec).
+    /// [`run_experiment_with`] computes for the same spec).
     pub fn analytic(&self, seed: u64) -> AnalyticPolicy {
         match *self {
             PolicySpec::None => AnalyticPolicy::Passthrough,
@@ -559,7 +559,7 @@ impl ExperimentSpec {
         }
     }
 
-    /// Whether [`run_experiment`] can simulate this spec:
+    /// Whether [`run_experiment_with`] can simulate this spec:
     ///
     /// * the TPU-like NPU's weight FIFO stores 8-bit words only
     ///   (Table I), so fp32 on that platform is rejected; the ReRAM
@@ -664,7 +664,7 @@ impl ExperimentSpec {
     /// `spec.seed` mixed away from the weight-generation stream.
     /// Exposed so external pipelines (fault injection) that rebuild the
     /// memory plans themselves reproduce the exact duty cycles
-    /// [`run_experiment`] computes.
+    /// [`run_experiment_with`] computes.
     pub fn policy_seed(&self) -> u64 {
         self.seed ^ POLICY_SEED_MIX
     }
@@ -838,12 +838,12 @@ fn with_dwell<T: DwellTarget>(mem: T, dwell: &DwellModel, network: &dnnlife_nn::
 }
 
 /// Simulates every memory unit of `spec` under `backend` (overriding
-/// `spec.backend` so [`cross_validate`] can run both sides of a
+/// `spec.backend` so [`cross_validate_with`] can run both sides of a
 /// matched pair), returning per-unit duty vectors in unit order plus
 /// the total blocks written per inference — or `None` if
 /// `opts.cancel` was raised mid-run. This is the single home of the
 /// memory-construction / dwell-application / transducer-seeding logic,
-/// shared by [`run_experiment_with`] and [`cross_validate`] — so the
+/// shared by [`run_experiment_with`] and [`cross_validate_with`] — so the
 /// pair a cross-validation compares is by construction the pair the
 /// experiment runner executes.
 ///
@@ -964,49 +964,30 @@ fn simulate_units(
     Some((units, blocks))
 }
 
-/// Runs one experiment with the paper-calibrated SNM model.
+/// Runs one experiment with the paper-calibrated SNM model under the
+/// execution budget `opts` ([`RunOptions`]: simulator threads,
+/// exact-backend shard policy, cooperative cancellation, telemetry).
+/// Both backends honour `opts.threads` (0 = all cores): the analytic
+/// simulator shards cells, the exact simulator runs its word shards on
+/// that many threads. The campaign executor passes each scenario its
+/// slice of the two-level thread budget so scenario-level parallelism
+/// isn't multiplied by cell-level parallelism.
 ///
-/// Pure: the result is a deterministic function of the spec alone
-/// (the DNN-Life TRBG draws are counter-seeded from `spec.seed`), and
-/// bit-identical regardless of simulator thread count.
+/// Pure: the result is a deterministic function of the spec and the
+/// resolved shard count alone (the DNN-Life TRBG draws are
+/// counter-seeded from `spec.seed`), and bit-identical regardless of
+/// thread count. Returns `None` iff `opts.cancel` was raised before the
+/// run finished — the partial result is discarded, never observable.
 ///
 /// # Panics
 ///
 /// Panics on inconsistent specs (fp32 weights on the 8-bit NPU,
 /// non-uniform dwell on the analytic backend, malformed dwell
 /// parameters — see [`ExperimentSpec::is_valid`]).
-pub fn run_experiment(spec: &ExperimentSpec) -> ExperimentResult {
-    run_experiment_threaded(spec, 0)
-}
-
-/// [`run_experiment`] with an explicit simulator thread count (0 = all
-/// cores). Both backends honour it: the analytic simulator shards
-/// cells, the exact simulator runs its word shards
-/// ([`ShardPolicy::Auto`]) on that many threads. The campaign executor
-/// passes each scenario its slice of the two-level thread budget so
-/// scenario-level parallelism isn't multiplied by cell-level
-/// parallelism.
-pub fn run_experiment_threaded(spec: &ExperimentSpec, threads: usize) -> ExperimentResult {
-    let opts = RunOptions {
-        threads,
-        ..RunOptions::default()
-    };
-    run_experiment_with(spec, &opts).expect("run without a cancel token cannot be cancelled")
-}
-
-/// [`run_experiment`] under an explicit execution budget
-/// ([`RunOptions`]: simulator threads, exact-backend shard policy,
-/// cooperative cancellation). Returns `None` iff `opts.cancel` was
-/// raised before the run finished — the partial result is discarded,
-/// never observable.
-///
-/// # Panics
-///
-/// Panics on inconsistent specs (see [`ExperimentSpec::is_valid`]).
 pub fn run_experiment_with(spec: &ExperimentSpec, opts: &RunOptions) -> Option<ExperimentResult> {
     assert!(
         spec.is_valid(),
-        "run_experiment: invalid spec (platform/format, backend/dwell): {spec:?}"
+        "run_experiment_with: invalid spec (platform/format, backend/dwell): {spec:?}"
     );
     // The technology selects the degradation model and its natural
     // histogram range: SNM-degradation percent for SRAM (the SRAM model
@@ -1081,7 +1062,7 @@ pub const CROSSVAL_DETERMINISTIC_TOL: f64 = 1e-9;
 pub const CROSSVAL_STOCHASTIC_MEAN_TOL: f64 = 0.02;
 
 /// Outcome of one matched analytic/exact scenario pair
-/// ([`cross_validate`]).
+/// ([`cross_validate_with`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CrossValidation {
     /// Scenario label (with the dwell qualifier).
@@ -1121,78 +1102,38 @@ impl CrossValidation {
     }
 }
 
-/// Per-cell duty cycles for `spec` under one backend — the exact same
-/// memory plans, dwell application and transducer seeds the experiment
-/// runner uses ([`simulate_units`]), flattened in unit order. `None`
-/// iff `opts.cancel` was raised mid-run.
-fn per_cell_duties(
-    spec: &ExperimentSpec,
-    backend: SimulatorBackend,
-    opts: &RunOptions,
-) -> Option<Vec<f64>> {
-    let (units, _blocks) = simulate_units(spec, backend, opts)?;
-    Some(units.into_iter().flatten().collect())
-}
-
-/// Runs the matched analytic/exact pair for `spec` and reports
-/// per-cell duty divergence. The analytic side always runs uniform
-/// dwell (its closed forms require assumption (b)); the exact side
-/// runs the spec's dwell model — so under `DwellModel::Uniform` this
-/// cross-validates the two simulators, and under a non-uniform model
-/// it quantifies how much the equal-residency assumption distorts the
-/// duty cycles of this scenario. Cell order is identical on both
-/// sides (sampled-word-major, slot by slot on the NPU).
+/// Runs the matched analytic/exact pair for `spec` under the budget
+/// `opts` and reports per-cell duty divergence. The analytic side
+/// always runs uniform dwell (its closed forms require assumption (b));
+/// the exact side runs the spec's dwell model — so under
+/// `DwellModel::Uniform` this cross-validates the two simulators, and
+/// under a non-uniform model it quantifies how much the equal-residency
+/// assumption distorts the duty cycles of this scenario. Both sides use
+/// the memory plans, dwell application and transducer seeds that
+/// [`run_experiment_with`] uses; cell order is identical on both sides
+/// (sampled-word-major, slot by slot on the NPU).
+///
+/// The documented tolerances hold for every `opts.shards`:
+/// deterministic policies are partition-invariant, and each DNN-Life
+/// shard stream is identically distributed. Returns `None` iff
+/// `opts.cancel` was raised before both sides finished — the exact side
+/// polls at block granularity, so a raised token aborts a pair
+/// mid-scenario rather than after its exact run completes.
 ///
 /// # Panics
 ///
 /// Panics if the spec's *exact* variant is invalid (see
 /// [`ExperimentSpec::is_valid`]).
-pub fn cross_validate(spec: &ExperimentSpec) -> CrossValidation {
-    cross_validate_sharded(spec, ShardPolicy::Auto)
-}
-
-/// [`cross_validate`] with an explicit exact-backend shard policy —
-/// what `dnnlife validate --shards` and the nightly sharded crossval
-/// tier run. The documented tolerances hold for every shard count:
-/// deterministic policies are partition-invariant, and each DNN-Life
-/// shard stream is identically distributed.
-pub fn cross_validate_sharded(spec: &ExperimentSpec, shards: ShardPolicy) -> CrossValidation {
-    cross_validate_cancellable(spec, shards, None).expect("run without a cancel token")
-}
-
-/// [`cross_validate_sharded`] under a cooperative cancellation token:
-/// returns `None` iff `cancel` was raised before both sides finished —
-/// the exact side polls at block granularity, so a raised token aborts
-/// a cross-validation pair *mid-scenario* rather than after its
-/// minutes-long exact run completes. This is what lets the campaign
-/// `validate` fan-out (and its Ctrl-C handling) stop promptly.
-pub fn cross_validate_cancellable(
-    spec: &ExperimentSpec,
-    shards: ShardPolicy,
-    cancel: Option<&AtomicBool>,
-) -> Option<CrossValidation> {
-    let opts = RunOptions {
-        threads: 1,
-        shards,
-        cancel,
-        ..RunOptions::default()
-    };
-    cross_validate_with(spec, &opts)
-}
-
-/// [`cross_validate_cancellable`] under a full [`RunOptions`] budget —
-/// the instrumented campaign `validate` fan-out threads its telemetry
-/// sink through here. `opts.threads` is honoured as given (the
-/// campaign executor already splits its two-level budget per pair).
 pub fn cross_validate_with(spec: &ExperimentSpec, opts: &RunOptions) -> Option<CrossValidation> {
     let mut exact_spec = spec.clone();
     exact_spec.backend = SimulatorBackend::Exact;
     assert!(
         exact_spec.is_valid(),
-        "cross_validate: invalid spec {spec:?}"
+        "cross_validate_with: invalid spec {spec:?}"
     );
-    let analytic = per_cell_duties(spec, SimulatorBackend::Analytic, opts)?;
-    let exact = per_cell_duties(&exact_spec, SimulatorBackend::Exact, opts)?;
+    let (analytic, _) = simulate_units(spec, SimulatorBackend::Analytic, opts)?;
+    let (exact, _) = simulate_units(&exact_spec, SimulatorBackend::Exact, opts)?;
+    let (analytic, exact) = (analytic.concat(), exact.concat());
     assert_eq!(analytic.len(), exact.len(), "backend cell counts differ");
 
     let cells = analytic.len() as u64;
@@ -1284,8 +1225,16 @@ mod tests {
         }
     }
 
+    fn run(spec: &ExperimentSpec) -> ExperimentResult {
+        run_experiment_with(spec, &RunOptions::default()).expect("no cancel token")
+    }
+
+    fn validate(spec: &ExperimentSpec) -> CrossValidation {
+        cross_validate_with(spec, &RunOptions::default()).expect("no cancel token")
+    }
+
     fn quick(policy: PolicySpec) -> ExperimentResult {
-        run_experiment(&quick_spec(policy))
+        run(&quick_spec(policy))
     }
 
     #[test]
@@ -1314,7 +1263,7 @@ mod tests {
             m_bits: 4,
         });
         spec.inferences = 4000;
-        let result = run_experiment(&spec);
+        let result = run(&spec);
         assert!(
             result.percent_near_optimal(0.5) > 99.0,
             "only {:.2}% near optimal",
@@ -1486,11 +1435,11 @@ mod tests {
         spec.backend = SimulatorBackend::Exact;
         spec.sample_stride = 256;
         spec.inferences = 4;
-        let r = run_experiment(&spec);
+        let r = run(&spec);
         assert!(r.cells > 0);
         assert!(r.label.ends_with("[exact]"), "label: {}", r.label);
         spec.dwell = DwellModel::Zipf { exponent: 1.0 };
-        let r = run_experiment(&spec);
+        let r = run(&spec);
         assert!(
             r.label.contains("[exact, dwell=zipf(1.00)]"),
             "label: {}",
@@ -1551,7 +1500,7 @@ mod tests {
         let mut spec = quick_spec(PolicySpec::Inversion);
         spec.repair = RepairPolicy::Secded { interleave: 1 };
         let plain = quick(PolicySpec::Inversion);
-        let ecc = run_experiment(&spec);
+        let ecc = run(&spec);
         // 13/8 the simulated cells: the parity columns are aged too.
         assert_eq!(ecc.cells, plain.cells / 8 * 13);
         assert!(ecc.label.contains("[ecc=secded]"), "{}", ecc.label);
@@ -1564,7 +1513,7 @@ mod tests {
         spec.repair = RepairPolicy::Secded { interleave: 1 };
         spec.sample_stride = 256;
         spec.inferences = 4;
-        let cv = cross_validate(&spec);
+        let cv = validate(&spec);
         assert!(
             cv.within_tolerance(),
             "{}: max |Δduty| = {} — the closed forms must stay exact over \
@@ -1603,7 +1552,7 @@ mod tests {
     fn reram_experiment_reports_wear_percent() {
         let mut spec = quick_spec(PolicySpec::None);
         spec.tech = MemoryTech::ReramEndurance;
-        let r = run_experiment(&spec);
+        let r = run(&spec);
         assert_eq!(r.histogram.total(), r.cells);
         assert!(r.cells > 0);
         // Wear percent saturates at 100, never leaves [0, 100].
@@ -1620,7 +1569,7 @@ mod tests {
         let mut spec = quick_spec(PolicySpec::None);
         spec.platform = Platform::Crossbar;
         assert!(spec.is_valid());
-        let r = run_experiment(&spec);
+        let r = run(&spec);
         // 131072 words / 16 stride × 8 bits.
         assert_eq!(r.cells, 131_072 / 16 * 8);
         assert_eq!(r.blocks_per_inference, 2);
@@ -1633,9 +1582,9 @@ mod tests {
         let mut spec = quick_spec(PolicySpec::None);
         spec.platform = Platform::Crossbar;
         spec.sample_stride = 1;
-        let none = run_experiment(&spec);
+        let none = run(&spec);
         spec.policy = PolicySpec::WearLevel { epochs: 4 };
-        let wl = run_experiment(&spec);
+        let wl = run(&spec);
         assert_eq!(none.cells, wl.cells);
         // Rotation only moves bits between cells: mean duty is exactly
         // preserved, and the per-cell extremes never widen. The min/max
@@ -1659,7 +1608,7 @@ mod tests {
         let mut spec = quick_spec(PolicySpec::WearLevel { epochs: 4 });
         spec.sample_stride = 256;
         spec.inferences = 4;
-        let cv = cross_validate(&spec);
+        let cv = validate(&spec);
         assert!(!cv.stochastic, "the remap is deterministic");
         assert!(
             cv.within_tolerance(),
@@ -1783,7 +1732,7 @@ mod tests {
             let mut spec = quick_spec(policy);
             spec.sample_stride = 256;
             spec.inferences = 6;
-            let cv = cross_validate(&spec);
+            let cv = validate(&spec);
             assert!(!cv.stochastic);
             assert!(cv.uniform_dwell);
             assert!(
@@ -1816,7 +1765,7 @@ mod tests {
         spec.inferences = 6;
         spec.backend = SimulatorBackend::Exact;
         spec.dwell = DwellModel::LayerProportional;
-        let cv = cross_validate(&spec);
+        let cv = validate(&spec);
         assert!(!cv.uniform_dwell);
         assert!(
             cv.max_abs_duty > 0.01,

@@ -21,7 +21,7 @@
 //!
 //! ```
 //! use dnnlife_core::experiment::{
-//!     run_experiment, ExperimentSpec, NetworkKind, Platform, PolicySpec,
+//!     run_experiment_with, ExperimentSpec, NetworkKind, Platform, PolicySpec, RunOptions,
 //! };
 //!
 //! use dnnlife_core::experiment::{DwellModel, SimulatorBackend};
@@ -40,7 +40,7 @@
 //!     repair: dnnlife_quant::RepairPolicy::None, // no ECC over stored words
 //!     tech: dnnlife_core::MemoryTech::SramNbti,  // the paper's NBTI aging
 //! };
-//! let result = run_experiment(&spec);
+//! let result = run_experiment_with(&spec, &RunOptions::default()).expect("no cancel token");
 //! // DNN-Life drives every cell toward the minimal-degradation bin.
 //! assert!(result.snm.mean() < 11.5);
 //! ```
@@ -56,10 +56,8 @@ pub use dnnlife_quant::RepairPolicy;
 pub use dnnlife_sram::MemoryTech;
 pub use dnnlife_telemetry::{Counter, Instrumentation, Progress, ProgressStyle, Telemetry};
 pub use experiment::{
-    cross_validate, cross_validate_cancellable, cross_validate_sharded, cross_validate_with,
-    run_experiment, run_experiment_threaded, run_experiment_with, CrossValidation, DwellModel,
-    ExperimentResult, ExperimentSpec, NetworkKind, Platform, PolicySpec, RunOptions, ShardPolicy,
-    SimulatorBackend,
+    cross_validate_with, run_experiment_with, CrossValidation, DwellModel, ExperimentResult,
+    ExperimentSpec, NetworkKind, Platform, PolicySpec, RunOptions, ShardPolicy, SimulatorBackend,
 };
 pub use faultspec::FaultInjectionSpec;
 pub use probmodel::DutyCycleModel;

@@ -5,7 +5,7 @@
 //! [`FifoSlotMemory::all_slots_with_weight_tables`]), so the aged
 //! memory image is exactly the one the corrupted network reads back —
 //! the policy's seed and closed forms match what
-//! `dnnlife_core::run_experiment` computes for the same scenario via
+//! `dnnlife_core::run_experiment_with` computes for the same scenario via
 //! [`dnnlife_core::ExperimentSpec::policy_seed`].
 
 use std::collections::HashMap;

@@ -4,7 +4,7 @@
 //! cell per recorded state* — the dominant cost of the exact memory
 //! simulator's inner loop. [`DutySliceTracker`] replaces that with
 //! vertical carry-save counters: each recorded state word is folded
-//! into [`PLANES`] bit-plane words (plane `p` holds bit `p` of every
+//! into `PLANES` bit-plane words (plane `p` holds bit `p` of every
 //! cell's pending count), so one record costs ~2 `u64` ops per 64
 //! cells amortized. Pending planes spill into per-cell `u64` counters
 //! every `2^PLANES − 1` records.

@@ -575,7 +575,7 @@ struct RegistryEntry {
 /// and histograms. Registration takes a mutex (do it once, outside hot
 /// loops, and keep the returned `Arc`); recording through the returned
 /// handles is lock-free. The fixed [`Counter`] roster is re-registered
-/// here by [`Telemetry::build`], so a [`MetricsSnapshot`] covers both
+/// here by `Telemetry::build`, so a [`MetricsSnapshot`] covers both
 /// the closed hot-path roster and any dynamically added series.
 #[derive(Default)]
 pub struct Registry {

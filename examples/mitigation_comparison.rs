@@ -8,7 +8,7 @@
 //! The optional stride (default 8) simulates every n-th memory word —
 //! an unbiased subsample; pass 1 to simulate all 4Mi cells.
 
-use dnn_life::core::experiment::{fig9_policies, run_experiment, ExperimentSpec};
+use dnn_life::core::experiment::{fig9_policies, run_experiment_with, ExperimentSpec, RunOptions};
 use dnn_life::quant::NumberFormat;
 
 fn main() {
@@ -26,7 +26,8 @@ fn main() {
         for policy in fig9_policies() {
             let mut spec = ExperimentSpec::fig9(format, policy, 42);
             spec.sample_stride = stride;
-            let result = run_experiment(&spec);
+            let result =
+                run_experiment_with(&spec, &RunOptions::default()).expect("no cancel token");
             println!(
                 "{:<46} {:>10.2} {:>10.2} {:>11.1}%",
                 policy.display_name(),

@@ -6,8 +6,13 @@
 //! ```
 
 use dnn_life::core::experiment::{
-    fig11_policies, run_experiment, ExperimentSpec, NetworkKind, PolicySpec,
+    fig11_policies, run_experiment_with, ExperimentResult, ExperimentSpec, NetworkKind, PolicySpec,
+    RunOptions,
 };
+
+fn run(spec: &ExperimentSpec) -> ExperimentResult {
+    run_experiment_with(spec, &RunOptions::default()).expect("no cancel token")
+}
 
 fn main() {
     // --- Fig. 11: three networks × four policies.
@@ -24,7 +29,7 @@ fn main() {
         for policy in fig11_policies() {
             let mut spec = ExperimentSpec::fig11(network, policy, 42);
             spec.sample_stride = 4;
-            let result = run_experiment(&spec);
+            let result = run(&spec);
             println!(
                 "{:<46} {:>10.2} {:>10.2}",
                 policy.display_name(),
@@ -60,8 +65,8 @@ fn main() {
         dnn.sample_stride = 16;
         println!(
             "{years:>6.1} {:>13.2}% {:>13.2}%",
-            run_experiment(&none).snm.mean(),
-            run_experiment(&dnn).snm.mean()
+            run(&none).snm.mean(),
+            run(&dnn).snm.mean()
         );
     }
 }

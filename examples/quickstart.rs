@@ -6,7 +6,9 @@
 //! ```
 
 use dnn_life::core::analysis::bit_distribution_report;
-use dnn_life::core::experiment::{run_experiment, ExperimentSpec, NetworkKind, PolicySpec};
+use dnn_life::core::experiment::{
+    run_experiment_with, ExperimentSpec, NetworkKind, PolicySpec, RunOptions,
+};
 use dnn_life::core::report::{render_bit_distribution, render_experiment};
 
 fn main() {
@@ -31,7 +33,7 @@ fn main() {
         },
     ] {
         let spec = ExperimentSpec::fig11(NetworkKind::CustomMnist, policy, 42);
-        let result = run_experiment(&spec);
+        let result = run_experiment_with(&spec, &RunOptions::default()).expect("no cancel token");
         println!("{}", render_experiment(&result));
     }
 

@@ -26,7 +26,9 @@
 //! # Example
 //!
 //! ```
-//! use dnn_life::core::experiment::{run_experiment, ExperimentSpec, NetworkKind, PolicySpec};
+//! use dnn_life::core::experiment::{
+//!     run_experiment_with, ExperimentSpec, NetworkKind, PolicySpec, RunOptions,
+//! };
 //!
 //! let mut spec = ExperimentSpec::fig11(
 //!     NetworkKind::CustomMnist,
@@ -34,7 +36,7 @@
 //!     42,
 //! );
 //! spec.sample_stride = 64;
-//! let result = run_experiment(&spec);
+//! let result = run_experiment_with(&spec, &RunOptions::default()).expect("no cancel token");
 //! assert!(result.snm.mean() < 14.0);
 //! ```
 

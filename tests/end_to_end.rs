@@ -5,8 +5,8 @@ use dnn_life::accel::{
     FlatWeightMemory,
 };
 use dnn_life::core::experiment::{
-    cross_validate, fig9_policies, run_experiment, DwellModel, ExperimentSpec, NetworkKind,
-    Platform, PolicySpec, SimulatorBackend,
+    cross_validate_with, fig9_policies, run_experiment_with, DwellModel, ExperimentResult,
+    ExperimentSpec, NetworkKind, Platform, PolicySpec, RunOptions, SimulatorBackend,
 };
 use dnn_life::mitigation::transducer::WriteTransducer;
 use dnn_life::mitigation::{AgingController, DnnLife, PseudoTrbg};
@@ -17,6 +17,10 @@ use dnn_life::numerics::duty_cycle_tail_probability;
 use dnn_life::quant::{NumberFormat, Quantizer};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+
+fn run(spec: &ExperimentSpec) -> ExperimentResult {
+    run_experiment_with(spec, &RunOptions::default()).expect("no cancel token")
+}
 
 /// The headline correctness property: routing quantized weights through
 /// the DNN-Life WDE/RDD changes *nothing* about inference.
@@ -152,7 +156,7 @@ fn fig9_policy_ordering_smoke() {
             repair: dnnlife_core::RepairPolicy::None,
             tech: dnnlife_core::MemoryTech::SramNbti,
         };
-        results.push((policy, run_experiment(&spec)));
+        results.push((policy, run(&spec)));
     }
     let mean = |p: &PolicySpec| {
         results
@@ -201,8 +205,8 @@ fn experiments_are_reproducible() {
     );
     let mut spec = spec;
     spec.sample_stride = 32;
-    let a = run_experiment(&spec);
-    let b = run_experiment(&spec);
+    let a = run(&spec);
+    let b = run(&spec);
     assert_eq!(a.histogram.counts(), b.histogram.counts());
     assert_eq!(a.snm.mean(), b.snm.mean());
 }
@@ -215,7 +219,7 @@ fn exact_backend_cross_validates_through_facade() {
     let mut spec = ExperimentSpec::fig11(NetworkKind::CustomMnist, PolicySpec::BarrelShifter, 7);
     spec.sample_stride = 512;
     spec.inferences = 8;
-    let cv = cross_validate(&spec);
+    let cv = cross_validate_with(&spec, &RunOptions::default()).expect("no cancel token");
     assert!(
         cv.within_tolerance(),
         "max |Δduty| = {} over {} cells",
@@ -229,9 +233,9 @@ fn exact_backend_cross_validates_through_facade() {
     spec.policy = PolicySpec::None;
     spec.backend = SimulatorBackend::Exact;
     spec.dwell = DwellModel::LayerProportional;
-    let weighted = run_experiment(&spec);
+    let weighted = run(&spec);
     spec.dwell = DwellModel::Uniform;
-    let uniform = run_experiment(&spec);
+    let uniform = run(&spec);
     assert_eq!(weighted.cells, uniform.cells);
     assert!(
         (weighted.duty.mean() - uniform.duty.mean()).abs() > 1e-4,

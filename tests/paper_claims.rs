@@ -1,7 +1,9 @@
 //! Tests pinned to specific quantitative claims of the paper's text.
 
 use dnn_life::accel::{AcceleratorConfig, BlockSource, FifoSlotMemory, FlatWeightMemory};
-use dnn_life::core::experiment::{run_experiment, ExperimentSpec, NetworkKind, PolicySpec};
+use dnn_life::core::experiment::{
+    run_experiment_with, ExperimentSpec, NetworkKind, PolicySpec, RunOptions,
+};
 use dnn_life::core::DutyCycleModel;
 use dnn_life::quant::NumberFormat;
 use dnn_life::sram::snm::{CalibratedSnmModel, SnmModel};
@@ -82,7 +84,7 @@ fn table2_orderings() {
 fn fig11_custom_network_panels() {
     let mut inversion = ExperimentSpec::fig11(NetworkKind::CustomMnist, PolicySpec::Inversion, 42);
     inversion.sample_stride = 32;
-    let inversion = run_experiment(&inversion);
+    let inversion = run_experiment_with(&inversion, &RunOptions::default()).expect("no cancel");
     // "significant" — well above the 10.82% optimum on average, with
     // cells at the worst bin.
     assert!(inversion.snm.mean() > 14.0, "mean {}", inversion.snm.mean());
@@ -98,7 +100,7 @@ fn fig11_custom_network_panels() {
         42,
     );
     dnn.sample_stride = 32;
-    let dnn = run_experiment(&dnn);
+    let dnn = run_experiment_with(&dnn, &RunOptions::default()).expect("no cancel");
     assert!(dnn.snm.mean() < inversion.snm.mean() - 3.0);
 }
 
