@@ -680,9 +680,11 @@ impl FifoSlotMemory {
     }
 
     /// The slot-independent part of the plan: tile layout and quantizer
-    /// calibration per layer. Calibration sweeps up to [`RANGE_CAP`]
-    /// weights per layer, so `all_slots` computes this once and shares
-    /// it across the four slots instead of re-sweeping per slot.
+    /// calibration per layer. Calibration takes the range of up to
+    /// [`RANGE_CAP`] weights per layer — for generated weights an
+    /// integer scan of the raw draws, see [`LayerWeightGen::range`] —
+    /// so `all_slots` computes this once and shares it across the four
+    /// slots.
     fn plan_layers(
         spec: &NetworkSpec,
         format: NumberFormat,
@@ -764,8 +766,8 @@ impl FifoSlotMemory {
 
     /// All four slots of the FIFO. The per-layer plan (tile layout and
     /// quantizer calibration) is slot-independent, so it is computed
-    /// once and shared — building all four slots costs one calibration
-    /// sweep, not four.
+    /// once and shared — building all four slots calibrates each layer
+    /// once, not four times.
     pub fn all_slots(spec: &NetworkSpec, format: NumberFormat, seed: u64) -> Vec<Self> {
         let sources = spec
             .layers()

@@ -435,8 +435,9 @@ fn cancelled_campaign_reports_completion_summary() {
 
 /// The span layer journals a reconstructable forest: every span's
 /// parent resolves (zero orphans), every span ends, and the expected
-/// label taxonomy appears — campaign root, per-item scenarios, and the
-/// per-shard simulator spans of both backends.
+/// label taxonomy appears — campaign root, per-item scenarios, one
+/// plan build per scenario, and the per-shard simulator spans of both
+/// backends.
 #[test]
 fn sweep_journal_reconstructs_a_complete_span_forest() {
     let dir = util::scratch_dir("telemetry-span-forest");
@@ -472,6 +473,17 @@ fn sweep_journal_reconstructs_a_complete_span_forest() {
     assert!(count("exact_shard") > 0, "labels: {labels:?}");
     assert!(count("exact_merge") > 0, "labels: {labels:?}");
     assert!(count("analytic_shard") > 0, "labels: {labels:?}");
+    // Every scenario builds its memory plan exactly once, under its own
+    // span.
+    for scenario in forest.spans.iter().filter(|s| s.label == "scenario") {
+        let plan_builds = forest
+            .spans
+            .iter()
+            .filter(|s| s.parent == Some(scenario.id) && s.label == "plan_build")
+            .count();
+        assert_eq!(plan_builds, 1, "scenario span {}", scenario.id);
+    }
+    assert_eq!(count("plan_build"), grid.len());
 
     // The flame table and critical path render from the same forest.
     let text = forest.render_text();

@@ -162,9 +162,9 @@ pub struct RunOptions<'a> {
     /// Never semantic — results are byte-identical with telemetry on
     /// or off at any thread/shard count.
     pub telemetry: Option<&'a Telemetry>,
-    /// Trace-span parent for the per-shard simulator spans this run
-    /// journals (the executor's per-scenario span). `SpanId::NONE`
-    /// (the default) journals the shard spans as roots.
+    /// Trace-span parent for the `plan_build` and per-shard simulator
+    /// spans this run journals (the executor's per-scenario span).
+    /// `SpanId::NONE` (the default) journals them as roots.
     pub parent_span: SpanId,
 }
 
@@ -922,6 +922,9 @@ fn simulate_units(
         SimulatorBackend::Exact => &spec.dwell,
     };
 
+    // Plan construction (dataflow layout + per-layer quantizer
+    // calibration) is the scenario's `plan_build` trace stage.
+    let telemetry = opts.telemetry.unwrap_or_else(|| Telemetry::noop());
     let row_words = spec.platform.row_words();
     match spec.platform {
         Platform::Baseline | Platform::Crossbar => {
@@ -929,8 +932,10 @@ fn simulate_units(
                 Platform::Baseline => AcceleratorConfig::baseline(),
                 _ => AcceleratorConfig::crossbar(),
             };
+            let span = telemetry.span_start("plan_build", opts.parent_span);
             let mem = FlatWeightMemory::new(&config, &network, spec.format, spec.seed)
                 .with_repair(&spec.repair);
+            telemetry.span_end(span);
             blocks = mem.block_count();
             let mem = with_dwell(mem, dwell, &network);
             units.push(simulate_planned(
@@ -942,10 +947,10 @@ fn simulate_units(
             )?);
         }
         Platform::TpuLike => {
-            for (i, slot) in FifoSlotMemory::all_slots(&network, spec.format, spec.seed)
-                .into_iter()
-                .enumerate()
-            {
+            let span = telemetry.span_start("plan_build", opts.parent_span);
+            let slots = FifoSlotMemory::all_slots(&network, spec.format, spec.seed);
+            telemetry.span_end(span);
+            for (i, slot) in slots.into_iter().enumerate() {
                 blocks += slot.block_count();
                 if slot.block_count() == 0 {
                     continue;

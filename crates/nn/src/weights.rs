@@ -137,10 +137,22 @@ impl LayerWeightGen {
     #[inline]
     pub fn weight(&self, index: u64) -> f32 {
         debug_assert!(index < self.count, "weight index out of range");
-        // Counter-based uniform: SplitMix64 of (layer_seed, index).
-        let bits = splitmix(self.layer_seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        self.weight_of_draw(self.draw(index))
+    }
+
+    /// The raw 53-bit counter draw behind weight `index`: SplitMix64 of
+    /// `(layer_seed, index)`, top 53 bits.
+    #[inline]
+    fn draw(&self, index: u64) -> u64 {
+        splitmix(self.layer_seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15)) >> 11
+    }
+
+    /// The weight a raw draw maps to — a non-decreasing function of
+    /// `draw` (see [`LayerWeightGen::range`]).
+    #[inline]
+    fn weight_of_draw(&self, draw: u64) -> f32 {
         // Map to (0, 1) — never exactly 0 or 1.
-        let u = ((bits >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
+        let u = (draw as f64 + 0.5) / (1u64 << 53) as f64;
         // Two-sided exponential with asymmetric tails: each side carries
         // half of the probability mass, so the median is `location`.
         let x = if u < 0.5 {
@@ -157,22 +169,36 @@ impl LayerWeightGen {
         (0..self.count).map(move |i| self.weight(i))
     }
 
-    /// Streaming min/max over the first `limit` weights (or the whole
-    /// layer if smaller). The quantization calibration uses this;
-    /// sub-sampling very large layers changes the range estimate by well
-    /// under the quantization step (the distribution tails are clamped).
+    /// Min/max over the first `limit` weights (or the whole layer if
+    /// smaller). `limit = 0` still samples one weight; an empty layer
+    /// yields `min = +∞`, `max = −∞`. The quantization calibration uses
+    /// this; sub-sampling very large layers changes the range estimate by
+    /// well under the quantization step (the distribution tails are
+    /// clamped).
+    ///
+    /// The scan is integer-only: it finds the argmin/argmax of the raw
+    /// 53-bit draws and maps just those two through the weight
+    /// transform. That gives exactly the min/max of [`weight`] because
+    /// the transform is non-decreasing in the draw — the `(d + 0.5)/2⁵³`
+    /// map, `ln`, the `−TAIL_CLAMP` clamp, the multiplication by a
+    /// positive tail scale and the `f32` cast are all monotone, and the
+    /// `u < 0.5` branch stays at or below `location` while the other
+    /// stays at or above it.
+    ///
+    /// [`weight`]: LayerWeightGen::weight
     pub fn range(&self, limit: u64) -> WeightRange {
         let n = self.count.min(limit.max(1));
-        let mut lo = f32::INFINITY;
-        let mut hi = f32::NEG_INFINITY;
-        for i in 0..n {
-            let w = self.weight(i);
-            lo = lo.min(w);
-            hi = hi.max(w);
-        }
+        let (lo, hi) = (0..n)
+            .map(|i| self.draw(i))
+            .fold((u64::MAX, 0), |(lo, hi), d| (lo.min(d), hi.max(d)));
+        let (min, max) = if n == 0 {
+            (f32::INFINITY, f32::NEG_INFINITY)
+        } else {
+            (self.weight_of_draw(lo), self.weight_of_draw(hi))
+        };
         WeightRange {
-            min: lo,
-            max: hi,
+            min,
+            max,
             sampled: n,
         }
     }
@@ -324,5 +350,136 @@ mod tests {
         // The sampled range is within ~15% of the full range for a
         // 200k-weight layer.
         assert!(sampled.abs_max() > 0.85 * full.abs_max());
+    }
+
+    /// `range(limit)` must equal the definition — min/max over
+    /// `weight(i)` for the first `max(limit, 1)` weights, capped at the
+    /// layer — bit for bit. One brute-force prefix scan serves every
+    /// limit of a layer: limits are visited in sample-count order and the
+    /// running min/max is compared at each.
+    fn assert_range_matches_brute_force(
+        spec: &NetworkSpec,
+        seed: u64,
+        layer: usize,
+        limits: &[u64],
+    ) {
+        let gen = LayerWeightGen::new(spec, layer, seed);
+        let samples = |limit: u64| gen.len().min(limit.max(1));
+        let mut limits = limits.to_vec();
+        limits.sort_unstable_by_key(|&limit| samples(limit));
+        let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+        let mut scanned = 0;
+        for limit in limits {
+            let n = samples(limit);
+            for i in scanned..n {
+                let w = gen.weight(i);
+                lo = lo.min(w);
+                hi = hi.max(w);
+            }
+            scanned = n;
+            let fast = gen.range(limit);
+            assert_eq!(
+                (fast.min.to_bits(), fast.max.to_bits(), fast.sampled),
+                (lo.to_bits(), hi.to_bits(), n),
+                "{} seed {seed} layer {layer} limit {limit}",
+                spec.name()
+            );
+        }
+    }
+
+    /// Checks every layer of `spec` under each seed at the edge limits
+    /// `{0, 1, 2, 10⁶, count − 1, count, u64::MAX}`, one thread per seed.
+    fn assert_every_layer_matches_brute_force(spec: &NetworkSpec, seeds: &[u64]) {
+        std::thread::scope(|scope| {
+            for &seed in seeds {
+                scope.spawn(move || {
+                    for layer in 0..spec.layers().len() {
+                        let count = LayerWeightGen::new(spec, layer, seed).len();
+                        let limits = [0, 1, 2, 1_000_000, count - 1, count, u64::MAX];
+                        assert_range_matches_brute_force(spec, seed, layer, &limits);
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn range_matches_brute_force_on_every_small_zoo_layer() {
+        for spec in [NetworkSpec::custom_mnist(), NetworkSpec::alexnet()] {
+            assert_every_layer_matches_brute_force(&spec, &[1, 42, 0xDEAD_BEEF]);
+        }
+    }
+
+    /// Nightly: every VGG16 layer under 20 seeds.
+    #[test]
+    #[ignore]
+    fn range_matches_brute_force_on_vgg16_across_seeds() {
+        let seeds: Vec<u64> = (0..20).collect();
+        assert_every_layer_matches_brute_force(&NetworkSpec::vgg16(), &seeds);
+    }
+
+    /// Pinned `weight(i)` bit patterns: no change to `draw` or
+    /// `weight_of_draw` may move them, since every sweep store (and its
+    /// golden) derives from these weights.
+    #[test]
+    fn weight_bits_are_pinned() {
+        /// (seed, layer, index, weight bits).
+        type Pin = (u64, usize, u64, u32);
+        let pins: [(NetworkSpec, &[Pin]); 3] = [
+            (
+                NetworkSpec::custom_mnist(),
+                &[
+                    (42, 0, 0, 0xbea3_3b2d),
+                    (7, 1, 19_999, 0xbd35_2f8d),
+                    (1, 2, 123_456, 0x3ce1_e1e4),
+                    (123_456_789, 3, 1_761, 0x3d4c_c946),
+                ],
+            ),
+            (
+                NetworkSpec::alexnet(),
+                &[
+                    (42, 0, 17, 0xbcf4_898c),
+                    (0xDEAD_BEEF, 3, 663_551, 0x3abb_0745),
+                    (7, 7, 999_999, 0xbca6_f27f),
+                ],
+            ),
+            (
+                NetworkSpec::vgg16(),
+                &[
+                    (1, 0, 1_727, 0xbca8_1188),
+                    (42, 12, 2_000_000, 0x3d5c_49bd),
+                    (123_456_789, 15, 40_959, 0x3d2b_1422),
+                ],
+            ),
+        ];
+        for (spec, cases) in pins {
+            for &(seed, layer, index, bits) in cases {
+                let w = LayerWeightGen::new(&spec, layer, seed).weight(index);
+                assert_eq!(
+                    w.to_bits(),
+                    bits,
+                    "{} seed {seed} layer {layer} weight {index}: {w}",
+                    spec.name()
+                );
+            }
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Any seed × layer × limit on custom-mnist: the draw-extreme
+            /// scan equals the brute-force min/max over `weight(i)`.
+            #[test]
+            fn range_matches_brute_force_for_any_seed_layer_and_limit(
+                seed in any::<u64>(),
+                layer in 0usize..4,
+                limit in 0u64..210_000,
+            ) {
+                assert_range_matches_brute_force(&NetworkSpec::custom_mnist(), seed, layer, &[limit]);
+            }
+        }
     }
 }
