@@ -2,20 +2,26 @@
 //!
 //! The same `K` blocks cycle through the weight memory every inference
 //! (§III-B), so a cell's lifetime bit sequence is highly structured and
-//! per-policy duty cycles have closed forms:
+//! per-policy duty cycles have closed forms. All of them reduce to one
+//! count per cell: fold the `K` stored block words, each passed
+//! through a per-block transform, into per-(word, bit) counters `c`,
+//! then finalize `c` into the exact integer number of 1-writes among
+//! the cell's `T = inferences · K` writes:
 //!
-//! * **no mitigation** — duty is the mean of the cell's `K` block bits;
-//! * **periodic inversion** — the per-location write parity alternates
-//!   deterministically; the duty is an exact average over the
-//!   `lcm(2, K)` write cycle plus the partial remainder;
-//! * **barrel shifter** — the (data, shift) pair cycles with period
-//!   `lcm(K, W)`; full cycles reduce to per-residue bit sums and the
-//!   remainder is replayed directly — still exact;
+//! * **no mitigation** — identity transform; duty is `c / K`;
+//! * **periodic inversion** — odd blocks inverted. Write parity repeats
+//!   every `2K` writes and `T mod 2K ∈ {0, K}`; a full cycle holds
+//!   `2c` ones for even `K` and exactly `K` for odd `K`;
+//! * **barrel shifter** — block `k` rotated by `k mod W`. Rotation
+//!   commutes with per-bit counting, so inference `i` adds `c` rotated
+//!   by a further `iK mod W`: `ones_j = Σ_i times_i · c[(j − iK) mod
+//!   W]` over the `W / gcd(K, W)` inferences of one `lcm(K, W)` cycle;
 //! * **DNN-Life** — conditioning on the deterministic bias-balancing
 //!   MSB schedule, the number of inverted writes among a cell's `T`
 //!   writes is a sum of independent Bernoulli draws, i.e. *two binomial
 //!   variables* (one for writes where the stored bit would be the data
-//!   bit, one for the complement). Sampling those two binomials per
+//!   bit, one for the complement). The counters add the per-block
+//!   write counts of the first kind; sampling those two binomials per
 //!   cell reproduces the exact per-cell duty distribution without
 //!   simulating a single TRBG draw.
 //!
@@ -27,7 +33,9 @@
 //! effect.
 //!
 //! Work is `O(cells × K)` and embarrassingly parallel across words
-//! (block sources are random-access). `sample_stride` simulates every
+//! (block sources are random-access). The kernel runs block-major over
+//! chunks of sampled words, gathering each block with one
+//! [`BlockSource::fill`] per chunk. `sample_stride` simulates every
 //! n-th word — an unbiased subsample of the cell population for
 //! histogram purposes.
 
@@ -281,7 +289,16 @@ pub fn simulate_analytic_telemetry(
     duties
 }
 
-/// Simulates one contiguous range of sampled words.
+/// Sampled words per block pass: the per-cell counters of one chunk
+/// (`CHUNK × W` of them, ≤ 78 KiB at 39-bit words) stay cache-resident
+/// while all `K` blocks are folded in.
+const CHUNK: usize = 256;
+
+/// Simulates one contiguous range of sampled words, block-major over
+/// chunks of [`CHUNK`] words: each block is gathered with one
+/// [`BlockSource::fill`] per chunk, transformed per policy and folded
+/// into per-(word, bit) counters (through byte-wide tallies, see
+/// [`Run`]), which then finalize into duties.
 fn simulate_words(
     source: &dyn BlockSource,
     policy: &AnalyticPolicy,
@@ -292,137 +309,200 @@ fn simulate_words(
     out: &mut [f64],
 ) {
     let width = source.geometry().word_bits as usize;
-    let t_writes = cfg.inferences * k_blocks;
-    let mut block_bits: Vec<u64> = vec![0; k_blocks as usize];
-
-    for (wi, &word) in words.iter().enumerate() {
-        for k in 0..k_blocks {
-            block_bits[k as usize] = source.word(k, word);
-        }
-        let cell_base = word as u64 * width as u64;
-        let out = &mut out[wi * width..(wi + 1) * width];
-        match policy {
-            AnalyticPolicy::Passthrough => {
-                for (j, slot) in out.iter_mut().enumerate() {
-                    let ones: u64 = block_bits.iter().map(|b| b >> j & 1).sum();
-                    *slot = ones as f64 / k_blocks as f64;
+    let inferences = cfg.inferences;
+    let mask = u64::MAX >> (64 - width);
+    let barrel = match policy {
+        AnalyticPolicy::BarrelShifter => barrel_terms(k_blocks, width, inferences),
+        _ => Vec::new(),
+    };
+    // The counters are sums, so blocks may fold in any order: visiting
+    // them by DNN-Life weight makes equally weighted blocks one run.
+    let mut order: Vec<u64> = (0..k_blocks).collect();
+    order.sort_by_key(|&k| m1.get(k as usize).copied().unwrap_or(0));
+    let lanes = width.div_ceil(8);
+    let mut raw = vec![0u64; words.len().min(CHUNK)];
+    let mut counts = vec![0u64; raw.len() * width];
+    let mut tally = vec![0u64; raw.len() * lanes];
+    for (chunk, out) in words.chunks(CHUNK).zip(out.chunks_mut(CHUNK * width)) {
+        let raw = &mut raw[..chunk.len()];
+        let counts = &mut counts[..out.len()];
+        let tally = &mut tally[..chunk.len() * lanes];
+        counts.fill(0);
+        let mut run = Run::default();
+        for &k in &order {
+            source.fill(k, chunk, raw);
+            // The policy's per-block word transform, then what a stored
+            // 0 and a stored 1 add to the bit's counter.
+            let (zero, one) = match policy {
+                AnalyticPolicy::Passthrough => (0, 1),
+                AnalyticPolicy::PeriodicInversion => {
+                    if k % 2 == 1 {
+                        raw.iter_mut().for_each(|x| *x ^= mask);
+                    }
+                    (0, 1)
+                }
+                AnalyticPolicy::BarrelShifter => {
+                    let r = (k % width as u64) as usize;
+                    if r > 0 {
+                        raw.iter_mut()
+                            .for_each(|x| *x = (*x << r | *x >> (width - r)) & mask);
+                    }
+                    (0, 1)
+                }
+                AnalyticPolicy::DnnLife { .. } => {
+                    // n_plus counts writes whose stored bit equals the raw
+                    // TRBG draw: data 1 under MSB 1 (m1_k of the block's
+                    // writes), data 0 under MSB 0 (the rest). Without
+                    // balancing `m1` is empty and the MSB is always 0.
+                    let m1k = m1.get(k as usize).copied().unwrap_or(0);
+                    (inferences - m1k, m1k)
+                }
+            };
+            if (zero, one) != (run.zero, run.one) || run.blocks == u64::from(u8::MAX) {
+                run.flush(counts, tally, width);
+                run = Run {
+                    blocks: 0,
+                    zero,
+                    one,
+                };
+            }
+            for (lane, &x) in tally.chunks_exact_mut(lanes).zip(raw.iter()) {
+                for (g, byte) in lane.iter_mut().enumerate() {
+                    *byte += SPREAD[(x >> (8 * g) & 0xFF) as usize];
                 }
             }
-            AnalyticPolicy::PeriodicInversion => {
-                inversion_duties(&block_bits, t_writes, out);
-            }
-            AnalyticPolicy::BarrelShifter => {
-                barrel_duties(&block_bits, width, t_writes, out);
-            }
-            AnalyticPolicy::DnnLife {
-                bias,
-                bias_balancing,
-                seed,
-            } => {
-                dnn_life_duties(
-                    &block_bits,
-                    cfg.inferences,
-                    *bias,
-                    bias_balancing.is_some().then_some(m1),
-                    *seed,
-                    cell_base,
-                    out,
-                );
-            }
+            run.blocks += 1;
+        }
+        run.flush(counts, tally, width);
+        for ((cells, duties), &word) in counts
+            .chunks_exact(width)
+            .zip(out.chunks_exact_mut(width))
+            .zip(chunk)
+        {
+            finalize(policy, cells, &barrel, inferences, k_blocks, word, duties);
         }
     }
 }
 
-/// Exact duty under alternating per-location inversion.
-fn inversion_duties(block_bits: &[u64], t_writes: u64, out: &mut [f64]) {
-    let k = block_bits.len() as u64;
-    let cycle = 2 * k; // write pattern repeats every 2K writes
-    let full_cycles = t_writes / cycle;
-    let rem = t_writes % cycle;
-    for (j, slot) in out.iter_mut().enumerate() {
-        // Ones per full 2K cycle.
-        let mut cycle_ones = 0u64;
-        for t in 0..cycle {
-            let bit = block_bits[(t % k) as usize] >> j & 1;
-            cycle_ones += bit ^ (t & 1);
+/// `SPREAD[b]` holds bit `j` of `b` in byte `j`: adding it to a `u64`
+/// counts eight bits at once, one byte-wide counter per bit.
+const SPREAD: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut j = 0;
+        while j < 8 {
+            table[b] |= (b as u64 >> j & 1) << (8 * j);
+            j += 1;
         }
-        let mut ones = full_cycles * cycle_ones;
-        for t in 0..rem {
-            let bit = block_bits[(t % k) as usize] >> j & 1;
-            ones += bit ^ (t & 1);
+        b += 1;
+    }
+    table
+};
+
+/// A run of consecutive folded blocks that add the same `zero` or `one`
+/// per stored bit. Its per-bit set counts wait in byte-wide tallies
+/// (one `u64` of eight per 8 bits of a word), so a run is at most 255
+/// blocks long.
+#[derive(Default)]
+struct Run {
+    blocks: u64,
+    zero: u64,
+    one: u64,
+}
+
+impl Run {
+    /// Adds the run to the counters — a bit set in `n` of its blocks
+    /// adds `(blocks − n)·zero + n·one` — and clears the tallies.
+    fn flush(&self, counts: &mut [u64], tally: &mut [u64], width: usize) {
+        if self.blocks == 0 {
+            return;
         }
-        *slot = ones as f64 / t_writes as f64;
+        let lanes = width.div_ceil(8);
+        for (cells, lane) in counts
+            .chunks_exact_mut(width)
+            .zip(tally.chunks_exact_mut(lanes))
+        {
+            for (j, c) in cells.iter_mut().enumerate() {
+                let n = lane[j / 8] >> (8 * (j % 8)) & 0xFF;
+                *c += (self.blocks - n) * self.zero + n * self.one;
+            }
+            lane.fill(0);
+        }
     }
 }
 
-/// Exact duty under the per-location rotation schedule.
-fn barrel_duties(block_bits: &[u64], width: usize, t_writes: u64, out: &mut [f64]) {
-    let k = block_bits.len() as u64;
-    let w = width as u64;
-    let g = gcd(k, w);
-    let cycle = k / g * w; // lcm(K, W)
-    let full_cycles = t_writes / cycle;
-    let rem = t_writes % cycle;
-
-    // Per-residue bit sums: u[k][c] = Σ_{p ≡ c (mod g)} bit_k[p].
-    // Over one lcm cycle each (k, s ≡ k mod g) pair occurs once, and
-    // stored bit j of rot_left(word_k, s) is word_k[(j − s) mod W], so
-    // the cycle sum at position j is Σ_k u[k][(j − k) mod g].
-    let mut ones = vec![0u64; width];
-    if full_cycles > 0 {
-        let mut u = vec![0u64; g as usize];
-        for (ki, bits) in block_bits.iter().enumerate() {
-            u.iter_mut().for_each(|v| *v = 0);
-            for p in 0..w {
-                u[(p % g) as usize] += bits >> p & 1;
-            }
-            for (j, slot) in ones.iter_mut().enumerate() {
-                let c = (j as u64 + w - (ki as u64 % w)) % w % g;
-                *slot += full_cycles * u[c as usize];
-            }
-        }
-    }
-    // Remainder writes replayed directly.
-    for t in 0..rem {
-        let bits = block_bits[(t % k) as usize];
-        let s = t % w;
-        for (j, slot) in ones.iter_mut().enumerate() {
-            let p = (j as u64 + w - s) % w;
-            *slot += bits >> p & 1;
-        }
-    }
-    for (j, slot) in out.iter_mut().enumerate() {
-        *slot = ones[j] as f64 / t_writes as f64;
-    }
-}
-
-/// Duty under DNN-Life randomised inversion: deterministic schedule
-/// counts plus two binomial draws per cell.
-fn dnn_life_duties(
-    block_bits: &[u64],
+/// Turns one word's per-bit counters into duties. `ones` below is the
+/// exact count of 1-writes over all `T = inferences · K` writes.
+fn finalize(
+    policy: &AnalyticPolicy,
+    counts: &[u64],
+    barrel: &[(usize, u64)],
     inferences: u64,
-    bias: f64,
-    m1: Option<&[u64]>,
-    seed: u64,
-    cell_base: u64,
+    k_blocks: u64,
+    word: usize,
     out: &mut [f64],
 ) {
-    let t_writes = inferences * block_bits.len() as u64;
-    for (j, slot) in out.iter_mut().enumerate() {
-        // n_plus: writes whose stored bit equals the raw TRBG draw
-        // (data 0 & MSB 0, or data 1 & MSB 1); n_minus: the complement.
-        let mut n_plus = 0u64;
-        for (ki, bits) in block_bits.iter().enumerate() {
-            let b = bits >> j & 1;
-            let m1k = m1.map_or(0, |m| m[ki]);
-            n_plus += if b == 1 { m1k } else { inferences - m1k };
+    let width = counts.len();
+    let t_writes = inferences * k_blocks;
+    match policy {
+        AnalyticPolicy::Passthrough => {
+            for (slot, &ones) in out.iter_mut().zip(counts) {
+                *slot = ones as f64 / k_blocks as f64;
+            }
         }
-        let n_minus = t_writes - n_plus;
-        let mut rng = SplitMix64::for_stream(seed, cell_base + j as u64);
-        let x_plus = sample_binomial(&mut rng, n_plus, bias);
-        let x_minus = sample_binomial(&mut rng, n_minus, bias);
-        *slot = (n_minus + x_plus - x_minus) as f64 / t_writes as f64;
+        AnalyticPolicy::PeriodicInversion => {
+            // `c` counts one inference with odd blocks inverted. Write
+            // parity repeats every 2K writes and T mod 2K ∈ {0, K}: a
+            // 2K cycle holds 2c ones for even K; for odd K its second
+            // half is the complement of the first, so it holds K.
+            for (slot, &c) in out.iter_mut().zip(counts) {
+                let ones = if k_blocks.is_multiple_of(2) {
+                    inferences * c
+                } else {
+                    inferences / 2 * k_blocks + inferences % 2 * c
+                };
+                *slot = ones as f64 / t_writes as f64;
+            }
+        }
+        AnalyticPolicy::BarrelShifter => {
+            for (j, slot) in out.iter_mut().enumerate() {
+                let ones: u64 = barrel
+                    .iter()
+                    .map(|&(s, times)| times * counts[if j >= s { j - s } else { j + width - s }])
+                    .sum();
+                *slot = ones as f64 / t_writes as f64;
+            }
+        }
+        AnalyticPolicy::DnnLife { bias, seed, .. } => {
+            let cell_base = word as u64 * width as u64;
+            for (j, (slot, &n_plus)) in out.iter_mut().zip(counts).enumerate() {
+                let n_minus = t_writes - n_plus;
+                let mut rng = SplitMix64::for_stream(*seed, cell_base + j as u64);
+                let x_plus = sample_binomial(&mut rng, n_plus, *bias);
+                let x_minus = sample_binomial(&mut rng, n_minus, *bias);
+                *slot = (n_minus + x_plus - x_minus) as f64 / t_writes as f64;
+            }
+        }
     }
+}
+
+/// The barrel shifter's finalize terms. Block `k`'s write in inference
+/// `i` is rotated by `(iK + k) mod W`; rotation commutes with per-bit
+/// counting, so after folding block `k` rotated by `k mod W`, inference
+/// `i` contributes the counters rotated by a further `iK mod W`. Those
+/// shifts repeat every `W / gcd(K, W)` inferences, so
+/// `ones_j = Σ_i times_i · c[(j − iK) mod W]` over one such cycle.
+/// Returns each `(iK mod W, times_i)` with `times_i > 0`.
+fn barrel_terms(k_blocks: u64, width: usize, inferences: u64) -> Vec<(usize, u64)> {
+    let w = width as u64;
+    let period = w / gcd(k_blocks, w);
+    (0..period.min(inferences))
+        .map(|i| {
+            let times = inferences / period + u64::from(i < inferences % period);
+            ((i * k_blocks % w) as usize, times)
+        })
+        .collect()
 }
 
 fn gcd(a: u64, b: u64) -> u64 {
@@ -436,6 +516,7 @@ fn gcd(a: u64, b: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::MemoryGeometry;
 
     #[test]
     fn gcd_basics() {
@@ -445,13 +526,78 @@ mod tests {
         assert_eq!(gcd(5, 0), 5);
     }
 
+    /// A one-word memory of `width`-bit cells: block `k` stores
+    /// `blocks[k]`, and the global block index runs `inference · K + k`.
+    struct OneWord {
+        width: u32,
+        blocks: Vec<u64>,
+    }
+
+    impl BlockSource for OneWord {
+        fn geometry(&self) -> MemoryGeometry {
+            MemoryGeometry {
+                word_bits: self.width,
+                words: 1,
+            }
+        }
+        fn block_count(&self) -> u64 {
+            self.blocks.len() as u64
+        }
+        fn fill(&self, block: u64, words: &[usize], out: &mut [u64]) {
+            assert!(words.iter().all(|&w| w == 0));
+            out.fill(self.blocks[block as usize]);
+        }
+        fn global_block_index(&self, inference: u64, block: u64) -> u64 {
+            inference * self.block_count() + block
+        }
+        fn label(&self) -> String {
+            "one-word".into()
+        }
+    }
+
+    /// Per-bit duties of an 8-bit one-word memory.
+    fn duties(blocks: &[u64], policy: &AnalyticPolicy, inferences: u64) -> Vec<f64> {
+        duties_w(8, blocks, policy, inferences)
+    }
+
+    fn duties_w(width: u32, blocks: &[u64], policy: &AnalyticPolicy, inferences: u64) -> Vec<f64> {
+        let source = OneWord {
+            width,
+            blocks: blocks.to_vec(),
+        };
+        let cfg = AnalyticSimConfig {
+            inferences,
+            sample_stride: 1,
+            threads: 1,
+            shards: 1,
+        };
+        simulate_analytic(&source, policy, &cfg)
+    }
+
+    fn dnn_life(bias: f64, bias_balancing: Option<u32>, seed: u64) -> AnalyticPolicy {
+        AnalyticPolicy::DnnLife {
+            bias,
+            bias_balancing,
+            seed,
+        }
+    }
+
+    #[test]
+    fn counts_carry_past_a_byte_wide_tally() {
+        // 600 blocks: bit 0 set in every block, bit 1 in every third,
+        // bit 2 in none — runs must flush before a tally byte wraps.
+        let bits: Vec<u64> = (0..600u64)
+            .map(|k| 1 | u64::from(k % 3 == 0) << 1)
+            .collect();
+        let d = duties(&bits, &AnalyticPolicy::Passthrough, 1);
+        assert_eq!(&d[..3], &[1.0, 200.0 / 600.0, 0.0]);
+    }
+
     #[test]
     fn inversion_balances_odd_k() {
         // K = 3 identical all-ones blocks, T = 6 writes: parities cancel.
         let bits = vec![0xFFu64; 3];
-        let mut out = vec![0.0; 8];
-        inversion_duties(&bits, 6, &mut out);
-        for d in out {
+        for d in duties(&bits, &AnalyticPolicy::PeriodicInversion, 2) {
             assert!((d - 0.5).abs() < 1e-12);
         }
     }
@@ -464,10 +610,27 @@ mod tests {
         // blocks [0xFF, 0x00] produce stored 0xFF (t even, no invert) and
         // 0xFF (t odd, invert 0x00) → duty 1.0.
         let bits = vec![0xFF, 0x00];
-        let mut out = vec![0.0; 8];
-        inversion_duties(&bits, 100, &mut out);
-        for d in out {
+        for d in duties(&bits, &AnalyticPolicy::PeriodicInversion, 50) {
             assert!((d - 1.0).abs() < 1e-12, "duty {d}");
+        }
+    }
+
+    #[test]
+    fn inversion_matches_write_by_write_replay() {
+        // Even and odd K, even and odd inference counts.
+        let all = [0b1010_0110u64, 0b0000_1111, 0b1110_0001, 0b0101_0101];
+        for k in 1..=4usize {
+            let bits = &all[..k];
+            for inferences in 1..=5u64 {
+                let got = duties(bits, &AnalyticPolicy::PeriodicInversion, inferences);
+                let t = inferences * k as u64;
+                for (j, d) in got.iter().enumerate() {
+                    let ones: u64 = (0..t)
+                        .map(|tt| (bits[(tt % k as u64) as usize] >> j & 1) ^ (tt & 1))
+                        .sum();
+                    assert_eq!(*d, ones as f64 / t as f64, "K {k} inf {inferences} bit {j}");
+                }
+            }
         }
     }
 
@@ -475,10 +638,7 @@ mod tests {
     fn barrel_spreads_bits_across_positions() {
         // Single block 0b00000001, W = 8: each position holds the 1 for
         // exactly 1/8 of the writes.
-        let bits = vec![0b1u64];
-        let mut out = vec![0.0; 8];
-        barrel_duties(&bits, 8, 800, &mut out);
-        for d in out {
+        for d in duties(&[0b1], &AnalyticPolicy::BarrelShifter, 800) {
             assert!((d - 0.125).abs() < 1e-12, "duty {d}");
         }
     }
@@ -487,10 +647,7 @@ mod tests {
     fn barrel_cannot_fix_global_imbalance() {
         // 0b00001111: mean 0.5 per position after rotation — but
         // 0b01111111 stays at 7/8 everywhere.
-        let bits = vec![0b0111_1111u64];
-        let mut out = vec![0.0; 8];
-        barrel_duties(&bits, 8, 800, &mut out);
-        for d in out {
+        for d in duties(&[0b0111_1111], &AnalyticPolicy::BarrelShifter, 800) {
             assert!((d - 0.875).abs() < 1e-12, "duty {d}");
         }
     }
@@ -498,23 +655,44 @@ mod tests {
     #[test]
     fn barrel_remainder_exactness() {
         // T not a multiple of lcm(K, W): compare against brute force.
+        // T = inferences · K, so sweep inferences across and past one
+        // lcm(3, 8) = 24-write cycle (8 inferences).
         let bits = vec![0b1010_0110u64, 0b0000_1111, 0b1110_0001];
-        let (k, w, t) = (3u64, 8u64, 50u64);
-        let mut out = vec![0.0; 8];
-        barrel_duties(&bits, 8, t, &mut out);
-        for j in 0..8u64 {
-            let mut ones = 0u64;
-            for tt in 0..t {
-                let s = tt % w;
-                let p = (j + w - s) % w;
-                ones += bits[(tt % k) as usize] >> p & 1;
+        let (k, w) = (3u64, 8u64);
+        for inferences in 1..=17u64 {
+            let t = inferences * k;
+            let out = duties(&bits, &AnalyticPolicy::BarrelShifter, inferences);
+            for j in 0..8u64 {
+                let mut ones = 0u64;
+                for tt in 0..t {
+                    let s = tt % w;
+                    let p = (j + w - s) % w;
+                    ones += bits[(tt % k) as usize] >> p & 1;
+                }
+                let expect = ones as f64 / t as f64;
+                assert!(
+                    (out[j as usize] - expect).abs() < 1e-12,
+                    "inferences {inferences} bit {j}: {} vs {expect}",
+                    out[j as usize]
+                );
             }
-            let expect = ones as f64 / t as f64;
-            assert!(
-                (out[j as usize] - expect).abs() < 1e-12,
-                "bit {j}: {} vs {expect}",
-                out[j as usize]
-            );
+        }
+    }
+
+    #[test]
+    fn barrel_shared_factor_matches_replay() {
+        // gcd(K, W) > 1 on a 13-bit word: K = 26, W = 13.
+        let bits: Vec<u64> = (0..26u64).map(|k| (k * 0x9E5 + 0x3A) & 0x1FFF).collect();
+        let (k, w) = (26u64, 13u64);
+        for inferences in [1u64, 2, 7] {
+            let t = inferences * k;
+            let out = duties_w(13, &bits, &AnalyticPolicy::BarrelShifter, inferences);
+            for j in 0..w {
+                let ones: u64 = (0..t)
+                    .map(|tt| bits[(tt % k) as usize] >> ((j + w - tt % w) % w) & 1)
+                    .sum();
+                assert_eq!(out[j as usize], ones as f64 / t as f64, "bit {j}");
+            }
         }
     }
 
@@ -523,9 +701,7 @@ mod tests {
         // All-ones data, fair TRBG, many writes: duty ≈ 0.5 with
         // variance 1/(4T).
         let bits = vec![0xFFu64; 10];
-        let mut out = vec![0.0; 8];
-        dnn_life_duties(&bits, 400, 0.5, None, 9, 0, &mut out);
-        for d in out {
+        for d in duties(&bits, &dnn_life(0.5, None, 9), 400) {
             assert!((d - 0.5).abs() < 0.05, "duty {d}");
         }
     }
@@ -534,12 +710,8 @@ mod tests {
     fn dnn_life_biased_without_balancing_shifts_duty() {
         // Stored = data XOR e with e ~ Bern(0.7): all-ones data → duty
         // ≈ 0.3; all-zeros data → duty ≈ 0.7.
-        let ones = vec![0xFFu64; 10];
-        let zeros = vec![0x00u64; 10];
-        let mut d_ones = vec![0.0; 8];
-        let mut d_zeros = vec![0.0; 8];
-        dnn_life_duties(&ones, 400, 0.7, None, 9, 0, &mut d_ones);
-        dnn_life_duties(&zeros, 400, 0.7, None, 9, 64, &mut d_zeros);
+        let d_ones = duties(&[0xFFu64; 10], &dnn_life(0.7, None, 9), 400);
+        let d_zeros = duties(&[0x00u64; 10], &dnn_life(0.7, None, 9), 400);
         for d in d_ones {
             assert!((d - 0.3).abs() < 0.05, "ones-data duty {d}");
         }
@@ -551,13 +723,11 @@ mod tests {
     #[test]
     fn dnn_life_biased_with_balancing_recovers_half() {
         // The MSB schedule flips half of the writes: a 0.7-biased TRBG
-        // still yields ~0.5 duty. Build an m1 schedule with exactly half
-        // the inferences MSB-high for every block.
-        let bits = vec![0xFFu64; 10];
-        let m1 = vec![200u64; 10]; // of 400 inferences
-        let mut out = vec![0.0; 8];
-        dnn_life_duties(&bits, 400, 0.7, Some(&m1), 9, 0, &mut out);
-        for d in out {
+        // still yields ~0.5 duty. With K = 11 (odd) and a 1-bit
+        // register, the MSB of global index 11·i + k is high for exactly
+        // half of the 400 inferences of every block (m1_k = 200).
+        let bits = vec![0xFFu64; 11];
+        for d in duties(&bits, &dnn_life(0.7, Some(1), 9), 400) {
             assert!((d - 0.5).abs() < 0.05, "duty {d}");
         }
     }
@@ -608,10 +778,8 @@ mod tests {
     #[test]
     fn per_cell_rng_is_deterministic() {
         let bits = vec![0x5Au64; 4];
-        let mut a = vec![0.0; 8];
-        let mut b = vec![0.0; 8];
-        dnn_life_duties(&bits, 100, 0.5, None, 77, 1234, &mut a);
-        dnn_life_duties(&bits, 100, 0.5, None, 77, 1234, &mut b);
+        let a = duties(&bits, &dnn_life(0.5, None, 77), 100);
+        let b = duties(&bits, &dnn_life(0.5, None, 77), 100);
         assert_eq!(a, b);
     }
 }

@@ -377,14 +377,12 @@ fn simulate_word_range(
     // and replay from memory on every later inference. A single
     // inference has no later replay, so it skips the cache entirely.
     let cached: Option<Vec<u64>> = if use_cache {
-        let mut cache = Vec::with_capacity((k_blocks as usize).saturating_mul(words.len()));
-        for block in 0..k_blocks {
+        let mut cache = vec![0u64; (k_blocks as usize).saturating_mul(words.len())];
+        for (block, raw) in (0..k_blocks).zip(cache.chunks_exact_mut(words.len())) {
             if cancelled(cancel) {
                 return None;
             }
-            for &word in words {
-                cache.push(source.word(block, word));
-            }
+            source.fill(block, words, raw);
         }
         Some(cache)
     } else {
@@ -402,9 +400,7 @@ fn simulate_word_range(
                     let raw: &[u64] = match &cached {
                         Some(cache) => &cache[block as usize * words.len()..][..words.len()],
                         None => {
-                            for (slot, &word) in scratch.iter_mut().zip(words) {
-                                *slot = source.word(block, word);
-                            }
+                            source.fill(block, words, &mut scratch);
                             &scratch
                         }
                     };

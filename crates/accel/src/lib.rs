@@ -28,7 +28,10 @@
 //! The block sources in [`plan`] are *random access* — any word of any
 //! block is computable in O(1) from the counter-based weight generator —
 //! which is what makes the analytic simulator parallel and allows
-//! sampling cell subsets without generating whole blocks.
+//! sampling cell subsets without generating whole blocks. Both
+//! simulators gather a block's sampled words with one batched
+//! [`BlockSource::fill`] call; [`BlockSource::word`] is its one-address
+//! form.
 
 pub mod analytic;
 pub mod config;

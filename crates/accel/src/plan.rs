@@ -16,9 +16,11 @@
 //! multiply-accumulate. This is what makes small networks age the NPU
 //! FIFO badly in Fig. 11 (most cells hold padding, i.e. constant bits).
 //!
-//! Sources are *random access* (`word(block, w)` is a pure O(1)
-//! function), which the analytic simulator exploits for parallelism and
-//! sampling.
+//! Sources are *random access*: the stored word of any (block, address)
+//! pair is a pure O(1) function. [`BlockSource::fill`] evaluates it for
+//! a batch of addresses of one block, resolving the block's layer (or
+//! tile), quantizer and ECC layout once per call; both simulators gather
+//! through it, which is what lets them shard and sample words freely.
 
 use std::sync::Arc;
 
@@ -147,14 +149,28 @@ pub trait BlockSource: Sync {
     /// for this memory unit).
     fn block_count(&self) -> u64;
 
-    /// The stored word written to address `word` by block `block`
-    /// (zero-padded outside the occupied region).
+    /// Writes to `out[i]` the stored word that block `block` writes to
+    /// address `words[i]` (zero-padded outside the occupied region).
+    /// Addresses may come in any order and repeat; the result is always
+    /// what one-address calls would give.
     ///
     /// # Panics
     ///
-    /// Implementations may panic if `block >= block_count()` or `word >=
-    /// geometry().words`.
-    fn word(&self, block: u64, word: usize) -> u64;
+    /// Panics if `block >= block_count()`, an address is `>=
+    /// geometry().words`, or `out.len() != words.len()`.
+    fn fill(&self, block: u64, words: &[usize], out: &mut [u64]);
+
+    /// The stored word written to address `word` by block `block` — a
+    /// one-address [`BlockSource::fill`].
+    ///
+    /// # Panics
+    ///
+    /// As for [`BlockSource::fill`].
+    fn word(&self, block: u64, word: usize) -> u64 {
+        let mut out = [0];
+        self.fill(block, &[word], &mut out);
+        out[0]
+    }
 
     /// Global block-write index of `(inference, block)` — what the
     /// DNN-Life controller's M-bit register counts.
@@ -171,6 +187,19 @@ pub trait BlockSource: Sync {
 
     /// Human-readable label for reports.
     fn label(&self) -> String;
+}
+
+/// The stored word of canonical weight `index`: its quantized code,
+/// wrapped in the ECC codeword when the plan carries one.
+#[inline]
+fn stored_word(
+    source: &WeightSource,
+    quantizer: &Quantizer,
+    ecc: Option<&EccLayout>,
+    index: u64,
+) -> u64 {
+    let data = u64::from(quantizer.encode(source.weight(index)));
+    ecc.map_or(data, |layout| layout.store(data))
 }
 
 /// Per-layer slice of a flat dataflow plan.
@@ -531,36 +560,42 @@ impl BlockSource for FlatWeightMemory {
         self.total_blocks
     }
 
-    fn word(&self, block: u64, word: usize) -> u64 {
+    fn fill(&self, block: u64, words: &[usize], out: &mut [u64]) {
         assert!(block < self.total_blocks, "block out of range");
-        assert!(word < self.geometry.words, "word out of range");
-        let pos = block * self.geometry.words as u64 + word as u64;
-        if pos >= self.stream_len {
-            return 0; // tail of the final fill (codeword of 0 is 0)
-        }
-        // Locate the layer containing this stream position.
-        let idx = self
-            .layers
-            .partition_point(|l| l.stream_offset + l.stream_len <= pos);
-        let layer = &self.layers[idx];
-        let local = pos - layer.stream_offset;
+        assert_eq!(words.len(), out.len(), "fill: output length");
+        let base = block * self.geometry.words as u64;
         let f = self.parallel_filters;
-        let set_len = f * layer.weights_per_filter;
-        let set = local / set_len;
-        let in_set = local % set_len;
-        // Interleaved rows: consecutive stream words cycle over the f
-        // filter lanes of the set.
-        let weight_index = in_set / f;
-        let filter_in_set = in_set % f;
-        let filter = set * f + filter_in_set;
-        if filter >= layer.filters {
-            return 0; // padded lane of a ragged final set
-        }
-        let canonical = filter * layer.weights_per_filter + weight_index;
-        let data = u64::from(layer.quantizer.encode(layer.source.weight(canonical)));
-        match &self.ecc {
-            Some(layout) => layout.store(data),
-            None => data,
+        let ecc = self.ecc.as_ref();
+        // A fill may span layers: keep the layer of the previous address
+        // while the next one falls inside it, else search again.
+        let mut layer = &self.layers[0];
+        for (slot, &word) in out.iter_mut().zip(words) {
+            assert!(word < self.geometry.words, "word out of range");
+            let pos = base + word as u64;
+            if pos >= self.stream_len {
+                *slot = 0; // tail of the final fill (codeword of 0 is 0)
+                continue;
+            }
+            if !(layer.stream_offset..layer.stream_offset + layer.stream_len).contains(&pos) {
+                let idx = self
+                    .layers
+                    .partition_point(|l| l.stream_offset + l.stream_len <= pos);
+                layer = &self.layers[idx];
+            }
+            let local = pos - layer.stream_offset;
+            let set_len = f * layer.weights_per_filter;
+            let set = local / set_len;
+            let in_set = local % set_len;
+            // Interleaved rows: consecutive stream words cycle over the
+            // f filter lanes of the set.
+            let weight_index = in_set / f;
+            let filter = set * f + in_set % f;
+            *slot = if filter < layer.filters {
+                let canonical = filter * layer.weights_per_filter + weight_index;
+                stored_word(&layer.source, &layer.quantizer, ecc, canonical)
+            } else {
+                0 // padded lane of a ragged final set
+            };
         }
     }
 
@@ -619,8 +654,6 @@ struct LayerTiles {
 #[derive(Debug, Clone)]
 pub struct FifoSlotMemory {
     slot: u64,
-    depth: u64,
-    tile_side: u64,
     layers: Vec<LayerTiles>,
     total_tiles: u64,
     local_blocks: u64,
@@ -736,8 +769,6 @@ impl FifoSlotMemory {
         };
         Self {
             slot,
-            depth: Self::DEPTH,
-            tile_side: Self::TILE_SIDE,
             layers,
             total_tiles: offset,
             local_blocks,
@@ -826,17 +857,17 @@ impl FifoSlotMemory {
             index < plan.filters * plan.weights_per_filter,
             "locate_weight: index {index} out of range for layer {layer}"
         );
-        let side = self.tile_side;
+        let side = Self::TILE_SIDE;
         let filter = index / plan.weights_per_filter;
         let weight_index = index % plan.weights_per_filter;
         let col_tile = filter / side;
         let row_tile = weight_index / side;
         let tile = plan.tile_offset + col_tile * plan.row_tiles + row_tile;
-        if tile % self.depth != self.slot {
+        if tile % Self::DEPTH != self.slot {
             return None;
         }
         Some(WeightAddress {
-            block: (tile - self.slot) / self.depth,
+            block: (tile - self.slot) / Self::DEPTH,
             word: ((weight_index % side) * side + filter % side) as usize,
         })
     }
@@ -867,7 +898,7 @@ impl FifoSlotMemory {
             self.layers.len(),
             "layer_proportional_weights: spec mismatch"
         );
-        let words_per_tile = (self.tile_side * self.tile_side) as f64;
+        let words_per_tile = (Self::TILE_SIDE * Self::TILE_SIDE) as f64;
         let factors: Vec<f64> = spec
             .layers()
             .iter()
@@ -893,7 +924,7 @@ impl FifoSlotMemory {
             "zipf_dwell_weights: bad exponent {exponent}"
         );
         (0..self.local_blocks)
-            .map(|b| ((self.slot + b * self.depth + 1) as f64).powf(-exponent))
+            .map(|b| ((self.slot + b * Self::DEPTH + 1) as f64).powf(-exponent))
             .collect()
     }
 
@@ -913,7 +944,7 @@ impl FifoSlotMemory {
             self.layers.len()
         );
         (0..self.local_blocks)
-            .map(|b| factors[self.layer_of_tile(self.slot + b * self.depth)])
+            .map(|b| factors[self.layer_of_tile(self.slot + b * Self::DEPTH)])
             .collect()
     }
 
@@ -934,7 +965,7 @@ impl BlockSource for FifoSlotMemory {
     fn geometry(&self) -> MemoryGeometry {
         MemoryGeometry {
             word_bits: self.ecc.as_ref().map_or(8, EccLayout::width),
-            words: (self.tile_side * self.tile_side) as usize,
+            words: (Self::TILE_SIDE * Self::TILE_SIDE) as usize,
         }
     }
 
@@ -942,38 +973,33 @@ impl BlockSource for FifoSlotMemory {
         self.local_blocks
     }
 
-    fn word(&self, block: u64, word: usize) -> u64 {
+    fn fill(&self, block: u64, words: &[usize], out: &mut [u64]) {
         assert!(block < self.local_blocks, "block out of range");
-        let tile = self.slot + block * self.depth;
-        let layer = self
-            .layers
-            .iter()
-            .find(|l| tile < l.tile_offset + l.tiles)
-            .expect("tile within plan");
+        assert_eq!(words.len(), out.len(), "fill: output length");
+        // A tile belongs to exactly one layer.
+        let tile = self.slot + block * Self::DEPTH;
+        let layer = &self.layers[self.layer_of_tile(tile)];
         let local = tile - layer.tile_offset;
-        let col_tile = local / layer.row_tiles; // filter-set index
-        let row_tile = local % layer.row_tiles; // chunk index
-        let side = self.tile_side;
-        let row = word as u64 / side; // weight-in-chunk
-        let col = word as u64 % side; // filter-in-set
-        let filter = col_tile * side + col;
-        if filter >= layer.filters {
-            return 0;
-        }
-        let weight_index = row_tile * side + row;
-        if weight_index >= layer.weights_per_filter {
-            return 0;
-        }
-        let canonical = filter * layer.weights_per_filter + weight_index;
-        let data = u64::from(layer.quantizer.encode(layer.source.weight(canonical)));
-        match &self.ecc {
-            Some(layout) => layout.store(data),
-            None => data,
+        let side = Self::TILE_SIDE;
+        let first_filter = local / layer.row_tiles * side; // filter-set index
+        let first_weight = local % layer.row_tiles * side; // chunk index
+        let ecc = self.ecc.as_ref();
+        for (slot, &word) in out.iter_mut().zip(words) {
+            let word = word as u64;
+            assert!(word < side * side, "word out of range");
+            let filter = first_filter + word % side; // filter-in-set
+            let weight_index = first_weight + word / side; // weight-in-chunk
+            *slot = if filter < layer.filters && weight_index < layer.weights_per_filter {
+                let canonical = filter * layer.weights_per_filter + weight_index;
+                stored_word(&layer.source, &layer.quantizer, ecc, canonical)
+            } else {
+                0
+            };
         }
     }
 
     fn global_block_index(&self, inference: u64, block: u64) -> u64 {
-        inference * self.total_tiles + self.slot + block * self.depth
+        inference * self.total_tiles + self.slot + block * Self::DEPTH
     }
 
     fn dwell(&self, block: u64) -> f64 {
@@ -1041,12 +1067,15 @@ impl<S: BlockSource> BlockSource for RemappedMemory<S> {
         u64::from(self.schedule.epochs()) * self.inner.block_count()
     }
 
-    fn word(&self, block: u64, word: usize) -> u64 {
+    fn fill(&self, block: u64, words: &[usize], out: &mut [u64]) {
         let k = self.inner.block_count();
         assert!(block < self.block_count(), "block out of range");
         let epoch = (block / k) as u32;
-        let logical = self.schedule.logical_word(word as u64, epoch);
-        self.inner.word(block % k, logical as usize)
+        let logical: Vec<usize> = words
+            .iter()
+            .map(|&word| self.schedule.logical_word(word as u64, epoch) as usize)
+            .collect();
+        self.inner.fill(block % k, &logical, out);
     }
 
     fn global_block_index(&self, inference: u64, block: u64) -> u64 {

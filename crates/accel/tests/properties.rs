@@ -2,13 +2,17 @@
 //! exact simulator's packed-bit image.
 
 use dnnlife_accel::exact::{read_bits, write_bits};
+use std::sync::OnceLock;
+
 use dnnlife_accel::{
     simulate_analytic, simulate_exact_sharded, AcceleratorConfig, AnalyticPolicy,
     AnalyticSimConfig, BlockSource, ExactShardConfig, FifoSlotMemory, FlatWeightMemory,
+    RemappedMemory,
 };
 use dnnlife_mitigation::{BarrelShifter, Passthrough, PeriodicInversion, WriteTransducer};
+use dnnlife_nn::weights::LayerWeightGen;
 use dnnlife_nn::NetworkSpec;
-use dnnlife_quant::NumberFormat;
+use dnnlife_quant::{NumberFormat, RepairPolicy};
 use proptest::prelude::*;
 
 /// One-shard exact run: the serial TRBG stream of `policy`.
@@ -34,8 +38,75 @@ fn small_config(kib: u64) -> AcceleratorConfig {
     cfg
 }
 
+type Source = Box<dyn BlockSource + Send>;
+
+/// Every plan shape `fill` has to get right: flat baseline, crossbar
+/// and small-memory plans (fills spanning layer boundaries), SECDED
+/// codewords, all four FIFO slots, table-backed flat and FIFO plans,
+/// and a wear-levelling remap.
+fn fill_plans() -> &'static [Source] {
+    static PLANS: OnceLock<Vec<Source>> = OnceLock::new();
+    PLANS.get_or_init(|| {
+        let spec = NetworkSpec::custom_mnist();
+        let format = NumberFormat::Int8Asymmetric;
+        let tables: Vec<Vec<f32>> = (0..spec.layers().len())
+            .map(|li| LayerWeightGen::new(&spec, li, 5).iter().collect())
+            .collect();
+        let flat = |cfg: &AcceleratorConfig| FlatWeightMemory::new(cfg, &spec, format, 5);
+        let secded = RepairPolicy::Secded { interleave: 5 };
+        let mut plans: Vec<Source> = vec![
+            Box::new(flat(&AcceleratorConfig::baseline())),
+            Box::new(flat(&AcceleratorConfig::crossbar())),
+            Box::new(flat(&small_config(2))),
+            Box::new(flat(&small_config(3)).with_repair(&secded)),
+            Box::new(FlatWeightMemory::with_weight_tables(
+                &small_config(2),
+                &spec,
+                format,
+                &tables,
+            )),
+            Box::new(RemappedMemory::new(
+                flat(&AcceleratorConfig::crossbar()),
+                16,
+                3,
+            )),
+        ];
+        for slot in FifoSlotMemory::all_slots(&spec, format, 5) {
+            plans.push(Box::new(slot.clone().with_repair(&secded)));
+            plans.push(Box::new(slot));
+        }
+        for slot in FifoSlotMemory::all_slots_with_weight_tables(&spec, format, &tables) {
+            plans.push(Box::new(slot));
+        }
+        plans
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A batched `fill` over an unsorted, repeating address list equals
+    /// one-address fills: the per-call layer cache must never carry a
+    /// layer over to an address outside it.
+    #[test]
+    fn batched_fill_matches_one_word_fills(
+        block_pick in 0u64..1000,
+        picks in prop::collection::vec(0usize..1 << 20, 1..48),
+    ) {
+        for mem in fill_plans() {
+            let block = block_pick % mem.block_count();
+            let mut words: Vec<usize> = picks.iter().map(|p| p % mem.geometry().words).collect();
+            words.extend(words.clone().iter().rev().step_by(3));
+            let mut batched = vec![0u64; words.len()];
+            mem.fill(block, &words, &mut batched);
+            for (&word, &got) in words.iter().zip(&batched) {
+                let mut one = [0u64];
+                mem.fill(block, &[word], &mut one);
+                prop_assert_eq!(got, one[0], "{} block {} word {}", mem.label(), block, word);
+                prop_assert_eq!(got, mem.word(block, word));
+            }
+        }
+    }
 
     /// Block sources are pure functions of (block, word).
     #[test]

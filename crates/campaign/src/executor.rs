@@ -630,17 +630,31 @@ mod tests {
         }
     }
 
+    /// An exact scenario that would take minutes uncancelled: tens of
+    /// thousands of inferences over every 16th word of every FIFO slot.
+    /// The policy is DNN-Life because it has no write period — a
+    /// periodic policy's run collapses through write-period replay and
+    /// finishes in milliseconds, racing the cancellation under test.
+    fn slow_spec() -> ExperimentSpec {
+        ExperimentSpec {
+            policy: PolicySpec::DnnLife {
+                bias: 0.5,
+                bias_balancing: true,
+                m_bits: 4,
+            },
+            ..npu_spec(SimulatorBackend::Exact, 50_000, 16)
+        }
+    }
+
     /// The abort-latency contract: after `on_complete` declines, an
     /// in-flight exact scenario is cancelled within one inference (not
     /// after minutes of finishing its whole run), and its partial
     /// result is discarded — `on_complete` never sees it.
     #[test]
     fn abort_cancels_in_flight_scenarios_within_one_inference() {
-        // One fast analytic scenario and one exact scenario that would
-        // take on the order of minutes uncancelled (tens of thousands
-        // of inferences over every word of every FIFO slot).
+        // One fast analytic scenario and one slow exact scenario.
         let fast = npu_spec(SimulatorBackend::Analytic, 10, 1024);
-        let slow = npu_spec(SimulatorBackend::Exact, 50_000, 16);
+        let slow = slow_spec();
         let specs: Vec<&ExperimentSpec> = vec![&fast, &slow];
 
         let started = std::time::Instant::now();
@@ -665,7 +679,7 @@ mod tests {
     #[test]
     fn external_cancel_token_aborts_the_pool() {
         let fast = npu_spec(SimulatorBackend::Analytic, 10, 1024);
-        let slow = npu_spec(SimulatorBackend::Exact, 50_000, 16);
+        let slow = slow_spec();
         let specs: Vec<&ExperimentSpec> = vec![&fast, &slow];
         let cancel = AtomicBool::new(false);
 

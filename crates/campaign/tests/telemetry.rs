@@ -473,17 +473,20 @@ fn sweep_journal_reconstructs_a_complete_span_forest() {
     assert!(count("exact_shard") > 0, "labels: {labels:?}");
     assert!(count("exact_merge") > 0, "labels: {labels:?}");
     assert!(count("analytic_shard") > 0, "labels: {labels:?}");
-    // Every scenario builds its memory plan exactly once, under its own
-    // span.
+    // Every scenario builds its memory plan and degrades its duties
+    // exactly once, each under its own span.
     for scenario in forest.spans.iter().filter(|s| s.label == "scenario") {
-        let plan_builds = forest
-            .spans
-            .iter()
-            .filter(|s| s.parent == Some(scenario.id) && s.label == "plan_build")
-            .count();
-        assert_eq!(plan_builds, 1, "scenario span {}", scenario.id);
+        for stage in ["plan_build", "degrade"] {
+            let children = forest
+                .spans
+                .iter()
+                .filter(|s| s.parent == Some(scenario.id) && s.label == stage)
+                .count();
+            assert_eq!(children, 1, "{stage} under scenario span {}", scenario.id);
+        }
     }
     assert_eq!(count("plan_build"), grid.len());
+    assert_eq!(count("degrade"), grid.len());
 
     // The flame table and critical path render from the same forest.
     let text = forest.render_text();

@@ -162,8 +162,9 @@ pub struct RunOptions<'a> {
     /// Never semantic — results are byte-identical with telemetry on
     /// or off at any thread/shard count.
     pub telemetry: Option<&'a Telemetry>,
-    /// Trace-span parent for the `plan_build` and per-shard simulator
-    /// spans this run journals (the executor's per-scenario span).
+    /// Trace-span parent for the `plan_build`, per-shard simulator and
+    /// `degrade` spans this run journals (the executor's per-scenario
+    /// span).
     /// `SpanId::NONE` (the default) journals them as roots.
     pub parent_span: SpanId,
 }
@@ -594,6 +595,11 @@ impl ExperimentSpec {
         let repair_ok = self.repair.is_valid_for(self.format.bits() as u32);
         let policy_ok = match self.policy {
             PolicySpec::WearLevel { epochs } => epochs >= 1 && self.dwell.is_uniform(),
+            // A TRBG probability, and a register the MSB schedule can
+            // shift by `m_bits - 1` (the controller's own range).
+            PolicySpec::DnnLife { bias, m_bits, .. } => {
+                (0.0..=1.0).contains(&bias) && (1..=63).contains(&m_bits)
+            }
             _ => true,
         };
         platform_ok && dwell_ok && backend_ok && repair_ok && policy_ok
@@ -1018,7 +1024,10 @@ pub fn run_experiment_with(spec: &ExperimentSpec, opts: &RunOptions) -> Option<E
     // `degradation_percent` costs two `powf` calls per cell. A
     // direct-mapped cache on the duty's bit pattern reuses the
     // identical f64 result, so the aggregation stays bit-for-bit the
-    // same while skipping almost every `powf` on exact runs.
+    // same while skipping almost every `powf` on exact runs. The loop
+    // is the scenario's `degrade` trace stage.
+    let telemetry = opts.telemetry.unwrap_or_else(|| Telemetry::noop());
+    let span = telemetry.span_start("degrade", opts.parent_span);
     let mut memo = vec![(u64::MAX, 0.0f64); 1 << 12];
     for d in units.into_iter().flatten() {
         let bits = d.to_bits();
@@ -1034,6 +1043,7 @@ pub fn run_experiment_with(spec: &ExperimentSpec, opts: &RunOptions) -> Option<E
         duty_summary.record(d);
         snm_summary.record(degradation);
     }
+    telemetry.span_end(span);
 
     Some(ExperimentResult {
         label: format!(
@@ -1347,6 +1357,28 @@ mod tests {
         assert!(!spec.is_valid());
         spec.platform = Platform::Baseline;
         assert!(spec.is_valid());
+    }
+
+    #[test]
+    fn validity_rejects_bad_dnn_life_parameters() {
+        let spec = |bias: f64, m_bits: u32| {
+            let policy = PolicySpec::DnnLife {
+                bias,
+                bias_balancing: true,
+                m_bits,
+            };
+            ExperimentSpec::fig11(NetworkKind::CustomMnist, policy, 1)
+        };
+        for m_bits in [0, 64] {
+            assert!(!spec(0.5, m_bits).is_valid(), "m_bits {m_bits}");
+        }
+        for bias in [-0.1, 1.5, f64::NAN] {
+            assert!(!spec(bias, 4).is_valid(), "bias {bias}");
+        }
+        for m_bits in [1, 63] {
+            assert!(spec(0.5, m_bits).is_valid(), "m_bits {m_bits}");
+        }
+        assert!(spec(0.0, 4).is_valid() && spec(1.0, 4).is_valid());
     }
 
     #[test]
