@@ -42,7 +42,7 @@
 use crate::plan::BlockSource;
 use crate::rng::SplitMix64;
 use dnnlife_numerics::sample_binomial;
-use dnnlife_telemetry::{Counter, SpanId, Telemetry};
+use dnnlife_telemetry::{SpanId, Telemetry};
 
 /// Mitigation policy, in the closed-form parameterisation used by this
 /// simulator (mirrors `dnnlife_mitigation::transducer`).
@@ -157,6 +157,8 @@ pub fn simulate_analytic(
     simulate_analytic_telemetry(source, policy, cfg, None, SpanId::NONE)
 }
 
+const CELLS_HELP: &str = "Analytic-backend cells simulated";
+
 /// [`simulate_analytic`] with an observability handle: shard and cell
 /// counts are rolled into `telemetry`, and each word shard journals an
 /// `analytic_shard` trace span under `parent` ([`AnalyticSimConfig`]
@@ -196,8 +198,9 @@ pub fn simulate_analytic_telemetry(
     let sampled: Vec<usize> = (0..geo.words).step_by(cfg.sample_stride).collect();
     if k_blocks == 0 {
         // An unused memory unit holds its reset state (all zeros).
-        telemetry.add(
-            Counter::AnalyticCellsSimulated,
+        telemetry.count(
+            "analytic_cells_simulated",
+            CELLS_HELP,
             (sampled.len() * width) as u64,
         );
         return vec![0.0; sampled.len() * width];
@@ -284,8 +287,12 @@ pub fn simulate_analytic_telemetry(
             });
         }
     }
-    telemetry.add(Counter::AnalyticShardsRun, shards as u64);
-    telemetry.add(Counter::AnalyticCellsSimulated, duties.len() as u64);
+    telemetry.count(
+        "analytic_shards_run",
+        "Analytic-backend word shards executed",
+        shards as u64,
+    );
+    telemetry.count("analytic_cells_simulated", CELLS_HELP, duties.len() as u64);
     duties
 }
 

@@ -42,7 +42,7 @@ use std::sync::mpsc;
 use crate::plan::BlockSource;
 use dnnlife_mitigation::WriteTransducer;
 use dnnlife_sram::{DutyCycleTracker, DutySliceTracker};
-use dnnlife_telemetry::{Counter, SpanId, Telemetry};
+use dnnlife_telemetry::{SpanId, Telemetry};
 
 /// Raw-block-word cache ceiling for [`simulate_exact_sharded`]: above
 /// this the simulator recomputes words per inference instead of
@@ -233,19 +233,23 @@ pub fn simulate_exact_sharded(
     }
 
     let merge_span = telemetry.span_start("exact_merge", cfg.parent_span);
-    let out = telemetry.time(Counter::ShardMergeNanos, || {
-        let mut out = Vec::with_capacity(sampled.len() * width);
-        for (shard, slot) in slots.into_iter().enumerate() {
-            let duties = slot?; // a missing shard means the run was cancelled
-            assert_eq!(
-                duties.len(),
-                ranges[shard].len() * width,
-                "shard {shard} returned a mis-sized duty vector"
-            );
-            out.extend(duties);
-        }
-        Some(out)
-    });
+    let out = telemetry.time(
+        "shard_merge_nanos",
+        "Time concatenating per-shard duty vectors",
+        || {
+            let mut out = Vec::with_capacity(sampled.len() * width);
+            for (shard, slot) in slots.into_iter().enumerate() {
+                let duties = slot?; // a missing shard means the run was cancelled
+                assert_eq!(
+                    duties.len(),
+                    ranges[shard].len() * width,
+                    "shard {shard} returned a mis-sized duty vector"
+                );
+                out.extend(duties);
+            }
+            Some(out)
+        },
+    );
     telemetry.span_end(merge_span);
     let out = out?;
 
@@ -260,17 +264,31 @@ pub fn simulate_exact_sharded(
     let word_reads = (sampled.len() as u64)
         .saturating_mul(k_blocks)
         .saturating_mul(inferences);
-    telemetry.add(Counter::ExactShardsRun, shards as u64);
-    telemetry.add(Counter::ExactWordWrites, word_reads);
-    if use_cache {
-        telemetry.add(Counter::BlockCacheHitWords, word_reads);
-        telemetry.add(
-            Counter::BlockCacheMissWords,
-            (sampled.len() as u64).saturating_mul(k_blocks),
-        );
+    let (hit_words, miss_words) = if use_cache {
+        (word_reads, (sampled.len() as u64).saturating_mul(k_blocks))
     } else {
-        telemetry.add(Counter::BlockCacheMissWords, word_reads);
-    }
+        (0, word_reads)
+    };
+    telemetry.count(
+        "exact_shards_run",
+        "Exact-backend word shards executed",
+        shards as u64,
+    );
+    telemetry.count(
+        "exact_word_writes",
+        "Exact-backend word writes (sampled word x block x inference)",
+        word_reads,
+    );
+    telemetry.count(
+        "block_cache_hit_words",
+        "Exact-backend word reads served from the raw-block cache",
+        hit_words,
+    );
+    telemetry.count(
+        "block_cache_miss_words",
+        "Exact-backend word reads that went to the block source",
+        miss_words,
+    );
     Some(out)
 }
 

@@ -1,9 +1,10 @@
 //! Telemetry overhead: the observability contract promises that the
-//! counters are cheap enough to leave compiled into the hot paths, so
-//! this bench pins the cost of (a) a raw counter bump against an
-//! enabled vs no-op sink, (b) a `time()` span, and (c) one analytic
-//! duty simulation of the Fig. 11 custom-network cell with telemetry
-//! off vs on — the end-to-end number that must stay ~1.0×.
+//! counters are cheap enough to leave compiled into the instrumented
+//! paths, so this bench pins the cost of (a) a named counter bump
+//! (registry lookup + relaxed add) against an enabled vs no-op sink,
+//! (b) a `time()` span, and (c) one analytic duty simulation of the
+//! Fig. 11 custom-network cell with telemetry off vs on — the
+//! end-to-end number that must stay ~1.0×.
 //!
 //! Like the other benches, the measurements land in
 //! `BENCH_telemetry.json` (override with `BENCH_JSON_PATH`) for CI
@@ -15,22 +16,24 @@ use dnnlife_accel::{
 };
 use dnnlife_nn::NetworkSpec;
 use dnnlife_quant::NumberFormat;
-use dnnlife_telemetry::{Counter, SpanId, Telemetry};
+use dnnlife_telemetry::{SpanId, Telemetry};
 
 /// Counter bumps per timing pass.
 const BUMPS: u64 = 1 << 20;
 
 fn bump_stream(telemetry: &Telemetry) -> u64 {
     for i in 0..BUMPS {
-        telemetry.add(Counter::ExactWordWrites, i & 0xff);
+        telemetry.count("exact_word_writes", "counter-bump bench stream", i & 0xff);
     }
-    telemetry.get(Counter::ExactWordWrites)
+    telemetry.metrics_snapshot().metrics.len() as u64
 }
 
 fn span_stream(telemetry: &Telemetry) -> u64 {
     let mut acc = 0u64;
     for i in 0..BUMPS / 64 {
-        acc ^= telemetry.time(Counter::ShardMergeNanos, || std::hint::black_box(i));
+        acc ^= telemetry.time("shard_merge_nanos", "time() bench stream", || {
+            std::hint::black_box(i)
+        });
     }
     acc
 }

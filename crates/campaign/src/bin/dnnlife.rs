@@ -176,7 +176,7 @@ usage:
                  [--threads N] [--shards auto|N] [--out FILE] [--resume]
                  [--telemetry] [--progress] [--metrics-out FILE] [--verbose]
   dnnlife inject --report --store FILE [--json]
-  dnnlife perf --events FILE [--diff FILE] [--json] [--top N]
+  dnnlife perf --events FILE [--diff FILE [--threshold F]] [--json]
                [--baseline FILE --max-regression F]
   dnnlife trace --events FILE [--json]
 
@@ -1099,8 +1099,9 @@ fn perf_command(argv: &[String]) -> Result<(), CliError> {
 
     let load = |path: &str| -> Result<perf::PerfSummary, CliError> {
         require_store_file("perf", path)?;
-        let summary = perf::load_events(std::path::Path::new(path))
-            .map_err(|e| format!("perf: cannot read `{path}`: {e}"))?;
+        let journal =
+            std::fs::read(path).map_err(|e| format!("perf: cannot read `{path}`: {e}"))?;
+        let summary = perf::summarize(&journal);
         if summary.campaigns.is_empty()
             && summary.scenarios.is_empty()
             && summary.counters.is_empty()
@@ -1194,8 +1195,9 @@ fn trace_command(argv: &[String]) -> Result<(), CliError> {
     }
     let events = events.ok_or("trace: --events is required (a STORE.events.jsonl journal)")?;
     require_store_file("trace", &events)?;
-    let trace = dnnlife_campaign::trace::load_trace(std::path::Path::new(&events))
-        .map_err(|e| format!("trace: cannot read `{events}`: {e}"))?;
+    let journal =
+        std::fs::read(&events).map_err(|e| format!("trace: cannot read `{events}`: {e}"))?;
+    let trace = dnnlife_campaign::trace::reconstruct(&journal);
     if trace.spans.is_empty() {
         return Err(CliError::store(format!(
             "trace: `{events}` holds no span events (was the run started with --telemetry?)"

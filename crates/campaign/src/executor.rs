@@ -41,7 +41,7 @@ use std::sync::mpsc;
 use std::time::Instant;
 
 use dnnlife_core::experiment::{run_experiment_with, RunOptions, ShardPolicy};
-use dnnlife_telemetry::{Counter, Instrumentation, SpanId};
+use dnnlife_telemetry::{Instrumentation, SpanId};
 use serde::Serialize;
 
 use crate::grid::CampaignGrid;
@@ -314,9 +314,21 @@ where
                 telemetry.span_end(span);
                 match result {
                     Some(record) => {
-                        telemetry.add(Counter::ScenariosCompleted, 1);
-                        telemetry.add(Counter::QueueWaitNanos, queue_nanos);
-                        telemetry.add(Counter::ScenarioWallNanos, wall_nanos);
+                        telemetry.count(
+                            "scenarios_completed",
+                            "Campaign scenarios (or injection cells) journaled",
+                            1,
+                        );
+                        telemetry.count(
+                            "queue_wait_nanos",
+                            "Total time items waited before a worker picked them up",
+                            queue_nanos,
+                        );
+                        telemetry.count(
+                            "scenario_wall_nanos",
+                            "Total per-scenario run wall time summed across workers",
+                            wall_nanos,
+                        );
                         telemetry.observe(
                             "scenario_wall_us",
                             "Per-scenario run wall time in microseconds",
@@ -344,7 +356,11 @@ where
                         // Counted even with telemetry off: the stderr
                         // cancellation summary needs it.
                         discarded.fetch_add(1, Ordering::Relaxed);
-                        telemetry.add(Counter::ScenariosDiscarded, 1);
+                        telemetry.count(
+                            "scenarios_discarded",
+                            "In-flight scenarios cancelled mid-run and discarded",
+                            1,
+                        );
                         telemetry.emit(
                             "scenario_discarded",
                             &[

@@ -84,13 +84,13 @@ pub mod trace;
 
 pub use crossval::validate_scenarios;
 pub use dnnlife_core::ShardPolicy;
-pub use dnnlife_telemetry::{Counter, Instrumentation, Progress, ProgressStyle, Telemetry};
+pub use dnnlife_telemetry::{Instrumentation, Progress, ProgressStyle, Telemetry};
 pub use executor::{run_campaign, run_scenarios, CampaignOptions, CampaignOutcome};
 pub use grid::{CampaignGrid, GridAxes};
 pub use inject::{
     accuracy_vs_age_table, ecc_comparison_table, run_injection_campaign, InjectCampaignOptions,
     InjectionGrid, InjectionOutcome, InjectionParams, InjectionRecord, InjectionStore,
 };
-pub use perf::{load_events, PerfDiff, PerfSummary};
+pub use perf::{PerfDiff, PerfSummary};
 pub use store::{JsonlStore, ResultStore, ScenarioRecord, StoreLock, StoreRecord};
-pub use trace::{load_trace, Trace, TraceSpan};
+pub use trace::{Trace, TraceSpan};

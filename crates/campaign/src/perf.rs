@@ -2,17 +2,14 @@
 //! telemetry `events.jsonl` journal and diffs two journals to flag
 //! regressions.
 //!
-//! The journal is read tolerantly — unparsable lines (a torn tail from
-//! a killed run, a hand-edited file) are skipped, never fatal — and
-//! may span several campaign invocations (resume runs append to the
-//! same file): per-invocation `counters` roll-ups sum, scenario events
-//! concatenate, and the campaign wall clock is the sum over
-//! invocations.
+//! The journal is read through [`read_events`], so corrupt lines (a
+//! torn tail from a killed run, a hand-edited file, stray non-UTF-8
+//! bytes) are skipped and counted, never fatal. A journal may span
+//! several campaign invocations (resume runs append to the same file):
+//! per-invocation `counters` roll-ups sum, scenario events concatenate,
+//! and the campaign wall clock is the sum over invocations.
 
-use std::io::Read;
-use std::path::Path;
-
-use dnnlife_telemetry::HistogramSnapshot;
+use dnnlife_telemetry::{read_events, HistogramSnapshot};
 use serde::{Serialize, Value};
 
 /// One `scenario_done` event: a completed item's identity and timing.
@@ -42,7 +39,7 @@ pub struct PerfSummary {
     pub scenarios: Vec<ScenarioPerf>,
     /// Items whose in-flight partials were discarded by an abort.
     pub discarded: u64,
-    /// Summed counter roll-ups, keyed by `Counter::name`.
+    /// Summed counter roll-ups, keyed by counter name.
     pub counters: Vec<(String, u64)>,
     /// Total campaign wall time (start → done/abort), summed over the
     /// journal's invocations, milliseconds.
@@ -79,124 +76,54 @@ pub struct LatencyMs {
     pub max_ms: f64,
 }
 
-fn str_field<'v>(v: &'v Value, key: &str) -> Option<&'v str> {
-    match v.get(key) {
-        Some(Value::String(s)) => Some(s),
-        _ => None,
-    }
-}
-
-fn num_field(v: &Value, key: &str) -> Option<f64> {
-    match v.get(key) {
-        Some(Value::Number(n)) => Some((*n).as_f64()),
-        _ => None,
-    }
-}
-
-fn u64_field(v: &Value, key: &str) -> Option<u64> {
-    match v.get(key) {
-        Some(Value::Number(n)) => (*n).as_u64(),
-        _ => None,
-    }
-}
-
-/// Loads and aggregates one events journal.
-///
-/// # Errors
-///
-/// Only I/O errors opening or reading the file; malformed *content* is
-/// tolerated line by line (counted in
-/// [`skipped_lines`](PerfSummary::skipped_lines)).
-pub fn load_events(path: &Path) -> std::io::Result<PerfSummary> {
-    let mut contents = String::new();
-    std::fs::File::open(path)?.read_to_string(&mut contents)?;
-    Ok(summarize(&contents))
-}
-
-/// [`load_events`] over in-memory journal text (exposed for tests and
-/// the diff path).
-pub fn summarize(journal: &str) -> PerfSummary {
+/// Aggregates one events journal's raw bytes.
+pub fn summarize(journal: &[u8]) -> PerfSummary {
     let mut out = PerfSummary::default();
     // `t_ms` is relative to each invocation's Telemetry handle, so the
     // wall clock closes per invocation: a campaign_done/abort pairs
     // with the latest campaign_start.
     let mut open_start_ms: Option<f64> = None;
-    for line in journal.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let Ok(event) = serde_json::from_str::<Value>(line) else {
-            out.skipped_lines += 1;
-            continue;
-        };
-        let Some(kind) = str_field(&event, "ev") else {
-            out.skipped_lines += 1;
-            continue;
-        };
-        match kind {
+    let mut skipped = 0;
+    for event in read_events(journal, &mut skipped) {
+        match event.kind() {
             "campaign_start" => {
-                if let Some(name) = str_field(&event, "name") {
+                if let Some(name) = event.str("name") {
                     out.campaigns.push(name.to_string());
                 }
-                out.budget = out.budget.max(u64_field(&event, "budget").unwrap_or(0));
+                out.budget = out.budget.max(event.u64("budget").unwrap_or(0));
                 if out.anchor_unix_ms.is_none() {
-                    out.anchor_unix_ms = u64_field(&event, "unix_ms");
+                    out.anchor_unix_ms = event.u64("unix_ms");
                 }
-                open_start_ms = num_field(&event, "t_ms");
+                open_start_ms = event.f64("t_ms");
             }
             "campaign_done" | "campaign_abort" => {
-                if let (Some(start), Some(end)) = (open_start_ms.take(), num_field(&event, "t_ms"))
-                {
+                if let (Some(start), Some(end)) = (open_start_ms.take(), event.f64("t_ms")) {
                     out.campaign_wall_ms += (end - start).max(0.0);
                 }
             }
             "scenario_done" => {
                 out.scenarios.push(ScenarioPerf {
-                    index: u64_field(&event, "i").unwrap_or(0),
-                    label: str_field(&event, "label").unwrap_or("?").to_string(),
-                    group: str_field(&event, "group").unwrap_or("?").to_string(),
-                    wall_ms: num_field(&event, "wall_ms").unwrap_or(0.0),
-                    queue_ms: num_field(&event, "queue_ms").unwrap_or(0.0),
-                    threads: u64_field(&event, "threads").unwrap_or(1),
+                    index: event.u64("i").unwrap_or(0),
+                    label: event.str("label").unwrap_or("?").to_string(),
+                    group: event.str("group").unwrap_or("?").to_string(),
+                    wall_ms: event.f64("wall_ms").unwrap_or(0.0),
+                    queue_ms: event.f64("queue_ms").unwrap_or(0.0),
+                    threads: event.u64("threads").unwrap_or(1),
                 });
             }
             "scenario_discarded" => out.discarded += 1,
             "hist" => {
-                let Some(name) = str_field(&event, "name") else {
+                let Some((name, snap)) = event.histogram() else {
                     out.skipped_lines += 1;
                     continue;
                 };
-                let mut pairs: Vec<(usize, u64)> = Vec::new();
-                if let Some(Value::Array(buckets)) = event.get("buckets") {
-                    for bucket in buckets {
-                        let Value::Array(pair) = bucket else { continue };
-                        let (Some(Value::Number(i)), Some(Value::Number(c))) =
-                            (pair.first(), pair.get(1))
-                        else {
-                            continue;
-                        };
-                        if let (Some(i), Some(c)) = ((*i).as_u64(), (*c).as_u64()) {
-                            pairs.push((i as usize, c));
-                        }
-                    }
-                }
-                let snap = HistogramSnapshot::from_sparse(
-                    &pairs,
-                    u64_field(&event, "sum").unwrap_or(0),
-                    u64_field(&event, "max").unwrap_or(0),
-                );
                 match out.hists.iter_mut().find(|(k, _)| k == name) {
                     Some((_, total)) => total.merge(&snap),
                     None => out.hists.push((name.to_string(), snap)),
                 }
             }
             "counters" => {
-                let Ok(pairs) = event.as_object_named("counters event") else {
-                    out.skipped_lines += 1;
-                    continue;
-                };
-                for (name, value) in pairs {
+                for (name, value) in event.fields() {
                     if name == "ev" || name == "t_ms" || name == "v" {
                         continue;
                     }
@@ -211,11 +138,12 @@ pub fn summarize(journal: &str) -> PerfSummary {
             _ => {} // forward compatibility: unknown events are fine
         }
     }
+    out.skipped_lines += skipped;
     out
 }
 
 impl PerfSummary {
-    /// A summed counter by `Counter::name`, 0 when absent.
+    /// A summed counter by name, 0 when absent.
     pub fn counter(&self, name: &str) -> u64 {
         self.counters
             .iter()
@@ -751,7 +679,7 @@ mod tests {
 
     #[test]
     fn summarize_aggregates_and_tolerates_garbage() {
-        let s = summarize(&journal());
+        let s = summarize(journal().as_bytes());
         assert_eq!(s.campaigns, vec!["fig9".to_string()]);
         assert_eq!(s.scenarios.len(), 2);
         assert_eq!(s.discarded, 1);
@@ -768,7 +696,7 @@ mod tests {
     fn unix_ms_anchor_is_captured_and_tolerated_when_absent() {
         // Pre-anchor journals (no unix_ms on campaign_start) summarize
         // exactly as before, with no anchor.
-        let old = summarize(&journal());
+        let old = summarize(journal().as_bytes());
         assert_eq!(old.anchor_unix_ms, None);
         assert!(!old.render_text().contains("journal anchor"));
 
@@ -778,19 +706,19 @@ mod tests {
             r#"{"ev":"campaign_start","t_ms":0,"#,
             r#"{"ev":"campaign_start","t_ms":0,"unix_ms":1754650000123,"#,
         );
-        let s = summarize(&anchored);
+        let s = summarize(anchored.as_bytes());
         assert_eq!(s.anchor_unix_ms, Some(1_754_650_000_123));
         assert!(s
             .render_text()
             .contains("journal anchor: unix epoch 1754650000123 ms"));
         let json = s.to_value();
         assert_eq!(
-            u64_field(&json, "anchor_unix_ms"),
-            Some(1_754_650_000_123),
+            json.get("anchor_unix_ms"),
+            Some(&1_754_650_000_123u64.to_value()),
             "anchor must appear in --json output"
         );
         assert_eq!(
-            u64_field(&old.to_value(), "anchor_unix_ms"),
+            old.to_value().get("anchor_unix_ms"),
             None,
             "unanchored journals must not invent the field"
         );
@@ -801,7 +729,7 @@ mod tests {
             r#"{"ev":"campaign_start","t_ms":0,"#,
             r#"{"ev":"campaign_start","t_ms":0,"unix_ms":1754650999999,"#,
         );
-        let resumed = summarize(&format!("{anchored}\n{second}"));
+        let resumed = summarize(format!("{anchored}\n{second}").as_bytes());
         assert_eq!(resumed.anchor_unix_ms, Some(1_754_650_000_123));
 
         // Diffing an anchored journal against an unanchored one is not
@@ -812,7 +740,7 @@ mod tests {
 
     #[test]
     fn render_text_names_the_slowest_cell_first() {
-        let s = summarize(&journal());
+        let s = summarize(journal().as_bytes());
         let text = s.render_text();
         let slow = text.find("lenet/dnnlife").expect("slow cell listed");
         let fast = text.find("lenet/none").expect("fast cell listed");
@@ -824,7 +752,7 @@ mod tests {
     #[test]
     fn counters_sum_across_invocations() {
         let two_runs = format!("{}\n{}", journal(), journal());
-        let s = summarize(&two_runs);
+        let s = summarize(two_runs.as_bytes());
         assert_eq!(s.counter("exact_word_writes"), 6_000_000);
         assert_eq!(s.scenarios.len(), 4);
         assert!((s.campaign_wall_ms - 560.0).abs() < 1e-9);
@@ -832,7 +760,7 @@ mod tests {
 
     #[test]
     fn diff_flags_slow_direction_only() {
-        let a = summarize(&journal());
+        let a = summarize(journal().as_bytes());
         let mut b = a.clone();
         for s in &mut b.scenarios {
             s.wall_ms *= 2.0; // B is 2x slower
@@ -863,8 +791,8 @@ mod tests {
 
     #[test]
     fn diff_emits_missing_row_when_b_lacks_exact_throughput() {
-        let a = summarize(&journal());
-        let b = summarize(&journal_without_counters());
+        let a = summarize(journal().as_bytes());
+        let b = summarize(journal_without_counters().as_bytes());
         let d = diff(&a, &b, DIFF_THRESHOLD);
         let row = d
             .rows
@@ -879,8 +807,8 @@ mod tests {
 
     #[test]
     fn diff_metric_appearing_in_b_is_not_a_regression() {
-        let a = summarize(&journal_without_counters());
-        let b = summarize(&journal());
+        let a = summarize(journal_without_counters().as_bytes());
+        let b = summarize(journal().as_bytes());
         let d = diff(&a, &b, DIFF_THRESHOLD);
         let row = d
             .rows
@@ -893,7 +821,7 @@ mod tests {
 
     #[test]
     fn diff_flags_vanished_wall_metrics() {
-        let a = summarize(&journal());
+        let a = summarize(journal().as_bytes());
         let b = PerfSummary::default(); // empty journal: no scenarios at all
         let d = diff(&a, &b, DIFF_THRESHOLD);
         assert!(d.has_missing(), "an empty B journal must fail the gate");
@@ -905,7 +833,7 @@ mod tests {
 
     #[test]
     fn diff_json_carries_missing_flags() {
-        let a = summarize(&journal());
+        let a = summarize(journal().as_bytes());
         let d = diff(&a, &PerfSummary::default(), DIFF_THRESHOLD);
         let json = serde_json::to_string(&d.to_value()).expect("serializes");
         let back: Value = serde_json::from_str(&json).expect("round trips");
@@ -914,7 +842,7 @@ mod tests {
 
     #[test]
     fn baseline_check_floors_at_the_allowed_regression() {
-        let s = summarize(&journal()); // 10M words/s
+        let s = summarize(journal().as_bytes()); // 10M words/s
         assert!(check_baseline(&s, 10_000_000.0, 2.0).is_ok());
         assert!(
             check_baseline(&s, 10_000_000.0, 1.01).is_ok(),
@@ -930,12 +858,12 @@ mod tests {
 
     #[test]
     fn json_rendering_is_parseable_and_carries_the_headline_numbers() {
-        let s = summarize(&journal());
+        let s = summarize(journal().as_bytes());
         let json = serde_json::to_string(&s.to_value()).expect("serializes");
         let back: Value = serde_json::from_str(&json).expect("round trips");
-        assert_eq!(u64_field(&back, "completed"), Some(2));
-        assert_eq!(u64_field(&back, "discarded"), Some(1));
-        assert!(num_field(&back, "exact_words_per_sec").is_some());
+        assert_eq!(back.get("completed"), Some(&2u64.to_value()));
+        assert_eq!(back.get("discarded"), Some(&1u64.to_value()));
+        assert!(back.get("exact_words_per_sec").is_some());
     }
 
     /// A `hist` event line exactly as `Telemetry::emit_histograms`
@@ -974,7 +902,7 @@ mod tests {
             hist_line("scenario_wall_us", &a),
             hist_line("scenario_wall_us", &b)
         );
-        let s = summarize(&text);
+        let s = summarize(text.as_bytes());
         let hist = s.hist("scenario_wall_us").expect("hist merged");
         assert_eq!(hist.count(), 63);
 
@@ -1005,8 +933,8 @@ mod tests {
         let json = s.to_value();
         let latency = json.get("latency").expect("latency in json");
         let wall = latency.get("scenario_wall_us").expect("wall entry");
-        assert_eq!(u64_field(wall, "count"), Some(63));
-        assert!(num_field(wall, "p99_ms").is_some());
+        assert_eq!(wall.get("count"), Some(&63u64.to_value()));
+        assert!(wall.get("p99_ms").is_some());
     }
 
     #[test]
@@ -1021,7 +949,7 @@ mod tests {
             r#"{"ev":"counters","v":1,"t_ms":300,"exact_word_writes":500}"#,
             r#"{"ev":"hologram","v":2,"t_ms":301,"payload":[1,2,3]}"#,
         );
-        let s = summarize(&text);
+        let s = summarize(text.as_bytes());
         assert_eq!(s.skipped_lines, 1, "only the torn line");
         assert_eq!(s.counter("exact_word_writes"), 3_000_500);
         assert_eq!(s.counter("v"), 0, "schema version is not a counter");
@@ -1034,7 +962,7 @@ mod tests {
             journal(),
             hist_line("scenario_wall_us", &[40_000, 50_000, 60_000])
         );
-        let s = summarize(&text);
+        let s = summarize(text.as_bytes());
         // p99 lands in the 60ms bucket; a 100ms ceiling passes.
         let p99 = check_wall_p99(&s, 100.0, 1.5).expect("within ceiling");
         assert!((40.0..=100.0).contains(&p99), "{p99}");
@@ -1042,7 +970,7 @@ mod tests {
         assert!(err.contains("p99 regressed"), "{err}");
         // Gate configured but no histograms in the journal: hard error,
         // not a silent pass.
-        let bare = summarize(&journal());
+        let bare = summarize(journal().as_bytes());
         let err = check_wall_p99(&bare, 100.0, 1.5).expect_err("no hist");
         assert!(err.contains("no "), "{err}");
     }

@@ -163,13 +163,16 @@ impl<R: StoreRecord> JsonlStore<R> {
         let mut records = BTreeMap::new();
         let mut valid_len = 0u64;
         if path.exists() {
-            let mut text = String::new();
-            File::open(&path)?.read_to_string(&mut text)?;
+            // Bytes, not text: a tail torn inside a multi-byte character
+            // is not UTF-8 and must still read as a torn tail.
+            let bytes = std::fs::read(&path)?;
             let mut offset = 0usize;
-            for (i, line) in text.split_inclusive('\n').enumerate() {
-                let trimmed = line.trim_end_matches('\n');
-                match serde_json::from_str::<R>(trimmed) {
-                    Ok(record) if line.ends_with('\n') => {
+            for (i, line) in bytes.split_inclusive(|&b| b == b'\n').enumerate() {
+                let parsed = std::str::from_utf8(line)
+                    .map_err(|e| serde::Error::new(e.to_string()))
+                    .and_then(|text| serde_json::from_str::<R>(text.trim_end_matches('\n')));
+                match parsed {
+                    Ok(record) if line.ends_with(b"\n") => {
                         // The key is stored redundantly; verify it so a
                         // record whose spec was edited (or written by a
                         // binary with a different hash scheme) can't
@@ -189,7 +192,7 @@ impl<R: StoreRecord> JsonlStore<R> {
                         offset += line.len();
                         records.insert(record.key().to_string(), record);
                     }
-                    Ok(_) | Err(_) if offset + line.len() == text.len() => {
+                    Ok(_) | Err(_) if offset + line.len() == bytes.len() => {
                         // Unterminated or unparsable final line: torn
                         // journal append. Drop it.
                         break;

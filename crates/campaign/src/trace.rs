@@ -14,14 +14,12 @@
 //! from the invocation's wall clock.
 //!
 //! Parsing follows the journal's tolerance contract: unknown event
-//! kinds and a missing `"v"` schema-version field are ignored, torn
+//! kinds and a missing `"v"` schema-version field are ignored, corrupt
 //! lines are counted in [`Trace::skipped_lines`], and a `span_start`
 //! whose parent id never appears is counted as an orphan rather than
 //! discarded (it renders as a root).
 
-use std::io::Read;
-use std::path::Path;
-
+use dnnlife_telemetry::{read_events, Event};
 use serde::{Serialize, Value};
 
 /// One reconstructed span: a labelled interval with an optional parent.
@@ -75,65 +73,38 @@ pub struct Trace {
     pub skipped_lines: u64,
 }
 
-fn u64_field(v: &Value, key: &str) -> Option<u64> {
-    match v.get(key) {
-        Some(Value::Number(n)) => (*n).as_u64(),
-        _ => None,
-    }
-}
-
-fn str_field<'v>(v: &'v Value, key: &str) -> Option<&'v str> {
-    match v.get(key) {
-        Some(Value::String(s)) => Some(s),
-        _ => None,
-    }
-}
-
-/// Parses a journal's text into a [`Trace`], tolerating torn lines and
-/// unknown event kinds exactly like `perf::summarize`.
-pub fn reconstruct(text: &str) -> Trace {
+/// Rebuilds the span forest from a journal's raw bytes, tolerating
+/// corrupt lines and unknown event kinds exactly like
+/// `perf::summarize`.
+pub fn reconstruct(journal: &[u8]) -> Trace {
     let mut out = Trace::default();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let Ok(event) = serde_json::from_str::<Value>(line) else {
-            out.skipped_lines += 1;
-            continue;
-        };
-        let Some(kind) = str_field(&event, "ev") else {
-            out.skipped_lines += 1;
-            continue;
-        };
-        match kind {
+    // Fallback for coarser clocks: millisecond timestamps promote to
+    // microseconds.
+    let t_us = |event: &Event| {
+        event
+            .u64("t_us")
+            .or_else(|| event.u64("t_ms").map(|ms| ms * 1_000))
+    };
+    let mut skipped = 0;
+    for event in read_events(journal, &mut skipped) {
+        match event.kind() {
             "span_start" => {
-                let (Some(id), Some(label), Some(start_us)) = (
-                    u64_field(&event, "span"),
-                    str_field(&event, "label"),
-                    u64_field(&event, "t_us").or_else(|| {
-                        // Fallback for coarser clocks: millisecond
-                        // timestamps promote to microseconds.
-                        u64_field(&event, "t_ms").map(|ms| ms * 1_000)
-                    }),
-                ) else {
+                let (Some(id), Some(label), Some(start_us)) =
+                    (event.u64("span"), event.str("label"), t_us(&event))
+                else {
                     out.skipped_lines += 1;
                     continue;
                 };
                 out.spans.push(TraceSpan {
                     id,
-                    parent: u64_field(&event, "parent"),
+                    parent: event.u64("parent"),
                     label: label.to_string(),
                     start_us,
                     end_us: None,
                 });
             }
             "span_end" => {
-                let (Some(id), Some(end_us)) = (
-                    u64_field(&event, "span"),
-                    u64_field(&event, "t_us")
-                        .or_else(|| u64_field(&event, "t_ms").map(|ms| ms * 1_000)),
-                ) else {
+                let (Some(id), Some(end_us)) = (event.u64("span"), t_us(&event)) else {
                     out.skipped_lines += 1;
                     continue;
                 };
@@ -151,6 +122,7 @@ pub fn reconstruct(text: &str) -> Trace {
             _ => {} // foreign kinds (counters, hist, scenario_done, ...)
         }
     }
+    out.skipped_lines += skipped;
     let defined: std::collections::HashSet<u64> = out.spans.iter().map(|s| s.id).collect();
     out.orphans = out
         .spans
@@ -159,17 +131,6 @@ pub fn reconstruct(text: &str) -> Trace {
         .count() as u64;
     out.unended = out.spans.iter().filter(|s| s.end_us.is_none()).count() as u64;
     out
-}
-
-/// Reads and reconstructs a journal file.
-///
-/// # Errors
-///
-/// Propagates I/O errors opening or reading `path`.
-pub fn load_trace(path: &Path) -> std::io::Result<Trace> {
-    let mut text = String::new();
-    std::fs::File::open(path)?.read_to_string(&mut text)?;
-    Ok(reconstruct(&text))
 }
 
 impl Trace {
@@ -392,7 +353,7 @@ mod tests {
 
     #[test]
     fn reconstructs_a_complete_forest() {
-        let t = reconstruct(&journal());
+        let t = reconstruct(journal().as_bytes());
         assert_eq!(t.spans.len(), 6);
         assert_eq!(t.orphans, 0);
         assert!(t.is_complete_forest());
@@ -404,7 +365,7 @@ mod tests {
 
     #[test]
     fn flame_table_charges_children_against_parents() {
-        let t = reconstruct(&journal());
+        let t = reconstruct(journal().as_bytes());
         let flame = t.flame_table();
         let row = |label: &str| flame.iter().find(|r| r.label == label).expect(label);
 
@@ -425,7 +386,7 @@ mod tests {
 
     #[test]
     fn critical_path_follows_the_last_finisher() {
-        let t = reconstruct(&journal());
+        let t = reconstruct(journal().as_bytes());
         let paths = t.critical_paths();
         assert_eq!(paths.len(), 1);
         let (campaign, path) = &paths[0];
@@ -443,7 +404,7 @@ mod tests {
             r#"{"ev":"span_start","v":1,"span":2,"label":"campaign:x","t_us":20}"#,
         ]
         .join("\n");
-        let t = reconstruct(&text);
+        let t = reconstruct(text.as_bytes());
         assert_eq!(t.spans.len(), 2);
         assert_eq!(t.orphans, 1);
         assert!(!t.is_complete_forest());
@@ -461,7 +422,7 @@ mod tests {
             r#"{"ev":"span_end","span":5,"t_ms":3}"#,
         ]
         .join("\n");
-        let t = reconstruct(&text);
+        let t = reconstruct(text.as_bytes());
         assert_eq!(t.spans[0].start_us, 1_000);
         assert_eq!(t.spans[0].end_us, Some(3_000));
         assert_eq!(t.skipped_lines, 0);
@@ -469,16 +430,16 @@ mod tests {
 
     #[test]
     fn json_rendering_round_trips_and_carries_the_forest() {
-        let t = reconstruct(&journal());
+        let t = reconstruct(journal().as_bytes());
         let text = serde_json::to_string(&t.to_value()).expect("serializes");
         let back: Value = serde_json::from_str(&text).expect("round trips");
-        assert_eq!(u64_field(&back, "orphans"), Some(0));
+        assert_eq!(back.get("orphans"), Some(&0u64.to_value()));
         let Some(Value::Array(spans)) = back.get("spans") else {
             panic!("spans array");
         };
         assert_eq!(spans.len(), 6);
-        assert_eq!(str_field(&spans[1], "label"), Some("scenario"));
-        assert_eq!(u64_field(&spans[1], "parent"), Some(9_000));
+        assert_eq!(spans[1].get("label"), Some(&"scenario".to_value()));
+        assert_eq!(spans[1].get("parent"), Some(&9_000u64.to_value()));
         assert!(matches!(back.get("flame"), Some(Value::Array(_))));
         assert!(matches!(back.get("critical_paths"), Some(Value::Array(_))));
     }

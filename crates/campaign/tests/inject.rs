@@ -179,6 +179,58 @@ fn none_axis_store_is_byte_identical_to_pre_repair_golden() {
     );
 }
 
+/// A kill can tear the journal anywhere, including between the two
+/// bytes of the `σ` in every injection label. Each tear inside the
+/// golden's last record reads as a torn tail (n−1 records), a
+/// terminated non-UTF-8 line is still a corrupt record, and a resume
+/// from the mid-`σ` tear reproduces the golden bytes.
+#[test]
+fn store_reads_a_tear_at_every_byte_of_its_last_record_as_a_torn_tail() {
+    let dir = util::scratch_dir("inject-torn-char");
+    let golden = golden_bytes();
+    let records: Vec<&[u8]> = golden.split_inclusive(|&b| b == b'\n').collect();
+    let last_start = golden.len() - records[records.len() - 1].len();
+    let torn = dir.join("torn.jsonl");
+    for cut in last_start..golden.len() {
+        std::fs::write(&torn, &golden[..cut]).expect("write torn store");
+        let store = InjectionStore::open(&torn)
+            .unwrap_or_else(|e| panic!("tear at byte {cut} made the store unreadable: {e}"));
+        assert_eq!(store.len(), records.len() - 1, "tear at byte {cut}");
+    }
+
+    let mut corrupt = golden.clone();
+    corrupt.insert(1, 0xff);
+    std::fs::write(&torn, &corrupt).expect("write corrupt store");
+    let err = InjectionStore::open(&torn).expect_err("a bad byte on a complete line");
+    assert!(
+        err.to_string().contains("corrupt record on line 1"),
+        "{err}"
+    );
+
+    // The two deterministic cells, torn between the bytes of the
+    // second record's `σ` (0xCF 0x83), resume to the golden prefix.
+    let prefix = [records[0], records[1]].concat();
+    let sigma = records[1]
+        .iter()
+        .position(|&b| b == 0xcf)
+        .expect("label carries a σ");
+    let path = dir.join("resume.jsonl");
+    std::fs::write(&path, &prefix[..records[0].len() + sigma + 1]).expect("tear mid-σ");
+    let grid = InjectionGrid::build(
+        "inject",
+        Platform::TpuLike,
+        NetworkKind::CustomMnist,
+        NumberFormat::Int8Symmetric,
+        &[PolicySpec::None, PolicySpec::Inversion],
+        &golden_params(),
+    );
+    run(&grid, &path, 2, true);
+    assert!(
+        std::fs::read(&path).expect("read resumed store") == prefix,
+        "resume from a mid-σ tear drifted from the golden bytes"
+    );
+}
+
 /// Nightly tier: the *whole* golden campaign — including the
 /// stochastic DNN-Life cell — reproduces the pre-repair-axis store
 /// byte for byte.

@@ -113,7 +113,7 @@ fn sweep_store_bytes_identical_with_telemetry_on_or_off() {
             reference, bytes,
             "telemetry changed store bytes at threads={threads} shards={shards:?}"
         );
-        let summary = perf::load_events(&events).expect("load journal");
+        let summary = perf::summarize(&std::fs::read(&events).expect("read journal"));
         assert_eq!(summary.scenarios.len(), grid.len());
         assert_eq!(summary.skipped_lines, 0);
     }
@@ -154,7 +154,7 @@ fn campaign_start_carries_absolute_unix_anchor() {
         "campaign_start must carry the absolute anchor: {start_line}"
     );
 
-    let summary = perf::load_events(&events).expect("load journal");
+    let summary = perf::summarize(&std::fs::read(&events).expect("read journal"));
     let anchor = summary.anchor_unix_ms.expect("perf surfaces the anchor");
     assert!(
         (before..=after).contains(&anchor),
@@ -218,7 +218,7 @@ fn inject_store_bytes_identical_with_telemetry_on_or_off() {
         "telemetry changed injection store bytes"
     );
 
-    let summary = perf::load_events(&events).expect("load journal");
+    let summary = perf::summarize(&std::fs::read(&events).expect("read journal"));
     assert_eq!(summary.scenarios.len(), grid.len());
     assert!(summary.counter("injection_trials") > 0);
     // SECDED interleave=4 at 7 years corrects at least some words in
@@ -272,7 +272,7 @@ fn events_journal_survives_torn_trailing_line_on_resume() {
 
     // The torn line is gone, both invocations parse, and the profiler
     // sums them: every scenario appears exactly once per execution.
-    let summary = perf::load_events(&events).expect("load journal");
+    let summary = perf::summarize(&std::fs::read(&events).expect("read journal"));
     assert_eq!(
         summary.skipped_lines, 0,
         "torn tail leaked into the journal"
@@ -302,7 +302,7 @@ fn perf_profiler_renders_tables_and_self_diff_is_flat() {
     );
     drop(telemetry);
 
-    let summary = perf::load_events(&events).expect("load journal");
+    let summary = perf::summarize(&std::fs::read(&events).expect("read journal"));
     let text = summary.render_text();
     for needle in [
         "Slowest cells",
@@ -391,6 +391,117 @@ fn perf_diff_fails_when_current_journal_lacks_baseline_metric() {
     );
 }
 
+/// `dnnlife --help` advertises the `perf` flags the parser accepts:
+/// `--threshold` (the nightly diff passes it), never `--top`.
+#[test]
+fn perf_usage_lists_threshold_and_the_diff_accepts_it() {
+    let help = std::process::Command::new(env!("CARGO_BIN_EXE_dnnlife"))
+        .arg("--help")
+        .output()
+        .expect("run dnnlife --help");
+    assert!(help.status.success());
+    let usage = String::from_utf8_lossy(&help.stdout);
+    let perf_usage: String = usage
+        .lines()
+        .skip_while(|l| !l.contains("dnnlife perf"))
+        .take_while(|l| !l.contains("dnnlife trace"))
+        .collect();
+    assert!(perf_usage.contains("--threshold"), "{usage}");
+    assert!(!usage.contains("--top"), "{usage}");
+
+    let dir = util::scratch_dir("telemetry-perf-threshold");
+    let journal = dir.join("j.events.jsonl");
+    std::fs::write(
+        &journal,
+        concat!(
+            r#"{"ev":"campaign_start","t_ms":0,"name":"fig11","budget":2}"#,
+            "\n",
+            r#"{"ev":"scenario_done","t_ms":50,"i":0,"label":"a","group":"none","wall_ms":50.0,"queue_ms":1.0,"threads":1}"#,
+            "\n",
+            r#"{"ev":"campaign_done","t_ms":61}"#,
+            "\n",
+        ),
+    )
+    .expect("write journal");
+    let diff = std::process::Command::new(env!("CARGO_BIN_EXE_dnnlife"))
+        .args(["perf", "--events"])
+        .arg(&journal)
+        .arg("--diff")
+        .arg(&journal)
+        .args(["--threshold", "1.3"])
+        .output()
+        .expect("run dnnlife perf --diff");
+    assert!(
+        diff.status.success(),
+        "{}",
+        String::from_utf8_lossy(&diff.stderr)
+    );
+}
+
+/// One bad byte in an events journal is one corrupt line: `perf` and
+/// `trace` skip and count it like a torn tail, and `--telemetry`
+/// reopens the journal, cuts the torn tail and appends after it.
+#[test]
+fn non_utf8_journal_line_is_skipped_and_the_journal_reopens() {
+    let dir = util::scratch_dir("telemetry-non-utf8");
+    let out = dir.join("fig11.jsonl");
+    let sweep = |resume: bool| {
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_dnnlife"));
+        cmd.args(["sweep", "--grid", "fig11", "--stride", "4096"])
+            .args(["--inferences", "2", "--threads", "2", "--telemetry"])
+            .arg("--out")
+            .arg(&out);
+        if resume {
+            cmd.arg("--resume");
+        }
+        let output = cmd.output().expect("run dnnlife sweep");
+        assert!(
+            output.status.success(),
+            "sweep failed: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+    };
+    sweep(false);
+    let events = dir.join("fig11.events.jsonl");
+    let mut journal = std::fs::read(&events).expect("read journal");
+    let middle = journal.len() / 2;
+    let line_end = middle + journal[middle..].iter().position(|&b| b == b'\n').unwrap();
+    journal.splice(line_end + 1..line_end + 1, b"\xff\n".iter().copied());
+    journal.extend_from_slice(br#"{"ev":"scenario_done","i":9"#);
+    std::fs::write(&events, &journal).expect("corrupt journal");
+
+    let skipped = |command: &str| {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_dnnlife"))
+            .args([command, "--json", "--events"])
+            .arg(&events)
+            .output()
+            .expect("run dnnlife");
+        assert!(
+            output.status.success(),
+            "{command}: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        let value: serde::Value =
+            serde_json::from_str(String::from_utf8_lossy(&output.stdout).trim())
+                .expect("json parses");
+        let Some(serde::Value::Number(n)) = value.get("skipped_lines") else {
+            panic!("{command}: no skipped_lines field");
+        };
+        (*n).as_u64()
+    };
+    assert_eq!(skipped("perf"), Some(2), "the \\xff line and the torn tail");
+    assert_eq!(
+        skipped("trace"),
+        Some(2),
+        "the \\xff line and the torn tail"
+    );
+
+    sweep(true);
+    let journal = std::fs::read(&events).expect("read reopened journal");
+    assert!(journal.ends_with(b"\n"), "torn tail must be cut");
+    assert_eq!(skipped("perf"), Some(1), "only the \\xff line remains");
+}
+
 /// Satellite 1: a cancelled campaign reports what completed, what was
 /// discarded in flight, and what never started — in the error the CLI
 /// prints on the SIGINT path — and journals a `campaign_abort` event.
@@ -454,7 +565,7 @@ fn sweep_journal_reconstructs_a_complete_span_forest() {
     );
     drop(telemetry);
 
-    let forest = trace::load_trace(&events).expect("load journal");
+    let forest = trace::reconstruct(&std::fs::read(&events).expect("read journal"));
     assert!(
         forest.is_complete_forest(),
         "{} orphan span(s) in the forest",
@@ -517,7 +628,7 @@ fn injection_journal_carries_per_trial_spans() {
         .expect("injection campaign");
     drop(telemetry);
 
-    let forest = trace::load_trace(&events).expect("load journal");
+    let forest = trace::reconstruct(&std::fs::read(&events).expect("read journal"));
     assert!(forest.is_complete_forest());
     assert_eq!(forest.unended, 0);
     let count = |needle: &str| forest.spans.iter().filter(|s| s.label == needle).count();
@@ -556,7 +667,7 @@ fn perf_percentiles_match_recorded_scenario_walls() {
     );
     drop(telemetry);
 
-    let summary = perf::load_events(&events).expect("load journal");
+    let summary = perf::summarize(&std::fs::read(&events).expect("read journal"));
     let hist = summary
         .hist("scenario_wall_us")
         .expect("journal carries the wall histogram");

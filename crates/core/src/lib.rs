@@ -54,7 +54,7 @@ pub mod report;
 
 pub use dnnlife_quant::RepairPolicy;
 pub use dnnlife_sram::MemoryTech;
-pub use dnnlife_telemetry::{Counter, Instrumentation, Progress, ProgressStyle, Telemetry};
+pub use dnnlife_telemetry::{Instrumentation, Progress, ProgressStyle, Telemetry};
 pub use experiment::{
     cross_validate_with, run_experiment_with, CrossValidation, DwellModel, ExperimentResult,
     ExperimentSpec, NetworkKind, Platform, PolicySpec, RunOptions, ShardPolicy, SimulatorBackend,

@@ -15,7 +15,7 @@ use dnnlife_quant::Quantizer;
 use dnnlife_sram::lifetime::ReadFailureModel;
 use dnnlife_sram::snm::CalibratedSnmModel;
 use dnnlife_sram::ReramEnduranceLifetime;
-use dnnlife_telemetry::{Counter, SpanId, Telemetry};
+use dnnlife_telemetry::{SpanId, Telemetry};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -246,33 +246,44 @@ pub fn run_injection(spec: &FaultInjectionSpec, opts: &InjectOptions) -> Option<
             MemoryTech::ReramEndurance => Vec::new(),
         };
         let telemetry = opts.telemetry.unwrap_or_else(|| Telemetry::noop());
-        let trials = telemetry.time(Counter::TrialWallNanos, || {
-            run_trials(
-                spec,
-                &trained,
-                &network,
-                &codes,
-                &quantizers,
-                &probs,
-                &duties,
-                years,
-                ecc_layout.as_ref(),
-                age_index,
-                (&images, &labels),
-                opts,
-            )
-        })?;
-        telemetry.add(Counter::InjectionTrials, trials.len() as u64);
-        telemetry.add(
-            Counter::EccCorrectedWords,
+        let trials = telemetry.time(
+            "trial_wall_nanos",
+            "Wall time inside the per-age injection trial fan-out",
+            || {
+                run_trials(
+                    spec,
+                    &trained,
+                    &network,
+                    &codes,
+                    &quantizers,
+                    &probs,
+                    &duties,
+                    years,
+                    ecc_layout.as_ref(),
+                    age_index,
+                    (&images, &labels),
+                    opts,
+                )
+            },
+        )?;
+        telemetry.count(
+            "injection_trials",
+            "Fault-injection trials completed",
+            trials.len() as u64,
+        );
+        telemetry.count(
+            "ecc_corrected_words",
+            "SECDED word reads fully corrected",
             trials.iter().map(|t| t.2.corrected).sum(),
         );
-        telemetry.add(
-            Counter::EccDetectedWords,
+        telemetry.count(
+            "ecc_detected_words",
+            "SECDED word reads flagged uncorrectable",
             trials.iter().map(|t| t.2.detected).sum(),
         );
-        telemetry.add(
-            Counter::EccEscapedWords,
+        telemetry.count(
+            "ecc_escaped_words",
+            "SECDED word reads miscorrected (escapes)",
             trials.iter().map(|t| t.2.escaped).sum(),
         );
         let n = trials.len() as f64;

@@ -1,33 +1,34 @@
 #![warn(missing_docs)]
 
-//! Run-time observability for the DNN-Life stack: lock-cheap counters
-//! and span timings, a machine-readable `events.jsonl` journal, and an
+//! Run-time observability for the DNN-Life stack: named counters,
+//! gauges and latency histograms in one registry, span timings, a
+//! machine-readable `events.jsonl` journal and its reader, and an
 //! opt-in live progress line.
 //!
 //! The design constraint is the campaign determinism contract: result
 //! stores must stay **byte-identical** with telemetry on or off, at any
 //! thread or shard count. Everything here therefore only *observes* —
-//! a [`Telemetry`] handle owns an array of relaxed [`AtomicU64`]
-//! counters (one add on the instrumented path, a single branch when
-//! disabled via [`Telemetry::noop`]) plus an optional journal file
-//! behind a mutex that is only touched at coarse per-scenario
-//! granularity, never inside simulator inner loops.
+//! a [`Telemetry`] handle owns a metrics [`Registry`] (a single branch
+//! per call when disabled via [`Telemetry::noop`]) plus an optional
+//! journal file behind a mutex. Both are touched at coarse
+//! per-scenario, per-shard or per-age granularity, never inside
+//! simulator inner loops.
 //!
 //! The journal uses the same torn-line-tolerant journaling as the
 //! campaign's `JsonlStore`: every event is one JSON line, appended and
 //! flushed; on (re-)open an unterminated trailing line — a crash or
 //! power cut mid-write — is truncated away so the next event starts on
-//! a clean line. Readers (`dnnlife perf`) additionally skip lines that
-//! do not parse, so a journal survives anything short of losing the
-//! file.
+//! a clean line. [`read_events`] additionally skips and counts lines
+//! that are not UTF-8 or do not parse, so a journal survives anything
+//! short of losing the file.
 //!
 //! | type | role |
 //! |------|------|
-//! | [`Counter`] | fixed roster of hot-path counters (executor, exact/analytic simulators, fault injection) |
-//! | [`Registry`] | dynamic metrics: named counters, gauges, and log-bucketed [`Histogram`]s |
+//! | [`Registry`] | every metric: named counters, gauges, and log-bucketed [`Histogram`]s |
 //! | [`Histogram`] / [`HistogramSnapshot`] | lock-free striped latency recording; mergeable snapshots with p50/p90/p99/max |
 //! | [`SpanId`] | hierarchical trace spans journaled as `span_start`/`span_end` events |
-//! | [`Telemetry`] | counter array + registry + spans + the `events.jsonl` journal |
+//! | [`Telemetry`] | registry + spans + the `events.jsonl` journal |
+//! | [`read_events`] / [`Event`] | the journal's one reader: byte-safe line split, parse, skip count, typed field access |
 //! | [`MetricsSnapshot`] | final registry state, renderable as Prometheus text exposition or JSON |
 //! | [`Progress`]  | done/total + throughput + ETA line; live `\r` rewrite on a TTY, periodic plain lines otherwise |
 //! | [`Instrumentation`] | the `(telemetry, progress)` pair campaign entry points thread through |
@@ -47,128 +48,6 @@ use serde::Serialize;
 
 /// Schema version stamped into every `events.jsonl` line as `"v"`.
 pub const EVENT_SCHEMA_VERSION: u64 = 1;
-
-/// The fixed roster of hot-path counters. Each names one monotonically
-/// increasing `u64`; `*Nanos` counters accumulate span wall time. The
-/// roster is closed (an enum, not string keys) so the instrumented
-/// path is one array index + one relaxed atomic add.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Counter {
-    /// Campaign scenarios (or injection cells) journaled.
-    ScenariosCompleted,
-    /// In-flight scenarios cancelled mid-run; their partial results
-    /// were discarded, never journaled.
-    ScenariosDiscarded,
-    /// Total time items waited between pool start and a worker picking
-    /// them up.
-    QueueWaitNanos,
-    /// Total per-scenario run wall time (summed across workers, so it
-    /// exceeds campaign wall time under parallelism — the ratio is the
-    /// pool occupancy).
-    ScenarioWallNanos,
-    /// Exact-backend word writes: one per (sampled word, block,
-    /// inference) encode.
-    ExactWordWrites,
-    /// Exact-backend word shards executed.
-    ExactShardsRun,
-    /// Exact-backend word reads served from the raw-block cache.
-    BlockCacheHitWords,
-    /// Exact-backend word reads that went to the block source (cache
-    /// fill or cache disabled).
-    BlockCacheMissWords,
-    /// Time concatenating per-shard duty vectors into the final exact
-    /// result.
-    ShardMergeNanos,
-    /// Analytic-backend cells simulated (sampled words × word bits).
-    AnalyticCellsSimulated,
-    /// Analytic-backend word shards executed.
-    AnalyticShardsRun,
-    /// Fault-injection trials completed.
-    InjectionTrials,
-    /// Wall time inside the per-age injection trial fan-out.
-    TrialWallNanos,
-    /// SECDED word reads fully corrected, summed over trials.
-    EccCorrectedWords,
-    /// SECDED word reads flagged uncorrectable, summed over trials.
-    EccDetectedWords,
-    /// SECDED word reads miscorrected (escapes), summed over trials.
-    EccEscapedWords,
-}
-
-impl Counter {
-    /// Every counter, in declaration order (the array layout).
-    pub const ALL: [Counter; 16] = [
-        Counter::ScenariosCompleted,
-        Counter::ScenariosDiscarded,
-        Counter::QueueWaitNanos,
-        Counter::ScenarioWallNanos,
-        Counter::ExactWordWrites,
-        Counter::ExactShardsRun,
-        Counter::BlockCacheHitWords,
-        Counter::BlockCacheMissWords,
-        Counter::ShardMergeNanos,
-        Counter::AnalyticCellsSimulated,
-        Counter::AnalyticShardsRun,
-        Counter::InjectionTrials,
-        Counter::TrialWallNanos,
-        Counter::EccCorrectedWords,
-        Counter::EccDetectedWords,
-        Counter::EccEscapedWords,
-    ];
-
-    /// Stable snake_case name used in the journal's `counters` event
-    /// and the `dnnlife perf` tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::ScenariosCompleted => "scenarios_completed",
-            Counter::ScenariosDiscarded => "scenarios_discarded",
-            Counter::QueueWaitNanos => "queue_wait_nanos",
-            Counter::ScenarioWallNanos => "scenario_wall_nanos",
-            Counter::ExactWordWrites => "exact_word_writes",
-            Counter::ExactShardsRun => "exact_shards_run",
-            Counter::BlockCacheHitWords => "block_cache_hit_words",
-            Counter::BlockCacheMissWords => "block_cache_miss_words",
-            Counter::ShardMergeNanos => "shard_merge_nanos",
-            Counter::AnalyticCellsSimulated => "analytic_cells_simulated",
-            Counter::AnalyticShardsRun => "analytic_shards_run",
-            Counter::InjectionTrials => "injection_trials",
-            Counter::TrialWallNanos => "trial_wall_nanos",
-            Counter::EccCorrectedWords => "ecc_corrected_words",
-            Counter::EccDetectedWords => "ecc_detected_words",
-            Counter::EccEscapedWords => "ecc_escaped_words",
-        }
-    }
-
-    /// One-line help string for the metrics registry / Prometheus
-    /// `# HELP` line.
-    pub fn help(self) -> &'static str {
-        match self {
-            Counter::ScenariosCompleted => "Campaign scenarios (or injection cells) journaled",
-            Counter::ScenariosDiscarded => "In-flight scenarios cancelled mid-run and discarded",
-            Counter::QueueWaitNanos => "Total time items waited before a worker picked them up",
-            Counter::ScenarioWallNanos => "Total per-scenario run wall time summed across workers",
-            Counter::ExactWordWrites => {
-                "Exact-backend word writes (sampled word x block x inference)"
-            }
-            Counter::ExactShardsRun => "Exact-backend word shards executed",
-            Counter::BlockCacheHitWords => {
-                "Exact-backend word reads served from the raw-block cache"
-            }
-            Counter::BlockCacheMissWords => {
-                "Exact-backend word reads that went to the block source"
-            }
-            Counter::ShardMergeNanos => "Time concatenating per-shard duty vectors",
-            Counter::AnalyticCellsSimulated => "Analytic-backend cells simulated",
-            Counter::AnalyticShardsRun => "Analytic-backend word shards executed",
-            Counter::InjectionTrials => "Fault-injection trials completed",
-            Counter::TrialWallNanos => "Wall time inside the per-age injection trial fan-out",
-            Counter::EccCorrectedWords => "SECDED word reads fully corrected",
-            Counter::EccDetectedWords => "SECDED word reads flagged uncorrectable",
-            Counter::EccEscapedWords => "SECDED word reads miscorrected (escapes)",
-        }
-    }
-}
 
 /// A trace span identifier. `0` is reserved for [`SpanId::NONE`] — the
 /// id handed back when telemetry is off or journalless, so span calls
@@ -574,9 +453,8 @@ struct RegistryEntry {
 /// A dynamic metrics registry: get-or-register named counters, gauges,
 /// and histograms. Registration takes a mutex (do it once, outside hot
 /// loops, and keep the returned `Arc`); recording through the returned
-/// handles is lock-free. The fixed [`Counter`] roster is re-registered
-/// here by `Telemetry::build`, so a [`MetricsSnapshot`] covers both
-/// the closed hot-path roster and any dynamically added series.
+/// handles is lock-free. A metric appears here, and so in every
+/// [`MetricsSnapshot`], from its first registration on.
 #[derive(Default)]
 pub struct Registry {
     entries: Mutex<Vec<RegistryEntry>>,
@@ -696,12 +574,16 @@ impl Journal {
             .create(true)
             .append(true)
             .open(path)?;
-        let mut contents = String::new();
-        file.read_to_string(&mut contents)?;
-        if !contents.is_empty() && !contents.ends_with('\n') {
+        // Bytes, not text: a corrupt or torn line need not be UTF-8.
+        let mut contents = Vec::new();
+        file.read_to_end(&mut contents)?;
+        if contents.last().is_some_and(|&b| b != b'\n') {
             // Torn tail: keep everything up to (and including) the last
             // complete line; drop the unterminated remainder.
-            let valid = contents.rfind('\n').map_or(0, |i| i + 1);
+            let valid = contents
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |i| i + 1);
             file.set_len(valid as u64)?;
         }
         file.seek(SeekFrom::End(0))?;
@@ -731,20 +613,17 @@ impl Journal {
     }
 }
 
-/// The telemetry handle: counters, span timings, and the optional
-/// events journal. Cheap to share by reference across worker threads
-/// (all interior mutability is atomic or mutex-guarded); the campaign
-/// plumbing carries it as `Option<&Telemetry>` inside `RunOptions`.
+/// The telemetry handle: the metrics registry, span timings, and the
+/// optional events journal. Cheap to share by reference across worker
+/// threads (all interior mutability is atomic or mutex-guarded); the
+/// campaign plumbing carries it as `Option<&Telemetry>` inside
+/// `RunOptions`.
 ///
 /// Telemetry only observes: enabling it never changes any computed
 /// result (the campaign regression tests pin stores byte-identical
 /// with telemetry on and off).
 pub struct Telemetry {
     enabled: bool,
-    /// The fixed hot-path roster, shared with `registry` (the same
-    /// atomics back both views, so `snapshot()` and
-    /// `metrics_snapshot()` can never disagree).
-    counters: [Arc<AtomicU64>; Counter::ALL.len()],
     registry: Registry,
     journal: Option<Mutex<Journal>>,
     epoch: Instant,
@@ -757,27 +636,19 @@ impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
             .field("enabled", &self.enabled)
-            .field("journal", &self.journal_path())
+            .field("journaling", &self.journal.is_some())
             .finish_non_exhaustive()
     }
 }
 
 impl Telemetry {
     fn build(enabled: bool, journal: Option<Journal>) -> Self {
-        let registry = Registry::new();
-        // Re-register the closed hot-path roster on the dynamic
-        // registry: the same Arc<AtomicU64> backs the array (one index,
-        // one relaxed add) and the named registry entry.
-        let counters = std::array::from_fn(|i| {
-            registry.counter(Counter::ALL[i].name(), Counter::ALL[i].help())
-        });
         let unix_ms = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map_or(0, |d| d.as_millis() as u64);
         Self {
             enabled,
-            counters,
-            registry,
+            registry: Registry::new(),
             journal: journal.map(Mutex::new),
             epoch: Instant::now(),
             next_span: AtomicU64::new((unix_ms << 20) | 1),
@@ -813,49 +684,32 @@ impl Telemetry {
         self.enabled
     }
 
-    /// The journal file path, when journaling.
-    pub fn journal_path(&self) -> Option<PathBuf> {
-        self.journal.as_ref().map(|j| {
-            j.lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .path
-                .clone()
-        })
-    }
-
-    /// Adds `n` to a counter (relaxed; a no-op when disabled).
+    /// Adds `n` to the named monotonic counter, registering it at its
+    /// first non-zero increment (a single branch when disabled). Like
+    /// [`observe`], the lookup takes a short mutex: call per scenario,
+    /// shard or age, never per word.
+    ///
+    /// [`observe`]: Telemetry::observe
     #[inline]
-    pub fn add(&self, counter: Counter, n: u64) {
-        if self.enabled {
-            self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
+    pub fn count(&self, name: &str, help: &str, n: u64) {
+        if self.enabled && n != 0 {
+            self.registry
+                .counter(name, help)
+                .fetch_add(n, Ordering::Relaxed);
         }
     }
 
-    /// Current value of a counter.
-    pub fn get(&self, counter: Counter) -> u64 {
-        self.counters[counter as usize].load(Ordering::Relaxed)
-    }
-
-    /// Times `f` and accumulates its wall time into a `*Nanos`
-    /// counter. When disabled, runs `f` without reading the clock.
-    #[inline]
-    pub fn time<R>(&self, counter: Counter, f: impl FnOnce() -> R) -> R {
+    /// Times `f` and adds its wall time in nanoseconds to the named
+    /// counter (a `*_nanos` name by convention). When disabled, runs
+    /// `f` without reading the clock.
+    pub fn time<R>(&self, name: &str, help: &str, f: impl FnOnce() -> R) -> R {
         if !self.enabled {
             return f();
         }
         let start = Instant::now();
         let result = f();
-        self.add(counter, start.elapsed().as_nanos() as u64);
+        self.count(name, help, start.elapsed().as_nanos() as u64);
         result
-    }
-
-    /// Non-zero counters as `(name, value)` pairs, in roster order.
-    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        Counter::ALL
-            .iter()
-            .map(|&c| (c.name(), self.get(c)))
-            .filter(|&(_, v)| v != 0)
-            .collect()
     }
 
     /// Appends one event line to the journal:
@@ -884,27 +738,21 @@ impl Telemetry {
             .append(&line);
     }
 
-    /// Emits the `counters` roll-up event (every non-zero counter),
-    /// the journal's machine-readable equivalent of [`snapshot`].
-    ///
-    /// [`snapshot`]: Telemetry::snapshot
+    /// Emits the `counters` roll-up event: every non-zero registry
+    /// counter as a `"name":value` field, in registration order.
     pub fn emit_counters(&self) {
-        let fields: Vec<(&str, serde::Value)> = self
-            .snapshot()
-            .into_iter()
-            .map(|(name, value)| (name, value.to_value()))
+        let snapshot = self.metrics_snapshot();
+        let fields: Vec<(&str, serde::Value)> = snapshot
+            .metrics
+            .iter()
+            .filter_map(|metric| match metric.value {
+                MetricValue::Counter(value) if value != 0 => {
+                    Some((metric.name.as_str(), value.to_value()))
+                }
+                _ => None,
+            })
             .collect();
         self.emit("counters", &fields);
-    }
-
-    /// The dynamic metrics registry behind this handle. Registration is
-    /// live even when disabled (the handles just never get recorded
-    /// into through [`observe`]/[`gauge_set`]).
-    ///
-    /// [`observe`]: Telemetry::observe
-    /// [`gauge_set`]: Telemetry::gauge_set
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 
     /// Records `value` into the named histogram (get-or-register; a
@@ -927,35 +775,6 @@ impl Telemetry {
     /// Captures every registered metric — the `--metrics-out` payload.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.registry.snapshot()
-    }
-
-    /// Emits one `hist` roll-up event per non-empty registered
-    /// histogram: `{"ev":"hist","name":...,"buckets":[[i,c],...],
-    /// "count":N,"sum":S,"max":M}` — the journal's durable form of the
-    /// latency distributions, merged across invocations by `dnnlife
-    /// perf`.
-    pub fn emit_histograms(&self) {
-        if self.journal.is_none() {
-            return;
-        }
-        for metric in self.metrics_snapshot().metrics {
-            let MetricValue::Histogram(h) = metric.value else {
-                continue;
-            };
-            if h.count() == 0 {
-                continue;
-            }
-            self.emit(
-                "hist",
-                &[
-                    ("name", metric.name.to_value()),
-                    ("buckets", sparse_to_value(&h.sparse())),
-                    ("count", h.count().to_value()),
-                    ("sum", h.sum().to_value()),
-                    ("max", h.max().to_value()),
-                ],
-            );
-        }
     }
 
     /// Starts a hierarchical trace span and journals its `span_start`
@@ -1006,6 +825,136 @@ impl Telemetry {
             ],
         );
     }
+
+    /// Emits one `hist` roll-up event per non-empty registered
+    /// histogram: `{"ev":"hist","name":...,"buckets":[[i,c],...],
+    /// "count":N,"sum":S,"max":M}` — the journal's durable form of the
+    /// latency distributions, merged across invocations by `dnnlife
+    /// perf`. [`Event::histogram`] below is its decoder.
+    pub fn emit_histograms(&self) {
+        if self.journal.is_none() {
+            return;
+        }
+        for metric in self.metrics_snapshot().metrics {
+            let MetricValue::Histogram(h) = metric.value else {
+                continue;
+            };
+            if h.count() == 0 {
+                continue;
+            }
+            self.emit(
+                "hist",
+                &[
+                    ("name", metric.name.to_value()),
+                    ("buckets", sparse_to_value(&h.sparse())),
+                    ("count", h.count().to_value()),
+                    ("sum", h.sum().to_value()),
+                    ("max", h.max().to_value()),
+                ],
+            );
+        }
+    }
+}
+
+/// One well-formed `events.jsonl` line: a JSON object with a string
+/// `ev` field naming its kind. The typed accessors return `None` for a
+/// missing field or one of another JSON type.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Event {
+    value: serde::Value,
+}
+
+impl Event {
+    /// Decodes a `hist` event, the [`Telemetry::emit_histograms`] wire
+    /// form, into its metric name and snapshot. `None` for another
+    /// kind or a `hist` line without a name; malformed bucket pairs
+    /// are dropped.
+    pub fn histogram(&self) -> Option<(&str, HistogramSnapshot)> {
+        if self.kind() != "hist" {
+            return None;
+        }
+        let pairs: Vec<(usize, u64)> = match self.value.get("buckets") {
+            Some(serde::Value::Array(buckets)) => buckets
+                .iter()
+                .filter_map(|bucket| {
+                    let serde::Value::Array(pair) = bucket else {
+                        return None;
+                    };
+                    let index = number(pair.first())?.as_u64()?;
+                    Some((index as usize, number(pair.get(1))?.as_u64()?))
+                })
+                .collect(),
+            _ => Vec::new(),
+        };
+        let snapshot = HistogramSnapshot::from_sparse(
+            &pairs,
+            self.u64("sum").unwrap_or(0),
+            self.u64("max").unwrap_or(0),
+        );
+        Some((self.str("name")?, snapshot))
+    }
+
+    /// The event kind (`campaign_start`, `span_end`, `hist`, ...).
+    pub fn kind(&self) -> &str {
+        self.str("ev").unwrap_or_default()
+    }
+
+    /// A string field.
+    pub fn str(&self, key: &str) -> Option<&str> {
+        match self.value.get(key) {
+            Some(serde::Value::String(s)) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// A non-negative integer field.
+    pub fn u64(&self, key: &str) -> Option<u64> {
+        number(self.value.get(key))?.as_u64()
+    }
+
+    /// A numeric field as `f64`.
+    pub fn f64(&self, key: &str) -> Option<f64> {
+        number(self.value.get(key)).map(serde::Number::as_f64)
+    }
+
+    /// Every field in line order, `ev`, `v` and `t_ms` included.
+    pub fn fields(&self) -> &[(String, serde::Value)] {
+        match &self.value {
+            serde::Value::Object(pairs) => pairs,
+            _ => &[],
+        }
+    }
+}
+
+fn number(value: Option<&serde::Value>) -> Option<serde::Number> {
+    match value {
+        Some(serde::Value::Number(n)) => Some(*n),
+        _ => None,
+    }
+}
+
+/// The one reader of an `events.jsonl` journal: splits its bytes on
+/// `\n`, trims each line, ignores blank ones and yields every
+/// well-formed [`Event`] in order. A line that is not UTF-8, not JSON,
+/// or has no string `ev` field adds one to `skipped`, so a torn tail or
+/// a corrupt byte never rejects the rest of the journal.
+pub fn read_events<'a>(bytes: &'a [u8], skipped: &'a mut u64) -> impl Iterator<Item = Event> + 'a {
+    bytes.split(|&b| b == b'\n').filter_map(move |line| {
+        let Ok(line) = std::str::from_utf8(line) else {
+            *skipped += 1;
+            return None;
+        };
+        let line = line.trim();
+        if line.is_empty() {
+            return None;
+        }
+        let event = serde_json::from_str(line)
+            .ok()
+            .map(|value| Event { value })
+            .filter(|event| event.str("ev").is_some());
+        *skipped += u64::from(event.is_none());
+        event
+    })
 }
 
 /// How a [`Progress`] handle reports.
@@ -1194,29 +1143,40 @@ mod tests {
         dir.join("events.jsonl")
     }
 
+    /// A registered counter's value; `None` when never registered.
+    fn counter(tel: &Telemetry, name: &str) -> Option<u64> {
+        tel.metrics_snapshot()
+            .metrics
+            .into_iter()
+            .find(|m| m.name == name)
+            .map(|m| match m.value {
+                MetricValue::Counter(v) => v,
+                other => panic!("{name} is not a counter: {other:?}"),
+            })
+    }
+
     #[test]
     fn counters_accumulate_and_noop_stays_zero() {
         let tel = Telemetry::in_memory();
-        tel.add(Counter::ExactWordWrites, 3);
-        tel.add(Counter::ExactWordWrites, 4);
-        assert_eq!(tel.get(Counter::ExactWordWrites), 7);
-        assert_eq!(tel.snapshot(), vec![("exact_word_writes", 7)]);
+        tel.count("exact_word_writes", "word writes", 3);
+        tel.count("exact_word_writes", "word writes", 4);
+        assert_eq!(counter(&tel, "exact_word_writes"), Some(7));
 
         let noop = Telemetry::noop();
-        noop.add(Counter::ExactWordWrites, 5);
-        assert_eq!(noop.get(Counter::ExactWordWrites), 0);
+        noop.count("exact_word_writes", "word writes", 5);
+        assert_eq!(counter(noop, "exact_word_writes"), None);
         assert!(!noop.is_enabled());
     }
 
     #[test]
     fn time_accumulates_span_nanos() {
         let tel = Telemetry::in_memory();
-        let out = tel.time(Counter::ShardMergeNanos, || {
+        let out = tel.time("shard_merge_nanos", "merge time", || {
             std::thread::sleep(Duration::from_millis(2));
             42
         });
         assert_eq!(out, 42);
-        assert!(tel.get(Counter::ShardMergeNanos) >= 1_000_000);
+        assert!(counter(&tel, "shard_merge_nanos").is_some_and(|ns| ns >= 1_000_000));
     }
 
     #[test]
@@ -1224,7 +1184,8 @@ mod tests {
         let path = scratch("emit");
         let tel = Telemetry::with_journal(&path).expect("open journal");
         tel.emit("campaign_start", &[("total", 3u64.to_value())]);
-        tel.add(Counter::InjectionTrials, 9);
+        tel.count("injection_trials", "trials", 9);
+        tel.count("untouched", "registered but never incremented", 0);
         tel.emit_counters();
         drop(tel);
 
@@ -1238,6 +1199,10 @@ mod tests {
         }
         let counters: serde::Value = serde_json::from_str(lines[1]).expect("counters line");
         assert_eq!(counters.get("injection_trials"), Some(&9u64.to_value()));
+        assert!(
+            counters.get("untouched").is_none(),
+            "zero counters stay out"
+        );
     }
 
     #[test]
@@ -1414,26 +1379,27 @@ mod tests {
     #[test]
     fn telemetry_counters_are_registered_on_the_registry() {
         let tel = Telemetry::in_memory();
-        tel.add(Counter::ExactWordWrites, 11);
+        tel.count("exact_word_writes", "word writes", 11);
         let snap = tel.metrics_snapshot();
         let sample = snap
             .metrics
             .iter()
             .find(|m| m.name == "exact_word_writes")
-            .expect("roster counter registered");
+            .expect("counter registered at its first increment");
         assert_eq!(sample.value, MetricValue::Counter(11));
-        assert_eq!(snap.metrics.len(), Counter::ALL.len());
-        // Disabled handles never record through observe/gauge_set.
+        assert_eq!(snap.metrics.len(), 1, "untouched counters are not listed");
+        // Disabled handles never record through count/observe/gauge_set.
         let noop = Telemetry::noop();
+        noop.count("exact_word_writes", "", 5);
         noop.observe("wall_us", "", 5);
         noop.gauge_set("pending", "", 5);
-        assert_eq!(noop.metrics_snapshot().metrics.len(), Counter::ALL.len());
+        assert!(noop.metrics_snapshot().metrics.is_empty());
     }
 
     #[test]
     fn prometheus_rendering_is_cumulative_and_prefixed() {
         let tel = Telemetry::in_memory();
-        tel.add(Counter::InjectionTrials, 2);
+        tel.count("injection_trials", "trials", 2);
         tel.observe("scenario_wall_us", "scenario wall time", 5);
         tel.observe("scenario_wall_us", "scenario wall time", 5);
         tel.observe("scenario_wall_us", "scenario wall time", 1000);
@@ -1512,6 +1478,70 @@ mod tests {
         assert_eq!(event.get("name"), Some(&"scenario_wall_us".to_value()));
         assert_eq!(event.get("count"), Some(&4u64.to_value()));
         assert_eq!(event.get("max"), Some(&40_000u64.to_value()));
+
+        // The reader's decoder inverts the encoder exactly.
+        let bytes = std::fs::read(&path).expect("read journal");
+        let decoded: Vec<Event> = read_events(&bytes, &mut 0).collect();
+        let (name, snapshot) = decoded[0].histogram().expect("hist decodes");
+        assert_eq!(name, "scenario_wall_us");
+        let live = snapshot_of(&[10, 20, 30, 40_000]);
+        assert_eq!(snapshot, live);
+    }
+
+    fn snapshot_of(values: &[u64]) -> HistogramSnapshot {
+        let hist = Histogram::new();
+        for &v in values {
+            hist.record(v);
+        }
+        hist.snapshot()
+    }
+
+    #[test]
+    fn journal_reader_skips_and_counts_corrupt_lines() {
+        let bytes = b"{\"ev\":\"a\",\"n\":1}\n\xff\xfe\n\n  \n{garbage\n{\"no_ev\":1}\n[1,2]\n\
+            {\"ev\":\"b\",\"s\":\"x\",\"f\":2.5}\r\n{\"ev\":\"torn";
+        let mut skipped = 0;
+        let events: Vec<Event> = read_events(bytes, &mut skipped).collect();
+        let kinds: Vec<&str> = events.iter().map(Event::kind).collect();
+        assert_eq!(kinds, ["a", "b"]);
+        // Non-UTF-8, not JSON, no `ev`, not an object, torn tail.
+        assert_eq!(skipped, 5);
+        assert_eq!(events[0].u64("n"), Some(1));
+        assert_eq!(events[1].str("s"), Some("x"));
+        assert_eq!(events[1].f64("f"), Some(2.5));
+        assert_eq!(events[1].u64("s"), None, "wrong type reads as absent");
+        assert_eq!(events[1].fields().len(), 3);
+        assert!(events[1].histogram().is_none(), "not a hist event");
+    }
+
+    #[test]
+    fn journal_reopens_past_non_utf8_lines_and_a_torn_character() {
+        let path = scratch("non-utf8");
+        {
+            let tel = Telemetry::with_journal(&path).expect("open journal");
+            tel.emit("campaign_start", &[]);
+        }
+        // A corrupt byte on a complete line, then a tail torn between
+        // the two bytes of a `σ`.
+        let mut bytes = std::fs::read(&path).expect("read journal");
+        bytes.extend_from_slice(b"\xff\n{\"label\":\"\xcf");
+        std::fs::write(&path, &bytes).expect("corrupt journal");
+
+        let tel = Telemetry::with_journal(&path).expect("reopen past bad bytes");
+        tel.emit("campaign_done", &[]);
+        drop(tel);
+
+        let bytes = std::fs::read(&path).expect("read journal");
+        assert!(
+            bytes.ends_with(b"\n") && !bytes.contains(&0xcf),
+            "torn tail cut"
+        );
+        let mut skipped = 0;
+        let kinds: Vec<String> = read_events(&bytes, &mut skipped)
+            .map(|e| e.kind().to_string())
+            .collect();
+        assert_eq!(kinds, ["campaign_start", "campaign_done"]);
+        assert_eq!(skipped, 1, "only the \\xff line survives");
     }
 
     #[test]
