@@ -326,13 +326,15 @@ pub struct MetricSample {
     pub value: MetricValue,
 }
 
-/// A point-in-time capture of every registered metric, in registration
-/// order. Renders as Prometheus text exposition (metric names prefixed
-/// `dnnlife_`, histogram buckets as cumulative `le` series) or as a
-/// JSON object via [`Serialize`] — the `--metrics-out` twin files.
+/// A point-in-time capture of every registered metric: in registration
+/// order from [`Registry::snapshot`], by name from
+/// [`Telemetry::metrics_snapshot`]. Renders as Prometheus text
+/// exposition (metric names prefixed `dnnlife_`, histogram buckets as
+/// cumulative `le` series) or as a JSON object via [`Serialize`] — the
+/// `--metrics-out` twin files.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
-    /// Every registered metric, in registration order.
+    /// Every registered metric.
     pub metrics: Vec<MetricSample>,
 }
 
@@ -738,17 +740,18 @@ impl Telemetry {
             .append(&line);
     }
 
-    /// Emits the `counters` roll-up event: every non-zero registry
-    /// counter as a `"name":value` field, in registration order.
+    /// Emits the `counters` roll-up event: every registry counter (all
+    /// non-zero, as [`count`] registers none at zero) as a
+    /// `"name":value` field, in name order.
+    ///
+    /// [`count`]: Telemetry::count
     pub fn emit_counters(&self) {
         let snapshot = self.metrics_snapshot();
         let fields: Vec<(&str, serde::Value)> = snapshot
             .metrics
             .iter()
             .filter_map(|metric| match metric.value {
-                MetricValue::Counter(value) if value != 0 => {
-                    Some((metric.name.as_str(), value.to_value()))
-                }
+                MetricValue::Counter(value) => Some((metric.name.as_str(), value.to_value())),
                 _ => None,
             })
             .collect();
@@ -772,9 +775,14 @@ impl Telemetry {
         }
     }
 
-    /// Captures every registered metric — the `--metrics-out` payload.
+    /// Captures every registered metric, sorted by name — the
+    /// `--metrics-out` payload. Worker threads register metrics in a
+    /// run-dependent order; sorting keeps these files and the
+    /// `counters`/`hist` roll-ups in the same order on every run.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
+        let mut snapshot = self.registry.snapshot();
+        snapshot.metrics.sort_by(|a, b| a.name.cmp(&b.name));
+        snapshot
     }
 
     /// Starts a hierarchical trace span and journals its `span_start`
@@ -866,13 +874,9 @@ pub struct Event {
 
 impl Event {
     /// Decodes a `hist` event, the [`Telemetry::emit_histograms`] wire
-    /// form, into its metric name and snapshot. `None` for another
-    /// kind or a `hist` line without a name; malformed bucket pairs
-    /// are dropped.
+    /// form, into its metric name and snapshot. `None` for a line
+    /// without a name; malformed bucket pairs are dropped.
     pub fn histogram(&self) -> Option<(&str, HistogramSnapshot)> {
-        if self.kind() != "hist" {
-            return None;
-        }
         let pairs: Vec<(usize, u64)> = match self.value.get("buckets") {
             Some(serde::Value::Array(buckets)) => buckets
                 .iter()
@@ -1161,6 +1165,7 @@ mod tests {
         tel.count("exact_word_writes", "word writes", 3);
         tel.count("exact_word_writes", "word writes", 4);
         assert_eq!(counter(&tel, "exact_word_writes"), Some(7));
+        assert_eq!(tel.metrics_snapshot().metrics.len(), 1);
 
         let noop = Telemetry::noop();
         noop.count("exact_word_writes", "word writes", 5);
@@ -1511,7 +1516,6 @@ mod tests {
         assert_eq!(events[1].f64("f"), Some(2.5));
         assert_eq!(events[1].u64("s"), None, "wrong type reads as absent");
         assert_eq!(events[1].fields().len(), 3);
-        assert!(events[1].histogram().is_none(), "not a hist event");
     }
 
     #[test]
