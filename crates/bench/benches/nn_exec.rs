@@ -6,7 +6,9 @@
 //! Besides the Criterion group, the bench re-times both directly (best
 //! of three passes) and writes the measurements to `BENCH_nn_exec.json`
 //! (override the path with the `BENCH_JSON_PATH` env var), uploaded by
-//! CI with the other bench artifacts.
+//! CI with the other bench artifacts. The JSON also carries the custom
+//! network's per-layer serial forward GMAC/s at the fault-injection eval
+//! batch ([`EVAL_BATCH`] images), the batch every accuracy score runs.
 
 use criterion::{criterion_group, Criterion};
 use dnnlife_nn::data::{adapt_batch, SyntheticMnist};
@@ -20,9 +22,13 @@ use dnnlife_nn::Tensor;
 /// round-robin split at a multi-core budget is exercised.
 const BATCH: usize = 4;
 
-fn batch_for(spec: &NetworkSpec) -> Tensor {
-    let (images, _labels) = SyntheticMnist::new(42).batch(0, BATCH);
-    adapt_batch(&images, spec.input_shape())
+/// Images per accuracy score in the CI fault-injection command
+/// (`--eval-images 100`).
+const EVAL_BATCH: usize = 100;
+
+fn batch_for(spec: &NetworkSpec, images: usize) -> Tensor {
+    let (batch, _labels) = SyntheticMnist::new(42).batch(0, images);
+    adapt_batch(&batch, spec.input_shape())
 }
 
 /// One budgeted batched forward pass; returns a checksum over the
@@ -41,7 +47,7 @@ fn bench_nn_exec(c: &mut Criterion) {
     group.sample_size(10);
     for spec in &cases {
         let mut net = build_network(spec, 42);
-        let images = batch_for(spec);
+        let images = batch_for(spec, BATCH);
         group.bench_function(format!("{}_b{BATCH}", spec.name()), |b| {
             b.iter(|| forward_pass(&mut net, &images, cores));
         });
@@ -61,12 +67,39 @@ fn best_of(mut f: impl FnMut() -> f64, passes: usize) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
+/// Serial forward GMAC/s of each weight layer of `spec` on an
+/// `EVAL_BATCH`-image batch, timed through `Sequential::layer_mut` on the
+/// layer's own input activations, as `"name": gmacs` JSON fields.
+fn layer_gmacs(spec: &NetworkSpec) -> Vec<String> {
+    let mut net = build_network(spec, 42);
+    let images = batch_for(spec, EVAL_BATCH);
+    let acts = net.forward_trace(&images);
+    let mut fields = Vec::new();
+    for i in 0..net.len() {
+        let name = net.layer_mut(i).name().to_string();
+        let Some(layer) = spec.layers().iter().find(|l| l.name() == name) else {
+            continue;
+        };
+        let input = if i == 0 { &images } else { &acts[i - 1] };
+        let secs = best_of(
+            || {
+                let out = net.layer_mut(i).forward(input);
+                out.data().iter().map(|&v| f64::from(v)).sum()
+            },
+            3,
+        );
+        let gmacs = layer.macs() as f64 * EVAL_BATCH as f64 / 1e9;
+        fields.push(format!("\"{name}\": {:.3}", gmacs / secs));
+    }
+    fields
+}
+
 fn emit_json() {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut fields = Vec::new();
     for spec in [NetworkSpec::custom_mnist(), NetworkSpec::alexnet()] {
         let mut net = build_network(&spec, 42);
-        let images = batch_for(&spec);
+        let images = batch_for(&spec, BATCH);
         let parallel = best_of(|| forward_pass(&mut net, &images, cores), 3);
         let serial = best_of(|| forward_pass(&mut net, &images, 1), 3);
         let macs = spec.macs() as f64 * BATCH as f64;
@@ -80,6 +113,12 @@ fn emit_json() {
             serial / parallel,
         ));
     }
+    let custom = NetworkSpec::custom_mnist();
+    fields.push(format!(
+        "  \"{}_layers_b{EVAL_BATCH}\": {{\"serial_gmacs_per_s\": {{{}}}}}",
+        custom.name(),
+        layer_gmacs(&custom).join(", "),
+    ));
     let json = format!(
         "{{\n  \"bench\": \"nn_exec\",\n  \"host_cores\": {cores},\n  \
          \"batch\": {BATCH},\n{}\n}}\n",

@@ -608,8 +608,10 @@ fn sweep_journal_reconstructs_a_complete_span_forest() {
     assert!(paths[0].1.len() >= 2, "path descends into scenarios");
 }
 
-/// The injector nests per-trial decode and score spans under the
-/// executor's scenario spans.
+/// The injector nests its stage spans and the per-trial decode and
+/// score spans under the executor's scenario spans: exactly one
+/// `train`, `duty` and `clean_eval` per cell, and one `fail_probs` per
+/// age checkpoint of the cell.
 #[test]
 fn injection_journal_carries_per_trial_spans() {
     let dir = util::scratch_dir("telemetry-inject-spans");
@@ -634,10 +636,44 @@ fn injection_journal_carries_per_trial_spans() {
     let count = |needle: &str| forest.spans.iter().filter(|s| s.label == needle).count();
     assert!(count("trial_decode") > 0);
     assert!(count("trial_score") > 0);
-    // Every trial span's parent is a scenario span.
+    let scenarios: Vec<_> = forest
+        .spans
+        .iter()
+        .filter(|s| s.label == "scenario")
+        .collect();
+    assert_eq!(scenarios.len(), grid.len(), "one span per cell");
+    let ages = tiny_params().ages_years.len();
+    for scenario in scenarios {
+        for (stage, want) in [
+            ("train", 1),
+            ("duty", 1),
+            ("clean_eval", 1),
+            ("fail_probs", ages),
+        ] {
+            let children = forest
+                .spans
+                .iter()
+                .filter(|s| s.parent == Some(scenario.id) && s.label == stage)
+                .count();
+            assert_eq!(
+                children, want,
+                "{stage} under scenario span {}",
+                scenario.id
+            );
+        }
+    }
+    // Every stage and trial span's parent is a scenario span.
+    let nested = [
+        "train",
+        "duty",
+        "clean_eval",
+        "fail_probs",
+        "trial_decode",
+        "trial_score",
+    ];
     for span in &forest.spans {
-        if span.label == "trial_decode" || span.label == "trial_score" {
-            let parent = span.parent.expect("trial spans are nested");
+        if nested.contains(&span.label.as_str()) {
+            let parent = span.parent.expect("stage and trial spans are nested");
             let parent = forest
                 .spans
                 .iter()

@@ -215,12 +215,6 @@ impl WeightCellDuties {
         &self.word_duties[gw * bits..(gw + 1) * bits]
     }
 
-    /// Maps every cell's duty to its read-failure probability at age
-    /// `years`: duty → NBTI ΔVth → SNM degradation (`snm`) →
-    /// Gaussian read-noise failure (`model`). Memoized per distinct
-    /// duty value — analytic duties take few distinct values (block-bit
-    /// fractions), so the `normal_sf` tail evaluation runs once per
-    /// value, not once per cell.
     /// Per-physical-word stuck-cell masks at age `years` on `die` (the
     /// ReRAM endurance mechanism), indexed by global word: a
     /// `(stuck, value)` pair of bit masks — `stuck` flags the worn-out
@@ -254,8 +248,11 @@ impl WeightCellDuties {
 
     /// Per-physical-cell read-failure probabilities at age `years`
     /// (the SRAM/NBTI mechanism), global-word major like
-    /// [`WeightCellDuties::word_duties`]: duty → SNM degradation →
-    /// noise-margin exceedance, memoised per distinct duty value.
+    /// [`WeightCellDuties::word_duties`]: duty → NBTI ΔVth → SNM
+    /// degradation (`snm`) → Gaussian read-noise failure (`model`).
+    /// Memoized per distinct duty value — analytic duties take few
+    /// distinct values (block-bit fractions), so the `normal_sf` tail
+    /// evaluation runs once per value, not once per cell.
     pub fn failure_probabilities(
         &self,
         snm: &CalibratedSnmModel,

@@ -47,8 +47,10 @@ pub struct InjectOptions<'a> {
     /// Observability sink for trial throughput and SECDED verdict
     /// roll-ups. Never semantic.
     pub telemetry: Option<&'a Telemetry>,
-    /// Trace-span parent for the per-trial `trial_decode` /
-    /// `trial_score` spans journaled through `telemetry`.
+    /// Trace-span parent for the stage spans (`train`, `duty`,
+    /// `clean_eval`, one `fail_probs` per age) and the per-trial
+    /// `trial_decode` / `trial_score` spans journaled through
+    /// `telemetry`.
     pub parent_span: SpanId,
 }
 
@@ -174,23 +176,32 @@ pub struct InjectionResult {
 pub fn run_injection(spec: &FaultInjectionSpec, opts: &InjectOptions) -> Option<InjectionResult> {
     assert!(spec.is_valid(), "run_injection: invalid spec {spec:?}");
     let cancelled = || opts.cancel.is_some_and(|flag| flag.load(Ordering::Relaxed));
+    let telemetry = opts.telemetry.unwrap_or_else(|| Telemetry::noop());
 
+    let span = telemetry.span_start("train", opts.parent_span);
     let trained = exec::with_budget(resolve_threads(opts.threads), || {
         TrainedNetwork::train(spec, opts.cancel)
-    })?;
+    });
+    telemetry.span_end(span);
+    let trained = trained?;
     if cancelled() {
         return None;
     }
+    let span = telemetry.span_start("duty", opts.parent_span);
     let (duties, quantizers) = WeightCellDuties::compute(
         &spec.scenario,
         trained.layer_weights(),
         opts.threads,
         opts.shards,
     );
+    telemetry.span_end(span);
     if cancelled() {
         return None;
     }
 
+    // `clean_eval` quantizes the trained weights and scores the
+    // fault-free network on the held-out batch.
+    let span = telemetry.span_start("clean_eval", opts.parent_span);
     // The stored codes of the trained weights — the flip substrate.
     let codes: Vec<Vec<u32>> = trained
         .layer_weights()
@@ -216,6 +227,7 @@ pub fn run_injection(spec: &FaultInjectionSpec, opts: &InjectOptions) -> Option<
         apply_layer_weights(&mut net, &network, &clean_tables);
         accuracy(&mut net, &images, &labels)
     });
+    telemetry.span_end(span);
 
     let snm = CalibratedSnmModel::paper();
     let failure_model = ReadFailureModel {
@@ -239,13 +251,14 @@ pub fn run_injection(spec: &FaultInjectionSpec, opts: &InjectOptions) -> Option<
         if cancelled() {
             return None;
         }
+        let span = telemetry.span_start("fail_probs", opts.parent_span);
         let probs = match spec.scenario.tech {
             MemoryTech::SramNbti => duties.failure_probabilities(&snm, &failure_model, years),
             // Endurance faults are hard stuck-ats computed straight
             // from the wear model — no per-read failure probabilities.
             MemoryTech::ReramEndurance => Vec::new(),
         };
-        let telemetry = opts.telemetry.unwrap_or_else(|| Telemetry::noop());
+        telemetry.span_end(span);
         let trials = telemetry.time(
             "trial_wall_nanos",
             "Wall time inside the per-age injection trial fan-out",

@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use dnnlife_core::experiment::NetworkKind;
 use dnnlife_core::FaultInjectionSpec;
@@ -46,30 +46,64 @@ pub struct TrainedNetwork {
     layer_weights: Vec<Vec<f32>>,
 }
 
-/// Per-process memo of finished training runs, keyed by
+/// One memo slot: empty until a run of its key finishes.
+type Slot = Arc<Mutex<Option<TrainedNetwork>>>;
+
+/// Per-process single-flight memo of training runs, keyed by
 /// `(train_seed, train_steps)` — the seed carries a per-network tag, so
 /// distinct networks never collide. Every policy/format cell of one
 /// campaign shares the recipe by construction (the seed ignores the
 /// scenario's policy axes), so a 4-cell campaign trains once instead
-/// of four times. Purely an execution cache: the stored snapshot is
-/// the deterministic function of the key, so results are unchanged.
-fn training_cache() -> &'static Mutex<HashMap<(u64, u32), TrainedNetwork>> {
-    static CACHE: OnceLock<Mutex<HashMap<(u64, u32), TrainedNetwork>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+/// of four times, also when its workers start cells at the same
+/// moment. Purely an execution cache: the stored snapshot is the
+/// deterministic function of the key, so results are unchanged.
+fn training_slot(key: (u64, u32)) -> Slot {
+    static SLOTS: OnceLock<Mutex<HashMap<(u64, u32), Slot>>> = OnceLock::new();
+    let slots = SLOTS.get_or_init(|| Mutex::new(HashMap::new()));
+    // Poison is recoverable here and below: the map only ever gains an
+    // empty slot, and a slot only ever goes from empty to a finished
+    // run, so a panic under either lock leaves valid data behind.
+    let mut slots = slots.lock().unwrap_or_else(PoisonError::into_inner);
+    Arc::clone(slots.entry(key).or_default())
+}
+
+/// Returns the memoized run for `key`, running `recipe` only if no
+/// earlier call finished one. The first caller runs the recipe while
+/// holding the key's slot; concurrent callers block on the slot, then
+/// clone its result. A cancelled (`None`) or panicked run leaves the
+/// slot empty, so the next caller runs the recipe itself.
+fn train_once(
+    key: (u64, u32),
+    recipe: impl FnOnce() -> Option<TrainedNetwork>,
+) -> Option<TrainedNetwork> {
+    let slot = training_slot(key);
+    let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
+    if slot.is_none() {
+        *slot = Some(recipe()?);
+    }
+    slot.clone()
 }
 
 impl TrainedNetwork {
     /// Runs the deterministic recipe for `spec` (serial, so the f32
     /// arithmetic is bit-reproducible), memoized per process on
-    /// `(train_seed, train_steps)`. Returns `None` iff `cancel` was
-    /// raised between SGD steps.
+    /// `(train_seed, train_steps)` with at most one run per key in
+    /// flight. Returns `None` iff `cancel` was raised between SGD
+    /// steps.
     pub fn train(spec: &FaultInjectionSpec, cancel: Option<&AtomicBool>) -> Option<Self> {
-        let network = spec.scenario.network;
         let seed = spec.train_seed();
-        let key = (seed, spec.train_steps);
-        if let Some(hit) = training_cache().lock().expect("training cache").get(&key) {
-            return Some(hit.clone());
-        }
+        train_once((seed, spec.train_steps), || {
+            Self::run_recipe(spec, seed, cancel)
+        })
+    }
+
+    /// One uncached run of the recipe; `None` iff cancelled.
+    fn run_recipe(
+        spec: &FaultInjectionSpec,
+        seed: u64,
+        cancel: Option<&AtomicBool>,
+    ) -> Option<Self> {
+        let network = spec.scenario.network;
         let net_spec = network.spec();
         let input_shape = net_spec.input_shape();
         let mut net = build_network(&net_spec, seed);
@@ -88,16 +122,11 @@ impl TrainedNetwork {
         let mut params = Vec::new();
         net.visit_params(&mut |p| params.push((p.name.to_string(), p.value.to_vec())));
         let layer_weights = extract_layer_weights(&mut net);
-        let trained = Self {
+        Some(Self {
             network,
             params,
             layer_weights,
-        };
-        training_cache()
-            .lock()
-            .expect("training cache")
-            .insert(key, trained.clone());
-        Some(trained)
+        })
     }
 
     /// The trained weight tables in layer order (biases excluded —
@@ -192,5 +221,55 @@ mod tests {
     fn pre_raised_cancel_aborts_training() {
         let flag = AtomicBool::new(true);
         assert!(TrainedNetwork::train(&spec(5), Some(&flag)).is_none());
+    }
+
+    #[test]
+    fn concurrent_callers_of_one_key_run_the_recipe_once() {
+        use std::sync::atomic::AtomicUsize;
+        const CALLERS: usize = 6;
+        // A key no real spec produces (train seeds are hashes), so the
+        // memo cannot already hold it.
+        let key = (u64::MAX, u32::MAX);
+        let snapshot = TrainedNetwork::train(&spec(0), None).expect("uncancelled");
+        let (arrived, runs) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        // The recipe cannot finish before every caller has reached
+        // `train_once`, so a memo that only checks before and inserts
+        // after a run would let the late callers run it again.
+        let recipe = || {
+            runs.fetch_add(1, Ordering::SeqCst);
+            while arrived.load(Ordering::SeqCst) < CALLERS {
+                std::thread::yield_now();
+            }
+            Some(snapshot.clone())
+        };
+        let results: Vec<Option<TrainedNetwork>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..CALLERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        arrived.fetch_add(1, Ordering::SeqCst);
+                        train_once(key, recipe)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("join"))
+                .collect()
+        });
+        assert_eq!(runs.load(Ordering::SeqCst), 1, "recipe ran more than once");
+        for result in results {
+            let result = result.expect("every caller gets the run");
+            assert_eq!(result.layer_weights(), snapshot.layer_weights());
+        }
+    }
+
+    #[test]
+    fn a_cancelled_run_leaves_the_slot_empty_for_the_next_caller() {
+        let key = (u64::MAX - 1, u32::MAX);
+        assert!(train_once(key, || None).is_none());
+        let snapshot = TrainedNetwork::train(&spec(0), None).expect("uncancelled");
+        let rerun = train_once(key, || Some(snapshot.clone())).expect("slot was empty");
+        assert_eq!(rerun.layer_weights(), snapshot.layer_weights());
+        assert!(train_once(key, || panic!("memo hit must not rerun")).is_some());
     }
 }

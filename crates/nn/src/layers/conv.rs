@@ -1,5 +1,6 @@
 //! 2-D convolution with stride, zero padding and channel groups.
 
+use super::gemm::gemm_acc;
 use super::{Layer, ParamView};
 use crate::tensor::Tensor;
 
@@ -12,10 +13,15 @@ use crate::tensor::Tensor;
 /// network and a weight-memory trace see identical data.
 ///
 /// The forward pass is an im2col lowering: each image's input patches
-/// are gathered into a dense `positions × patch` matrix (padding as
-/// literal zeros) and multiplied against the `[out_channels, patch]`
-/// filter matrix, with the batch fanned out over the thread budget in
-/// [`crate::exec`]. Results are byte-identical at every budget.
+/// are gathered per group into a dense patch-major `patch × positions`
+/// matrix (padding as literal zeros), and the layer's register-tiled
+/// GEMM kernel multiplies the `[out_channels, patch]` filter matrix
+/// into bias-prefilled output rows, several channels × several
+/// positions per tile. Each output keeps the direct convolution's
+/// ascending-patch f32 chain, so the tiling changes no bit. The batch
+/// fans out over the thread budget in [`crate::exec`]; results are
+/// byte-identical at every budget. The backward pass stays a direct
+/// loop that skips zero upstream gradients.
 ///
 /// # Example
 ///
@@ -188,44 +194,34 @@ impl Layer for Conv2d {
         let per_image = out_channels * positions;
 
         // im2col + GEMM per image, fanned over the batch within the
-        // campaign thread budget. The dot product walks the patch in the
-        // same (ic_local, ky, kx) order as a direct convolution, with
-        // padded taps gathered as literal zeros, so accumulation order —
-        // and hence every f32 bit — matches the direct loop wherever no
-        // padding is involved, and differs from it only by exact `+ 0.0`
-        // terms where it is.
+        // campaign thread budget. The column matrix is patch-major
+        // (`[patch][positions]`) with padded taps gathered as literal
+        // zeros; each output row starts from its bias and the tiled
+        // kernel adds the products in ascending (ic_local, ky, kx) patch
+        // order, so every output is the same f32 chain as a direct
+        // convolution wherever no padding is involved, and differs from
+        // it only by exact `+ 0.0` terms where it is.
         crate::exec::for_each_image(out.data_mut(), per_image, |img, out_img| {
-            let mut col = vec![0.0f32; positions * patch];
+            let mut col = vec![0.0f32; patch * positions];
             for g in 0..groups {
                 for ic_local in 0..cin_g {
                     let ic = g * cin_g + ic_local;
-                    let base = (img * c + ic) * h * w;
-                    for pos in 0..positions {
-                        let taps = &spatial[pos * k * k..(pos + 1) * k * k];
-                        let dst = &mut col[pos * patch + ic_local * k * k..][..k * k];
-                        for (d, &s) in dst.iter_mut().zip(taps) {
-                            *d = if s < 0 {
-                                0.0
-                            } else {
-                                input_data[base + s as usize]
-                            };
+                    let channel = &input_data[(img * c + ic) * h * w..][..h * w];
+                    let rows = &mut col[ic_local * k * k * positions..][..k * k * positions];
+                    for (tap, row) in rows.chunks_exact_mut(positions).enumerate() {
+                        for (pos, d) in row.iter_mut().enumerate() {
+                            let s = spatial[pos * k * k + tap];
+                            *d = if s < 0 { 0.0 } else { channel[s as usize] };
                         }
                     }
                 }
-                for oc_local in 0..cout_g {
-                    let oc = g * cout_g + oc_local;
-                    let w_row = &weight[oc * patch..(oc + 1) * patch];
-                    let b = bias[oc];
-                    let out_row = &mut out_img[oc * positions..(oc + 1) * positions];
-                    for (pos, o) in out_row.iter_mut().enumerate() {
-                        let patch_row = &col[pos * patch..(pos + 1) * patch];
-                        let mut acc = b;
-                        for (wv, iv) in w_row.iter().zip(patch_row) {
-                            acc += wv * iv;
-                        }
-                        *o = acc;
-                    }
+                let rows = g * cout_g..(g + 1) * cout_g;
+                let out_rows = &mut out_img[rows.start * positions..rows.end * positions];
+                for (oc, row) in rows.clone().zip(out_rows.chunks_exact_mut(positions)) {
+                    row.fill(bias[oc]);
                 }
+                let filters = &weight[rows.start * patch..rows.end * patch];
+                gemm_acc(filters, &col, out_rows, patch, positions);
             }
         });
         self.cached_input = Some(input.clone());

@@ -1,11 +1,17 @@
 //! Fully-connected (dense) layer and the flattening adapter.
 
+use super::gemm::gemm_acc;
 use super::{Layer, ParamView};
 use crate::tensor::Tensor;
 
 /// A fully-connected layer computing `y = W x + b` over `[n, in]`
 /// batches, with `W` stored `[out, in]` row-major — the same order the
 /// paper's FC weight blocks are streamed to the weight memory.
+///
+/// The forward pass runs the whole batch through the layer's
+/// register-tiled GEMM kernel, with rows = outputs and columns =
+/// images. Each output is its bias plus the products added in
+/// ascending input order, the same f32 chain as a per-image dot loop.
 ///
 /// # Example
 ///
@@ -92,16 +98,25 @@ impl Layer for Dense {
         assert_eq!(input.shape().len(), 2, "Dense: input must be [n, features]");
         let (n, f) = (input.shape()[0], input.shape()[1]);
         assert_eq!(f, self.in_features, "Dense {}: feature mismatch", self.name);
-        let mut out = Tensor::zeros(&[n, self.out_features]);
-        for img in 0..n {
-            let x = &input.data()[img * f..(img + 1) * f];
-            for o in 0..self.out_features {
-                let row = &self.weight.data()[o * f..(o + 1) * f];
-                let mut acc = self.bias.data()[o];
-                for (wv, xv) in row.iter().zip(x) {
-                    acc += wv * xv;
-                }
-                out.data_mut()[img * self.out_features + o] = acc;
+        let outs = self.out_features;
+        // GEMM with rows = outputs and columns = images: the batch goes
+        // in as `[in][n]`, each output row starts from its bias, and the
+        // `[out][n]` result is written back as `[n, out]`.
+        let mut x_t = vec![0.0f32; f * n];
+        for (img, x) in input.data().chunks_exact(f).enumerate() {
+            for (t, &v) in x.iter().enumerate() {
+                x_t[t * n + img] = v;
+            }
+        }
+        let mut y_t = vec![0.0f32; outs * n];
+        for (row, &b) in y_t.chunks_exact_mut(n).zip(self.bias.data()) {
+            row.fill(b);
+        }
+        gemm_acc(self.weight.data(), &x_t, &mut y_t, f, n);
+        let mut out = Tensor::zeros(&[n, outs]);
+        for (img, y) in out.data_mut().chunks_exact_mut(outs).enumerate() {
+            for (o, v) in y.iter_mut().enumerate() {
+                *v = y_t[o * n + img];
             }
         }
         self.cached_input = Some(input.clone());

@@ -3,13 +3,15 @@
 //! Every layer implements [`Layer`] with a caching `forward` and a
 //! gradient-producing `backward`, which is all the SGD trainer in
 //! [`crate::train`] needs. `Conv2d` lowers to an im2col GEMM fanned over
-//! the batch within the [`crate::exec`] thread budget, so the full zoo —
+//! the batch within the [`crate::exec`] thread budget, and `Dense` runs
+//! its batch through the same register-tiled kernel, so the full zoo —
 //! the paper's custom MNIST CNN *and* the ImageNet-class AlexNet/VGG
 //! stacks built by [`crate::zoo`] — executes end to end.
 
 mod activation;
 mod conv;
 mod dense;
+mod gemm;
 mod pool;
 
 pub use activation::ReLU;

@@ -1,15 +1,18 @@
-//! Property tests: the im2col executor against a direct convolution.
+//! Property tests: the tiled GEMM executor against textbook loops.
 //!
-//! The direct implementation below is the textbook seven-deep loop nest
-//! (the executor the im2col path replaced), written independently of the
-//! layer code. Forward outputs must match exactly — the im2col dot walks
-//! the patch in the same `(ic_local, ky, kx)` order, and the only
-//! divergence is exact `+ 0.0` terms where zero padding is gathered —
-//! and the backward gradients must match exactly too, at every thread
-//! budget, across odd strides and paddings.
+//! The direct implementations below are the seven-deep convolution loop
+//! nest and the per-(image, output) dense dot loop, written
+//! independently of the layer code. Outputs must match bit for bit
+//! (`to_bits`, so a `-0.0`/`+0.0` swap fails too): the kernel keeps each
+//! output's k-sequential `acc += w · x` chain seeded with the bias, and
+//! the only divergence is exact `+ 0.0` terms where zero padding is
+//! gathered. The convolution backward gradients must match bit for bit
+//! as well, at every thread budget, across odd strides and paddings.
+//! The ranges reach full 4 × 8 kernel tiles and ragged edges on both
+//! axes.
 
 use dnnlife_nn::exec;
-use dnnlife_nn::layers::{Conv2d, Layer};
+use dnnlife_nn::layers::{Conv2d, Dense, Layer};
 use dnnlife_nn::Tensor;
 use proptest::prelude::*;
 
@@ -77,6 +80,26 @@ fn direct_forward(
         }
     }
     out
+}
+
+/// Naive dense forward: one dependent chain per `(image, output)`.
+fn direct_dense(input: &[f32], weight: &[f32], bias: &[f32], n: usize, f: usize) -> Vec<f32> {
+    let outs = bias.len();
+    let mut out = vec![0.0f32; n * outs];
+    for img in 0..n {
+        for o in 0..outs {
+            let mut acc = bias[o];
+            for t in 0..f {
+                acc += weight[o * f + t] * input[img * f + t];
+            }
+            out[img * outs + o] = acc;
+        }
+    }
+    out
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
 }
 
 /// Direct convolution backward: gradients w.r.t. input, weight, bias.
@@ -147,13 +170,13 @@ proptest! {
     fn im2col_matches_direct_convolution(
         n in 1usize..3,
         cin_g in 1usize..3,
-        cout_g in 1usize..3,
+        cout_g in 1usize..11,
         groups in 1usize..3,
         k in 1usize..5,
         stride in 1usize..4,
         pad in 0usize..3,
-        extra_h in 0usize..5,
-        extra_w in 0usize..5,
+        extra_h in 0usize..9,
+        extra_w in 0usize..9,
         budget in 1usize..5,
         salt in 1u64..u64::MAX,
     ) {
@@ -180,7 +203,7 @@ proptest! {
         let want = direct_forward(&input, &weight, &bias, cout, groups, k, stride, pad);
         prop_assert_eq!(out.shape(), want.shape());
         for (i, (a, b)) in out.data().iter().zip(want.data()).enumerate() {
-            prop_assert_eq!(a, b, "forward mismatch at {}", i);
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "forward mismatch at {}", i);
         }
 
         // Gradient: probe with a mixed-sign pattern including exact zeros
@@ -190,7 +213,7 @@ proptest! {
         let (want_in, want_w, want_b) =
             direct_backward(&input, &weight, &grad_out, cout, groups, k, stride, pad);
         for (i, (a, b)) in grad_in.data().iter().zip(want_in.data()).enumerate() {
-            prop_assert_eq!(a, b, "grad_in mismatch at {}", i);
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "grad_in mismatch at {}", i);
         }
         let mut got_w = Vec::new();
         let mut got_b = Vec::new();
@@ -201,7 +224,32 @@ proptest! {
                 got_b = p.grad.to_vec();
             }
         });
-        prop_assert_eq!(&got_w, &want_w, "grad_weight mismatch");
-        prop_assert_eq!(&got_b, &want_b, "grad_bias mismatch");
+        prop_assert_eq!(bits(&got_w), bits(&want_w), "grad_weight mismatch");
+        prop_assert_eq!(bits(&got_b), bits(&want_b), "grad_bias mismatch");
+    }
+
+    #[test]
+    fn tiled_dense_matches_the_naive_dot_loop(
+        n in 1usize..=20,
+        f in 1usize..=37,
+        outs in 1usize..=19,
+        salt in 1u64..u64::MAX,
+    ) {
+        let input = fill(n * f, salt);
+        let weight = fill(outs * f, salt.rotate_left(17));
+        let bias = fill(outs, salt.rotate_left(31));
+
+        let mut fc = Dense::new("fc", f, outs);
+        fc.set_weights(Tensor::from_vec(&[outs, f], weight.clone()));
+        fc.visit_params(&mut |p| {
+            if p.name.ends_with(".bias") {
+                p.value.copy_from_slice(&bias);
+            }
+        });
+
+        let out = fc.forward(&Tensor::from_vec(&[n, f], input.clone()));
+        prop_assert_eq!(out.shape(), &[n, outs]);
+        let want = direct_dense(&input, &weight, &bias, n, f);
+        prop_assert_eq!(bits(out.data()), bits(&want), "dense forward mismatch");
     }
 }
