@@ -1,45 +1,13 @@
 //! `dnnlife` — campaign CLI: sweep scenario grids in parallel, report
-//! aggregated tables, compare result stores, cross-validate the
-//! analytic and exact simulators.
-//!
-//! ```text
-//! dnnlife sweep --grid <fig9|fig11|bias|mbits|full> [--threads N]
-//!               [--out FILE] [--resume] [--seed N] [--stride N]
-//!               [--inferences N] [--backend analytic|exact]
-//!               [--dwell uniform|layer|zipf[:EXP]|custom:F1,F2,...]
-//!               [--ecc none|secded[:INTERLEAVE]|both]
-//!               [--tech sram|reram|both]
-//!               [--shards auto|N] [--verbose]
-//! dnnlife report --store FILE [--table fig9|fig11|bias|mbits|detail|all]
-//! dnnlife compare --store-a FILE --store-b FILE
-//! dnnlife validate --grid <fig9|fig11|bias|mbits|full> [--threads N]
-//!                  [--seed N] [--stride N] [--inferences N]
-//!                  [--dwell MODEL] [--tech sram|reram|both]
-//!                  [--shards auto|N] [--report-only]
-//! ```
-//!
-//! `sweep` is resumable: results are journaled per scenario, so a
-//! killed sweep re-run with `--resume` executes only the missing
-//! scenarios — and the finalized store is byte-identical to a clean
-//! single-threaded run regardless of `--threads`. The budget is
-//! two-level: threads left over by a narrow grid are handed to the
-//! in-flight simulators (analytic cell shards / exact word shards)
-//! instead of idling. `--shards` controls the exact backend's word
-//! sharding: deterministic policies are bit-identical at any value,
-//! while DNN-Life deals one seed-derived TRBG stream per shard, so the
-//! default `auto` (a machine-independent function of the sampled word
-//! count) keeps every store reproducible.
-//!
-//! `validate` fans scenario pairs across `--threads` workers and runs
-//! each pair's exact side at `--shards`; it reports per-cell duty
-//! divergence. Under the default uniform dwell it enforces the
-//! documented tolerances and fails loudly on disagreement; with a
-//! non-uniform `--dwell` the reported divergence measures how much the
-//! paper's equal-residency assumption (b) distorts each scenario, and
-//! no tolerance applies.
+//! and compare result stores, cross-validate the analytic and exact
+//! simulators, run fault-injection campaigns and read their telemetry
+//! journals. `dnnlife --help` lists every command, mode and flag; the
+//! help text, the parser and every usage error derive from one table,
+//! `MODES`, in which each flag is declared once.
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Instant;
 
 use dnnlife_campaign::aggregate;
 use dnnlife_campaign::grid::SweepOptions;
@@ -47,19 +15,17 @@ use dnnlife_campaign::perf;
 use dnnlife_campaign::{
     accuracy_vs_age_table, ecc_comparison_table, run_campaign, run_injection_campaign,
     validate_scenarios, CampaignGrid, CampaignOptions, InjectCampaignOptions, InjectionGrid,
-    InjectionParams, InjectionStore, Instrumentation, Progress, ResultStore, ShardPolicy,
-    Telemetry,
+    InjectionParams, InjectionStore, Instrumentation, JsonlStore, Progress, ResultStore,
+    ShardPolicy, StoreRecord, Telemetry,
 };
 use dnnlife_core::experiment::{NetworkKind, Platform, PolicySpec};
 use dnnlife_core::{DwellModel, MemoryTech, RepairPolicy, SimulatorBackend};
 use dnnlife_quant::NumberFormat;
 use serde::Serialize;
 
-/// Raised by the SIGINT handler; every long-running subcommand polls
-/// it through the campaign cancellation plumbing, so Ctrl-C aborts
-/// in-flight scenarios / cross-validation pairs / injection trials
-/// mid-scenario instead of killing the process with a half-written
-/// journal line.
+/// Raised by the SIGINT handler and polled through the campaign
+/// cancellation plumbing, so Ctrl-C aborts in-flight work mid-scenario
+/// instead of killing the process with a half-written journal line.
 static INTERRUPTED: AtomicBool = AtomicBool::new(false);
 
 #[cfg(unix)]
@@ -83,9 +49,8 @@ fn install_sigint_handler() {
 #[cfg(not(unix))]
 fn install_sigint_handler() {}
 
-/// Exit code for a missing or empty result/events store — distinct
-/// from general errors (2) so scripts and CI can branch on "nothing to
-/// report yet" without string-matching stderr.
+/// Exit code for a missing or empty store or journal, so scripts can
+/// tell "nothing to report yet" from an error (2).
 const EXIT_NO_STORE: u8 = 3;
 
 /// A subcommand failure: exit code plus message. `From<String>` maps
@@ -112,32 +77,203 @@ impl From<String> for CliError {
     }
 }
 
-impl From<&str> for CliError {
-    fn from(message: &str) -> Self {
-        Self::from(message.to_string())
+/// One command-line flag. `value` is empty for a switch; otherwise it
+/// names the value in `--help` (`N`, `FILE`) or, for an enumerated
+/// flag, lists the accepted values as `a|b|c`, which the error for a
+/// rejected value repeats.
+#[derive(Clone, Copy)]
+struct Flag {
+    name: &'static str,
+    value: &'static str,
+    role: Role,
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum Role {
+    Optional,
+    /// Must be given in every mode that takes it.
+    Required,
+    /// Picks the command's second mode (`inject --report`, `perf --diff`).
+    Selector,
+}
+use Role::{Optional, Required, Selector};
+
+const fn flag(name: &'static str, value: &'static str, role: Role) -> Flag {
+    Flag { name, value, role }
+}
+
+const fn opt(name: &'static str, value: &'static str) -> Flag {
+    flag(name, value, Optional)
+}
+
+const GRID: Flag = flag("--grid", "fig9|fig11|bias|mbits|full", Required);
+const STRIDE: Flag = opt("--stride", "N");
+const INFERENCES: Flag = opt("--inferences", "N");
+const BACKEND: Flag = opt("--backend", "analytic|exact");
+const DWELL: Flag = opt("--dwell", "uniform|layer|zipf[:EXP]|custom:F1,F2,...");
+const ECC: Flag = opt("--ecc", "none|secded[:INTERLEAVE]|both[:INTERLEAVE]");
+const TECH: Flag = opt("--tech", "sram|reram|both");
+const REPORT_ONLY: Flag = opt("--report-only", "");
+const STORE: Flag = flag("--store", "FILE", Required);
+const TABLE: Flag = opt("--table", "fig9|fig11|bias|mbits|detail|all");
+const STORE_A: Flag = flag("--store-a", "FILE", Required);
+const STORE_B: Flag = flag("--store-b", "FILE", Required);
+const JSON: Flag = opt("--json", "");
+const PLATFORM: Flag = opt("--platform", "baseline|npu");
+const NETWORK: Flag = opt("--network", "alexnet|vgg16|custom-mnist");
+const FORMAT: Flag = opt("--format", "fp32|int8|int8-asym");
+const POLICY: Flag = opt("--policy", "SUB[,SUB,...]");
+const AGES: Flag = opt("--ages", "Y1,Y2,...");
+const TRIALS: Flag = opt("--trials", "N");
+const EVAL_IMAGES: Flag = opt("--eval-images", "N");
+const TRAIN_STEPS: Flag = opt("--train-steps", "N");
+const NOISE_MV: Flag = opt("--noise-mv", "F");
+const REPORT: Flag = flag("--report", "", Selector);
+const EVENTS: Flag = flag("--events", "FILE", Required);
+const BASELINE: Flag = opt("--baseline", "FILE");
+const MAX_REGRESSION: Flag = opt("--max-regression", "F");
+const DIFF: Flag = flag("--diff", "FILE", Selector);
+const THRESHOLD: Flag = opt("--threshold", "F");
+const THREADS: Flag = opt("--threads", "N");
+const SHARDS: Flag = opt("--shards", "auto|N");
+const SEED: Flag = opt("--seed", "N");
+const TELEMETRY: Flag = opt("--telemetry", "");
+const PROGRESS: Flag = opt("--progress", "");
+const METRICS_OUT: Flag = opt("--metrics-out", "FILE");
+const OUT: Flag = opt("--out", "FILE");
+const RESUME: Flag = opt("--resume", "");
+const VERBOSE: Flag = opt("--verbose", "");
+
+/// The run flags sweep, validate and inject share, read by [`RunFlags`].
+const RUN: &[Flag] = &[THREADS, SHARDS, SEED, TELEMETRY, PROGRESS, METRICS_OUT];
+/// The run flags of the commands that write a store (sweep, inject).
+const STORE_RUN: &[Flag] = &[OUT, RESUME, VERBOSE];
+
+/// One mode of a subcommand: its flags, in `--help` order, and what
+/// runs it.
+struct Mode {
+    command: &'static str,
+    groups: &'static [&'static [Flag]],
+    run: Run,
+}
+
+const fn mode(command: &'static str, groups: &'static [&'static [Flag]], run: Run) -> Mode {
+    Mode {
+        command,
+        groups,
+        run,
     }
+}
+
+type Run = fn(&Args) -> Result<(), CliError>;
+
+/// Every command, mode and flag of `dnnlife`, in `--help` order.
+const MODES: &[Mode] = &[
+    mode(
+        "sweep",
+        &[
+            &[GRID, STRIDE, INFERENCES, BACKEND, DWELL, ECC, TECH],
+            RUN,
+            STORE_RUN,
+        ],
+        sweep,
+    ),
+    mode("report", &[&[STORE, TABLE, JSON]], report),
+    mode("compare", &[&[STORE_A, STORE_B, JSON]], compare),
+    mode(
+        "validate",
+        &[&[GRID, STRIDE, INFERENCES, DWELL, TECH, REPORT_ONLY], RUN],
+        validate,
+    ),
+    mode(
+        "inject",
+        &[
+            &[PLATFORM, NETWORK, FORMAT, POLICY, ECC, TECH],
+            &[AGES, TRIALS, EVAL_IMAGES, TRAIN_STEPS, NOISE_MV, INFERENCES],
+            RUN,
+            STORE_RUN,
+        ],
+        inject,
+    ),
+    mode("inject", &[&[REPORT, STORE, JSON]], inject_report),
+    mode(
+        "perf",
+        &[&[EVENTS, BASELINE, MAX_REGRESSION, JSON]],
+        perf_summary,
+    ),
+    mode("perf", &[&[EVENTS, DIFF, THRESHOLD, JSON]], perf_diff),
+    mode("trace", &[&[EVENTS, JSON]], trace),
+];
+
+const USAGE_NOTES: &str = "
+exit codes: 0 ok; 2 error; 3 store/journal missing or empty; 130 interrupted.
+An unknown flag, a flag the mode does not take, a repeated flag, a missing
+value or a rejected value is a usage error. `--ecc` and `--tech` take comma
+lists. `--telemetry` journals events to STORE.events.jsonl, the input of
+`dnnlife perf` and `dnnlife trace`; `--progress` draws live progress on
+stderr; `--metrics-out FILE` writes a Prometheus exposition plus a `.json`
+twin. None of them changes results: stores stay byte-identical.";
+
+impl Mode {
+    fn flags(&self) -> impl Iterator<Item = &'static Flag> {
+        self.groups.iter().flat_map(|group| group.iter())
+    }
+
+    fn selector(&self) -> Option<&'static Flag> {
+        self.flags().find(|flag| flag.role == Selector)
+    }
+
+    /// `inject --report`, `perf --diff`, or the bare command.
+    fn label(&self) -> String {
+        match self.selector() {
+            Some(selector) => format!("{} {}", self.command, selector.name),
+            None => self.command.to_string(),
+        }
+    }
+}
+
+/// `--help`: one usage entry per mode, wrapped at 80 columns.
+fn usage() -> String {
+    let mut text = String::from("usage:\n");
+    for mode in MODES {
+        let mut line = format!("  dnnlife {}", mode.command);
+        let indent = line.len();
+        for flag in mode.flags() {
+            let item = match flag.value {
+                "" => flag.name.to_string(),
+                value => format!("{} {value}", flag.name),
+            };
+            let item = match flag.role {
+                Optional => format!("[{item}]"),
+                Required | Selector => item,
+            };
+            if line.len() + 1 + item.len() > 80 {
+                text += &line;
+                text.push('\n');
+                line = " ".repeat(indent);
+            }
+            line.push(' ');
+            line += &item;
+        }
+        text += &line;
+        text.push('\n');
+    }
+    text + USAGE_NOTES
 }
 
 fn main() -> ExitCode {
     install_sigint_handler();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((command, rest)) = args.split_first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    };
-    let outcome = match command.as_str() {
-        "sweep" => sweep(rest),
-        "report" => report(rest),
-        "compare" => compare(rest),
-        "validate" => validate(rest),
-        "inject" => inject(rest),
-        "perf" => perf_command(rest),
-        "trace" => trace_command(rest),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let outcome = match argv.split_first() {
+        None => {
+            eprintln!("{}", usage());
+            return ExitCode::from(2);
+        }
+        Some((help, _)) if matches!(help.as_str(), "--help" | "-h" | "help") => {
+            println!("{}", usage());
             return ExitCode::SUCCESS;
         }
-        other => Err(format!("unknown command `{other}`\n{USAGE}").into()),
+        Some((command, rest)) => Args::parse(command, rest).and_then(|args| (args.mode.run)(&args)),
     };
     match outcome {
         Ok(()) => ExitCode::SUCCESS,
@@ -151,477 +287,318 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "\
-usage:
-  dnnlife sweep --grid <fig9|fig11|bias|mbits|full> [--threads N] [--out FILE]
-                [--resume] [--seed N] [--stride N] [--inferences N]
-                [--backend analytic|exact]
-                [--dwell uniform|layer|zipf[:EXP]|custom:F1,F2,...]
-                [--ecc none|secded[:INTERLEAVE]|both] [--tech sram|reram|both]
-                [--shards auto|N] [--telemetry] [--progress]
-                [--metrics-out FILE] [--verbose]
-  dnnlife report --store FILE [--table fig9|fig11|bias|mbits|detail|all] [--json]
-  dnnlife compare --store-a FILE --store-b FILE [--json]
-  dnnlife validate --grid <fig9|fig11|bias|mbits|full> [--threads N] [--seed N]
-                   [--stride N] [--inferences N] [--dwell MODEL]
-                   [--tech sram|reram|both] [--shards auto|N]
-                   [--telemetry] [--progress] [--metrics-out FILE]
-                   [--report-only]
-  dnnlife inject [--platform baseline|npu] [--network alexnet|vgg16|custom-mnist]
-                 [--format fp32|int8|int8-asym]
-                 [--policy SUB[,SUB,...]] [--ecc none|secded[:INTERLEAVE]|both]
-                 [--tech sram|reram|both]
-                 [--ages Y1,Y2,...] [--trials N] [--eval-images N]
-                 [--train-steps N] [--noise-mv F] [--inferences N] [--seed N]
-                 [--threads N] [--shards auto|N] [--out FILE] [--resume]
-                 [--telemetry] [--progress] [--metrics-out FILE] [--verbose]
-  dnnlife inject --report --store FILE [--json]
-  dnnlife perf --events FILE [--diff FILE [--threshold F]] [--json]
-               [--baseline FILE --max-regression F]
-  dnnlife trace --events FILE [--json]
-
-exit codes: 0 ok; 2 error; 3 store/journal missing or empty; 130 interrupted
-`--telemetry` journals machine-readable events next to the store
-(STORE.events.jsonl — the input of `dnnlife perf` and `dnnlife trace`);
-`--progress` draws a live done/total/ETA line on a stderr TTY and
-degrades to periodic plain lines when stderr is redirected;
-`--metrics-out FILE` (sweep/validate/inject) writes a Prometheus text
-exposition of the run's metrics registry plus a `.json` twin. None of
-them ever changes results: stores stay byte-identical with telemetry on
-or off.";
-
-/// Minimal `--flag [value]` argument cursor.
+/// One invocation's flags, checked against its mode: every flag known
+/// to the mode, none repeated, each with its value, every required one
+/// present.
 struct Args<'a> {
-    argv: &'a [String],
-    index: usize,
+    mode: &'static Mode,
+    given: Vec<(&'static Flag, &'a str)>,
 }
 
 impl<'a> Args<'a> {
-    fn new(argv: &'a [String]) -> Self {
-        Self { argv, index: 0 }
-    }
-
-    fn next_flag(&mut self) -> Option<&'a str> {
-        let arg = self.argv.get(self.index)?;
-        self.index += 1;
-        Some(arg.as_str())
-    }
-
-    fn value(&mut self, flag: &str) -> Result<&'a str, String> {
-        let value = self
-            .argv
-            .get(self.index)
-            .ok_or_else(|| format!("{flag} needs a value"))?;
-        self.index += 1;
-        Ok(value.as_str())
-    }
-
-    fn parsed<T: std::str::FromStr>(&mut self, flag: &str) -> Result<T, String> {
-        self.value(flag)?
-            .parse()
-            .map_err(|_| format!("{flag}: invalid value"))
-    }
-}
-
-/// The telemetry journal path derived from a result-store path:
-/// `campaign-results/fig9.jsonl` → `campaign-results/fig9.events.jsonl`
-/// (non-`.jsonl` stores just gain the suffix).
-fn events_path_for(store_path: &str) -> String {
-    match store_path.strip_suffix(".jsonl") {
-        Some(stem) => format!("{stem}.events.jsonl"),
-        None => format!("{store_path}.events.jsonl"),
-    }
-}
-
-/// The owning halves of an [`Instrumentation`] handle, built from the
-/// `--telemetry` / `--progress` / `--metrics-out` flags (the subcommand
-/// keeps them alive for the campaign's duration and borrows them into
-/// the executor). `--metrics-out` without `--telemetry` still needs a
-/// live registry, so it gets an in-memory telemetry with no journal.
-fn build_sinks(
-    telemetry_on: bool,
-    progress_on: bool,
-    metrics_on: bool,
-    events_path: &str,
-    label: &str,
-) -> Result<(Option<Telemetry>, Option<Progress>), CliError> {
-    let telemetry = if telemetry_on {
-        Some(
-            Telemetry::with_journal(events_path)
-                .map_err(|e| format!("--telemetry: cannot open `{events_path}`: {e}"))?,
-        )
-    } else if metrics_on {
-        Some(Telemetry::in_memory())
-    } else {
-        None
-    };
-    let progress = progress_on.then(|| Progress::stderr(label, 0));
-    Ok((telemetry, progress))
-}
-
-/// The JSON twin path of a Prometheus exposition file:
-/// `metrics.prom` → `metrics.json` (other extensions just gain `.json`).
-fn metrics_json_twin(path: &str) -> String {
-    match path.strip_suffix(".prom") {
-        Some(stem) => format!("{stem}.json"),
-        None => format!("{path}.json"),
-    }
-}
-
-/// Writes the run's metrics registry as Prometheus text exposition at
-/// `path` plus a JSON twin next to it. A no-op without a telemetry
-/// sink (the flag parser always builds one when `--metrics-out` is
-/// set).
-fn write_metrics_out(telemetry: Option<&Telemetry>, path: Option<&str>) -> Result<(), CliError> {
-    let (Some(telemetry), Some(path)) = (telemetry, path) else {
-        return Ok(());
-    };
-    let snapshot = telemetry.metrics_snapshot();
-    std::fs::write(path, snapshot.render_prometheus())
-        .map_err(|e| format!("--metrics-out: cannot write `{path}`: {e}"))?;
-    let twin = metrics_json_twin(path);
-    let json = serde_json::to_string(&snapshot.to_value()).expect("metrics serialize");
-    std::fs::write(&twin, json)
-        .map_err(|e| format!("--metrics-out: cannot write `{twin}`: {e}"))?;
-    println!("metrics -> {path} + {twin}");
-    Ok(())
-}
-
-fn sweep(argv: &[String]) -> Result<(), CliError> {
-    let mut grid_name: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut options = CampaignOptions::default();
-    let mut sweep_options = SweepOptions::default();
-    let mut repairs = vec![RepairPolicy::None];
-    let mut techs: Vec<MemoryTech> = Vec::new();
-    let mut telemetry_on = false;
-    let mut progress_on = false;
-    let mut metrics_out: Option<String> = None;
-
-    let mut args = Args::new(argv);
-    while let Some(flag) = args.next_flag() {
-        match flag {
-            "--grid" => grid_name = Some(args.value("--grid")?.to_string()),
-            "--out" => out = Some(args.value("--out")?.to_string()),
-            "--threads" => options.threads = args.parsed("--threads")?,
-            "--resume" => options.resume = true,
-            "--verbose" => options.verbose = true,
-            "--telemetry" => telemetry_on = true,
-            "--progress" => progress_on = true,
-            "--metrics-out" => metrics_out = Some(args.value("--metrics-out")?.to_string()),
-            "--seed" => sweep_options.base_seed = args.parsed("--seed")?,
-            "--stride" => sweep_options.sample_stride = args.parsed("--stride")?,
-            "--inferences" => sweep_options.inferences = args.parsed("--inferences")?,
-            "--backend" => sweep_options.backend = parse_backend(args.value("--backend")?)?,
-            "--dwell" => sweep_options.dwell = parse_dwell(args.value("--dwell")?)?,
-            "--ecc" => repairs = parse_ecc(args.value("--ecc")?)?,
-            "--tech" => techs = parse_tech(args.value("--tech")?)?,
-            "--shards" => options.shards = parse_shards(args.value("--shards")?)?,
-            other => return Err(format!("sweep: unexpected argument `{other}`").into()),
+    fn parse(command: &str, argv: &'a [String]) -> Result<Self, CliError> {
+        let modes = || MODES.iter().filter(move |mode| mode.command == command);
+        if modes().next().is_none() {
+            return Err(format!("unknown command `{command}`\n{}", usage()).into());
         }
-    }
-    let grid_name = grid_name.ok_or("sweep: --grid is required")?;
-    if sweep_options.sample_stride == 0 {
-        return Err("sweep: --stride must be >= 1".into());
-    }
-    if sweep_options.inferences == 0 {
-        return Err("sweep: --inferences must be >= 1".into());
-    }
-    if !sweep_options.dwell.is_uniform() && sweep_options.backend != SimulatorBackend::Exact {
-        return Err(format!(
-            "sweep: --dwell {} needs --backend exact (the analytic closed forms \
-             assume equal residency — paper assumption (b))",
-            sweep_options.dwell.display_name()
-        )
-        .into());
-    }
-    let grid = CampaignGrid::named_with_axes(&grid_name, sweep_options.clone(), &repairs, &techs)
-        .ok_or_else(|| {
-        format!("sweep: unknown grid `{grid_name}` (fig9|fig11|bias|mbits|full)")
-    })?;
-    if grid.is_empty() {
-        return Err(format!(
-            "sweep: grid `{grid_name}` has no valid scenarios for these axes \
-             (check --backend/--dwell: custom factors must match the network's layer \
-             count; check --ecc: the SECDED interleave must be coprime with the \
-             codeword width — 13 for 8-bit words, 39 for fp32)"
-        )
-        .into());
-    }
-    // The like-for-like reference for repair-drop diagnostics: the
-    // same grid under no repair (everything else equal, including the
-    // technology axis).
-    let no_repair_cells = CampaignGrid::named_with_axes(
-        &grid_name,
-        sweep_options.clone(),
-        &[RepairPolicy::None],
-        &techs,
-    )
-    .map_or(0, |g| g.len());
-    check_repair_coverage("sweep", &repairs, no_repair_cells, |repair| {
-        grid.scenarios.iter().filter(|s| s.repair == repair).count()
-    })?;
-    warn_on_dwell_dropped_scenarios("sweep", &grid_name, &grid, &sweep_options, &repairs, &techs);
-    let store_path = out.unwrap_or_else(|| format!("campaign-results/{grid_name}.jsonl"));
-    let events = events_path_for(&store_path);
-    let (telemetry, progress) = build_sinks(
-        telemetry_on,
-        progress_on,
-        metrics_out.is_some(),
-        &events,
-        &format!("sweep {grid_name}"),
-    )?;
-    options.cancel = Some(&INTERRUPTED);
-    options.instr = Instrumentation {
-        telemetry: telemetry.as_ref(),
-        progress: progress.as_ref(),
-    };
-
-    let started = std::time::Instant::now();
-    let outcome = run_campaign(&grid, &store_path, &options).map_err(|e| e.to_string())?;
-    println!(
-        "campaign `{grid_name}`: {} executed, {} skipped, {} thread(s), {:.1}s -> {store_path}",
-        outcome.executed,
-        outcome.skipped,
-        outcome.threads,
-        started.elapsed().as_secs_f64(),
-    );
-    if telemetry_on {
-        println!("telemetry -> {events}");
-    }
-    write_metrics_out(telemetry.as_ref(), metrics_out.as_deref())?;
-    Ok(())
-}
-
-/// Opens a result/injection-style store path for a read-only command,
-/// mapping "file does not exist" to the distinct [`EXIT_NO_STORE`]
-/// outcome *before* `open` (which would create an empty file) runs.
-fn require_store_file(command: &str, store_path: &str) -> Result<(), CliError> {
-    if !std::path::Path::new(store_path).exists() {
-        return Err(CliError::store(format!(
-            "{command}: no store at `{store_path}`"
-        )));
-    }
-    Ok(())
-}
-
-fn report(argv: &[String]) -> Result<(), CliError> {
-    let mut store_path: Option<String> = None;
-    let mut table = "all".to_string();
-    let mut json = false;
-    let mut args = Args::new(argv);
-    while let Some(flag) = args.next_flag() {
-        match flag {
-            "--store" => store_path = Some(args.value("--store")?.to_string()),
-            "--table" => table = args.value("--table")?.to_string(),
-            "--json" => json = true,
-            other => return Err(format!("report: unexpected argument `{other}`").into()),
+        let mut given: Vec<(&'static Flag, &'a str)> = Vec::new();
+        let mut argv = argv.iter();
+        while let Some(arg) = argv.next() {
+            let flag = modes().flat_map(Mode::flags).find(|flag| flag.name == arg);
+            let flag = flag.ok_or_else(|| format!("{command}: unexpected argument `{arg}`"))?;
+            if given.iter().any(|(seen, _)| seen.name == flag.name) {
+                return Err(format!("{command}: {} given more than once", flag.name).into());
+            }
+            let value = match flag.value {
+                "" => "",
+                _ => argv
+                    .next()
+                    .ok_or_else(|| format!("{command}: {} needs a value", flag.name))?,
+            };
+            given.push((flag, value));
         }
-    }
-    let store_path = store_path.ok_or("report: --store is required")?;
-    require_store_file("report", &store_path)?;
-    let store = ResultStore::open(&store_path).map_err(|e| e.to_string())?;
-    if store.is_empty() {
-        return Err(CliError::store(format!(
-            "report: `{store_path}` holds no scenarios"
-        )));
-    }
-    if json {
-        let records: Vec<serde::Value> = store.records().map(|r| r.to_value()).collect();
-        let value = serde::Value::Object(vec![
-            ("store".to_string(), store_path.to_value()),
-            ("scenarios".to_string(), serde::Value::Array(records)),
-        ]);
-        println!(
-            "{}",
-            serde_json::to_string(&value).expect("records serialize")
-        );
-        return Ok(());
+        let has = |flag: &Flag| given.iter().any(|(seen, _)| seen.name == flag.name);
+        // A given selector picks its mode; otherwise the plain mode runs.
+        let mode = modes()
+            .find(|mode| mode.selector().is_some_and(has))
+            .or_else(|| modes().find(|mode| mode.selector().is_none()))
+            .expect("every command has a mode without a selector");
+        let label = mode.label();
+        let in_mode = |name: &str| mode.flags().any(|f| f.name == name);
+        if let Some((flag, _)) = given.iter().find(|(flag, _)| !in_mode(flag.name)) {
+            let owner = modes().find(|other| other.flags().any(|f| f.name == flag.name));
+            let owner = owner.expect("a known flag has a mode").label();
+            let hint = format!("a `dnnlife {owner}` flag");
+            return Err(format!("{label}: unexpected argument `{}` ({hint})", flag.name).into());
+        }
+        if let Some(missing) = mode
+            .flags()
+            .find(|flag| flag.role == Required && !has(flag))
+        {
+            return Err(format!("{label}: {} is required", missing.name).into());
+        }
+        Ok(Self { mode, given })
     }
 
-    // Tables render empty when the store has no matching scenarios;
-    // for an explicitly requested table, say so instead of printing
-    // nothing.
-    let require = |text: String| -> Result<String, String> {
-        if text.is_empty() {
-            Err(format!(
-                "report: `{store_path}` holds no scenarios matching table `{table}`"
-            ))
+    /// A usage error prefixed with the mode.
+    fn error(&self, message: impl std::fmt::Display) -> CliError {
+        format!("{}: {message}", self.mode.label()).into()
+    }
+
+    /// Prints `json()` as one line under `--json`, else `text()`.
+    fn print(&self, json: impl FnOnce() -> serde::Value, text: impl FnOnce() -> String) {
+        if self.has(&JSON) {
+            let json = serde_json::to_string(&json()).expect("JSON serializes");
+            println!("{json}");
         } else {
-            Ok(text)
-        }
-    };
-    match table.as_str() {
-        "fig9" => print!("{}", require(aggregate::fig9_table(&store))?),
-        "fig11" => print!("{}", require(aggregate::fig11_table(&store))?),
-        "bias" => {
-            let (text, csv) = aggregate::bias_sensitivity(&store);
-            print!("{}\n{csv}", require(text)?);
-        }
-        "mbits" => {
-            let (text, csv) = aggregate::mbits_sensitivity(&store);
-            print!("{}\n{csv}", require(text)?);
-        }
-        "detail" => print!("{}", aggregate::detail(&store)),
-        "all" => {
-            print!("{}", aggregate::fig9_table(&store));
-            print!("{}", aggregate::fig11_table(&store));
-            let (bias, _) = aggregate::bias_sensitivity(&store);
-            print!("{bias}");
-            let (mbits, _) = aggregate::mbits_sensitivity(&store);
-            print!("{mbits}");
-        }
-        other => {
-            return Err(format!(
-                "report: unknown table `{other}` (fig9|fig11|bias|mbits|detail|all)"
-            )
-            .into())
+            print!("{}", text());
         }
     }
-    Ok(())
+
+    /// The value given for `flag` (empty for a switch), if given.
+    fn get(&self, flag: &Flag) -> Option<&'a str> {
+        let mut given = self.given.iter();
+        given
+            .find(|(seen, _)| seen.name == flag.name)
+            .map(|&(_, value)| value)
+    }
+
+    fn has(&self, flag: &Flag) -> bool {
+        self.get(flag).is_some()
+    }
+
+    /// The value of a required flag (the parser rejected its absence).
+    fn path(&self, flag: &Flag) -> &'a str {
+        self.get(flag).expect("checked by the parser")
+    }
+
+    /// `flag`'s value converted by `parse`, or `default` when the flag
+    /// is absent. A value `parse` rejects is a usage error that, for an
+    /// enumerated flag, lists the accepted values.
+    fn value<T>(
+        &self,
+        flag: &Flag,
+        default: T,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<T, CliError> {
+        let Some(raw) = self.get(flag) else {
+            return Ok(default);
+        };
+        let problem = if flag.value.contains('|') {
+            let valid = flag.value.replace('|', ", ");
+            let noun = flag.name.trim_start_matches('-');
+            format!("unknown {noun} `{raw}` — valid values: {valid}")
+        } else {
+            format!("invalid value `{raw}`")
+        };
+        parse(raw).ok_or_else(|| self.error(format_args!("{}: {problem}", flag.name)))
+    }
+
+    fn number<T: std::str::FromStr>(&self, flag: &Flag, default: T) -> Result<T, CliError> {
+        self.value(flag, default, |raw| raw.parse().ok())
+    }
+
+    /// A number that must satisfy `ok` (spelled `bound` in the error).
+    fn bounded<T: std::str::FromStr>(
+        &self,
+        flag: &Flag,
+        default: T,
+        bound: &str,
+        ok: fn(&T) -> bool,
+    ) -> Result<T, CliError> {
+        let n = self.number(flag, default)?;
+        if !ok(&n) {
+            return Err(self.error(format_args!("{} must be {bound}", flag.name)));
+        }
+        Ok(n)
+    }
 }
 
-/// A non-uniform dwell model can invalidate a *subset* of a grid's
-/// scenarios (custom per-layer factors only fit networks with that
-/// layer count), which the builder silently filters. Rebuilding the
-/// same grid under uniform dwell gives the full scenario count, so a
-/// partial drop can be reported instead of masquerading as a complete
-/// sweep. A fully-empty grid is a hard error at the call site; this
-/// covers the partial case.
-fn warn_on_dwell_dropped_scenarios(
-    command: &str,
-    grid_name: &str,
-    grid: &CampaignGrid,
-    options: &SweepOptions,
-    repairs: &[RepairPolicy],
-    techs: &[MemoryTech],
-) {
-    if options.dwell.is_uniform() {
-        return;
+/// The run flags of sweep, validate and inject, read once.
+struct RunFlags {
+    threads: usize,
+    shards: ShardPolicy,
+    seed: u64,
+    telemetry: bool,
+    progress: bool,
+    metrics_out: Option<String>,
+    out: Option<String>,
+    resume: bool,
+    verbose: bool,
+}
+
+impl RunFlags {
+    fn read(args: &Args, default_seed: u64) -> Result<Self, CliError> {
+        Ok(Self {
+            threads: args.number(&THREADS, 0)?,
+            shards: args.value(&SHARDS, ShardPolicy::Auto, ShardPolicy::parse)?,
+            seed: args.number(&SEED, default_seed)?,
+            telemetry: args.has(&TELEMETRY),
+            progress: args.has(&PROGRESS),
+            metrics_out: args.get(&METRICS_OUT).map(str::to_string),
+            out: args.get(&OUT).map(str::to_string),
+            resume: args.has(&RESUME),
+            verbose: args.has(&VERBOSE),
+        })
     }
-    // The reference grid must cross the same repair and technology
-    // axes, or an `--ecc both` / `--tech both` grid out-counts the
-    // single-value reference and masks the drop.
-    let full = CampaignGrid::named_with_axes(
-        grid_name,
-        SweepOptions {
+
+    fn campaign_options<'i>(&self, instr: Instrumentation<'i>) -> CampaignOptions<'i> {
+        CampaignOptions {
+            threads: self.threads,
+            resume: self.resume,
+            verbose: self.verbose,
+            shards: self.shards,
+            cancel: Some(&INTERRUPTED),
+            instr,
+        }
+    }
+
+    /// `--out`, or `default`; the events journal sits next to it:
+    /// `fig9.jsonl` → `fig9.events.jsonl` (other names gain the suffix).
+    fn store_paths(&self, default: String) -> (String, String) {
+        let store = self.out.clone().unwrap_or(default);
+        let stem = store.strip_suffix(".jsonl").unwrap_or(&store);
+        let events = format!("{stem}.events.jsonl");
+        (store, events)
+    }
+
+    /// Runs `body` under the sinks `--telemetry` / `--progress` /
+    /// `--metrics-out` ask for, then names the events journal and
+    /// writes the metrics registry as a Prometheus exposition plus a
+    /// JSON twin. `--metrics-out` without `--telemetry` still needs a
+    /// live registry, so it gets an in-memory telemetry with no journal.
+    fn instrumented<T>(
+        &self,
+        events: &str,
+        label: &str,
+        body: impl FnOnce(Instrumentation<'_>) -> Result<T, CliError>,
+    ) -> Result<T, CliError> {
+        let telemetry = if self.telemetry {
+            let journal = Telemetry::with_journal(events);
+            Some(journal.map_err(|e| format!("--telemetry: cannot open `{events}`: {e}"))?)
+        } else {
+            self.metrics_out.as_ref().map(|_| Telemetry::in_memory())
+        };
+        let progress = self.progress.then(|| Progress::stderr(label, 0));
+        let instr = Instrumentation {
+            telemetry: telemetry.as_ref(),
+            progress: progress.as_ref(),
+        };
+        let outcome = body(instr)?;
+        if self.telemetry {
+            println!("telemetry -> {events}");
+        }
+        if let (Some(telemetry), Some(path)) = (&telemetry, &self.metrics_out) {
+            let snapshot = telemetry.metrics_snapshot();
+            let twin = format!("{}.json", path.strip_suffix(".prom").unwrap_or(path));
+            let json = serde_json::to_string(&snapshot.to_value()).expect("metrics serialize");
+            for (file, contents) in [(path, snapshot.render_prometheus()), (&twin, json)] {
+                std::fs::write(file, contents)
+                    .map_err(|e| format!("--metrics-out: cannot write `{file}`: {e}"))?;
+            }
+            println!("metrics -> {path} + {twin}");
+        }
+        Ok(outcome)
+    }
+}
+
+/// What sweep and validate read alike: the run flags, the scenario
+/// options (`backend` is the mode's default) and the `--grid` grid. An
+/// empty grid is an error; a repair value or dwell model that drops
+/// part of it is reported, so a partial sweep never passes for a
+/// complete one.
+fn scenario_grid(
+    args: &Args,
+    backend: SimulatorBackend,
+) -> Result<(RunFlags, SweepOptions, CampaignGrid), CliError> {
+    let defaults = SweepOptions::default();
+    let run = RunFlags::read(args, defaults.base_seed)?;
+    let options = SweepOptions {
+        base_seed: run.seed,
+        sample_stride: args.bounded(&STRIDE, defaults.sample_stride, ">= 1", |&n| n >= 1)?,
+        inferences: args.bounded(&INFERENCES, defaults.inferences, ">= 1", |&n| n >= 1)?,
+        backend: args.value(&BACKEND, backend, SimulatorBackend::parse)?,
+        dwell: args.value(&DWELL, DwellModel::Uniform, DwellModel::parse)?,
+        ..defaults
+    };
+    if !options.dwell.is_uniform() && options.backend != SimulatorBackend::Exact {
+        return Err(args.error(format_args!(
+            "--dwell {} needs --backend exact (the analytic closed forms \
+             assume equal residency — paper assumption (b))",
+            options.dwell.display_name()
+        )));
+    }
+    let repairs = args.value(&ECC, vec![RepairPolicy::None], parse_ecc)?;
+    let techs = args.value(&TECH, Vec::new(), parse_tech)?;
+    let build = |name: &str, options: SweepOptions, repairs: &[RepairPolicy]| {
+        CampaignGrid::named_with_axes(name, options, repairs, &techs)
+    };
+    let grid = args.value(&GRID, None, |name| {
+        build(name, options.clone(), &repairs).map(Some)
+    })?;
+    let grid = grid.expect("required flags are checked by the parser");
+    let name = grid.name.as_str();
+    if grid.is_empty() {
+        return Err(args.error(format_args!(
+            "grid `{name}` has no valid scenarios for these axes (custom dwell \
+             factors must match the network's layer count; the SECDED interleave \
+             must be coprime with the codeword width — 13 for 8-bit words, 39 for fp32)"
+        )));
+    }
+    check_repair_coverage(args, &repairs, |repairs| {
+        build(name, options.clone(), repairs).map_or(0, |g| g.len())
+    })?;
+    if !options.dwell.is_uniform() {
+        // The uniform reference crosses the same repair and technology
+        // axes, or an `--ecc both` / `--tech both` grid out-counts it
+        // and masks the drop.
+        let uniform = SweepOptions {
             dwell: DwellModel::Uniform,
             ..options.clone()
-        },
-        repairs,
-        techs,
-    )
-    .map_or(0, |g| g.len());
-    if grid.len() < full {
-        eprintln!(
-            "{command}: warning: dwell model `{}` fits only {} of the {full} scenario(s) \
-             of grid `{grid_name}` — the rest were dropped (custom factors must match \
-             each network's layer count)",
-            options.dwell.display_name(),
-            grid.len(),
-        );
-    }
-}
-
-fn parse_backend(name: &str) -> Result<SimulatorBackend, String> {
-    SimulatorBackend::parse(name)
-        .ok_or_else(|| format!("--backend: unknown backend `{name}` (analytic|exact)"))
-}
-
-fn parse_dwell(name: &str) -> Result<DwellModel, String> {
-    DwellModel::parse(name).ok_or_else(|| {
-        format!("--dwell: unknown dwell model `{name}` (uniform|layer|zipf[:EXP]|custom:F1,F2,...)")
-    })
-}
-
-/// Shared `--flag VALUE[,VALUE,...]` axis parser: every list-valued
-/// axis (`--ecc`, `--tech`) funnels through here, so the comma-list
-/// splitting, the `both` keyword, order-preserving dedup, and the
-/// enumerate-the-valid-values error shape are written once. `both`
-/// expands to `both_expansion` (the axis's canonical value set) and
-/// composes with explicit items: `--tech both` ≡ `--tech sram,reram`.
-fn parse_axis_list<T: Copy + PartialEq>(
-    flag: &str,
-    raw: &str,
-    both_expansion: &[T],
-    parse_one: impl Fn(&str) -> Option<T>,
-    valid_values: &str,
-) -> Result<Vec<T>, String> {
-    let mut out: Vec<T> = Vec::new();
-    let mut push = |v: T| {
-        if !out.contains(&v) {
-            out.push(v);
-        }
-    };
-    for item in raw.split(',').map(str::trim) {
-        if item == "both" || item == "all" {
-            both_expansion.iter().copied().for_each(&mut push);
-            continue;
-        }
-        match parse_one(item) {
-            Some(v) => push(v),
-            None => {
-                return Err(format!(
-                    "{flag}: unknown value `{item}` — valid values: {valid_values}, \
-                     `both`, or a comma list"
-                ))
-            }
+        };
+        let full = build(name, uniform, &repairs).map_or(0, |g| g.len());
+        if grid.len() < full {
+            eprintln!(
+                "{}: warning: dwell model `{}` fits only {} of the {full} scenario(s) \
+                 of grid `{name}` — the rest were dropped (custom factors must match \
+                 each network's layer count)",
+                args.mode.label(),
+                options.dwell.display_name(),
+                grid.len(),
+            );
         }
     }
-    if out.is_empty() {
-        return Err(format!(
-            "{flag}: expected at least one value ({valid_values})"
-        ));
-    }
-    Ok(out)
-}
-
-/// The `--tech` axis: which lifetime technology ages the weight
-/// memory. `both` sweeps SRAM/NBTI and ReRAM-endurance variants of
-/// every cell in one campaign.
-fn parse_tech(raw: &str) -> Result<Vec<MemoryTech>, String> {
-    parse_axis_list(
-        "--tech",
-        raw,
-        &MemoryTech::ALL,
-        MemoryTech::parse,
-        "`sram` (NBTI duty-cycle aging), `reram` (write-endurance wear-out)",
-    )
+    Ok((run, options, grid))
 }
 
 /// An `--ecc` value must not *silently* lose cells to validity
-/// filtering. Every requested repair value is compared against
-/// `reference` — the same grid built under `RepairPolicy::None`, so
-/// the comparison is like-for-like: a value with zero surviving cells
-/// (e.g. `--ecc secded:13` on 8-bit words, where stride 13 shares a
-/// factor with the 13-bit codeword) is a hard error, and a partial
-/// drop (e.g. `secded:3` on a grid mixing int8 and fp32 — 3 divides
-/// the 39-bit fp32 codeword) gets a warning, matching the dwell axis's
-/// partial-drop diagnostics.
+/// filtering. `cells` counts the grid's cells under the given repair
+/// values; against the no-repair grid, a value with no surviving cell
+/// (`secded:13` on 8-bit words shares a factor with the 13-bit
+/// codeword) is an error and a partial drop (`secded:3` on fp32's
+/// 39-bit codeword) a warning.
 fn check_repair_coverage(
-    command: &str,
+    args: &Args,
     repairs: &[RepairPolicy],
-    reference: usize,
-    count: impl Fn(RepairPolicy) -> usize,
-) -> Result<(), String> {
-    for &repair in repairs {
-        if repair.is_none() {
-            continue;
-        }
-        let cells = count(repair);
+    cells: impl Fn(&[RepairPolicy]) -> usize,
+) -> Result<(), CliError> {
+    let reference = cells(&[RepairPolicy::None]);
+    for &repair in repairs.iter().filter(|repair| !repair.is_none()) {
+        let cells = cells(&[repair]);
         if cells == 0 && reference > 0 {
-            return Err(format!(
-                "{command}: --ecc {}: every cell of this repair value is invalid \
+            return Err(args.error(format_args!(
+                "--ecc {}: every cell of this repair value is invalid \
                  (the SECDED interleave must be coprime with the codeword width — \
                  13 for 8-bit words, 39 for fp32)",
                 repair.display_name()
-            ));
+            )));
         }
         if cells < reference {
             eprintln!(
-                "{command}: warning: --ecc {}: only {cells} of {reference} cell(s) are \
+                "{}: warning: --ecc {}: only {cells} of {reference} cell(s) are \
                  valid under this repair value — the rest were dropped (interleave \
                  not coprime with that word width's codeword)",
+                args.mode.label(),
                 repair.display_name()
             );
         }
@@ -629,308 +606,267 @@ fn check_repair_coverage(
     Ok(())
 }
 
+/// The comma-list grammar `--ecc` and `--tech` share: `both` expands
+/// to the axis's canonical value set and composes with explicit items
+/// (`--tech both` ≡ `--tech sram,reram`); repeats collapse in order.
+fn parse_axis_list<T: Copy + PartialEq>(
+    raw: &str,
+    both: &[T],
+    parse_one: impl Fn(&str) -> Option<T>,
+) -> Option<Vec<T>> {
+    let mut out: Vec<T> = Vec::new();
+    for item in raw.split(',').map(str::trim) {
+        let values = match item {
+            "both" | "all" => both.to_vec(),
+            _ => vec![parse_one(item)?],
+        };
+        for value in values {
+            if !out.contains(&value) {
+                out.push(value);
+            }
+        }
+    }
+    Some(out)
+}
+
 /// The `--ecc` axis: repair policies to cross the grid with.
 /// `both[:INTERLEAVE]` pairs the plain and SECDED variants of every
 /// cell in one campaign (what the corrected-vs-uncorrected table
-/// lines up); everything else is the shared comma-list grammar.
-fn parse_ecc(name: &str) -> Result<Vec<RepairPolicy>, String> {
-    if let Some(stride) = name.strip_prefix("both:") {
-        let secded = RepairPolicy::parse(&format!("secded:{stride}")).ok_or_else(|| {
-            format!(
-                "--ecc: invalid interleave `{stride}` — valid values: \
-                 `none`, `secded` (interleave 1), `secded:INTERLEAVE` \
-                 (a positive column stride)"
-            )
-        })?;
-        return Ok(vec![RepairPolicy::None, secded]);
+/// lines up).
+fn parse_ecc(raw: &str) -> Option<Vec<RepairPolicy>> {
+    if let Some(stride) = raw.strip_prefix("both:") {
+        let secded = RepairPolicy::parse(&format!("secded:{stride}"))?;
+        return Some(vec![RepairPolicy::None, secded]);
     }
-    parse_axis_list(
-        "--ecc",
-        name,
-        &[RepairPolicy::None, RepairPolicy::Secded { interleave: 1 }],
-        RepairPolicy::parse,
-        "`none`, `secded` (interleave 1), `secded:INTERLEAVE` (a positive column stride)",
-    )
+    let both = [RepairPolicy::None, RepairPolicy::Secded { interleave: 1 }];
+    parse_axis_list(raw, &both, RepairPolicy::parse)
 }
 
-fn parse_shards(name: &str) -> Result<ShardPolicy, String> {
-    ShardPolicy::parse(name)
-        .ok_or_else(|| format!("--shards: expected `auto` or a positive count, got `{name}`"))
+/// The `--tech` axis: which lifetime technology ages the weight
+/// memory. `both` sweeps SRAM/NBTI and ReRAM-endurance variants of
+/// every cell in one campaign.
+fn parse_tech(raw: &str) -> Option<Vec<MemoryTech>> {
+    parse_axis_list(raw, &MemoryTech::ALL, MemoryTech::parse)
 }
 
-fn validate(argv: &[String]) -> Result<(), CliError> {
-    let mut grid_name: Option<String> = None;
-    let mut threads = 0usize;
-    let mut shards = ShardPolicy::Auto;
-    let mut report_only = false;
-    let mut telemetry_on = false;
-    let mut progress_on = false;
-    let mut metrics_out: Option<String> = None;
-    let mut techs: Vec<MemoryTech> = Vec::new();
-    let mut sweep_options = SweepOptions {
-        backend: SimulatorBackend::Exact,
-        ..SweepOptions::default()
-    };
+fn sweep(args: &Args) -> Result<(), CliError> {
+    let (run, _, grid) = scenario_grid(args, SweepOptions::default().backend)?;
+    let name = &grid.name;
+    let (store_path, events) = run.store_paths(format!("campaign-results/{name}.jsonl"));
+    run.instrumented(&events, &format!("sweep {name}"), |instr| {
+        let started = Instant::now();
+        let outcome = run_campaign(&grid, &store_path, &run.campaign_options(instr))
+            .map_err(|e| e.to_string())?;
+        println!(
+            "campaign `{name}`: {} executed, {} skipped, {} thread(s), {:.1}s -> {store_path}",
+            outcome.executed,
+            outcome.skipped,
+            outcome.threads,
+            started.elapsed().as_secs_f64(),
+        );
+        Ok(())
+    })
+}
 
-    let mut args = Args::new(argv);
-    while let Some(flag) = args.next_flag() {
-        match flag {
-            "--grid" => grid_name = Some(args.value("--grid")?.to_string()),
-            "--threads" => threads = args.parsed("--threads")?,
-            "--seed" => sweep_options.base_seed = args.parsed("--seed")?,
-            "--stride" => sweep_options.sample_stride = args.parsed("--stride")?,
-            "--inferences" => sweep_options.inferences = args.parsed("--inferences")?,
-            "--dwell" => sweep_options.dwell = parse_dwell(args.value("--dwell")?)?,
-            "--tech" => techs = parse_tech(args.value("--tech")?)?,
-            "--shards" => shards = parse_shards(args.value("--shards")?)?,
-            "--report-only" => report_only = true,
-            "--telemetry" => telemetry_on = true,
-            "--progress" => progress_on = true,
-            "--metrics-out" => metrics_out = Some(args.value("--metrics-out")?.to_string()),
-            other => return Err(format!("validate: unexpected argument `{other}`").into()),
-        }
-    }
-    let grid_name = grid_name.ok_or("validate: --grid is required")?;
-    if sweep_options.sample_stride == 0 {
-        return Err("validate: --stride must be >= 1".into());
-    }
-    if sweep_options.inferences == 0 {
-        return Err("validate: --inferences must be >= 1".into());
-    }
-    let uniform = sweep_options.dwell.is_uniform();
-    let grid = CampaignGrid::named_with_axes(
-        &grid_name,
-        sweep_options.clone(),
-        &[sweep_options.repair],
-        &techs,
-    )
-    .ok_or_else(|| format!("validate: unknown grid `{grid_name}` (fig9|fig11|bias|mbits|full)"))?;
-    if grid.is_empty() {
-        return Err(format!(
-            "validate: grid `{grid_name}` has no valid scenarios for this dwell model"
-        )
-        .into());
-    }
-    warn_on_dwell_dropped_scenarios(
-        "validate",
-        &grid_name,
-        &grid,
-        &sweep_options,
-        &[sweep_options.repair],
-        &techs,
-    );
-
+fn validate(args: &Args) -> Result<(), CliError> {
+    let (run, options, grid) = scenario_grid(args, SimulatorBackend::Exact)?;
+    let name = &grid.name;
     // validate has no result store to sit next to, so its journal gets
     // a grid-derived path under the default results directory.
-    let events = format!("campaign-results/validate-{grid_name}.events.jsonl");
-    let (telemetry, progress) = build_sinks(
-        telemetry_on,
-        progress_on,
-        metrics_out.is_some(),
-        &events,
-        &format!("validate {grid_name}"),
-    )?;
-    let options = CampaignOptions {
-        threads,
-        shards,
-        cancel: Some(&INTERRUPTED),
-        instr: Instrumentation {
-            telemetry: telemetry.as_ref(),
-            progress: progress.as_ref(),
-        },
-        ..CampaignOptions::default()
-    };
-
-    let started = std::time::Instant::now();
-    let results = validate_scenarios(&grid.scenarios, &options).ok_or_else(|| {
-        format!(
-            "validate `{grid_name}` interrupted mid-scenario; \
-             completed pairs were discarded"
-        )
-    })?;
-    if let Some(telemetry) = &telemetry {
-        telemetry.emit_counters();
-        telemetry.emit_histograms();
-        if telemetry_on {
-            eprintln!("telemetry -> {events}");
+    let events = format!("campaign-results/validate-{name}.events.jsonl");
+    let started = Instant::now();
+    let results = run.instrumented(&events, &format!("validate {name}"), |instr| {
+        let interrupted =
+            || format!("validate `{name}` interrupted; completed pairs were discarded");
+        let results = validate_scenarios(&grid.scenarios, &run.campaign_options(instr));
+        let results = results.ok_or_else(interrupted)?;
+        // Unlike the campaign executors, cross-validation journals no
+        // roll-ups of its own.
+        if let Some(telemetry) = instr.telemetry {
+            telemetry.emit_counters();
+            telemetry.emit_histograms();
         }
-    }
-    write_metrics_out(telemetry.as_ref(), metrics_out.as_deref())?;
+        Ok(results)
+    })?;
     print!("{}", aggregate::crossval_table(&results));
     let worst = results
         .iter()
         .map(|cv| cv.max_abs_duty)
         .fold(0.0f64, f64::max);
     println!(
-        "validate `{grid_name}`: {} scenario pair(s), max per-cell duty divergence {worst:.3e}, {:.1}s",
+        "validate `{name}`: {} scenario pair(s), max per-cell duty divergence {worst:.3e}, {:.1}s",
         results.len(),
         started.elapsed().as_secs_f64(),
     );
-    if uniform && !report_only {
-        let failures: Vec<&str> = results
-            .iter()
-            .filter(|cv| !cv.within_tolerance())
-            .map(|cv| cv.label.as_str())
-            .collect();
-        if !failures.is_empty() {
-            return Err(format!(
-                "validate: {} scenario pair(s) exceeded the documented tolerance:\n  {}",
-                failures.len(),
-                failures.join("\n  ")
-            )
-            .into());
-        }
+    let failures: Vec<&str> = results
+        .iter()
+        .filter(|cv| !cv.within_tolerance())
+        .map(|cv| cv.label.as_str())
+        .collect();
+    if options.dwell.is_uniform() && !args.has(&REPORT_ONLY) && !failures.is_empty() {
+        return Err(args.error(format_args!(
+            "{} scenario pair(s) exceeded the documented tolerance:\n  {}",
+            failures.len(),
+            failures.join("\n  ")
+        )));
     }
     Ok(())
 }
 
-fn parse_platform(name: &str) -> Result<Platform, String> {
-    match name {
-        "baseline" => Ok(Platform::Baseline),
-        "npu" | "tpu" | "tpu-like" => Ok(Platform::TpuLike),
-        other => Err(format!(
-            "--platform: unknown platform `{other}` (baseline|npu)"
-        )),
+/// Maps a missing store or journal to the distinct [`EXIT_NO_STORE`]
+/// outcome, naming the path. Read-only commands need the check:
+/// `JsonlStore::open` creates no file, it reads a missing one as an
+/// empty store.
+fn require_store_file(args: &Args, path: &str) -> Result<(), CliError> {
+    if !std::path::Path::new(path).exists() {
+        let message = format!("{}: no store at `{path}`", args.mode.label());
+        return Err(CliError::store(message));
     }
+    Ok(())
 }
 
-fn parse_format(name: &str) -> Result<NumberFormat, String> {
-    match name {
-        "fp32" => Ok(NumberFormat::Fp32),
-        "int8" | "int8-sym" | "int8-symmetric" => Ok(NumberFormat::Int8Symmetric),
-        "int8-asym" | "int8-asymmetric" => Ok(NumberFormat::Int8Asymmetric),
-        other => Err(format!(
-            "--format: unknown format `{other}` (fp32|int8|int8-asym)"
-        )),
+/// Opens a store for a read-only command; a missing or empty store is
+/// the no-store outcome.
+fn open_store<R: StoreRecord>(args: &Args, path: &str) -> Result<JsonlStore<R>, CliError> {
+    require_store_file(args, path)?;
+    let store = JsonlStore::<R>::open(path).map_err(|e| e.to_string())?;
+    if store.is_empty() {
+        let message = format!("{}: `{path}` holds no records", args.mode.label());
+        return Err(CliError::store(message));
     }
+    Ok(store)
 }
 
-fn platform_cli_name(platform: Platform) -> &'static str {
-    match platform {
-        Platform::Baseline => "baseline",
-        Platform::TpuLike => "npu",
-        Platform::Crossbar => "crossbar",
-    }
+/// The `--json` form of a store: `{"store": PATH, KEY: [records]}`.
+fn store_json<R: StoreRecord>(path: &str, key: &str, store: &JsonlStore<R>) -> serde::Value {
+    let records = store.records().map(|r| r.to_value()).collect();
+    serde::Value::Object(vec![
+        ("store".to_string(), path.to_value()),
+        (key.to_string(), serde::Value::Array(records)),
+    ])
 }
 
-fn format_cli_name(format: NumberFormat) -> &'static str {
-    match format {
-        NumberFormat::Fp32 => "fp32",
-        NumberFormat::Int8Symmetric => "int8",
-        NumberFormat::Int8Asymmetric => "int8-asym",
+fn report(args: &Args) -> Result<(), CliError> {
+    let table = args.value(&TABLE, "all", |name| {
+        TABLE.value.split('|').find(|&t| t == name)
+    })?;
+    let store_path = args.path(&STORE);
+    let store: ResultStore = open_store(args, store_path)?;
+    if args.has(&JSON) {
+        args.print(|| store_json(store_path, "scenarios", &store), String::new);
+        return Ok(());
     }
+    let text = match table {
+        "fig9" => aggregate::fig9_table(&store),
+        "fig11" => aggregate::fig11_table(&store),
+        "bias" | "mbits" => {
+            let (text, csv) = match table {
+                "bias" => aggregate::bias_sensitivity(&store),
+                _ => aggregate::mbits_sensitivity(&store),
+            };
+            if text.is_empty() {
+                text
+            } else {
+                format!("{text}\n{csv}")
+            }
+        }
+        "detail" => {
+            print!("{}", aggregate::detail(&store));
+            return Ok(());
+        }
+        _ => {
+            // `all`: every summary table, silently skipping empty ones.
+            print!("{}", aggregate::fig9_table(&store));
+            print!("{}", aggregate::fig11_table(&store));
+            print!("{}", aggregate::bias_sensitivity(&store).0);
+            print!("{}", aggregate::mbits_sensitivity(&store).0);
+            return Ok(());
+        }
+    };
+    // For an explicitly requested table, an empty render is an error
+    // rather than silence.
+    if text.is_empty() {
+        let message = format!("report: `{store_path}` holds no scenarios matching table `{table}`");
+        return Err(message.into());
+    }
+    print!("{text}");
+    Ok(())
 }
 
-fn parse_ages(list: &str) -> Result<Vec<f64>, String> {
-    let ages: Option<Vec<f64>> = list.split(',').map(|a| a.parse().ok()).collect();
-    let ages = ages.ok_or_else(|| format!("--ages: invalid age list `{list}`"))?;
-    if ages.is_empty() || ages.iter().any(|a| !a.is_finite() || *a < 0.0) {
-        return Err(format!(
-            "--ages: ages must be finite and >= 0, got `{list}`"
-        ));
-    }
-    Ok(ages)
+fn compare(args: &Args) -> Result<(), CliError> {
+    let (path_a, path_b) = (args.path(&STORE_A), args.path(&STORE_B));
+    let a: ResultStore = open_store(args, path_a)?;
+    let b: ResultStore = open_store(args, path_b)?;
+    args.print(
+        || aggregate::compare_stores_json(&a, &b),
+        || aggregate::compare_stores(&a, &b),
+    );
+    Ok(())
+}
+
+/// The CLI spellings of the platform and number-format axes, canonical
+/// spelling first.
+const PLATFORMS: &[(&str, Platform)] = &[
+    ("baseline", Platform::Baseline),
+    ("npu", Platform::TpuLike),
+    ("tpu", Platform::TpuLike),
+    ("tpu-like", Platform::TpuLike),
+];
+const FORMATS: &[(&str, NumberFormat)] = &[
+    ("fp32", NumberFormat::Fp32),
+    ("int8", NumberFormat::Int8Symmetric),
+    ("int8-sym", NumberFormat::Int8Symmetric),
+    ("int8-symmetric", NumberFormat::Int8Symmetric),
+    ("int8-asym", NumberFormat::Int8Asymmetric),
+    ("int8-asymmetric", NumberFormat::Int8Asymmetric),
+];
+
+/// The parser of one spelling table.
+fn spelled<T: Copy>(spellings: &'static [(&str, T)]) -> impl Fn(&str) -> Option<T> {
+    move |raw| Some(spellings.iter().find(|s| s.0 == raw)?.1)
+}
+
+/// The canonical spelling of `value`.
+fn spelling<T: PartialEq>(spellings: &[(&'static str, T)], value: T) -> &'static str {
+    spellings.iter().find(|s| s.1 == value).map_or("?", |s| s.0)
+}
+
+/// `Y1,Y2,...`: finite ages in years, none negative.
+fn parse_ages(list: &str) -> Option<Vec<f64>> {
+    let ages: Vec<f64> = list
+        .split(',')
+        .map(|age| age.parse().ok())
+        .collect::<Option<_>>()?;
+    ages.iter()
+        .all(|age| age.is_finite() && *age >= 0.0)
+        .then_some(ages)
 }
 
 /// `dnnlife inject`: the fault-injection campaign — accuracy vs age
 /// per mitigation policy, resumable like `sweep`.
-fn inject(argv: &[String]) -> Result<(), CliError> {
-    let mut platform = Platform::Baseline;
-    let mut network = NetworkKind::CustomMnist;
-    let mut format = NumberFormat::Int8Symmetric;
-    let mut policy_filter: Option<String> = None;
-    let mut params = InjectionParams::default();
-    let mut repairs = vec![RepairPolicy::None];
-    let mut techs: Vec<MemoryTech> = Vec::new();
-    let mut options = InjectCampaignOptions::default();
-    let mut out: Option<String> = None;
-    let mut report_only = false;
-    let mut report_store: Option<String> = None;
-    let mut telemetry_on = false;
-    let mut progress_on = false;
-    let mut metrics_out: Option<String> = None;
-    let mut json = false;
-
-    let mut args = Args::new(argv);
-    while let Some(flag) = args.next_flag() {
-        match flag {
-            "--platform" => platform = parse_platform(args.value("--platform")?)?,
-            "--network" => {
-                network = NetworkKind::parse(args.value("--network")?)
-                    .map_err(|e| format!("--network: {e}"))?;
-            }
-            "--format" => format = parse_format(args.value("--format")?)?,
-            "--policy" => policy_filter = Some(args.value("--policy")?.to_lowercase()),
-            "--ecc" => repairs = parse_ecc(args.value("--ecc")?)?,
-            "--tech" => techs = parse_tech(args.value("--tech")?)?,
-            "--ages" => params.ages_years = parse_ages(args.value("--ages")?)?,
-            "--trials" => params.trials = args.parsed("--trials")?,
-            "--eval-images" => params.eval_images = args.parsed("--eval-images")?,
-            "--train-steps" => params.train_steps = args.parsed("--train-steps")?,
-            "--noise-mv" => params.noise_sigma_mv = args.parsed("--noise-mv")?,
-            "--inferences" => params.inferences = args.parsed("--inferences")?,
-            "--seed" => params.base_seed = args.parsed("--seed")?,
-            "--threads" => options.threads = args.parsed("--threads")?,
-            "--shards" => {
-                options.shards = match parse_shards(args.value("--shards")?)? {
-                    ShardPolicy::Auto => 0,
-                    ShardPolicy::Fixed(n) => n,
-                };
-            }
-            "--out" => out = Some(args.value("--out")?.to_string()),
-            "--resume" => options.resume = true,
-            "--verbose" => options.verbose = true,
-            "--telemetry" => telemetry_on = true,
-            "--progress" => progress_on = true,
-            "--metrics-out" => metrics_out = Some(args.value("--metrics-out")?.to_string()),
-            "--report" => report_only = true,
-            "--json" => json = true,
-            "--store" => report_store = Some(args.value("--store")?.to_string()),
-            other => return Err(format!("inject: unexpected argument `{other}`").into()),
-        }
-    }
-
-    if report_only {
-        let store_path = report_store.ok_or("inject --report: --store is required")?;
-        require_store_file("inject", &store_path)?;
-        let store = InjectionStore::open(&store_path).map_err(|e| e.to_string())?;
-        if store.is_empty() {
-            return Err(CliError::store(format!(
-                "inject: `{store_path}` holds no injection records"
-            )));
-        }
-        if json {
-            let records: Vec<serde::Value> = store.records().map(|r| r.to_value()).collect();
-            let value = serde::Value::Object(vec![
-                ("store".to_string(), store_path.to_value()),
-                ("cells".to_string(), serde::Value::Array(records)),
-            ]);
-            println!(
-                "{}",
-                serde_json::to_string(&value).expect("records serialize")
-            );
-            return Ok(());
-        }
-        print!("{}", accuracy_vs_age_table(&store));
-        print!("{}", ecc_comparison_table(&store));
-        return Ok(());
-    }
-    if params.trials == 0 {
-        return Err("inject: --trials must be >= 1".into());
-    }
-    if params.eval_images == 0 {
-        return Err("inject: --eval-images must be >= 1".into());
-    }
-    if params.inferences == 0 {
-        return Err("inject: --inferences must be >= 1".into());
-    }
-    if !(params.noise_sigma_mv.is_finite() && params.noise_sigma_mv > 0.0) {
-        return Err("inject: --noise-mv must be > 0".into());
-    }
-    if techs.is_empty() {
-        // No --tech flag: the single default-technology axis value.
-        techs.push(params.tech);
-    }
+fn inject(args: &Args) -> Result<(), CliError> {
+    let defaults = InjectionParams::default();
+    let run = RunFlags::read(args, defaults.base_seed)?;
+    let platform = args.value(&PLATFORM, Platform::Baseline, spelled(PLATFORMS))?;
+    let network = args.value(&NETWORK, NetworkKind::CustomMnist, |raw| {
+        NetworkKind::parse(raw).ok()
+    })?;
+    let format = args.value(&FORMAT, NumberFormat::Int8Symmetric, spelled(FORMATS))?;
+    let repairs = args.value(&ECC, vec![RepairPolicy::None], parse_ecc)?;
+    let params = InjectionParams {
+        base_seed: run.seed,
+        inferences: args.bounded(&INFERENCES, defaults.inferences, ">= 1", |&n| n >= 1)?,
+        ages_years: args.value(&AGES, defaults.ages_years.clone(), parse_ages)?,
+        trials: args.bounded(&TRIALS, defaults.trials, ">= 1", |&n| n >= 1)?,
+        eval_images: args.bounded(&EVAL_IMAGES, defaults.eval_images, ">= 1", |&n| n >= 1)?,
+        train_steps: args.number(&TRAIN_STEPS, defaults.train_steps)?,
+        noise_sigma_mv: args.bounded(&NOISE_MV, defaults.noise_sigma_mv, "> 0", |mv| {
+            mv.is_finite() && *mv > 0.0
+        })?,
+        ..defaults
+    };
+    // No --tech flag: the single default-technology axis value.
+    let techs = args.value(&TECH, vec![params.tech], parse_tech)?;
 
     // The requested zoo network crossed with the paper's Fig. 11 policy
     // set (optionally filtered by `--policy` substrings). A requested
@@ -940,276 +876,174 @@ fn inject(argv: &[String]) -> Result<(), CliError> {
     if techs.contains(&MemoryTech::ReramEndurance) {
         policies.push(PolicySpec::WearLevel { epochs: 4 });
     }
-    if let Some(filter) = &policy_filter {
+    if let Some(filter) = args.get(&POLICY).map(str::to_lowercase) {
         let needles: Vec<&str> = filter.split(',').map(str::trim).collect();
         let valid = policies
             .iter()
-            .map(|p: &PolicySpec| p.display_name().to_lowercase())
+            .map(|p| p.display_name().to_lowercase())
             .collect::<Vec<_>>()
             .join(", ");
-        policies.retain(|p: &PolicySpec| {
+        policies.retain(|p| {
             let name = p.display_name().to_lowercase();
             needles.iter().any(|needle| name.contains(needle))
         });
         if policies.is_empty() {
-            return Err(format!(
-                "inject: --policy `{filter}` matches no policy of the injectable \
-                 set — valid values: {valid}"
-            )
-            .into());
+            return Err(args.error(format_args!(
+                "--policy `{filter}` matches no policy of the injectable set — valid values: {valid}"
+            )));
         }
     }
-    let grid = InjectionGrid::build_with_axes(
-        "inject", platform, network, format, &policies, &params, &repairs, &techs,
-    );
+    let build = |repairs: &[RepairPolicy]| {
+        InjectionGrid::build_with_axes(
+            "inject", platform, network, format, &policies, &params, repairs, &techs,
+        )
+    };
+    let grid = build(&repairs);
     if grid.is_empty() {
         // Never silently write an empty store: an explicitly requested
         // combination with zero valid cells is an error, named in full.
-        return Err(format!(
-            "inject: no valid cells for --network {} --platform {} --format {} \
+        return Err(args.error(format_args!(
+            "no valid cells for --network {} --platform {} --format {} \
              (fp32 needs --platform baseline; the SECDED interleave must be \
              coprime with the codeword width — 13 for 8-bit words, 39 for fp32)",
             network.cli_name(),
-            platform_cli_name(platform),
-            format_cli_name(format),
+            spelling(PLATFORMS, platform),
+            spelling(FORMATS, format),
+        )));
+    }
+    check_repair_coverage(args, &repairs, |repairs| build(repairs).len())?;
+    let (store_path, events) = run.store_paths("campaign-results/inject.jsonl".to_string());
+    run.instrumented(&events, "inject", |instr| {
+        let options = InjectCampaignOptions {
+            threads: run.threads,
+            shards: match run.shards {
+                ShardPolicy::Auto => 0,
+                ShardPolicy::Fixed(n) => n,
+            },
+            resume: run.resume,
+            verbose: run.verbose,
+            instr,
+        };
+        let started = Instant::now();
+        let outcome = run_injection_campaign(&grid, &store_path, &options, Some(&INTERRUPTED))
+            .map_err(|e| e.to_string())?;
+        let store = InjectionStore::open(&store_path).map_err(|e| e.to_string())?;
+        print!("{}", accuracy_vs_age_table(&store));
+        print!("{}", ecc_comparison_table(&store));
+        println!(
+            "inject: {} executed, {} skipped, {} thread(s), {:.1}s -> {store_path}",
+            outcome.executed,
+            outcome.skipped,
+            outcome.threads,
+            started.elapsed().as_secs_f64(),
+        );
+        Ok(())
+    })
+}
+
+/// `dnnlife inject --report`: the accuracy-vs-age and ECC tables of an
+/// existing injection store.
+fn inject_report(args: &Args) -> Result<(), CliError> {
+    let store_path = args.path(&STORE);
+    let store: InjectionStore = open_store(args, store_path)?;
+    args.print(
+        || store_json(store_path, "cells", &store),
+        || accuracy_vs_age_table(&store) + &ecc_comparison_table(&store),
+    );
+    Ok(())
+}
+
+/// The bytes of one telemetry events journal; a missing journal is the
+/// no-store outcome.
+fn read_journal(args: &Args, path: &str) -> Result<Vec<u8>, CliError> {
+    require_store_file(args, path)?;
+    let label = args.mode.label();
+    Ok(std::fs::read(path).map_err(|e| format!("{label}: cannot read `{path}`: {e}"))?)
+}
+
+/// One journal's perf summary; a journal with no telemetry events is
+/// the no-store outcome.
+fn load_journal(args: &Args, path: &str) -> Result<perf::PerfSummary, CliError> {
+    let summary = perf::summarize(&read_journal(args, path)?);
+    if summary.campaigns.is_empty() && summary.scenarios.is_empty() && summary.counters.is_empty() {
+        return Err(CliError::store(format!(
+            "perf: `{path}` holds no telemetry events (was the run started with --telemetry?)"
+        )));
+    }
+    Ok(summary)
+}
+
+/// A regression ratio: finite and at least 1.
+fn ratio_ok(ratio: &f64) -> bool {
+    ratio.is_finite() && *ratio >= 1.0
+}
+
+/// `dnnlife perf`: performance tables of one events journal and, for
+/// CI, the throughput and p99 gates against a committed baseline.
+fn perf_summary(args: &Args) -> Result<(), CliError> {
+    let max_regression = args.bounded(&MAX_REGRESSION, 2.0, ">= 1", ratio_ok)?;
+    let summary = load_journal(args, args.path(&EVENTS))?;
+    args.print(|| summary.to_value(), || summary.render_text());
+    let Some(baseline_path) = args.get(&BASELINE) else {
+        return Ok(());
+    };
+    let contents = std::fs::read_to_string(baseline_path)
+        .map_err(|e| format!("perf: cannot read baseline `{baseline_path}`: {e}"))?;
+    let value: serde::Value = serde_json::from_str(contents.trim())
+        .map_err(|e| format!("perf: baseline `{baseline_path}`: {e}"))?;
+    let Some(serde::Value::Number(n)) = value.get("exact_words_per_sec") else {
+        let field = "a numeric `exact_words_per_sec` field";
+        return Err(format!("perf: baseline `{baseline_path}` lacks {field}").into());
+    };
+    let baseline = (*n).as_f64();
+    let measured = perf::check_baseline(&summary, baseline, max_regression)
+        .map_err(|e| format!("perf: {e}"))?;
+    eprintln!(
+        "perf: exact backend {measured:.0} words/s vs baseline {baseline:.0} \
+         (allowed regression {max_regression:.1}x) — ok"
+    );
+    // A committed p99 ceiling fails hard when the journal can't prove
+    // the p99 (no histogram events) instead of passing unmeasured.
+    if let Some(serde::Value::Number(n)) = value.get("scenario_wall_p99_ms") {
+        let ceiling = (*n).as_f64();
+        let p99 = perf::check_wall_p99(&summary, ceiling, max_regression)
+            .map_err(|e| format!("perf: {e}"))?;
+        eprintln!(
+            "perf: scenario wall p99 {p99:.1} ms vs ceiling {ceiling:.1} \
+             (allowed regression {max_regression:.1}x) — ok"
+        );
+    }
+    Ok(())
+}
+
+/// `dnnlife perf --diff`: the before/after ratio table of two journals
+/// (`--events` before, `--diff` after).
+fn perf_diff(args: &Args) -> Result<(), CliError> {
+    let threshold = args.bounded(&THRESHOLD, perf::DIFF_THRESHOLD, ">= 1", ratio_ok)?;
+    let (before_path, after_path) = (args.path(&EVENTS), args.path(&DIFF));
+    let before = load_journal(args, before_path)?;
+    let diff = perf::diff(&before, &load_journal(args, after_path)?, threshold);
+    args.print(|| diff.to_value(), || diff.render_text());
+    if diff.has_missing() {
+        return Err(format!(
+            "perf: `{after_path}` is missing metric(s) that `{before_path}` reports \
+             — the diff cannot demonstrate the baseline's performance"
         )
         .into());
     }
-    let no_repair_cells = InjectionGrid::build_with_axes(
-        "inject",
-        platform,
-        network,
-        format,
-        &policies,
-        &params,
-        &[RepairPolicy::None],
-        &techs,
-    )
-    .len();
-    check_repair_coverage("inject", &repairs, no_repair_cells, |repair| {
-        grid.specs
-            .iter()
-            .filter(|s| s.scenario.repair == repair)
-            .count()
-    })?;
-    let store_path = out.unwrap_or_else(|| "campaign-results/inject.jsonl".to_string());
-    let events = events_path_for(&store_path);
-    let (telemetry, progress) = build_sinks(
-        telemetry_on,
-        progress_on,
-        metrics_out.is_some(),
-        &events,
-        "inject",
-    )?;
-    options.instr = Instrumentation {
-        telemetry: telemetry.as_ref(),
-        progress: progress.as_ref(),
-    };
-
-    let started = std::time::Instant::now();
-    let outcome = run_injection_campaign(&grid, &store_path, &options, Some(&INTERRUPTED))
-        .map_err(|e| e.to_string())?;
-    let store = InjectionStore::open(&store_path).map_err(|e| e.to_string())?;
-    print!("{}", accuracy_vs_age_table(&store));
-    print!("{}", ecc_comparison_table(&store));
-    println!(
-        "inject: {} executed, {} skipped, {} thread(s), {:.1}s -> {store_path}",
-        outcome.executed,
-        outcome.skipped,
-        outcome.threads,
-        started.elapsed().as_secs_f64(),
-    );
-    if telemetry_on {
-        println!("telemetry -> {events}");
-    }
-    write_metrics_out(telemetry.as_ref(), metrics_out.as_deref())?;
     Ok(())
 }
 
-fn compare(argv: &[String]) -> Result<(), CliError> {
-    let mut store_a: Option<String> = None;
-    let mut store_b: Option<String> = None;
-    let mut json = false;
-    let mut args = Args::new(argv);
-    while let Some(flag) = args.next_flag() {
-        match flag {
-            "--store-a" => store_a = Some(args.value("--store-a")?.to_string()),
-            "--store-b" => store_b = Some(args.value("--store-b")?.to_string()),
-            "--json" => json = true,
-            other => return Err(format!("compare: unexpected argument `{other}`").into()),
-        }
-    }
-    let store_a = store_a.ok_or("compare: --store-a is required")?;
-    let store_b = store_b.ok_or("compare: --store-b is required")?;
-    require_store_file("compare", &store_a)?;
-    require_store_file("compare", &store_b)?;
-    let a = ResultStore::open(&store_a).map_err(|e| e.to_string())?;
-    let b = ResultStore::open(&store_b).map_err(|e| e.to_string())?;
-    if a.is_empty() {
-        return Err(CliError::store(format!(
-            "compare: `{store_a}` holds no scenarios"
-        )));
-    }
-    if b.is_empty() {
-        return Err(CliError::store(format!(
-            "compare: `{store_b}` holds no scenarios"
-        )));
-    }
-    if json {
-        let value = aggregate::compare_stores_json(&a, &b);
-        println!(
-            "{}",
-            serde_json::to_string(&value).expect("comparison serializes")
-        );
-        return Ok(());
-    }
-    print!("{}", aggregate::compare_stores(&a, &b));
-    Ok(())
-}
-
-/// `dnnlife perf`: render performance tables from one telemetry events
-/// journal, diff two journals, and (for CI) gate the exact-backend
-/// throughput against a committed baseline.
-fn perf_command(argv: &[String]) -> Result<(), CliError> {
-    let mut events: Option<String> = None;
-    let mut diff_path: Option<String> = None;
-    let mut json = false;
-    let mut baseline_path: Option<String> = None;
-    let mut max_regression = 2.0f64;
-    let mut threshold = perf::DIFF_THRESHOLD;
-    let mut args = Args::new(argv);
-    while let Some(flag) = args.next_flag() {
-        match flag {
-            "--events" => events = Some(args.value("--events")?.to_string()),
-            "--diff" => diff_path = Some(args.value("--diff")?.to_string()),
-            "--json" => json = true,
-            "--baseline" => baseline_path = Some(args.value("--baseline")?.to_string()),
-            "--max-regression" => max_regression = args.parsed("--max-regression")?,
-            "--threshold" => threshold = args.parsed("--threshold")?,
-            other => return Err(format!("perf: unexpected argument `{other}`").into()),
-        }
-    }
-    let events = events.ok_or("perf: --events is required (a STORE.events.jsonl journal)")?;
-    if !(max_regression.is_finite() && max_regression >= 1.0) {
-        return Err("perf: --max-regression must be >= 1".into());
-    }
-    if !(threshold.is_finite() && threshold >= 1.0) {
-        return Err("perf: --threshold must be >= 1".into());
-    }
-
-    let load = |path: &str| -> Result<perf::PerfSummary, CliError> {
-        require_store_file("perf", path)?;
-        let journal =
-            std::fs::read(path).map_err(|e| format!("perf: cannot read `{path}`: {e}"))?;
-        let summary = perf::summarize(&journal);
-        if summary.campaigns.is_empty()
-            && summary.scenarios.is_empty()
-            && summary.counters.is_empty()
-        {
-            return Err(CliError::store(format!(
-                "perf: `{path}` holds no telemetry events (was the run started with --telemetry?)"
-            )));
-        }
-        Ok(summary)
-    };
-    let summary = load(&events)?;
-
-    if let Some(diff_path) = diff_path {
-        let after = load(&diff_path)?;
-        let diff = perf::diff(&summary, &after, threshold);
-        if json {
-            println!(
-                "{}",
-                serde_json::to_string(&diff.to_value()).expect("diff serializes")
-            );
-        } else {
-            print!("{}", diff.render_text());
-        }
-        if diff.has_missing() {
-            return Err(format!(
-                "perf: `{diff_path}` is missing metric(s) that `{events}` reports \
-                 — the diff cannot demonstrate the baseline's performance"
-            )
-            .into());
-        }
-        return Ok(());
-    }
-
-    if json {
-        println!(
-            "{}",
-            serde_json::to_string(&summary.to_value()).expect("summary serializes")
-        );
-    } else {
-        print!("{}", summary.render_text());
-    }
-
-    if let Some(baseline_path) = baseline_path {
-        let contents = std::fs::read_to_string(&baseline_path)
-            .map_err(|e| format!("perf: cannot read baseline `{baseline_path}`: {e}"))?;
-        let value: serde::Value = serde_json::from_str(contents.trim())
-            .map_err(|e| format!("perf: baseline `{baseline_path}`: {e}"))?;
-        let Some(serde::Value::Number(n)) = value.get("exact_words_per_sec") else {
-            return Err(format!(
-                "perf: baseline `{baseline_path}` lacks a numeric `exact_words_per_sec` field"
-            )
-            .into());
-        };
-        let baseline = (*n).as_f64();
-        let measured = perf::check_baseline(&summary, baseline, max_regression)
-            .map_err(|e| format!("perf: {e}"))?;
-        eprintln!(
-            "perf: exact backend {measured:.0} words/s vs baseline {baseline:.0} \
-             (allowed regression {max_regression:.1}x) — ok"
-        );
-        // Optional latency gate: a baseline that commits to a
-        // `scenario_wall_p99_ms` ceiling fails hard when the journal
-        // can't prove the p99 (no histogram events), instead of
-        // silently passing an unmeasured run.
-        if let Some(serde::Value::Number(n)) = value.get("scenario_wall_p99_ms") {
-            let ceiling = (*n).as_f64();
-            let p99 = perf::check_wall_p99(&summary, ceiling, max_regression)
-                .map_err(|e| format!("perf: {e}"))?;
-            eprintln!(
-                "perf: scenario wall p99 {p99:.1} ms vs ceiling {ceiling:.1} \
-                 (allowed regression {max_regression:.1}x) — ok"
-            );
-        }
-    }
-    Ok(())
-}
-
-/// `dnnlife trace`: rebuild the hierarchical span forest from one
-/// telemetry events journal and render the flame-style hot-path table
-/// plus each campaign's critical path.
-fn trace_command(argv: &[String]) -> Result<(), CliError> {
-    let mut events: Option<String> = None;
-    let mut json = false;
-    let mut args = Args::new(argv);
-    while let Some(flag) = args.next_flag() {
-        match flag {
-            "--events" => events = Some(args.value("--events")?.to_string()),
-            "--json" => json = true,
-            other => return Err(format!("trace: unexpected argument `{other}`").into()),
-        }
-    }
-    let events = events.ok_or("trace: --events is required (a STORE.events.jsonl journal)")?;
-    require_store_file("trace", &events)?;
-    let journal =
-        std::fs::read(&events).map_err(|e| format!("trace: cannot read `{events}`: {e}"))?;
-    let trace = dnnlife_campaign::trace::reconstruct(&journal);
+/// `dnnlife trace`: the span forest of one events journal, as a
+/// flame-style hot-path table plus each campaign's critical path.
+fn trace(args: &Args) -> Result<(), CliError> {
+    let events = args.path(&EVENTS);
+    let trace = dnnlife_campaign::trace::reconstruct(&read_journal(args, events)?);
     if trace.spans.is_empty() {
         return Err(CliError::store(format!(
             "trace: `{events}` holds no span events (was the run started with --telemetry?)"
         )));
     }
-    if json {
-        println!(
-            "{}",
-            serde_json::to_string(&trace.to_value()).expect("trace serializes")
-        );
-    } else {
-        print!("{}", trace.render_text());
-    }
+    args.print(|| trace.to_value(), || trace.render_text());
     Ok(())
 }

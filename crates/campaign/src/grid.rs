@@ -355,32 +355,16 @@ impl CampaignGrid {
         }
     }
 
-    /// Builds a named grid: `fig9`, `fig11`, `bias`, `mbits` or `full`.
-    pub fn named(name: &str, options: SweepOptions) -> Option<Self> {
-        Some(Self::named_axes(name, options)?.build(name))
-    }
-
-    /// [`CampaignGrid::named`] with an explicit repair-axis list
-    /// (`dnnlife sweep --ecc both`): the grid crosses every cell with
-    /// each repair value through [`GridAxes::repairs`], in canonical
-    /// order (repair is the innermost axis). Values invalid for a
-    /// cell's word width (non-coprime interleave) are filtered like
-    /// any other invalid combination — callers that need to diagnose a
-    /// partial drop can count scenarios per repair value.
-    pub fn named_with_repairs(
-        name: &str,
-        options: SweepOptions,
-        repairs: &[RepairPolicy],
-    ) -> Option<Self> {
-        let mut axes = Self::named_axes(name, options)?;
-        axes.repairs = repairs.to_vec();
-        Some(axes.build(name))
-    }
-
-    /// [`CampaignGrid::named_with_repairs`] with an explicit memory
-    /// technology axis on top (`dnnlife sweep --tech both`): every
-    /// cell is crossed with each [`MemoryTech`] value through
-    /// [`GridAxes::techs`], tech innermost after repair.
+    /// Builds a named grid (`fig9`, `fig11`, `bias`, `mbits` or
+    /// `full`) crossed with explicit repair and memory-technology axes
+    /// (`dnnlife sweep --ecc both --tech both`): every cell is crossed
+    /// with each [`RepairPolicy`] through [`GridAxes::repairs`] and each
+    /// [`MemoryTech`] through [`GridAxes::techs`], in canonical order
+    /// (tech innermost, after repair). An empty axis falls back to the
+    /// options' single value. Values invalid for a cell's word width
+    /// (non-coprime interleave) are filtered like any other invalid
+    /// combination — callers that need to diagnose a partial drop can
+    /// count scenarios per repair value. `None` for an unknown name.
     pub fn named_with_axes(
         name: &str,
         options: SweepOptions,
@@ -599,7 +583,7 @@ mod tests {
         }
         // And the sram half is byte-identical to a grid that never
         // heard of the axis (pre-axis stores keep their keys).
-        let plain = CampaignGrid::named("fig11", SweepOptions::default())
+        let plain = CampaignGrid::named_with_axes("fig11", SweepOptions::default(), &[], &[])
             .expect("fig11 is a built-in campaign name");
         for spec in grid
             .scenarios

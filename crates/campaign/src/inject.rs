@@ -146,37 +146,13 @@ impl InjectionGrid {
         )
     }
 
-    /// [`InjectionGrid::build`] with an explicit repair-axis list
-    /// (`dnnlife inject --ecc both`): every policy is crossed with
-    /// each repair value, repair innermost, overriding
-    /// `params.repair`. Invalid cells (a non-coprime interleave) are
+    /// [`InjectionGrid::build`] with explicit repair and memory
+    /// technology axes (`dnnlife inject --ecc both --tech both`): every
+    /// policy is crossed with each repair value and each [`MemoryTech`],
+    /// tech innermost after repair, overriding `params.repair` and
+    /// `params.tech`. Invalid cells (a non-coprime interleave) are
     /// dropped like any other invalid combination — callers that need
     /// to diagnose a partial drop can count cells per repair value.
-    pub fn build_with_repairs(
-        name: impl Into<String>,
-        platform: Platform,
-        network: NetworkKind,
-        format: NumberFormat,
-        policies: &[PolicySpec],
-        params: &InjectionParams,
-        repairs: &[RepairPolicy],
-    ) -> Self {
-        Self::build_with_axes(
-            name,
-            platform,
-            network,
-            format,
-            policies,
-            params,
-            repairs,
-            &[params.tech],
-        )
-    }
-
-    /// [`InjectionGrid::build_with_repairs`] with an explicit memory
-    /// technology axis on top (`dnnlife inject --tech both`): every
-    /// policy × repair cell is crossed with each [`MemoryTech`] value,
-    /// tech innermost, overriding `params.tech`.
     #[allow(clippy::too_many_arguments)]
     pub fn build_with_axes(
         name: impl Into<String>,

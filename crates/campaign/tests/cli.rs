@@ -292,6 +292,78 @@ const ROWS: &[(&[&str], i32, &str)] = &[
     (&["trace", "--events", MISSING], 3, "no store at"),
 ];
 
+/// Rows the parser used to get wrong: flags a mode never reads were
+/// ignored, a repeated flag silently won, a numeric error did not echo
+/// the value, and a bad `--table` lost to the missing-store check.
+const FIX_ROWS: &[(&[&str], i32, &str)] = &[
+    (
+        &[
+            "inject",
+            "--json",
+            "--store",
+            STORE,
+            "--train-steps",
+            "0",
+            "--trials",
+            "1",
+            "--ages",
+            "0",
+            "--eval-images",
+            "8",
+        ],
+        2,
+        "unexpected argument `--json`",
+    ),
+    (
+        &["inject", "--report", "--store", MISSING, "--trials", "3"],
+        2,
+        "unexpected argument `--trials`",
+    ),
+    (
+        &["perf", "--events", EVENTS, "--threshold", "1.3"],
+        2,
+        "unexpected argument `--threshold`",
+    ),
+    (
+        &[
+            "perf",
+            "--events",
+            EVENTS,
+            "--diff",
+            EVENTS,
+            "--baseline",
+            BASELINE,
+        ],
+        2,
+        "unexpected argument `--baseline`",
+    ),
+    (
+        &[
+            "sweep",
+            "--grid",
+            "nosuch",
+            "--grid",
+            "fig11",
+            "--stride",
+            "4096",
+            "--inferences",
+            "1",
+        ],
+        2,
+        "--grid given more than once",
+    ),
+    (
+        &["sweep", "--grid", "fig9", "--threads", "abc"],
+        2,
+        "--threads: invalid value `abc`",
+    ),
+    (
+        &["report", "--store", MISSING, "--table", "bogus"],
+        2,
+        "unknown table `bogus`",
+    ),
+];
+
 /// A tiny fig11 sweep with its events journal, made once through the
 /// CLI so every row reads real files.
 fn fixture(dir: &Path) -> (PathBuf, PathBuf) {
@@ -354,4 +426,9 @@ fn check(rows: &[(&[&str], i32, &str)], tag: &str) {
 #[test]
 fn every_usage_error_exits_with_its_code_and_names_the_problem() {
     check(ROWS, "cli-contract");
+}
+
+#[test]
+fn flags_a_mode_does_not_read_and_bad_values_are_usage_errors() {
+    check(FIX_ROWS, "cli-fixes");
 }
