@@ -80,6 +80,47 @@ fn dwell_grid() -> CampaignGrid {
     .build("exact-golden-dwell")
 }
 
+/// Flat-memory dwell cells plus `Custom` factors on both platforms:
+/// every arm of the dwell dispatch that `dwell_grid` leaves out. The
+/// baseline cells store fp32: at int8 the custom network fits one
+/// 512 KB fill (K = 1), where every dwell model normalizes to 1.0.
+fn flat_dwell_grid() -> CampaignGrid {
+    let custom = DwellModel::Custom {
+        factors: vec![1.0, 2.0, 0.5, 4.0],
+    };
+    let axes = |platform: Platform, format: NumberFormat, dwells: Vec<DwellModel>| GridAxes {
+        platforms: vec![platform],
+        networks: vec![NetworkKind::CustomMnist],
+        formats: vec![format],
+        policies: vec![PolicySpec::None, PolicySpec::BarrelShifter],
+        lifetimes_years: vec![7.0],
+        backends: vec![SimulatorBackend::Exact],
+        dwells,
+        repairs: Vec::new(),
+        techs: Vec::new(),
+        options: SweepOptions {
+            base_seed: 42,
+            sample_stride: 512,
+            inferences: 6,
+            ..SweepOptions::default()
+        },
+    };
+    let mut grid = axes(
+        Platform::Baseline,
+        NumberFormat::Fp32,
+        vec![
+            DwellModel::LayerProportional,
+            DwellModel::Zipf { exponent: 1.0 },
+            custom.clone(),
+        ],
+    )
+    .build("exact-golden-dwell-flat");
+    let npu = axes(Platform::TpuLike, NumberFormat::Int8Symmetric, vec![custom])
+        .build("exact-golden-dwell-flat");
+    grid.scenarios.extend(npu.scenarios);
+    grid
+}
+
 fn sweep_bytes(dir: &Path, grid: &CampaignGrid, threads: usize, shards: ShardPolicy) -> Vec<u8> {
     let path = dir.join(format!("t{threads}-{}.jsonl", shards.display_name()));
     let outcome = run_campaign(
@@ -196,5 +237,18 @@ fn dwell_store_is_byte_identical_across_threads_and_shards() {
         let combo = format!("threads={threads} shards={}", shards.display_name());
         let bytes = sweep_bytes(&dir, &grid, threads, shards);
         assert_matches_fixture(&bytes, "exact_dwell.jsonl", &combo);
+    }
+}
+
+/// The flat-memory and `Custom` dwell cells are pinned the same way.
+#[test]
+fn flat_dwell_store_is_byte_identical_across_threads_and_shards() {
+    let dir = util::scratch_dir("exact-golden-dwell-flat");
+    let grid = flat_dwell_grid();
+    assert_eq!(grid.len(), 8, "3 flat dwell models + 1 NPU, x 2 policies");
+    for (threads, shards) in [(1usize, ShardPolicy::Auto), (8, ShardPolicy::Fixed(8))] {
+        let combo = format!("threads={threads} shards={}", shards.display_name());
+        let bytes = sweep_bytes(&dir, &grid, threads, shards);
+        assert_matches_fixture(&bytes, "exact_dwell_flat.jsonl", &combo);
     }
 }
