@@ -560,6 +560,18 @@ mod tests {
         fn label(&self) -> String {
             "one-word".into()
         }
+        fn layer_quantizer(&self, _: usize) -> dnnlife_quant::Quantizer {
+            unreachable!("a one-word memory holds no network layers")
+        }
+        fn locate_weight(&self, _: usize, _: u64) -> Option<crate::WeightAddress> {
+            unreachable!("a one-word memory holds no network layers")
+        }
+        fn layer_stream_words(&self, _: usize) -> u64 {
+            unreachable!("a one-word memory holds no network layers")
+        }
+        fn per_layer_dwell_weights(&self, _: &[f64]) -> Vec<f64> {
+            unreachable!("a one-word memory holds no network layers")
+        }
     }
 
     /// Per-bit duties of an 8-bit one-word memory.

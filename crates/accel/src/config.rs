@@ -83,11 +83,6 @@ impl AcceleratorConfig {
         );
         self.weight_memory_bytes * 8 / u64::from(bits)
     }
-
-    /// Number of SRAM cells in the weight memory.
-    pub fn weight_memory_cells(&self) -> u64 {
-        self.weight_memory_bytes * 8
-    }
 }
 
 #[cfg(test)]
@@ -101,7 +96,8 @@ mod tests {
         assert_eq!(c.activation_memory_bytes, 4_194_304);
         assert_eq!(c.parallel_filters, 8);
         assert_eq!(c.multipliers_per_pe, 8);
-        assert_eq!(c.weight_memory_cells(), 4_194_304);
+        // 4 Mi single-bit cells of int8 weights.
+        assert_eq!(c.weight_capacity(8) * 8, 4_194_304);
     }
 
     #[test]

@@ -35,7 +35,6 @@
 
 pub mod analytic;
 pub mod config;
-pub mod duty_map;
 pub mod exact;
 pub mod plan;
 pub mod rng;
@@ -44,9 +43,7 @@ pub use analytic::{
     simulate_analytic, simulate_analytic_telemetry, AnalyticPolicy, AnalyticSimConfig,
 };
 pub use config::AcceleratorConfig;
-pub use duty_map::UnitDutyMap;
 pub use exact::{simulate_exact_sharded, ExactShardConfig};
 pub use plan::{
-    zipf_weights, BlockSource, FifoSlotMemory, FlatWeightMemory, MemoryGeometry, RemappedMemory,
-    WeightAddress,
+    BlockSource, FifoSlotMemory, FlatWeightMemory, MemoryGeometry, RemappedMemory, WeightAddress,
 };

@@ -73,11 +73,17 @@ impl WeightSource {
     }
 }
 
-/// Validates explicit per-layer tables against `spec` and wraps each
-/// in a shared handle — built once per plan *set*, so the four FIFO
-/// slots of one NPU plan share the same table allocations instead of
-/// deep-copying every weight per slot.
-fn shared_tables(spec: &NetworkSpec, tables: &[Vec<f32>]) -> Vec<Arc<Vec<f32>>> {
+/// Per-layer weight sources drawing from the synthetic generator.
+fn gen_sources(spec: &NetworkSpec, seed: u64) -> Vec<WeightSource> {
+    (0..spec.layers().len())
+        .map(|li| WeightSource::Gen(LayerWeightGen::new(spec, li, seed)))
+        .collect()
+}
+
+/// Per-layer weight sources over explicit tables, validated against
+/// `spec`. Each table is copied once into a shared handle, so the four
+/// FIFO slots of one NPU plan share the same allocations.
+fn table_sources(spec: &NetworkSpec, tables: &[Vec<f32>]) -> Vec<WeightSource> {
     assert_eq!(
         tables.len(),
         spec.layers().len(),
@@ -97,20 +103,9 @@ fn shared_tables(spec: &NetworkSpec, tables: &[Vec<f32>]) -> Vec<Arc<Vec<f32>>> 
                 table.len(),
                 layer.weight_count()
             );
-            Arc::new(table.clone())
+            WeightSource::Table(Arc::new(table.clone()))
         })
         .collect()
-}
-
-/// Per-layer weight sources over shared table handles.
-fn sources_from_shared(shared: &[Arc<Vec<f32>>]) -> Vec<WeightSource> {
-    shared.iter().cloned().map(WeightSource::Table).collect()
-}
-
-/// Builds per-layer weight sources from explicit tables, validating the
-/// shape against `spec`.
-fn table_sources(spec: &NetworkSpec, tables: &[Vec<f32>]) -> Vec<WeightSource> {
-    sources_from_shared(&shared_tables(spec, tables))
 }
 
 /// Physical location of one canonical weight inside a memory unit:
@@ -187,6 +182,62 @@ pub trait BlockSource: Sync {
 
     /// Human-readable label for reports.
     fn label(&self) -> String;
+
+    /// The calibrated quantizer of network layer `layer` — what the
+    /// stored words encode that layer's weights with, exposed so fault
+    /// injection decodes corrupted codes with the exact same
+    /// scale/zero-point the memory image was built from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer` is out of range.
+    fn layer_quantizer(&self, layer: usize) -> Quantizer;
+
+    /// The physical address of canonical weight `index` of layer
+    /// `layer` (the inverse of the [`BlockSource::fill`] dataflow
+    /// mapping) if this unit stores it, `None` if another unit of the
+    /// platform does. Padded lanes have no canonical index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer` or `index` is out of range.
+    fn locate_weight(&self, layer: usize, index: u64) -> Option<WeightAddress>;
+
+    /// Words network layer `layer` occupies in the dataflow stream,
+    /// padded lanes included.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer` is out of range.
+    fn layer_stream_words(&self, layer: usize) -> u64;
+
+    /// Per-block residency weights from per-layer factors: `factors[li]`
+    /// is the relative time the memory dwells on one word of layer
+    /// `li`, and a block weighs the factors of the stream words it
+    /// holds. Feed the result to the plan's `with_dwell_weights`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `factors.len()` differs from the plan's layer count.
+    fn per_layer_dwell_weights(&self, factors: &[f64]) -> Vec<f64>;
+
+    /// Per-block residency weights proportional to MAC work: each
+    /// layer's factor is its MAC count over its stream words (conv
+    /// fills are reused across output positions and stay resident far
+    /// longer than FC fills).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spec` has a different layer count than the plan.
+    fn layer_proportional_weights(&self, spec: &NetworkSpec) -> Vec<f64> {
+        let factors: Vec<f64> = spec
+            .layers()
+            .iter()
+            .enumerate()
+            .map(|(li, layer)| layer.macs() as f64 / self.layer_stream_words(li) as f64)
+            .collect();
+        self.per_layer_dwell_weights(&factors)
+    }
 }
 
 /// The stored word of canonical weight `index`: its quantized code,
@@ -276,13 +327,7 @@ impl FlatWeightMemory {
         format: NumberFormat,
         seed: u64,
     ) -> Self {
-        let sources = spec
-            .layers()
-            .iter()
-            .enumerate()
-            .map(|(li, _)| WeightSource::Gen(LayerWeightGen::new(spec, li, seed)))
-            .collect();
-        Self::with_sources(config, spec, format, sources)
+        Self::with_sources(config, spec, format, gen_sources(spec, seed))
     }
 
     /// Plans the same dataflow with weights read from explicit
@@ -369,128 +414,10 @@ impl FlatWeightMemory {
         self
     }
 
-    /// The calibrated quantizer of layer `layer` — what
-    /// [`BlockSource::word`] encodes that layer's weights with, exposed
-    /// so fault injection decodes corrupted codes with the exact same
-    /// scale/zero-point the memory image was built from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer` is out of range.
-    pub fn layer_quantizer(&self, layer: usize) -> Quantizer {
-        self.layers[layer].quantizer
-    }
-
-    /// The physical address of canonical weight `index` of layer
-    /// `layer` (the inverse of the [`BlockSource::word`] dataflow
-    /// mapping): the block that writes it and the word it lands on.
-    /// Always well-defined — every real weight occupies exactly one
-    /// (block, word) slot; padded lanes have no canonical index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer` or `index` is out of range.
-    pub fn locate_weight(&self, layer: usize, index: u64) -> WeightAddress {
-        let plan = &self.layers[layer];
-        assert!(
-            index < plan.filters * plan.weights_per_filter,
-            "locate_weight: index {index} out of range for layer {layer}"
-        );
-        let f = self.parallel_filters;
-        let filter = index / plan.weights_per_filter;
-        let weight_index = index % plan.weights_per_filter;
-        let set = filter / f;
-        let in_set = weight_index * f + filter % f;
-        let pos = plan.stream_offset + set * (f * plan.weights_per_filter) + in_set;
-        WeightAddress {
-            block: pos / self.geometry.words as u64,
-            word: (pos % self.geometry.words as u64) as usize,
-        }
-    }
-
     /// Length of the dataflow-ordered weight stream (including padded
     /// lanes of ragged final filter sets).
     pub fn stream_len(&self) -> u64 {
         self.stream_len
-    }
-
-    /// Switches from the paper's equal-residency assumption (b) to
-    /// compute-weighted residency: each memory fill stays resident for
-    /// a time proportional to the MAC work of the weights it holds
-    /// (conv fills are reused across output positions and stay resident
-    /// far longer than FC fills). `spec` must be the same network the
-    /// plan was built from. Honoured by [`crate::simulate_exact_sharded`]; the
-    /// analytic simulator rejects non-uniform dwell.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec` has a different layer structure than the plan.
-    pub fn with_compute_weighted_residency(self, spec: &NetworkSpec) -> Self {
-        let weights = self.layer_proportional_weights(spec);
-        self.with_dwell_weights(weights)
-    }
-
-    /// Per-block residency weights proportional to MAC work: each block
-    /// weighs the per-word MAC count of the layers it spans (the
-    /// [`FlatWeightMemory::with_compute_weighted_residency`] model,
-    /// exposed so callers can inspect or post-process the weights).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec` has a different layer structure than the plan.
-    pub fn layer_proportional_weights(&self, spec: &NetworkSpec) -> Vec<f64> {
-        assert_eq!(
-            spec.layers().len(),
-            self.layers.len(),
-            "layer_proportional_weights: spec mismatch"
-        );
-        // MACs per stream word, by layer.
-        let per_word: Vec<f64> = spec
-            .layers()
-            .iter()
-            .zip(&self.layers)
-            .map(|(ls, plan)| ls.macs() as f64 / plan.stream_len as f64)
-            .collect();
-        self.per_word_factor_weights(&per_word)
-    }
-
-    /// Per-block residency weights from arbitrary per-layer factors:
-    /// `factors[li]` is the relative time the memory dwells on one word
-    /// of layer `li`, and a block's weight sums the factors of the
-    /// stream words it holds. This is how custom dwell models are
-    /// constructed from a [`NetworkSpec`]'s layer structure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factors.len()` differs from the plan's layer count.
-    pub fn per_layer_dwell_weights(&self, factors: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            factors.len(),
-            self.layers.len(),
-            "per_layer_dwell_weights: {} factors for {} layers",
-            factors.len(),
-            self.layers.len()
-        );
-        self.per_word_factor_weights(factors)
-    }
-
-    fn per_word_factor_weights(&self, per_word: &[f64]) -> Vec<f64> {
-        let words = self.geometry.words as u64;
-        let mut weights = Vec::with_capacity(self.total_blocks as usize);
-        for k in 0..self.total_blocks {
-            let lo = k * words;
-            let hi = ((k + 1) * words).min(self.stream_len);
-            let mut work = 0.0f64;
-            for (li, plan) in self.layers.iter().enumerate() {
-                let seg_lo = lo.max(plan.stream_offset);
-                let seg_hi = hi.min(plan.stream_offset + plan.stream_len);
-                if seg_hi > seg_lo {
-                    work += (seg_hi - seg_lo) as f64 * per_word[li];
-                }
-            }
-            weights.push(work);
-        }
-        weights
     }
 
     /// Installs explicit per-block residency weights (one per block,
@@ -528,27 +455,6 @@ fn normalize_dwell(mut weights: Vec<f64>, blocks: u64) -> Vec<f64> {
         *w = (*w / mean).max(1e-3);
     }
     weights
-}
-
-/// Zipf-style hot-block residency: block `b` (stream order) dwells for
-/// a time proportional to `(b + 1)^-exponent`. `exponent = 0` is
-/// uniform; larger exponents concentrate residency on the first blocks
-/// of the stream (the paper's early conv layers). Feed the result to
-/// [`FlatWeightMemory::with_dwell_weights`] /
-/// [`FifoSlotMemory::with_dwell_weights`].
-///
-/// # Panics
-///
-/// Panics if `blocks == 0` or `exponent` is negative or non-finite.
-pub fn zipf_weights(blocks: u64, exponent: f64) -> Vec<f64> {
-    assert!(blocks > 0, "zipf_weights: no blocks");
-    assert!(
-        exponent.is_finite() && exponent >= 0.0,
-        "zipf_weights: bad exponent {exponent}"
-    );
-    (0..blocks)
-        .map(|b| ((b + 1) as f64).powf(-exponent))
-        .collect()
 }
 
 impl BlockSource for FlatWeightMemory {
@@ -612,6 +518,59 @@ impl BlockSource for FlatWeightMemory {
     fn label(&self) -> String {
         self.label.clone()
     }
+
+    fn layer_quantizer(&self, layer: usize) -> Quantizer {
+        self.layers[layer].quantizer
+    }
+
+    /// Always `Some`: the flat memory is the platform's only unit.
+    fn locate_weight(&self, layer: usize, index: u64) -> Option<WeightAddress> {
+        let plan = &self.layers[layer];
+        assert!(
+            index < plan.filters * plan.weights_per_filter,
+            "locate_weight: index {index} out of range for layer {layer}"
+        );
+        let f = self.parallel_filters;
+        let filter = index / plan.weights_per_filter;
+        let weight_index = index % plan.weights_per_filter;
+        let set = filter / f;
+        let in_set = weight_index * f + filter % f;
+        let pos = plan.stream_offset + set * (f * plan.weights_per_filter) + in_set;
+        Some(WeightAddress {
+            block: pos / self.geometry.words as u64,
+            word: (pos % self.geometry.words as u64) as usize,
+        })
+    }
+
+    fn layer_stream_words(&self, layer: usize) -> u64 {
+        self.layers[layer].stream_len
+    }
+
+    fn per_layer_dwell_weights(&self, factors: &[f64]) -> Vec<f64> {
+        assert_eq!(
+            factors.len(),
+            self.layers.len(),
+            "per_layer_dwell_weights: {} factors for {} layers",
+            factors.len(),
+            self.layers.len()
+        );
+        let words = self.geometry.words as u64;
+        (0..self.total_blocks)
+            .map(|k| {
+                let lo = k * words;
+                let hi = ((k + 1) * words).min(self.stream_len);
+                let mut work = 0.0f64;
+                for (plan, factor) in self.layers.iter().zip(factors) {
+                    let seg_lo = lo.max(plan.stream_offset);
+                    let seg_hi = hi.min(plan.stream_offset + plan.stream_len);
+                    if seg_hi > seg_lo {
+                        work += (seg_hi - seg_lo) as f64 * factor;
+                    }
+                }
+                work
+            })
+            .collect()
+    }
 }
 
 /// Per-layer slice of the NPU tile plan.
@@ -669,48 +628,6 @@ impl FifoSlotMemory {
     pub const DEPTH: u64 = 4;
     /// Tile side in weights (256 × 256 PE array).
     pub const TILE_SIDE: u64 = 256;
-
-    /// Plans slot `slot` (0..4) of the FIFO for `spec`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot >= 4` or `format` is not 8-bit (the NPU datapath
-    /// is 8-bit per Table I).
-    pub fn new(slot: u64, spec: &NetworkSpec, format: NumberFormat, seed: u64) -> Self {
-        let sources = spec
-            .layers()
-            .iter()
-            .enumerate()
-            .map(|(li, _)| WeightSource::Gen(LayerWeightGen::new(spec, li, seed)))
-            .collect();
-        Self::with_sources(slot, spec, format, sources)
-    }
-
-    /// Plans slot `slot` with weights read from explicit per-layer
-    /// tables — see [`FlatWeightMemory::with_weight_tables`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot >= 4`, `format` is not 8-bit, or the tables
-    /// disagree with `spec`.
-    pub fn with_weight_tables(
-        slot: u64,
-        spec: &NetworkSpec,
-        format: NumberFormat,
-        tables: &[Vec<f32>],
-    ) -> Self {
-        Self::with_sources(slot, spec, format, table_sources(spec, tables))
-    }
-
-    fn with_sources(
-        slot: u64,
-        spec: &NetworkSpec,
-        format: NumberFormat,
-        sources: Vec<WeightSource>,
-    ) -> Self {
-        let (layers, total_tiles) = Self::plan_layers(spec, format, sources);
-        Self::from_plan(slot, spec, format, layers, total_tiles)
-    }
 
     /// The slot-independent part of the plan: tile layout and quantizer
     /// calibration per layer. Calibration takes the range of up to
@@ -799,21 +716,18 @@ impl FifoSlotMemory {
     /// quantizer calibration) is slot-independent, so it is computed
     /// once and shared — building all four slots calibrates each layer
     /// once, not four times.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `format` is not 8-bit (the NPU datapath is 8-bit per
+    /// Table I).
     pub fn all_slots(spec: &NetworkSpec, format: NumberFormat, seed: u64) -> Vec<Self> {
-        let sources = spec
-            .layers()
-            .iter()
-            .enumerate()
-            .map(|(li, _)| WeightSource::Gen(LayerWeightGen::new(spec, li, seed)))
-            .collect();
-        let (layers, total_tiles) = Self::plan_layers(spec, format, sources);
-        (0..Self::DEPTH)
-            .map(|s| Self::from_plan(s, spec, format, layers.clone(), total_tiles))
-            .collect()
+        Self::slots(spec, format, gen_sources(spec, seed))
     }
 
     /// All four slots with explicit per-layer weight tables — see
-    /// [`FlatWeightMemory::with_weight_tables`].
+    /// [`FlatWeightMemory::with_weight_tables`]. The slots share one
+    /// copy of each table.
     ///
     /// # Panics
     ///
@@ -824,52 +738,14 @@ impl FifoSlotMemory {
         format: NumberFormat,
         tables: &[Vec<f32>],
     ) -> Vec<Self> {
-        // One validation + one allocation per layer, one calibration
-        // sweep; the four slots share the table handles and the plan.
-        let shared = shared_tables(spec, tables);
-        let (layers, total_tiles) = Self::plan_layers(spec, format, sources_from_shared(&shared));
+        Self::slots(spec, format, table_sources(spec, tables))
+    }
+
+    fn slots(spec: &NetworkSpec, format: NumberFormat, sources: Vec<WeightSource>) -> Vec<Self> {
+        let (layers, total_tiles) = Self::plan_layers(spec, format, sources);
         (0..Self::DEPTH)
             .map(|s| Self::from_plan(s, spec, format, layers.clone(), total_tiles))
             .collect()
-    }
-
-    /// The calibrated quantizer of layer `layer` — see
-    /// [`FlatWeightMemory::layer_quantizer`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer` is out of range.
-    pub fn layer_quantizer(&self, layer: usize) -> Quantizer {
-        self.layers[layer].quantizer
-    }
-
-    /// The physical address of canonical weight `index` of layer
-    /// `layer` *if its tile round-robins into this slot* — `None` when
-    /// another slot holds it (exactly one of the four slots returns
-    /// `Some` for every weight).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer` or `index` is out of range.
-    pub fn locate_weight(&self, layer: usize, index: u64) -> Option<WeightAddress> {
-        let plan = &self.layers[layer];
-        assert!(
-            index < plan.filters * plan.weights_per_filter,
-            "locate_weight: index {index} out of range for layer {layer}"
-        );
-        let side = Self::TILE_SIDE;
-        let filter = index / plan.weights_per_filter;
-        let weight_index = index % plan.weights_per_filter;
-        let col_tile = filter / side;
-        let row_tile = weight_index / side;
-        let tile = plan.tile_offset + col_tile * plan.row_tiles + row_tile;
-        if tile % Self::DEPTH != self.slot {
-            return None;
-        }
-        Some(WeightAddress {
-            block: (tile - self.slot) / Self::DEPTH,
-            word: ((weight_index % side) * side + filter % side) as usize,
-        })
     }
 
     /// Total tiles streamed per inference (across all slots).
@@ -883,69 +759,6 @@ impl FifoSlotMemory {
             .iter()
             .position(|l| tile < l.tile_offset + l.tiles)
             .expect("tile within plan")
-    }
-
-    /// Per-block residency weights proportional to MAC work, mirroring
-    /// [`FlatWeightMemory::layer_proportional_weights`]: a tile dwells
-    /// for the per-word MAC count of its layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec` has a different layer structure than the plan.
-    pub fn layer_proportional_weights(&self, spec: &NetworkSpec) -> Vec<f64> {
-        assert_eq!(
-            spec.layers().len(),
-            self.layers.len(),
-            "layer_proportional_weights: spec mismatch"
-        );
-        let words_per_tile = (Self::TILE_SIDE * Self::TILE_SIDE) as f64;
-        let factors: Vec<f64> = spec
-            .layers()
-            .iter()
-            .zip(&self.layers)
-            .map(|(ls, plan)| ls.macs() as f64 / (plan.tiles as f64 * words_per_tile))
-            .collect();
-        self.per_layer_dwell_weights(&factors)
-    }
-
-    /// Zipf residency by **global** tile stream order: local block `b`
-    /// of this slot is global tile `slot + b·depth`, so its weight is
-    /// `(slot + b·depth + 1)^-exponent` — matching what
-    /// [`zipf_weights`] assigns the same tiles on a flat memory. Using
-    /// slot-local indices instead would give every slot's first tile
-    /// full weight regardless of where it sits in the stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `exponent` is negative or non-finite.
-    pub fn zipf_dwell_weights(&self, exponent: f64) -> Vec<f64> {
-        assert!(
-            exponent.is_finite() && exponent >= 0.0,
-            "zipf_dwell_weights: bad exponent {exponent}"
-        );
-        (0..self.local_blocks)
-            .map(|b| ((self.slot + b * Self::DEPTH + 1) as f64).powf(-exponent))
-            .collect()
-    }
-
-    /// Per-block residency weights from per-layer factors (`factors[li]`
-    /// = relative dwell per word of layer `li`; a tile is wholly owned
-    /// by one layer, so its weight is that layer's factor).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factors.len()` differs from the plan's layer count.
-    pub fn per_layer_dwell_weights(&self, factors: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            factors.len(),
-            self.layers.len(),
-            "per_layer_dwell_weights: {} factors for {} layers",
-            factors.len(),
-            self.layers.len()
-        );
-        (0..self.local_blocks)
-            .map(|b| factors[self.layer_of_tile(self.slot + b * Self::DEPTH)])
-            .collect()
     }
 
     /// Installs explicit per-block residency weights (see
@@ -1011,6 +824,52 @@ impl BlockSource for FifoSlotMemory {
     fn label(&self) -> String {
         self.label.clone()
     }
+
+    fn layer_quantizer(&self, layer: usize) -> Quantizer {
+        self.layers[layer].quantizer
+    }
+
+    /// `Some` iff the weight's tile round-robins into this slot:
+    /// exactly one of the four slots holds every weight.
+    fn locate_weight(&self, layer: usize, index: u64) -> Option<WeightAddress> {
+        let plan = &self.layers[layer];
+        assert!(
+            index < plan.filters * plan.weights_per_filter,
+            "locate_weight: index {index} out of range for layer {layer}"
+        );
+        let side = Self::TILE_SIDE;
+        let filter = index / plan.weights_per_filter;
+        let weight_index = index % plan.weights_per_filter;
+        let col_tile = filter / side;
+        let row_tile = weight_index / side;
+        let tile = plan.tile_offset + col_tile * plan.row_tiles + row_tile;
+        if tile % Self::DEPTH != self.slot {
+            return None;
+        }
+        Some(WeightAddress {
+            block: (tile - self.slot) / Self::DEPTH,
+            word: ((weight_index % side) * side + filter % side) as usize,
+        })
+    }
+
+    fn layer_stream_words(&self, layer: usize) -> u64 {
+        self.layers[layer].tiles * Self::TILE_SIDE * Self::TILE_SIDE
+    }
+
+    /// A tile is wholly owned by one layer, so its weight is that
+    /// layer's factor.
+    fn per_layer_dwell_weights(&self, factors: &[f64]) -> Vec<f64> {
+        assert_eq!(
+            factors.len(),
+            self.layers.len(),
+            "per_layer_dwell_weights: {} factors for {} layers",
+            factors.len(),
+            self.layers.len()
+        );
+        (0..self.local_blocks)
+            .map(|b| factors[self.layer_of_tile(self.slot + b * Self::DEPTH)])
+            .collect()
+    }
 }
 
 /// Wear-leveling view of a block source: the physical memory under a
@@ -1051,11 +910,6 @@ impl<S: BlockSource> RemappedMemory<S> {
     pub fn schedule(&self) -> &RemapSchedule {
         &self.schedule
     }
-
-    /// The unrotated plan.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
 }
 
 impl<S: BlockSource> BlockSource for RemappedMemory<S> {
@@ -1092,6 +946,32 @@ impl<S: BlockSource> BlockSource for RemappedMemory<S> {
             self.inner.label(),
             self.schedule.epochs()
         )
+    }
+
+    fn layer_quantizer(&self, layer: usize) -> Quantizer {
+        self.inner.layer_quantizer(layer)
+    }
+
+    /// Where the weight sits in the *final* epoch — the physical word
+    /// an end-of-life read hits.
+    fn locate_weight(&self, layer: usize, index: u64) -> Option<WeightAddress> {
+        let addr = self.inner.locate_weight(layer, index)?;
+        let last_epoch = u64::from(self.schedule.epochs() - 1);
+        Some(WeightAddress {
+            block: last_epoch * self.inner.block_count() + addr.block,
+            word: self.schedule.final_physical_word(addr.word as u64) as usize,
+        })
+    }
+
+    fn layer_stream_words(&self, layer: usize) -> u64 {
+        self.inner.layer_stream_words(layer)
+    }
+
+    /// The inner plan's weights, once per epoch.
+    fn per_layer_dwell_weights(&self, factors: &[f64]) -> Vec<f64> {
+        self.inner
+            .per_layer_dwell_weights(factors)
+            .repeat(self.schedule.epochs() as usize)
     }
 }
 
@@ -1218,8 +1098,9 @@ mod tests {
             &spec,
             NumberFormat::Int8Symmetric,
             1,
-        )
-        .with_compute_weighted_residency(&spec);
+        );
+        let weights = mem.layer_proportional_weights(&spec);
+        let mem = mem.with_dwell_weights(weights);
         // Mean dwell is 1.0 by construction.
         let k = mem.block_count();
         let mean: f64 = (0..k).map(|b| mem.dwell(b)).sum::<f64>() / k as f64;
@@ -1247,17 +1128,6 @@ mod tests {
     }
 
     #[test]
-    fn zipf_weights_decay_and_zero_exponent_is_uniform() {
-        let flat = zipf_weights(5, 0.0);
-        assert!(flat.iter().all(|w| (w - 1.0).abs() < 1e-12));
-        let hot = zipf_weights(5, 1.0);
-        for pair in hot.windows(2) {
-            assert!(pair[0] > pair[1], "zipf weights must decay: {hot:?}");
-        }
-        assert!((hot[0] / hot[4] - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn explicit_dwell_weights_normalize_to_mean_one() {
         let mut cfg = AcceleratorConfig::baseline();
         cfg.weight_memory_bytes = 2048;
@@ -1268,7 +1138,7 @@ mod tests {
             3,
         );
         let k = mem.block_count();
-        let mem = mem.with_dwell_weights(zipf_weights(k, 1.3));
+        let mem = mem.with_dwell_weights((1..=k).map(|b| (b as f64).powf(-1.3)).collect());
         let mean: f64 = (0..k).map(|b| mem.dwell(b)).sum::<f64>() / k as f64;
         assert!((mean - 1.0).abs() < 1e-9, "mean dwell {mean}");
         assert!(mem.dwell(0) > mem.dwell(k - 1));
@@ -1317,24 +1187,6 @@ mod tests {
     }
 
     #[test]
-    fn npu_zipf_dwell_uses_global_tile_order() {
-        let spec = NetworkSpec::custom_mnist();
-        let slots = FifoSlotMemory::all_slots(&spec, NumberFormat::Int8Symmetric, 1);
-        // Slot 1 holds global tiles 1 and 5; at exponent 1 their
-        // weights must be 1/2 and 1/6 — a 3:1 ratio, not the 2:1 that
-        // slot-local indices (1, 1/2) would give.
-        let w = slots[1].zipf_dwell_weights(1.0);
-        assert_eq!(w.len(), 2);
-        assert!((w[0] - 0.5).abs() < 1e-12, "global tile 1: {}", w[0]);
-        assert!((w[1] - 1.0 / 6.0).abs() < 1e-12, "global tile 5: {}", w[1]);
-        // Consistency with the flat-memory convention: slot 0's first
-        // tile is global tile 0 and gets the same weight zipf_weights
-        // assigns stream position 0.
-        let w0 = slots[0].zipf_dwell_weights(1.0);
-        assert_eq!(w0[0], zipf_weights(8, 1.0)[0]);
-    }
-
-    #[test]
     fn npu_tile_counts() {
         let slots =
             FifoSlotMemory::all_slots(&NetworkSpec::custom_mnist(), NumberFormat::Int8Symmetric, 1);
@@ -1349,12 +1201,9 @@ mod tests {
 
     #[test]
     fn npu_global_index_is_round_robin() {
-        let slot2 = FifoSlotMemory::new(
-            2,
-            &NetworkSpec::custom_mnist(),
-            NumberFormat::Int8Symmetric,
-            1,
-        );
+        let slot2 =
+            FifoSlotMemory::all_slots(&NetworkSpec::custom_mnist(), NumberFormat::Int8Symmetric, 1)
+                .swap_remove(2);
         assert_eq!(slot2.global_block_index(0, 0), 2);
         assert_eq!(slot2.global_block_index(0, 1), 6);
         // Second inference continues the global tile count (8 tiles/inf).
@@ -1364,7 +1213,7 @@ mod tests {
     #[test]
     fn npu_rejects_fp32() {
         let result = std::panic::catch_unwind(|| {
-            FifoSlotMemory::new(0, &NetworkSpec::custom_mnist(), NumberFormat::Fp32, 1)
+            FifoSlotMemory::all_slots(&NetworkSpec::custom_mnist(), NumberFormat::Fp32, 1)
         });
         assert!(result.is_err());
     }
@@ -1415,7 +1264,7 @@ mod tests {
             NumberFormat::Int8Symmetric,
             &tables,
         );
-        let addr = mem.locate_weight(0, 0);
+        let addr = mem.locate_weight(0, 0).expect("one flat unit");
         let code = mem.word(addr.block, addr.word);
         // The outlier dominates the symmetric range, so it encodes to
         // the top code.
@@ -1450,7 +1299,7 @@ mod tests {
             let quantizer = mem.layer_quantizer(li);
             let count = layer.weight_count();
             for index in [0, 1, count / 2, count - 1] {
-                let addr = mem.locate_weight(li, index);
+                let addr = mem.locate_weight(li, index).expect("one flat unit");
                 assert_eq!(
                     mem.word(addr.block, addr.word),
                     u64::from(quantizer.encode(gen.weight(index))),
@@ -1622,6 +1471,23 @@ mod tests {
         for epoch in 0..4u64 {
             assert_eq!(remapped.dwell(epoch * 2), d0);
             assert_eq!(remapped.dwell(epoch * 2 + 1), d1);
+        }
+    }
+
+    #[test]
+    fn remapped_memory_locates_weights_in_the_final_epoch() {
+        let inner = small_flat();
+        let k = inner.block_count();
+        let remapped = RemappedMemory::new(inner.clone(), 16, 4);
+        for index in [0u64, 1, 9_999] {
+            let logical = inner.locate_weight(2, index).expect("one flat unit");
+            let physical = remapped.locate_weight(2, index).expect("one flat unit");
+            assert_eq!(physical.block, 3 * k + logical.block);
+            assert_eq!(
+                remapped.word(physical.block, physical.word),
+                inner.word(logical.block, logical.word),
+                "layer 2 weight {index}"
+            );
         }
     }
 

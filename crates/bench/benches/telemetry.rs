@@ -61,12 +61,12 @@ fn span_emit_stream(telemetry: &Telemetry) -> u64 {
 }
 
 fn duty_sim(telemetry: Option<&Telemetry>) -> f64 {
-    let slot = FifoSlotMemory::new(
-        0,
+    let slot = FifoSlotMemory::all_slots(
         &NetworkSpec::custom_mnist(),
         NumberFormat::Int8Symmetric,
         42,
-    );
+    )
+    .swap_remove(0);
     let duties = simulate_analytic_telemetry(
         &slot,
         &AnalyticPolicy::PeriodicInversion,

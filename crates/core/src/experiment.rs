@@ -12,9 +12,9 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use dnnlife_accel::{
-    simulate_analytic_telemetry, simulate_exact_sharded, zipf_weights, AcceleratorConfig,
-    AnalyticPolicy, AnalyticSimConfig, BlockSource, ExactShardConfig, FifoSlotMemory,
-    FlatWeightMemory, RemappedMemory,
+    simulate_analytic_telemetry, simulate_exact_sharded, AcceleratorConfig, AnalyticPolicy,
+    AnalyticSimConfig, BlockSource, ExactShardConfig, FifoSlotMemory, FlatWeightMemory,
+    RemappedMemory,
 };
 use dnnlife_mitigation::{
     AgingController, BarrelShifter, DnnLife, Passthrough, PeriodicInversion, PseudoTrbg,
@@ -667,10 +667,10 @@ impl ExperimentSpec {
     }
 
     /// The seed policy randomness is drawn from when this spec runs —
-    /// `spec.seed` mixed away from the weight-generation stream.
-    /// Exposed so external pipelines (fault injection) that rebuild the
-    /// memory plans themselves reproduce the exact duty cycles
-    /// [`run_experiment_with`] computes.
+    /// `spec.seed` mixed away from the weight-generation stream. The
+    /// analytic closed forms take it whole on every unit of
+    /// [`memory_units`]; the exact backend seeds unit `u`'s transducer
+    /// with `policy_seed + u`.
     pub fn policy_seed(&self) -> u64 {
         self.seed ^ POLICY_SEED_MIX
     }
@@ -762,142 +762,168 @@ fn build_transducer(
     }
 }
 
-/// Runs `simulate` on `mem`, first installing the wear-leveling row
-/// rotation as a plan wrapper when the policy asks for it — the single
-/// point where [`PolicySpec::WearLevel`] becomes a [`RemappedMemory`].
-fn simulate_planned<S, F>(
-    mem: S,
-    policy: &PolicySpec,
-    row_words: usize,
-    unit: u64,
-    simulate: F,
-) -> Option<Vec<f64>>
-where
-    S: BlockSource,
-    F: Fn(&dyn BlockSource, u64) -> Option<Vec<f64>>,
-{
-    match *policy {
-        PolicySpec::WearLevel { epochs } => {
-            simulate(&RemappedMemory::new(mem, row_words, epochs), unit)
-        }
-        _ => simulate(&mem, unit),
-    }
-}
-
-/// The dwell-weight constructors both memory plans expose, so
-/// [`with_dwell`] dispatches a [`DwellModel`] once for both platforms
-/// (a new model variant is then handled in exactly one place).
-trait DwellTarget: BlockSource + Sized {
-    fn layer_weights(&self, network: &dnnlife_nn::NetworkSpec) -> Vec<f64>;
-    fn per_layer_weights(&self, factors: &[f64]) -> Vec<f64>;
-    /// Zipf weights by the unit's position in the *global* block
-    /// stream (for the flat memory, block order is stream order; FIFO
-    /// slots hold every fourth tile, so their local indices must be
-    /// mapped back to global ones).
-    fn zipf_stream_weights(&self, exponent: f64) -> Vec<f64>;
-    fn apply_weights(self, weights: Vec<f64>) -> Self;
-}
-
-impl DwellTarget for FlatWeightMemory {
-    fn layer_weights(&self, network: &dnnlife_nn::NetworkSpec) -> Vec<f64> {
-        self.layer_proportional_weights(network)
-    }
-    fn per_layer_weights(&self, factors: &[f64]) -> Vec<f64> {
-        self.per_layer_dwell_weights(factors)
-    }
-    fn zipf_stream_weights(&self, exponent: f64) -> Vec<f64> {
-        zipf_weights(self.block_count(), exponent)
-    }
-    fn apply_weights(self, weights: Vec<f64>) -> Self {
-        self.with_dwell_weights(weights)
-    }
-}
-
-impl DwellTarget for FifoSlotMemory {
-    fn layer_weights(&self, network: &dnnlife_nn::NetworkSpec) -> Vec<f64> {
-        self.layer_proportional_weights(network)
-    }
-    fn per_layer_weights(&self, factors: &[f64]) -> Vec<f64> {
-        self.per_layer_dwell_weights(factors)
-    }
-    fn zipf_stream_weights(&self, exponent: f64) -> Vec<f64> {
-        self.zipf_dwell_weights(exponent)
-    }
-    fn apply_weights(self, weights: Vec<f64>) -> Self {
-        self.with_dwell_weights(weights)
-    }
-}
-
-/// Applies a dwell model to one memory unit (no-op for empty units —
-/// an unused NPU FIFO slot has no blocks to weight).
-fn with_dwell<T: DwellTarget>(mem: T, dwell: &DwellModel, network: &dnnlife_nn::NetworkSpec) -> T {
-    if mem.block_count() == 0 {
-        return mem;
-    }
-    let weights = match dwell {
-        DwellModel::Uniform => return mem,
-        DwellModel::LayerProportional => mem.layer_weights(network),
-        DwellModel::Zipf { exponent } => mem.zipf_stream_weights(*exponent),
-        DwellModel::Custom { factors } => mem.per_layer_weights(factors),
-    };
-    mem.apply_weights(weights)
-}
-
-/// Simulates every memory unit of `spec` under `backend` (overriding
-/// `spec.backend` so [`cross_validate_with`] can run both sides of a
-/// matched pair), returning per-unit duty vectors in unit order plus
-/// the total blocks written per inference — or `None` if
-/// `opts.cancel` was raised mid-run. This is the single home of the
-/// memory-construction / dwell-application / transducer-seeding logic,
-/// shared by [`run_experiment_with`] and [`cross_validate_with`] — so the
-/// pair a cross-validation compares is by construction the pair the
-/// experiment runner executes.
+/// The memory units `spec` ages, in unit order: the flat memory of the
+/// baseline and crossbar platforms, or the four slots of the NPU's
+/// weight FIFO (empty slots included, so a unit's index is its slot).
+/// Each unit already carries the scenario's repair code, its dwell
+/// model and, for [`PolicySpec::WearLevel`], the row rotation as a
+/// [`RemappedMemory`]. `tables` are trained per-layer weights in
+/// canonical order; `None` uses the synthetic weights drawn from
+/// `spec.seed`.
 ///
-/// The analytic side always runs uniform dwell (its closed forms
-/// require assumption (b)); the exact side applies `spec.dwell`.
-fn simulate_units(
+/// This is the one place a scenario becomes a memory image: the sweep
+/// ([`run_experiment_with`], [`cross_validate_with`]) and the
+/// fault-injection duty map both build their units here.
+///
+/// # Panics
+///
+/// Panics on specs [`ExperimentSpec::is_valid`] rejects, or tables
+/// that disagree with the network.
+pub fn memory_units(
     spec: &ExperimentSpec,
-    backend: SimulatorBackend,
-    opts: &RunOptions,
-) -> Option<(Vec<Vec<f64>>, u64)> {
+    tables: Option<&[Vec<f32>]>,
+) -> Vec<Box<dyn BlockSource>> {
     let network = spec.network.spec();
-    let policy_seed = spec.seed ^ POLICY_SEED_MIX;
-    let mut units = Vec::new();
-    let mut blocks = 0u64;
+    let format = spec.format;
+    match spec.platform {
+        Platform::Baseline | Platform::Crossbar => {
+            let config = if spec.platform == Platform::Baseline {
+                AcceleratorConfig::baseline()
+            } else {
+                AcceleratorConfig::crossbar()
+            };
+            let mem = match tables {
+                None => FlatWeightMemory::new(&config, &network, format, spec.seed),
+                Some(t) => FlatWeightMemory::with_weight_tables(&config, &network, format, t),
+            };
+            let mem = mem.with_repair(&spec.repair);
+            vec![finish_unit(
+                mem,
+                spec,
+                &network,
+                FlatWeightMemory::with_dwell_weights,
+            )]
+        }
+        Platform::TpuLike => {
+            let slots = match tables {
+                None => FifoSlotMemory::all_slots(&network, format, spec.seed),
+                Some(t) => FifoSlotMemory::all_slots_with_weight_tables(&network, format, t),
+            };
+            slots
+                .into_iter()
+                .map(|slot| {
+                    let slot = slot.with_repair(&spec.repair);
+                    finish_unit(slot, spec, &network, FifoSlotMemory::with_dwell_weights)
+                })
+                .collect()
+        }
+    }
+}
 
-    // One memory unit: dispatch to the requested simulator. `unit`
-    // numbers the NPU FIFO slots so each gets its own TRBG stream
-    // (each slot is its own memory unit with its own controller; the
-    // per-shard fork streams then split from that per-unit seed).
-    let simulate_unit = |source: &dyn BlockSource, unit: u64| -> Option<Vec<f64>> {
+/// Installs `spec`'s dwell model on one unit (through the plan's
+/// `with_dwell_weights`), then the wear-leveling rotation if the
+/// policy asks for it.
+fn finish_unit<P: BlockSource + 'static>(
+    unit: P,
+    spec: &ExperimentSpec,
+    network: &dnnlife_nn::NetworkSpec,
+    with_dwell_weights: fn(P, Vec<f64>) -> P,
+) -> Box<dyn BlockSource> {
+    let unit = match dwell_weights(&unit, &spec.dwell, network) {
+        Some(weights) => with_dwell_weights(unit, weights),
+        None => unit,
+    };
+    match spec.policy {
+        PolicySpec::WearLevel { epochs } => {
+            Box::new(RemappedMemory::new(unit, spec.platform.row_words(), epochs))
+        }
+        _ => Box::new(unit),
+    }
+}
+
+/// Per-block residency weights of one unit under `dwell`, or `None`
+/// for uniform dwell and for an empty unit (an unused NPU FIFO slot has
+/// no blocks to weight). Zipf ranks blocks by their position in the
+/// *global* stream, so FIFO slots (every fourth tile) and the flat
+/// memory weight the same tile alike.
+fn dwell_weights(
+    unit: &dyn BlockSource,
+    dwell: &DwellModel,
+    network: &dnnlife_nn::NetworkSpec,
+) -> Option<Vec<f64>> {
+    if unit.block_count() == 0 {
+        return None;
+    }
+    match dwell {
+        DwellModel::Uniform => None,
+        DwellModel::LayerProportional => Some(unit.layer_proportional_weights(network)),
+        DwellModel::Zipf { exponent } => Some(
+            (0..unit.block_count())
+                .map(|b| ((unit.global_block_index(0, b) + 1) as f64).powf(-exponent))
+                .collect(),
+        ),
+        DwellModel::Custom { factors } => Some(unit.per_layer_dwell_weights(factors)),
+    }
+}
+
+/// Simulates every non-empty memory unit of `spec` under
+/// `spec.backend`, returning per-unit duty vectors in unit order plus
+/// the blocks written per inference (the paper's `K`, summed over
+/// units, empty FIFO slots included) — or `None` if `opts.cancel` was
+/// raised mid-run. Shared by [`run_experiment_with`] and
+/// [`cross_validate_with`], so the pair a cross-validation compares is
+/// by construction the pair the experiment runner executes.
+fn simulate_units(spec: &ExperimentSpec, opts: &RunOptions) -> Option<(Vec<Vec<f64>>, u64)> {
+    // Plan construction (dataflow layout + per-layer quantizer
+    // calibration) is the scenario's `plan_build` trace stage.
+    let telemetry = opts.telemetry.unwrap_or_else(|| Telemetry::noop());
+    let span = telemetry.span_start("plan_build", opts.parent_span);
+    let units = memory_units(spec, None);
+    telemetry.span_end(span);
+    // A wear-leveled unit streams its K blocks once per epoch.
+    let epochs = match spec.policy {
+        PolicySpec::WearLevel { epochs } => u64::from(epochs),
+        _ => 1,
+    };
+    let blocks = units.iter().map(|u| u.block_count()).sum::<u64>() / epochs;
+
+    let policy_seed = spec.policy_seed();
+    let mut duties = Vec::with_capacity(units.len());
+    // `unit` numbers the NPU FIFO slots so each gets its own TRBG
+    // stream (each slot is its own memory unit with its own
+    // controller; the per-shard fork streams then split from that
+    // per-unit seed).
+    for (unit, source) in (0u64..).zip(&units) {
+        if source.block_count() == 0 {
+            continue;
+        }
         if opts.cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
             return None;
         }
-        match backend {
+        let geo = source.geometry();
+        // Same `RunOptions { shards }` resolution on both backends, so
+        // they share one execution story. For the analytic closed forms
+        // the shard count is pure work partitioning — never semantic
+        // (counter-seeded per-cell draws), unlike the exact DNN-Life
+        // streams.
+        let shards = opts.shards.resolve(geo.words.div_ceil(spec.sample_stride));
+        duties.push(match spec.backend {
             SimulatorBackend::Analytic => {
-                let geo = source.geometry();
-                let sampled_words = geo.words.div_ceil(spec.sample_stride);
-                // Same `RunOptions { shards }` resolution as the exact
-                // backend, so both backends share one execution story.
-                // For the analytic closed forms the shard count is pure
-                // work partitioning — never semantic (counter-seeded
-                // per-cell draws), unlike the exact DNN-Life streams.
                 let sim_cfg = AnalyticSimConfig {
                     inferences: spec.inferences,
                     sample_stride: spec.sample_stride,
                     threads: opts.threads,
-                    shards: opts.shards.resolve(sampled_words),
+                    shards,
                 };
-                Some(simulate_analytic_telemetry(
-                    source,
+                simulate_analytic_telemetry(
+                    source.as_ref(),
                     &spec.policy.analytic(policy_seed),
                     &sim_cfg,
                     opts.telemetry,
                     opts.parent_span,
-                ))
+                )
             }
             SimulatorBackend::Exact => {
-                let geo = source.geometry();
                 let transducer = build_transducer(
                     &spec.policy,
                     geo.word_bits,
@@ -905,74 +931,24 @@ fn simulate_units(
                     spec.platform.row_words(),
                     policy_seed.wrapping_add(unit),
                 );
-                let sampled_words = geo.words.div_ceil(spec.sample_stride);
                 let cfg = ExactShardConfig {
-                    shards: opts.shards.resolve(sampled_words),
+                    shards,
                     threads: opts.threads,
                     cancel: opts.cancel,
                     telemetry: opts.telemetry,
                     parent_span: opts.parent_span,
                 };
                 simulate_exact_sharded(
-                    source,
+                    source.as_ref(),
                     transducer.as_ref(),
                     spec.inferences,
                     spec.sample_stride,
                     &cfg,
-                )
+                )?
             }
-        }
-    };
-    let dwell = match backend {
-        SimulatorBackend::Analytic => &DwellModel::Uniform,
-        SimulatorBackend::Exact => &spec.dwell,
-    };
-
-    // Plan construction (dataflow layout + per-layer quantizer
-    // calibration) is the scenario's `plan_build` trace stage.
-    let telemetry = opts.telemetry.unwrap_or_else(|| Telemetry::noop());
-    let row_words = spec.platform.row_words();
-    match spec.platform {
-        Platform::Baseline | Platform::Crossbar => {
-            let config = match spec.platform {
-                Platform::Baseline => AcceleratorConfig::baseline(),
-                _ => AcceleratorConfig::crossbar(),
-            };
-            let span = telemetry.span_start("plan_build", opts.parent_span);
-            let mem = FlatWeightMemory::new(&config, &network, spec.format, spec.seed)
-                .with_repair(&spec.repair);
-            telemetry.span_end(span);
-            blocks = mem.block_count();
-            let mem = with_dwell(mem, dwell, &network);
-            units.push(simulate_planned(
-                mem,
-                &spec.policy,
-                row_words,
-                0,
-                simulate_unit,
-            )?);
-        }
-        Platform::TpuLike => {
-            let span = telemetry.span_start("plan_build", opts.parent_span);
-            let slots = FifoSlotMemory::all_slots(&network, spec.format, spec.seed);
-            telemetry.span_end(span);
-            for (i, slot) in slots.into_iter().enumerate() {
-                blocks += slot.block_count();
-                if slot.block_count() == 0 {
-                    continue;
-                }
-                let slot = with_dwell(slot.with_repair(&spec.repair), dwell, &network);
-                units.push(simulate_planned(
-                    slot,
-                    &spec.policy,
-                    row_words,
-                    i as u64,
-                    simulate_unit,
-                )?);
-            }
-        }
+        });
     }
-    Some((units, blocks))
+    Some((duties, blocks))
 }
 
 /// Runs one experiment with the paper-calibrated SNM model under the
@@ -1018,7 +994,7 @@ pub fn run_experiment_with(spec: &ExperimentSpec, opts: &RunOptions) -> Option<E
     let mut duty_summary = Summary::new();
     let mut snm_summary = Summary::new();
 
-    let (units, blocks) = simulate_units(spec, spec.backend, opts)?;
+    let (units, blocks) = simulate_units(spec, opts)?;
     // Duty values repeat heavily — an exact-backend run can only
     // produce `writes + 1` distinct duties per dwell group — and
     // `degradation_percent` costs two `powf` calls per cell. A
@@ -1140,14 +1116,21 @@ impl CrossValidation {
 /// Panics if the spec's *exact* variant is invalid (see
 /// [`ExperimentSpec::is_valid`]).
 pub fn cross_validate_with(spec: &ExperimentSpec, opts: &RunOptions) -> Option<CrossValidation> {
-    let mut exact_spec = spec.clone();
-    exact_spec.backend = SimulatorBackend::Exact;
+    let exact_spec = ExperimentSpec {
+        backend: SimulatorBackend::Exact,
+        ..spec.clone()
+    };
     assert!(
         exact_spec.is_valid(),
         "cross_validate_with: invalid spec {spec:?}"
     );
-    let (analytic, _) = simulate_units(spec, SimulatorBackend::Analytic, opts)?;
-    let (exact, _) = simulate_units(&exact_spec, SimulatorBackend::Exact, opts)?;
+    let analytic_spec = ExperimentSpec {
+        backend: SimulatorBackend::Analytic,
+        dwell: DwellModel::Uniform,
+        ..spec.clone()
+    };
+    let (analytic, _) = simulate_units(&analytic_spec, opts)?;
+    let (exact, _) = simulate_units(&exact_spec, opts)?;
     let (analytic, exact) = (analytic.concat(), exact.concat());
     assert_eq!(analytic.len(), exact.len(), "backend cell counts differ");
 
@@ -1242,6 +1225,41 @@ mod tests {
 
     fn run(spec: &ExperimentSpec) -> ExperimentResult {
         run_experiment_with(spec, &RunOptions::default()).expect("no cancel token")
+    }
+
+    #[test]
+    fn zipf_dwell_decays_and_zero_exponent_is_uniform() {
+        let spec = dnnlife_nn::NetworkSpec::custom_mnist();
+        let mut cfg = AcceleratorConfig::baseline();
+        cfg.weight_memory_bytes = 2048;
+        let mem = FlatWeightMemory::new(&cfg, &spec, NumberFormat::Int8Symmetric, 3);
+        let zipf = |exponent| dwell_weights(&mem, &DwellModel::Zipf { exponent }, &spec).unwrap();
+        assert!(zipf(0.0).iter().all(|w| *w == 1.0));
+        let hot = zipf(1.0);
+        assert_eq!(hot.len() as u64, mem.block_count());
+        for pair in hot.windows(2) {
+            assert!(pair[0] > pair[1], "zipf weights must decay: {hot:?}");
+        }
+        assert!((hot[0] / hot[4] - 5.0).abs() < 1e-12);
+        // Uniform dwell installs nothing.
+        assert_eq!(dwell_weights(&mem, &DwellModel::Uniform, &spec), None);
+    }
+
+    #[test]
+    fn npu_zipf_dwell_uses_global_tile_order() {
+        let spec = dnnlife_nn::NetworkSpec::custom_mnist();
+        let slots = FifoSlotMemory::all_slots(&spec, NumberFormat::Int8Symmetric, 1);
+        let zipf = DwellModel::Zipf { exponent: 1.0 };
+        // Slot 1 holds global tiles 1 and 5; at exponent 1 their
+        // weights must be 1/2 and 1/6 — a 3:1 ratio, not the 2:1 that
+        // slot-local indices (1, 1/2) would give.
+        let w = dwell_weights(&slots[1], &zipf, &spec).unwrap();
+        assert_eq!(w.len(), 2);
+        assert!((w[0] - 0.5).abs() < 1e-12, "global tile 1: {}", w[0]);
+        assert!((w[1] - 1.0 / 6.0).abs() < 1e-12, "global tile 5: {}", w[1]);
+        // Slot 0's first tile is global tile 0: full weight, as stream
+        // position 0 gets on a flat memory.
+        assert_eq!(dwell_weights(&slots[0], &zipf, &spec).unwrap()[0], 1.0);
     }
 
     fn validate(spec: &ExperimentSpec) -> CrossValidation {

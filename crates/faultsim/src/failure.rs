@@ -1,22 +1,17 @@
 //! From per-cell duty cycles to per-weight-bit failure probabilities.
 //!
-//! The duty simulation runs on the *trained* weight tables (the memory
-//! plan is rebuilt with [`FlatWeightMemory::with_weight_tables`] /
-//! [`FifoSlotMemory::all_slots_with_weight_tables`]), so the aged
-//! memory image is exactly the one the corrupted network reads back —
-//! the policy's seed and closed forms match what
-//! `dnnlife_core::run_experiment_with` computes for the same scenario via
-//! [`dnnlife_core::ExperimentSpec::policy_seed`].
+//! The duty simulation runs on the *trained* weight tables: the memory
+//! units come from [`dnnlife_core::experiment::memory_units`], the same
+//! builder the sweep uses, so the aged memory image is exactly the one
+//! the corrupted network reads back, and the policy seed and closed
+//! forms match what `dnnlife_core::run_experiment_with` computes for
+//! the same scenario.
 
 use std::collections::HashMap;
 
-use dnnlife_accel::{
-    AcceleratorConfig, AnalyticSimConfig, BlockSource, FifoSlotMemory, FlatWeightMemory,
-    RemappedMemory, UnitDutyMap,
-};
-use dnnlife_core::experiment::{Platform, PolicySpec};
+use dnnlife_accel::{simulate_analytic, AnalyticSimConfig};
+use dnnlife_core::experiment::memory_units;
 use dnnlife_core::ExperimentSpec;
-use dnnlife_mitigation::RemapSchedule;
 use dnnlife_quant::Quantizer;
 use dnnlife_sram::lifetime::ReadFailureModel;
 use dnnlife_sram::snm::{CalibratedSnmModel, SnmModel};
@@ -74,7 +69,6 @@ impl WeightCellDuties {
             scenario.dwell.is_uniform(),
             "the analytic closed forms need uniform dwell"
         );
-        let network = scenario.network.spec();
         let policy = scenario.policy.analytic(scenario.policy_seed());
         let cfg = AnalyticSimConfig {
             inferences: scenario.inferences,
@@ -82,113 +76,41 @@ impl WeightCellDuties {
             threads,
             shards,
         };
-        let layer_count = network.layers().len();
-        let word_duties: Vec<f64>;
-        let mut weight_words: Vec<Vec<u32>> = Vec::with_capacity(layer_count);
-        let mut quantizers = Vec::with_capacity(layer_count);
-        let word_bits;
-
-        // Wear-leveling is a plan transform: the duty map then runs
-        // over the *rotated* physical memory (epochs × K blocks), and
-        // each logical weight is read back from its final-epoch
-        // physical word.
-        let row_words = scenario.platform.row_words();
-        let wear_epochs = match scenario.policy {
-            PolicySpec::WearLevel { epochs } => Some(epochs),
-            _ => None,
-        };
-        let duty_map = |mem: &FlatWeightMemory| -> (UnitDutyMap, Option<RemapSchedule>) {
-            match wear_epochs {
-                Some(epochs) => {
-                    let remapped = RemappedMemory::new(mem.clone(), row_words, epochs);
-                    let schedule = *remapped.schedule();
-                    (
-                        UnitDutyMap::analytic(&remapped, &policy, &cfg),
-                        Some(schedule),
-                    )
-                }
-                None => (UnitDutyMap::analytic(mem, &policy, &cfg), None),
-            }
-        };
-        let physical_word = |schedule: Option<RemapSchedule>, word: usize| -> usize {
-            match schedule {
-                Some(s) => s.final_physical_word(word as u64) as usize,
-                None => word,
-            }
-        };
-
-        match scenario.platform {
-            Platform::Baseline | Platform::Crossbar => {
-                let config = match scenario.platform {
-                    Platform::Baseline => AcceleratorConfig::baseline(),
-                    _ => AcceleratorConfig::crossbar(),
-                };
-                let mem = FlatWeightMemory::with_weight_tables(
-                    &config,
-                    &network,
-                    scenario.format,
-                    tables,
-                )
-                .with_repair(&scenario.repair);
-                word_bits = mem.geometry().word_bits;
-                let (map, schedule) = duty_map(&mem);
-                word_duties = map.duties().to_vec();
-                for (li, layer) in network.layers().iter().enumerate() {
-                    quantizers.push(mem.layer_quantizer(li));
-                    let mut words = Vec::with_capacity(layer.weight_count() as usize);
-                    for w in 0..layer.weight_count() {
-                        let addr = mem.locate_weight(li, w);
-                        let word = physical_word(schedule, addr.word);
-                        words.push(u32::try_from(word).expect("word index fits u32"));
-                    }
-                    weight_words.push(words);
-                }
-            }
-            Platform::TpuLike => {
-                let slots: Vec<FifoSlotMemory> =
-                    FifoSlotMemory::all_slots_with_weight_tables(&network, scenario.format, tables)
-                        .into_iter()
-                        .map(|slot| slot.with_repair(&scenario.repair))
-                        .collect();
-                word_bits = slots[0].geometry().word_bits;
-                let slot_words = slots[0].geometry().words;
-                let mut maps = Vec::with_capacity(slots.len());
-                let mut schedule = None;
-                for slot in &slots {
-                    assert_eq!(slot.geometry().words, slot_words, "uniform FIFO slots");
-                    match wear_epochs {
-                        Some(epochs) => {
-                            let remapped = RemappedMemory::new(slot.clone(), row_words, epochs);
-                            schedule = Some(*remapped.schedule());
-                            maps.push(UnitDutyMap::analytic(&remapped, &policy, &cfg));
-                        }
-                        None => maps.push(UnitDutyMap::analytic(slot, &policy, &cfg)),
-                    }
-                }
-                word_duties = maps
-                    .iter()
-                    .flat_map(|m| m.duties().iter().copied())
-                    .collect();
-                for (li, layer) in network.layers().iter().enumerate() {
-                    quantizers.push(slots[0].layer_quantizer(li));
-                    let mut words = Vec::with_capacity(layer.weight_count() as usize);
-                    for w in 0..layer.weight_count() {
-                        let (slot, addr) = slots
+        // Under wear-leveling each unit is the *rotated* physical memory
+        // (epochs × K blocks), and `locate_weight` answers with the
+        // final-epoch physical word an end-of-life read hits.
+        let units = memory_units(scenario, Some(tables));
+        let geometry = units[0].geometry();
+        let mut word_duties = Vec::with_capacity(units.len() * geometry.cells() as usize);
+        for unit in &units {
+            assert_eq!(unit.geometry(), geometry, "uniform memory units");
+            word_duties.extend(simulate_analytic(unit.as_ref(), &policy, &cfg));
+        }
+        let network = scenario.network.spec();
+        let weight_words = network
+            .layers()
+            .iter()
+            .enumerate()
+            .map(|(li, layer)| {
+                (0..layer.weight_count())
+                    .map(|w| {
+                        let (u, addr) = units
                             .iter()
                             .enumerate()
-                            .find_map(|(s, slot)| slot.locate_weight(li, w).map(|a| (s, a)))
-                            .expect("every weight lands in exactly one FIFO slot");
-                        let word = physical_word(schedule, addr.word);
-                        let gw = slot * slot_words + word;
-                        words.push(u32::try_from(gw).expect("word index fits u32"));
-                    }
-                    weight_words.push(words);
-                }
-            }
-        }
+                            .find_map(|(u, unit)| unit.locate_weight(li, w).map(|a| (u, a)))
+                            .expect("every weight lands in exactly one memory unit");
+                        let gw = u * geometry.words + addr.word;
+                        u32::try_from(gw).expect("word index fits u32")
+                    })
+                    .collect()
+            })
+            .collect();
+        let quantizers = (0..network.layers().len())
+            .map(|li| units[0].layer_quantizer(li))
+            .collect();
         (
             Self {
-                word_bits,
+                word_bits: geometry.word_bits,
                 word_duties,
                 weight_words,
             },
@@ -274,7 +196,7 @@ impl WeightCellDuties {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dnnlife_core::experiment::{NetworkKind, PolicySpec};
+    use dnnlife_core::experiment::{NetworkKind, Platform, PolicySpec};
     use dnnlife_core::{DwellModel, SimulatorBackend};
     use dnnlife_nn::zoo::{build_custom_mnist, extract_layer_weights};
 

@@ -11,8 +11,10 @@
 //! neural-network stack end to end:
 //!
 //! ```text
-//! per-cell duty            dnnlife_accel::UnitDutyMap (analytic closed forms,
-//!   |                        stride 1, on the *trained* weight tables)
+//! memory units             dnnlife_core::experiment::memory_units on the
+//!   |                        *trained* weight tables (the sweep's builder)
+//! per-cell duty            dnnlife_accel::simulate_analytic (closed forms,
+//!   |                        stride 1)
 //! NBTI ΔVth → SNM loss     dnnlife_sram::snm::CalibratedSnmModel at each age
 //!   |
 //! read-failure prob        dnnlife_sram::lifetime::ReadFailureModel at the

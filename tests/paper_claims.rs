@@ -39,12 +39,9 @@ fn npu_fifo_geometry() {
         cfg.weight_memory_bytes,
         FifoSlotMemory::DEPTH * FifoSlotMemory::TILE_SIDE * FifoSlotMemory::TILE_SIDE
     );
-    let slot = FifoSlotMemory::new(
-        0,
-        &NetworkKind::Alexnet.spec(),
-        NumberFormat::Int8Symmetric,
-        1,
-    );
+    let slot =
+        FifoSlotMemory::all_slots(&NetworkKind::Alexnet.spec(), NumberFormat::Int8Symmetric, 1)
+            .swap_remove(0);
     assert_eq!(slot.geometry().words, 256 * 256);
 }
 
