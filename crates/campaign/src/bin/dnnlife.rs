@@ -978,24 +978,41 @@ fn ratio_ok(ratio: &f64) -> bool {
     ratio.is_finite() && *ratio >= 1.0
 }
 
+/// The gates of a `--baseline` file: the exact-backend throughput floor
+/// (required) and the scenario-wall p99 ceiling (optional). A gate
+/// that is present must be a positive number: a string or a zero
+/// would otherwise turn its check off.
+fn read_baseline(path: &str) -> Result<(f64, Option<f64>), CliError> {
+    let contents = std::fs::read_to_string(path)
+        .map_err(|e| format!("perf: cannot read baseline `{path}`: {e}"))?;
+    let value: serde::Value = serde_json::from_str(contents.trim())
+        .map_err(|e| format!("perf: baseline `{path}`: {e}"))?;
+    let gate = |field: &str| match value.get(field) {
+        None => Ok(None),
+        Some(serde::Value::Number(n)) if (*n).as_f64() > 0.0 && (*n).as_f64().is_finite() => {
+            Ok(Some((*n).as_f64()))
+        }
+        Some(_) => Err(format!(
+            "perf: baseline `{path}`: `{field}` must be a positive number"
+        )),
+    };
+    let floor = gate("exact_words_per_sec")?.ok_or_else(|| {
+        format!("perf: baseline `{path}` lacks a numeric `exact_words_per_sec` field")
+    })?;
+    Ok((floor, gate("scenario_wall_p99_ms")?))
+}
+
 /// `dnnlife perf`: performance tables of one events journal and, for
-/// CI, the throughput and p99 gates against a committed baseline.
+/// CI, the throughput and p99 gates against a committed baseline
+/// (validated before the journal is read).
 fn perf_summary(args: &Args) -> Result<(), CliError> {
     let max_regression = args.bounded(&MAX_REGRESSION, 2.0, ">= 1", ratio_ok)?;
+    let gates = args.get(&BASELINE).map(read_baseline).transpose()?;
     let summary = load_journal(args, args.path(&EVENTS))?;
     args.print(|| summary.to_value(), || summary.render_text());
-    let Some(baseline_path) = args.get(&BASELINE) else {
+    let Some((baseline, p99_ceiling)) = gates else {
         return Ok(());
     };
-    let contents = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("perf: cannot read baseline `{baseline_path}`: {e}"))?;
-    let value: serde::Value = serde_json::from_str(contents.trim())
-        .map_err(|e| format!("perf: baseline `{baseline_path}`: {e}"))?;
-    let Some(serde::Value::Number(n)) = value.get("exact_words_per_sec") else {
-        let field = "a numeric `exact_words_per_sec` field";
-        return Err(format!("perf: baseline `{baseline_path}` lacks {field}").into());
-    };
-    let baseline = (*n).as_f64();
     let measured = perf::check_baseline(&summary, baseline, max_regression)
         .map_err(|e| format!("perf: {e}"))?;
     eprintln!(
@@ -1004,8 +1021,7 @@ fn perf_summary(args: &Args) -> Result<(), CliError> {
     );
     // A committed p99 ceiling fails hard when the journal can't prove
     // the p99 (no histogram events) instead of passing unmeasured.
-    if let Some(serde::Value::Number(n)) = value.get("scenario_wall_p99_ms") {
-        let ceiling = (*n).as_f64();
+    if let Some(ceiling) = p99_ceiling {
         let p99 = perf::check_wall_p99(&summary, ceiling, max_regression)
             .map_err(|e| format!("perf: {e}"))?;
         eprintln!(

@@ -12,12 +12,15 @@ use std::process::Command;
 mod util;
 
 /// Argv tokens substituted per run: a real sweep store and its events
-/// journal, a path that does not exist, and the committed perf
-/// baseline.
+/// journal, a path that does not exist, the committed perf baseline,
+/// and two corrupt baselines (a string p99 ceiling, a zero throughput
+/// floor).
 const STORE: &str = "{store}";
 const EVENTS: &str = "{events}";
 const MISSING: &str = "{missing}";
 const BASELINE: &str = "{baseline}";
+const P99_STRING: &str = "{p99-string}";
+const ZERO_FLOOR: &str = "{zero-floor}";
 
 const ROWS: &[(&[&str], i32, &str)] = &[
     // top level
@@ -294,8 +297,19 @@ const ROWS: &[(&[&str], i32, &str)] = &[
 
 /// Rows the parser used to get wrong: flags a mode never reads were
 /// ignored, a repeated flag silently won, a numeric error did not echo
-/// the value, and a bad `--table` lost to the missing-store check.
+/// the value, a bad `--table` lost to the missing-store check, and a
+/// corrupt perf baseline switched its gate off.
 const FIX_ROWS: &[(&[&str], i32, &str)] = &[
+    (
+        &["perf", "--events", EVENTS, "--baseline", P99_STRING],
+        2,
+        "`scenario_wall_p99_ms` must be a positive number",
+    ),
+    (
+        &["perf", "--events", EVENTS, "--baseline", ZERO_FLOOR],
+        2,
+        "`exact_words_per_sec` must be a positive number",
+    ),
     (
         &[
             "inject",
@@ -395,6 +409,18 @@ fn check(rows: &[(&[&str], i32, &str)], tag: &str) {
     let (store, events) = fixture(&dir);
     let baseline = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci/perf-baseline.json");
     let missing = dir.join("missing.jsonl");
+    let p99_string = dir.join("p99-string.json");
+    let zero_floor = dir.join("zero-floor.json");
+    std::fs::write(
+        &p99_string,
+        r#"{"exact_words_per_sec": 8700000, "scenario_wall_p99_ms": "380"}"#,
+    )
+    .expect("write baseline");
+    std::fs::write(
+        &zero_floor,
+        r#"{"exact_words_per_sec": 0, "scenario_wall_p99_ms": 380}"#,
+    )
+    .expect("write baseline");
     let mut failures = Vec::new();
     for &(argv, code, needle) in rows {
         let args: Vec<&Path> = argv
@@ -404,6 +430,8 @@ fn check(rows: &[(&[&str], i32, &str)], tag: &str) {
                 EVENTS => events.as_path(),
                 MISSING => missing.as_path(),
                 BASELINE => baseline.as_path(),
+                P99_STRING => p99_string.as_path(),
+                ZERO_FLOOR => zero_floor.as_path(),
                 other => Path::new(other),
             })
             .collect();
