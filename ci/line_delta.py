@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Net line delta of the Rust code under crates/ between two revisions.
+
+Usage: ci/line_delta.py BASE [HEAD]      (HEAD defaults to `HEAD`)
+
+Counts the added and removed lines of `git diff BASE HEAD` over the
+`.rs` files in `crates/`, in three buckets:
+
+  non-test Rust  `src/` lines before the file's first `#[cfg(test)]`
+  tests          `tests/` files, plus `src/` lines from the first
+                 `#[cfg(test)]` on (in-file test modules)
+  benches        `benches/` files
+
+A removed line is classified by the base revision of its file, an added
+line by the head revision, so a test module that moves or a non-test
+item added above one lands in the right bucket. Standard library only.
+"""
+
+import re
+import subprocess
+import sys
+
+BUCKETS = ("non-test Rust", "tests", "benches")
+HUNK = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
+CFG_TEST = re.compile(r"^\s*#\[cfg\(test\)\]")
+
+
+def git(*args):
+    return subprocess.run(
+        ("git",) + args, check=True, capture_output=True, text=True
+    ).stdout
+
+
+def test_cutoff(rev, path):
+    """1-based number of the first `#[cfg(test)]` line of `path` at
+    `rev`, or infinity when the file has none."""
+    for number, line in enumerate(git("show", f"{rev}:{path}").splitlines(), 1):
+        if CFG_TEST.match(line):
+            return number
+    return float("inf")
+
+
+def bucket(path, line, cutoff):
+    parts = path.split("/")
+    if "benches" in parts:
+        return "benches"
+    if "tests" in parts:
+        return "tests"
+    if "src" in parts and line >= cutoff:
+        return "tests"
+    return "non-test Rust"
+
+
+def main(argv):
+    if len(argv) not in (2, 3):
+        sys.exit(__doc__.strip().splitlines()[2])
+    base = argv[1]
+    head = argv[2] if len(argv) == 3 else "HEAD"
+    diff = git("diff", "-U0", "-M", base, head, "--", "crates/*.rs")
+    counts = {b: [0, 0] for b in BUCKETS}
+    old_path = new_path = None
+    old_cut = new_cut = float("inf")
+    old_line = new_line = 0
+    in_header = False
+    for line in diff.splitlines():
+        if line.startswith("diff --git "):
+            in_header = True
+        elif in_header and line.startswith("--- "):
+            old_path = None if line == "--- /dev/null" else line[6:]
+            old_cut = test_cutoff(base, old_path) if old_path else float("inf")
+        elif in_header and line.startswith("+++ "):
+            new_path = None if line == "+++ /dev/null" else line[6:]
+            new_cut = test_cutoff(head, new_path) if new_path else float("inf")
+        elif line.startswith("@@"):
+            in_header = False
+            match = HUNK.match(line)
+            old_line, new_line = int(match.group(1)), int(match.group(3))
+        elif in_header:
+            continue
+        elif line.startswith("-"):
+            counts[bucket(old_path, old_line, old_cut)][1] += 1
+            old_line += 1
+        elif line.startswith("+"):
+            counts[bucket(new_path, new_line, new_cut)][0] += 1
+            new_line += 1
+    print(f"crates/ Rust line delta {base}..{head}")
+    print(f"{'bucket':<14} {'added':>7} {'removed':>8} {'net':>7}")
+    total = [0, 0]
+    for name in BUCKETS:
+        added, removed = counts[name]
+        total[0] += added
+        total[1] += removed
+        print(f"{name:<14} {added:>7} {removed:>8} {added - removed:>+7}")
+    print(f"{'total':<14} {total[0]:>7} {total[1]:>8} {total[0] - total[1]:>+7}")
+
+
+if __name__ == "__main__":
+    main(sys.argv)
