@@ -869,7 +869,7 @@ fn dwell_weights(
 /// Simulates every non-empty memory unit of `spec` under
 /// `spec.backend`, returning per-unit duty vectors in unit order plus
 /// the blocks written per inference (the paper's `K`, summed over
-/// units, empty FIFO slots included) — or `None` if `opts.cancel` was
+/// units) — or `None` if `opts.cancel` was
 /// raised mid-run. Shared by [`run_experiment_with`] and
 /// [`cross_validate_with`], so the pair a cross-validation compares is
 /// by construction the pair the experiment runner executes.
