@@ -41,6 +41,7 @@
 
 use crate::plan::BlockSource;
 use crate::rng::SplitMix64;
+use dnnlife_nn::exec;
 use dnnlife_numerics::sample_binomial;
 use dnnlife_telemetry::{SpanId, Telemetry};
 
@@ -222,71 +223,27 @@ pub fn simulate_analytic_telemetry(
         _ => Vec::new(),
     };
 
-    let threads = if cfg.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        cfg.threads
-    }
-    .max(1);
     // Same partitioning story as the exact backend: contiguous balanced
-    // word shards, executed by up to `threads` workers. Per-cell duties
-    // are counter-seeded, so the partition is never semantic here.
+    // word shards, one job each. Per-cell duties are counter-seeded, so
+    // the partition is never semantic here.
+    let threads = exec::thread_count(cfg.threads);
     let shards = if cfg.shards == 0 { threads } else { cfg.shards }.clamp(1, sampled.len().max(1));
-    let ranges = crate::exact::shard_ranges(sampled.len(), shards);
-    let workers = threads.min(shards);
-
-    /// One shard's work: its sampled-word range and the disjoint
-    /// output slice it writes.
-    type ShardJob<'a> = (std::ops::Range<usize>, &'a mut [f64]);
-
     let mut duties = vec![0.0f64; sampled.len() * width];
-    {
-        let m1 = &m1;
-        let sampled = &sampled;
-        // Hand each shard its disjoint output slice up front; workers
-        // then pull (range, slice) pairs until the queue drains.
-        let mut queue: Vec<ShardJob> = Vec::with_capacity(ranges.len());
-        let mut rest: &mut [f64] = duties.as_mut_slice();
-        for range in ranges {
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(range.len() * width);
-            rest = tail;
-            queue.push((range, head));
-        }
-        if workers == 1 {
-            for (range, out) in queue {
-                let span = telemetry.span_start("analytic_shard", parent);
-                simulate_words(source, policy, cfg, k_blocks, m1, &sampled[range], out);
-                telemetry.span_end(span);
-            }
-        } else {
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let jobs: Vec<std::sync::Mutex<Option<ShardJob>>> = queue
-                .drain(..)
-                .map(|job| std::sync::Mutex::new(Some(job)))
-                .collect();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    let (next, jobs) = (&next, &jobs);
-                    scope.spawn(move || loop {
-                        let slot = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(job) = jobs.get(slot) else {
-                            break;
-                        };
-                        let (range, out) = job
-                            .lock()
-                            .expect("job mutex never poisoned")
-                            .take()
-                            .expect("each job claimed once");
-                        let span = telemetry.span_start("analytic_shard", parent);
-                        simulate_words(source, policy, cfg, k_blocks, m1, &sampled[range], out);
-                        telemetry.span_end(span);
-                    });
-                }
-            });
-        }
+    // Each shard's job owns its disjoint output slice.
+    let mut jobs = Vec::with_capacity(shards);
+    let mut rest = duties.as_mut_slice();
+    for range in crate::exact::shard_ranges(sampled.len(), shards) {
+        let (out, tail) = std::mem::take(&mut rest).split_at_mut(range.len() * width);
+        rest = tail;
+        jobs.push((range, out));
     }
+    exec::run_jobs(jobs, threads, None, |(range, out)| {
+        let span = telemetry.span_start("analytic_shard", parent);
+        simulate_words(source, policy, cfg, k_blocks, &m1, &sampled[range], out);
+        telemetry.span_end(span);
+        Some(())
+    })
+    .expect("no cancel flag and no failing job");
     telemetry.count(
         "analytic_shards_run",
         "Analytic-backend word shards executed",

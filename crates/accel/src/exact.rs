@@ -26,21 +26,22 @@
 //! expensive part of the inner loop, and their output is identical
 //! every inference.
 //!
-//! The same call parallelizes the loop across contiguous *word
-//! shards*: each shard runs an independent [`WriteTransducer::fork`]
-//! of the policy over its own range of sampled words, and per-shard
-//! duty vectors are concatenated in shard-index order. Per-address
-//! transducer state makes the partition invisible to the deterministic
-//! policies (any shard count is bit-identical to the serial run); the
-//! DNN-Life policy draws from an independent seed-derived TRBG stream
-//! per shard, so a given shard count is reproducible from the scenario
-//! seed alone.
+//! The same call splits the sampled words into contiguous *word
+//! shards*: each shard runs an independent [`WriteTransducer::fork`] of
+//! the policy over its own word range as one job of
+//! [`dnnlife_nn::exec::run_jobs`], and the per-shard duty vectors come
+//! back in shard order to be concatenated. Per-address transducer
+//! state makes the partition invisible to the deterministic policies
+//! (any shard count is bit-identical to the serial run); the DNN-Life
+//! policy draws from an independent seed-derived TRBG stream per shard,
+//! so a given shard count is reproducible from the scenario seed alone.
+//! The thread count never changes a result.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::plan::BlockSource;
 use dnnlife_mitigation::WriteTransducer;
+use dnnlife_nn::exec;
 use dnnlife_sram::{DutyCycleTracker, DutySliceTracker};
 use dnnlife_telemetry::{SpanId, Telemetry};
 
@@ -106,14 +107,14 @@ fn cancelled(cancel: Option<&AtomicBool>) -> bool {
 /// different but identically distributed random stream.
 ///
 /// The sampled words are split into `cfg.shards` contiguous balanced
-/// ranges, each range runs through its own [`WriteTransducer::fork`] on
-/// a scoped thread, and per-shard duty vectors are concatenated in
-/// shard-index order, so the cell order is the same for every shard
-/// count. Determinism: the deterministic policies (per-address state)
-/// are bit-identical for **any** shard count; the DNN-Life policy
-/// consumes an independent seed-derived TRBG stream per shard, so its
-/// duties are reproducible for a *given* shard count (one shard
-/// reproduces the serial stream of `prototype` exactly) and
+/// ranges, each range runs through its own [`WriteTransducer::fork`] as
+/// one job on up to `cfg.threads` workers, and per-shard duty vectors
+/// are concatenated in shard-index order, so the cell order is the same
+/// for every shard count. Determinism: the deterministic policies
+/// (per-address state) are bit-identical for **any** shard count; the
+/// DNN-Life policy consumes an independent seed-derived TRBG stream per
+/// shard, so its duties are reproducible for a *given* shard count (one
+/// shard reproduces the serial stream of `prototype` exactly) and
 /// distribution-identical across shard counts. The thread count is
 /// never semantic.
 ///
@@ -161,76 +162,22 @@ pub fn simulate_exact_sharded(
     let shards = cfg.shards.min(sampled.len()).max(1);
     let ranges = shard_ranges(sampled.len(), shards);
 
-    let threads = if cfg.threads == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        cfg.threads
-    }
-    .clamp(1, shards);
-
     let telemetry = cfg.telemetry.unwrap_or_else(|| Telemetry::noop());
-    let mut slots: Vec<Option<Vec<f64>>> = (0..shards).map(|_| None).collect();
-    if threads == 1 {
-        // Serial shard loop: same forks, same merge order, no spawn.
-        for (shard, range) in ranges.iter().enumerate() {
-            let mut transducer = prototype.fork(shard as u64);
-            let span = telemetry.span_start("exact_shard", cfg.parent_span);
-            let duties = simulate_word_range(
-                source,
-                transducer.as_mut(),
-                inferences,
-                &sampled[range.clone()],
-                use_cache,
-                cfg.cancel,
-            );
-            telemetry.span_end(span);
-            slots[shard] = Some(duties?);
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Vec<f64>)>();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let tx = tx.clone();
-                let (next, ranges, sampled) = (&next, &ranges, &sampled);
-                scope.spawn(move || loop {
-                    let shard = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(range) = ranges.get(shard) else {
-                        break;
-                    };
-                    let mut transducer = prototype.fork(shard as u64);
-                    let span = telemetry.span_start("exact_shard", cfg.parent_span);
-                    let duties = simulate_word_range(
-                        source,
-                        transducer.as_mut(),
-                        inferences,
-                        &sampled[range.clone()],
-                        use_cache,
-                        cfg.cancel,
-                    );
-                    telemetry.span_end(span);
-                    let Some(duties) = duties else {
-                        break; // cancelled: the partial shard is dropped
-                    };
-                    if tx.send((shard, duties)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            for (shard, duties) in rx {
-                // Merge guard: every shard lands at its own index, so
-                // concatenation below is in shard order regardless of
-                // completion order.
-                assert!(
-                    slots[shard].replace(duties).is_none(),
-                    "shard {shard} completed twice"
-                );
-            }
-        });
-    }
+    let jobs: Vec<_> = ranges.iter().cloned().enumerate().collect();
+    let shard_duties = exec::run_jobs(jobs, cfg.threads, cfg.cancel, |(shard, range)| {
+        let mut transducer = prototype.fork(shard as u64);
+        let span = telemetry.span_start("exact_shard", cfg.parent_span);
+        let duties = simulate_word_range(
+            source,
+            transducer.as_mut(),
+            inferences,
+            &sampled[range],
+            use_cache,
+            cfg.cancel,
+        );
+        telemetry.span_end(span);
+        duties
+    })?;
 
     let merge_span = telemetry.span_start("exact_merge", cfg.parent_span);
     let out = telemetry.time(
@@ -238,8 +185,7 @@ pub fn simulate_exact_sharded(
         "Time concatenating per-shard duty vectors",
         || {
             let mut out = Vec::with_capacity(sampled.len() * width);
-            for (shard, slot) in slots.into_iter().enumerate() {
-                let duties = slot?; // a missing shard means the run was cancelled
+            for (shard, duties) in shard_duties.into_iter().enumerate() {
                 assert_eq!(
                     duties.len(),
                     ranges[shard].len() * width,
@@ -247,11 +193,10 @@ pub fn simulate_exact_sharded(
                 );
                 out.extend(duties);
             }
-            Some(out)
+            out
         },
     );
     telemetry.span_end(merge_span);
-    let out = out?;
 
     // Counter bookkeeping is arithmetic over the completed run's shape
     // — never per-encode atomics in the hot loop. The counts are

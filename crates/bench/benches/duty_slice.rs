@@ -87,7 +87,7 @@ fn emit_json() {
     let updates = (CELLS as u64 * ROUNDS) as f64;
     let scalar_secs = best_of(&states, run_scalar, 3);
     let sliced_secs = best_of(&states, run_sliced, 3);
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let cores = dnnlife_nn::exec::thread_count(0);
     let json = format!(
         "{{\n  \"bench\": \"duty_slice\",\n  \"cells\": {CELLS},\n  \"rounds\": {ROUNDS},\n  \
          \"host_cores\": {cores},\n  \"results\": [\n    \

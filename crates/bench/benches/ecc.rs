@@ -118,7 +118,7 @@ fn emit_json() {
         || duty_sim(&RepairPolicy::Secded { interleave: 1 }) as u64,
         3,
     );
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let cores = dnnlife_nn::exec::thread_count(0);
     let json = format!(
         "{{\n  \"bench\": \"ecc\",\n  \"host_cores\": {cores},\n  \"codec\": [\n    {}\n  ],\n  \
          \"duty_sim_fig11_slot\": {{\"plain_s\": {plain:.6}, \"secded_s\": {secded:.6}, \

@@ -90,7 +90,7 @@ fn emit_json() {
             )
         })
         .collect();
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let cores = dnnlife_nn::exec::thread_count(0);
     let json = format!(
         "{{\n  \"bench\": \"exact_shards\",\n  \"cell\": \"fig11/Custom (MNIST)/int8/dnn-life [exact]\",\n  \
          \"sample_stride\": {},\n  \"inferences\": {},\n  \"host_cores\": {cores},\n  \"results\": [\n    {}\n  ]\n}}\n",

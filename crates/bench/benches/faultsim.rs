@@ -85,7 +85,7 @@ fn emit_json() {
             )
         })
         .collect();
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let cores = dnnlife_nn::exec::thread_count(0);
     let json = format!(
         "{{\n  \"bench\": \"faultsim\",\n  \"cell\": \"fig11/Custom (MNIST)/int8/inject\",\n  \
          \"host_cores\": {cores},\n  \"results\": [\n    {}\n  ]\n}}\n",

@@ -41,7 +41,7 @@ fn forward_pass(net: &mut Sequential, images: &Tensor, budget: usize) -> f64 {
 }
 
 fn bench_nn_exec(c: &mut Criterion) {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let cores = exec::thread_count(0);
     let cases = [NetworkSpec::custom_mnist(), NetworkSpec::alexnet()];
     let mut group = c.benchmark_group("im2col_forward");
     group.sample_size(10);
@@ -95,7 +95,7 @@ fn layer_gmacs(spec: &NetworkSpec) -> Vec<String> {
 }
 
 fn emit_json() {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let cores = exec::thread_count(0);
     let mut fields = Vec::new();
     for spec in [NetworkSpec::custom_mnist(), NetworkSpec::alexnet()] {
         let mut net = build_network(&spec, 42);

@@ -101,7 +101,7 @@ fn emit_json() {
     let stuck = fate_stream(&die, 7.0);
     let sram = best_of(|| duty_sim(MemoryTech::SramNbti), 3);
     let reram = best_of(|| duty_sim(MemoryTech::ReramEndurance), 3);
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let cores = dnnlife_nn::exec::thread_count(0);
     let json = format!(
         "{{\n  \"bench\": \"reram\",\n  \"host_cores\": {cores},\n  \
          \"cell_fate\": {{\"mcells_per_s\": {:.3}, \"stuck_fraction_7y\": {:.4}}},\n  \

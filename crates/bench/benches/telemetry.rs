@@ -169,7 +169,7 @@ fn emit_json() {
         span_emit_off * 50.0 < span_emit_on,
         "no-op span emission must be ~free (off {span_emit_off:.9}s vs on {span_emit_on:.6}s)"
     );
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let cores = dnnlife_nn::exec::thread_count(0);
     let json = format!(
         "{{\n  \"bench\": \"telemetry\",\n  \"host_cores\": {cores},\n  \
          \"counter_add_mops_per_s\": {{\"enabled\": {:.1}, \"noop\": {:.1}}},\n  \

@@ -19,7 +19,8 @@ use std::sync::atomic::Ordering;
 
 use dnnlife_core::{cross_validate_with, CrossValidation, ExperimentSpec, RunOptions};
 
-use crate::executor::{execute_shared_pool, requested_threads, CampaignOptions};
+use crate::executor::{execute_shared_pool, CampaignOptions};
+use dnnlife_nn::exec::thread_count;
 
 /// Runs [`dnnlife_core::cross_validate_with`] for every scenario,
 /// returning results in scenario order. The knobs are the campaign
@@ -41,7 +42,7 @@ pub fn validate_scenarios(
     options: &CampaignOptions,
 ) -> Option<Vec<CrossValidation>> {
     let (shards, cancel, instr) = (options.shards, options.cancel, options.instr);
-    let budget = requested_threads(options.threads);
+    let budget = thread_count(options.threads);
     if let Some(progress) = instr.progress {
         progress.set_total(scenarios.len());
     }

@@ -41,6 +41,7 @@ use std::sync::mpsc;
 use std::time::Instant;
 
 use dnnlife_core::experiment::{run_experiment_with, RunOptions, ShardPolicy};
+use dnnlife_nn::exec::thread_count;
 use dnnlife_telemetry::{Instrumentation, SpanId};
 use serde::Serialize;
 
@@ -152,7 +153,7 @@ pub fn run_campaign(
     }
     let skipped = grid.scenarios.len() - pending.len();
 
-    let budget = requested_threads(options.threads);
+    let budget = thread_count(options.threads);
     let threads = effective_threads(options.threads, pending.len());
     if options.verbose {
         eprintln!(
@@ -441,7 +442,7 @@ pub fn run_scenarios(grid: &CampaignGrid, threads: usize) -> Vec<ScenarioRecord>
     let mut slots: Vec<Option<ScenarioRecord>> = vec![None; specs.len()];
     execute_shared_pool(
         &specs,
-        requested_threads(threads),
+        thread_count(threads),
         None,
         |spec, _index, threads, cancel| {
             let opts = RunOptions {
@@ -565,19 +566,8 @@ fn claim_spare(spare: &AtomicUsize, remaining: usize) -> usize {
     take
 }
 
-/// The requested total thread budget (0 = all available cores).
-pub(crate) fn requested_threads(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        requested
-    }
-}
-
 pub(crate) fn effective_threads(requested: usize, pending: usize) -> usize {
-    requested_threads(requested).min(pending).max(1)
+    thread_count(requested).min(pending).max(1)
 }
 
 #[cfg(test)]

@@ -23,8 +23,9 @@ use dnnlife_quant::NumberFormat;
 use dnnlife_telemetry::Instrumentation;
 use serde::{Deserialize, Serialize};
 
-use crate::executor::{effective_threads, journal_into_store, requested_threads};
+use crate::executor::{effective_threads, journal_into_store};
 use crate::store::{JsonlStore, StoreLock, StoreRecord};
+use dnnlife_nn::exec::thread_count;
 
 /// One completed injection cell: the spec, its store key, the result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -292,7 +293,7 @@ pub fn run_injection_campaign(
         .collect();
     let skipped = grid.specs.len() - pending.len();
 
-    let budget = requested_threads(options.threads);
+    let budget = thread_count(options.threads);
     let threads = effective_threads(options.threads, pending.len());
     if options.verbose {
         eprintln!(

@@ -1,7 +1,6 @@
 //! Seeded bit-flip injection trials and accuracy evaluation.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use dnnlife_core::experiment::PolicySpec;
 use dnnlife_core::{FaultInjectionSpec, MemoryTech};
@@ -9,7 +8,7 @@ use dnnlife_nn::data::{adapt_batch, MnistSource};
 use dnnlife_nn::exec;
 use dnnlife_nn::train::accuracy;
 use dnnlife_nn::zoo::apply_layer_weights;
-use dnnlife_nn::{Sequential, Tensor};
+use dnnlife_nn::Tensor;
 use dnnlife_quant::ecc::{EccLayout, EccOutcome};
 use dnnlife_quant::Quantizer;
 use dnnlife_sram::lifetime::ReadFailureModel;
@@ -179,7 +178,7 @@ pub fn run_injection(spec: &FaultInjectionSpec, opts: &InjectOptions) -> Option<
     let telemetry = opts.telemetry.unwrap_or_else(|| Telemetry::noop());
 
     let span = telemetry.span_start("train", opts.parent_span);
-    let trained = exec::with_budget(resolve_threads(opts.threads), || {
+    let trained = exec::with_budget(exec::thread_count(opts.threads), || {
         TrainedNetwork::train(spec, opts.cancel)
     });
     telemetry.span_end(span);
@@ -222,7 +221,7 @@ pub fn run_injection(spec: &FaultInjectionSpec, opts: &InjectOptions) -> Option<
     let (images, labels) =
         MnistSource::from_env(spec.eval_seed()).batch(HOLDOUT_OFFSET, spec.eval_images as usize);
     let images = adapt_batch(&images, network.input_shape());
-    let clean_accuracy = exec::with_budget(resolve_threads(opts.threads), || {
+    let clean_accuracy = exec::with_budget(exec::thread_count(opts.threads), || {
         let mut net = trained.instantiate();
         apply_layer_weights(&mut net, &network, &clean_tables);
         accuracy(&mut net, &images, &labels)
@@ -327,22 +326,13 @@ pub fn run_injection(spec: &FaultInjectionSpec, opts: &InjectOptions) -> Option<
     })
 }
 
-/// Resolves the `threads` knob (0 = all available cores).
-fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        threads
-    }
-}
-
-/// Runs `spec.trials` seeded trials for one age on a small worker pool,
-/// returning `(accuracy, flipped_bits, ecc_counts)` in trial order.
-/// Leftover cores (fewer trials than threads) go to the executor's
-/// per-image thread budget inside each worker — never semantic, the
-/// forward pass is bit-identical at any budget. `None` iff cancelled.
+/// Runs `spec.trials` seeded trials for one age, one
+/// [`exec::run_jobs`] job per trial, returning `(accuracy,
+/// flipped_bits, ecc_counts)` in trial order. Each trial scores a fresh
+/// instance of the trained network. Leftover cores (fewer trials than
+/// threads) go to the executor's per-image thread budget inside each
+/// job — never semantic, the forward pass is bit-identical at any
+/// budget. `None` iff cancelled.
 #[allow(clippy::too_many_arguments)]
 fn run_trials(
     spec: &FaultInjectionSpec,
@@ -358,68 +348,21 @@ fn run_trials(
     eval: (&Tensor, &[usize]),
     opts: &InjectOptions,
 ) -> Option<Vec<(f64, u64, EccTrialCounts)>> {
-    let trials = spec.trials as usize;
-    let cores = resolve_threads(opts.threads);
-    let threads = cores.clamp(1, trials);
-
     let telemetry = opts.telemetry.unwrap_or_else(|| Telemetry::noop());
-    let run_one = |net: &mut Sequential, trial: usize| -> (f64, u64, EccTrialCounts) {
+    let trials = (0..spec.trials as usize).collect();
+    exec::run_jobs(trials, opts.threads, opts.cancel, |trial| {
         let span = telemetry.span_start("trial_decode", opts.parent_span);
         let (tables, flips, counts) = corrupt_tables(
             spec, codes, quantizers, probs, duties, years, ecc, age_index, trial,
         );
         telemetry.span_end(span);
-        apply_layer_weights(net, network, &tables);
+        let mut net = trained.instantiate();
+        apply_layer_weights(&mut net, network, &tables);
         let span = telemetry.span_start("trial_score", opts.parent_span);
-        let score = accuracy(net, eval.0, eval.1);
+        let score = accuracy(&mut net, eval.0, eval.1);
         telemetry.span_end(span);
-        (score, flips, counts)
-    };
-
-    let slots: Vec<Mutex<Option<(f64, u64, EccTrialCounts)>>> =
-        (0..trials).map(|_| Mutex::new(None)).collect();
-    if threads == 1 {
-        let cancelled = exec::with_budget(cores, || {
-            let mut net = trained.instantiate();
-            for (trial, slot) in slots.iter().enumerate() {
-                if opts.cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
-                    return true;
-                }
-                *slot.lock().expect("slot mutex") = Some(run_one(&mut net, trial));
-            }
-            false
-        });
-        if cancelled {
-            return None;
-        }
-    } else {
-        let budget = (cores / threads).max(1);
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let (next, slots) = (&next, &slots);
-                scope.spawn(move || {
-                    exec::with_budget(budget, || {
-                        let mut net = trained.instantiate();
-                        loop {
-                            if opts.cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
-                                break;
-                            }
-                            let trial = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(slot) = slots.get(trial) else {
-                                break;
-                            };
-                            *slot.lock().expect("slot mutex") = Some(run_one(&mut net, trial));
-                        }
-                    });
-                });
-            }
-        });
-    }
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("slot mutex"))
-        .collect()
+        Some((score, flips, counts))
+    })
 }
 
 /// Builds the corrupted weight tables of one trial: every physical

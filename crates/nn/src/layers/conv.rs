@@ -201,7 +201,8 @@ impl Layer for Conv2d {
         // order, so every output is the same f32 chain as a direct
         // convolution wherever no padding is involved, and differs from
         // it only by exact `+ 0.0` terms where it is.
-        crate::exec::for_each_image(out.data_mut(), per_image, |img, out_img| {
+        let images: Vec<_> = out.data_mut().chunks_mut(per_image).enumerate().collect();
+        crate::exec::run_jobs(images, crate::exec::budget(), None, |(img, out_img)| {
             let mut col = vec![0.0f32; patch * positions];
             for g in 0..groups {
                 for ic_local in 0..cin_g {
@@ -223,7 +224,9 @@ impl Layer for Conv2d {
                 let filters = &weight[rows.start * patch..rows.end * patch];
                 gemm_acc(filters, &col, out_rows, patch, positions);
             }
-        });
+            Some(())
+        })
+        .expect("no cancel flag and no failing job");
         self.cached_input = Some(input.clone());
         out
     }

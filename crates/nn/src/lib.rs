@@ -12,8 +12,9 @@
 //! * [`layers`] — `Conv2d` (im2col, stride / padding / groups), `Dense`,
 //!   `ReLU` and `MaxPool2d` (overlapping strides) with full forward
 //!   *and* backward passes.
-//! * [`exec`] — the thread budget the campaign layer hands the executor;
-//!   batches fan out over it with byte-identical results at any budget.
+//! * [`exec`] — the thread budget the campaign layer hands down and the
+//!   one job runner every parallel loop uses, byte-identical at any
+//!   thread count.
 //! * [`loss`] — fused softmax + cross-entropy.
 //! * [`network`] — a `Sequential` container and prediction helpers.
 //! * [`train`] — SGD (momentum + weight decay) and accuracy evaluation.
