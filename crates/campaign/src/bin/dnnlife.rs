@@ -20,6 +20,7 @@ use dnnlife_campaign::{
 };
 use dnnlife_core::experiment::{NetworkKind, Platform, PolicySpec};
 use dnnlife_core::{DwellModel, MemoryTech, RepairPolicy, SimulatorBackend};
+use dnnlife_nn::data::{IdxMnist, MNIST_DIR_ENV};
 use dnnlife_quant::NumberFormat;
 use serde::Serialize;
 
@@ -912,6 +913,15 @@ fn inject(args: &Args) -> Result<(), CliError> {
         )));
     }
     check_repair_coverage(args, &repairs, |repairs| build(repairs).len())?;
+    // A dataset opt-in that does not load is a usage error here, before
+    // any store is opened — not a panic inside a trial worker.
+    if let Some(dir) = std::env::var(MNIST_DIR_ENV)
+        .ok()
+        .filter(|dir| !dir.is_empty())
+    {
+        IdxMnist::load(std::path::Path::new(&dir))
+            .map_err(|e| args.error(format_args!("{MNIST_DIR_ENV}: {e}")))?;
+    }
     let (store_path, events) = run.store_paths("campaign-results/inject.jsonl".to_string());
     run.instrumented(&events, "inject", |instr| {
         let options = InjectCampaignOptions {

@@ -460,3 +460,34 @@ fn every_usage_error_exits_with_its_code_and_names_the_problem() {
 fn flags_a_mode_does_not_read_and_bad_values_are_usage_errors() {
     check(FIX_ROWS, "cli-fixes");
 }
+
+#[test]
+fn an_unloadable_mnist_dir_is_a_usage_error_before_any_store_is_opened() {
+    let dir = util::scratch_dir("cli-mnist-dir");
+    let empty = dir.join("no-idx-files");
+    std::fs::create_dir_all(&empty).expect("create empty dataset dir");
+    let store = dir.join("x.jsonl");
+    let output = Command::new(env!("CARGO_BIN_EXE_dnnlife"))
+        .args([
+            "inject",
+            "--trials",
+            "1",
+            "--ages",
+            "0",
+            "--eval-images",
+            "10",
+        ])
+        .args(["--train-steps", "2", "--policy", "without", "--out"])
+        .arg(&store)
+        .env("DNNLIFE_MNIST_DIR", &empty)
+        .current_dir(&dir)
+        .output()
+        .expect("spawn dnnlife");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("DNNLIFE_MNIST_DIR"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    for left in [store.clone(), dir.join("x.jsonl.lock")] {
+        assert!(!left.exists(), "{} left behind", left.display());
+    }
+}
