@@ -166,7 +166,7 @@ mod tests {
         assert_eq!(budget(), 1);
     }
 
-    /// Runs `jobs` copies of a job that returns its index squared.
+    /// Runs `jobs` jobs that each return their index squared.
     fn squares(jobs: usize, threads: usize) -> Option<Vec<usize>> {
         run_jobs((0..jobs).collect(), threads, None, |i| Some(i * i))
     }
