@@ -13,7 +13,7 @@ use dnnlife_core::{DwellModel, RepairPolicy, SimulatorBackend};
 use dnnlife_faultsim::WeightCellDuties;
 use dnnlife_nn::zoo::{build_custom_mnist, extract_layer_weights};
 use dnnlife_quant::{NumberFormat, Quantizer};
-use dnnlife_sram::MemoryTech;
+use dnnlife_sram::{MemoryTech, ReramEnduranceLifetime};
 
 /// FNV-1a, folded one little-endian `u64` at a time.
 struct Fnv(u64);
@@ -48,6 +48,62 @@ fn scenario(platform: Platform, policy: PolicySpec, repair: RepairPolicy) -> Exp
     }
 }
 
+/// Folds the per-layer quantizers into `h`.
+fn hash_quantizers(h: &mut Fnv, quantizers: &[Quantizer]) {
+    for q in quantizers {
+        match *q {
+            Quantizer::Fp32 => h.word(0),
+            Quantizer::Int8Symmetric { scale } => {
+                h.word(1);
+                h.word(u64::from(scale.to_bits()));
+            }
+            Quantizer::Int8Asymmetric { scale, zero_point } => {
+                h.word(2);
+                h.word(u64::from(scale.to_bits()));
+                h.word(u64::from(zero_point));
+            }
+        }
+    }
+}
+
+/// Weight-major hash of what the injector reads from `compute`: the
+/// stored word width, then for every weight in layer order its global
+/// word index and the bit patterns of its word's per-bit duties, then
+/// the quantizers. Padding words no weight lands in do not enter it.
+fn weight_duty_hash(scenario: &ExperimentSpec, tables: &[Vec<f32>]) -> u64 {
+    let (duties, quantizers) = WeightCellDuties::compute(scenario, tables, 1, 0);
+    let mut h = Fnv::new();
+    h.word(u64::from(duties.word_bits));
+    for (li, layer) in duties.weight_words.iter().enumerate() {
+        for (w, &gw) in layer.iter().enumerate() {
+            h.word(u64::from(gw));
+            for d in duties.weight_word_duties(li, w) {
+                h.word(d.to_bits());
+            }
+        }
+    }
+    hash_quantizers(&mut h, &quantizers);
+    h.0
+}
+
+/// Weight-major hash of the ReRAM stuck-cell masks at every weight's
+/// word, on one fixed die at age 7.
+fn stuck_mask_hash(scenario: &ExperimentSpec, tables: &[Vec<f32>]) -> (u64, u64) {
+    let (duties, _) = WeightCellDuties::compute(scenario, tables, 1, 0);
+    let stuck = duties.stuck_masks(&ReramEnduranceLifetime::new(0xD1E5_EED5), 7.0);
+    let mut h = Fnv::new();
+    let mut stuck_cells = 0;
+    for layer in &duties.weight_words {
+        for &gw in layer {
+            let (mask, value) = stuck[gw as usize];
+            h.word(mask);
+            h.word(value);
+            stuck_cells += u64::from(mask.count_ones());
+        }
+    }
+    (h.0, stuck_cells)
+}
+
 /// Hash of everything `compute` returns for `scenario`.
 fn duty_hash(scenario: &ExperimentSpec, tables: &[Vec<f32>]) -> u64 {
     let (duties, quantizers) = WeightCellDuties::compute(scenario, tables, 1, 0);
@@ -63,20 +119,7 @@ fn duty_hash(scenario: &ExperimentSpec, tables: &[Vec<f32>]) -> u64 {
             h.word(u64::from(w));
         }
     }
-    for q in &quantizers {
-        match *q {
-            Quantizer::Fp32 => h.word(0),
-            Quantizer::Int8Symmetric { scale } => {
-                h.word(1);
-                h.word(u64::from(scale.to_bits()));
-            }
-            Quantizer::Int8Asymmetric { scale, zero_point } => {
-                h.word(2);
-                h.word(u64::from(scale.to_bits()));
-                h.word(u64::from(zero_point));
-            }
-        }
-    }
+    hash_quantizers(&mut h, &quantizers);
     h.0
 }
 
@@ -113,4 +156,64 @@ fn weight_cell_duties_are_bit_pinned() {
             "WeightCellDuties::compute moved for {platform:?} / {policy:?} / {repair:?}: {hash:#018x}"
         );
     }
+}
+
+fn cases() -> Vec<(Platform, PolicySpec, RepairPolicy)> {
+    let (plain, secded) = (RepairPolicy::None, RepairPolicy::Secded { interleave: 1 });
+    let dnn_life = PolicySpec::DnnLife {
+        bias: 0.5,
+        bias_balancing: true,
+        m_bits: 4,
+    };
+    let wear = PolicySpec::WearLevel { epochs: 4 };
+    let (baseline, crossbar, npu) = (Platform::Baseline, Platform::Crossbar, Platform::TpuLike);
+    vec![
+        (baseline, PolicySpec::None, plain),
+        (baseline, dnn_life, secded),
+        (crossbar, PolicySpec::Inversion, plain),
+        (crossbar, wear, plain),
+        (npu, PolicySpec::BarrelShifter, plain),
+        (npu, wear, plain),
+        (npu, dnn_life, plain),
+        (npu, PolicySpec::None, secded),
+    ]
+}
+
+#[test]
+fn weight_resident_duties_are_bit_pinned() {
+    let tables = extract_layer_weights(&mut build_custom_mnist(5));
+    let expected = [
+        0x51e3_a781_19f9_f604,
+        0x4783_8dca_125d_2535,
+        0x70b0_f78e_f1a8_abb4,
+        0xa8b2_7754_cff6_7495,
+        0xdff4_7709_6223_c0e1,
+        0x6c94_181d_de09_4a99,
+        0x0f93_dbd7_6c38_ccec,
+        0xba7a_4825_ecf6_ec84,
+    ];
+    for ((platform, policy, repair), expected) in cases().into_iter().zip(expected) {
+        let hash = weight_duty_hash(&scenario(platform, policy, repair), &tables);
+        assert_eq!(
+            hash, expected,
+            "weight-resident duties moved for {platform:?} / {policy:?} / {repair:?}: {hash:#018x}"
+        );
+    }
+}
+
+#[test]
+fn reram_stuck_masks_are_bit_pinned() {
+    let tables = extract_layer_weights(&mut build_custom_mnist(5));
+    let mut scenario = scenario(
+        Platform::Baseline,
+        PolicySpec::WearLevel { epochs: 4 },
+        RepairPolicy::None,
+    );
+    scenario.tech = MemoryTech::ReramEndurance;
+    let (hash, stuck_cells) = stuck_mask_hash(&scenario, &tables);
+    assert!(stuck_cells > 0, "the pin must cover stuck cells");
+    assert_eq!(
+        hash, 0x7d11_b950_80c0_a8f3,
+        "ReRAM stuck masks moved: {hash:#018x} ({stuck_cells} stuck)"
+    );
 }
