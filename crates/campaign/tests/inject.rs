@@ -262,7 +262,7 @@ fn full_none_axis_store_matches_pre_repair_golden_bytes() {
 #[test]
 fn committed_golden_stores_keep_their_content_keys() {
     let golden_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
-    let expected: [(&str, &[&str]); 2] = [
+    let expected: [(&str, &[&str]); 3] = [
         (
             "inject_pre_ecc.jsonl",
             &[
@@ -275,6 +275,10 @@ fn committed_golden_stores_keep_their_content_keys() {
         (
             "inject_alexnet.jsonl",
             &["7582925149461669", "5728daf3853f9456"],
+        ),
+        (
+            "inject_baseline_secded.jsonl",
+            &["cb64a7dd03c00a03", "d466c5f10aaa1ba1"],
         ),
     ];
     for (file, keys) in expected {
@@ -335,6 +339,63 @@ fn alexnet_store_matches_committed_golden_across_threads() {
         assert!(
             std::fs::read(&path).expect("read produced store") == golden,
             "alexnet store at --threads {threads} drifted from the committed golden file"
+        );
+    }
+}
+
+/// The flat baseline memory with SECDED parity columns, on both memory
+/// technologies and under the stochastic DNN-Life policy, reproduces
+/// the committed golden store byte for byte at `--threads 1` and `4`.
+/// The golden (`tests/golden/inject_baseline_secded.jsonl`) was
+/// generated with `dnnlife inject --platform baseline --policy
+/// dnn-life --ecc secded --tech both --trials 1 --ages 7
+/// --eval-images 8 --train-steps 0 --inferences 2 --seed 3`.
+#[test]
+fn baseline_secded_store_matches_committed_golden_on_both_techs() {
+    let dir = util::scratch_dir("inject-baseline-secded");
+    let golden = {
+        let path =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/inject_baseline_secded.jsonl");
+        std::fs::read(path).expect("read committed baseline SECDED golden store")
+    };
+    for threads in ["1", "4"] {
+        let out = dir.join(format!("baseline-secded-t{threads}.jsonl"));
+        let status = std::process::Command::new(env!("CARGO_BIN_EXE_dnnlife"))
+            .args([
+                "inject",
+                "--platform",
+                "baseline",
+                "--policy",
+                "dnn-life",
+                "--ecc",
+                "secded",
+                "--tech",
+                "both",
+                "--trials",
+                "1",
+                "--ages",
+                "7",
+                "--eval-images",
+                "8",
+                "--train-steps",
+                "0",
+                "--inferences",
+                "2",
+                "--seed",
+                "3",
+                "--threads",
+                threads,
+                "--out",
+            ])
+            .arg(&out)
+            .env_remove("DNNLIFE_MNIST_DIR")
+            .stdout(std::process::Stdio::null())
+            .status()
+            .expect("spawn dnnlife inject");
+        assert!(status.success(), "dnnlife inject exited with {status}");
+        assert!(
+            std::fs::read(&out).expect("read produced store") == golden,
+            "baseline SECDED store at --threads {threads} drifted from the committed golden file"
         );
     }
 }
