@@ -37,7 +37,8 @@
 //! chunks of sampled words, gathering each block with one
 //! [`BlockSource::fill`] per chunk. `sample_stride` simulates every
 //! n-th word — an unbiased subsample of the cell population for
-//! histogram purposes.
+//! histogram purposes; [`simulate_analytic_telemetry`] takes any word
+//! list, e.g. only the words that hold a network weight.
 
 use crate::plan::BlockSource;
 use crate::rng::SplitMix64;
@@ -155,37 +156,53 @@ pub fn simulate_analytic(
     policy: &AnalyticPolicy,
     cfg: &AnalyticSimConfig,
 ) -> Vec<f64> {
-    simulate_analytic_telemetry(source, policy, cfg, None, SpanId::NONE)
-}
-
-const CELLS_HELP: &str = "Analytic-backend cells simulated";
-
-/// [`simulate_analytic`] with an observability handle: shard and cell
-/// counts are rolled into `telemetry`, and each word shard journals an
-/// `analytic_shard` trace span under `parent` ([`AnalyticSimConfig`]
-/// stays a plain `Eq` value type, so the borrowed handle and span
-/// parent ride alongside it instead of inside). Never semantic —
-/// duties are byte-identical with or without it.
-///
-/// # Panics
-///
-/// Panics if `sample_stride == 0` or `inferences == 0`.
-pub fn simulate_analytic_telemetry(
-    source: &dyn BlockSource,
-    policy: &AnalyticPolicy,
-    cfg: &AnalyticSimConfig,
-    telemetry: Option<&Telemetry>,
-    parent: SpanId,
-) -> Vec<f64> {
     assert!(
         cfg.sample_stride > 0,
         "simulate_analytic: stride must be > 0"
     );
+    let sampled: Vec<usize> = (0..source.geometry().words)
+        .step_by(cfg.sample_stride)
+        .collect();
+    simulate_analytic_telemetry(source, policy, cfg, &sampled, None, SpanId::NONE)
+}
+
+const CELLS_HELP: &str = "Analytic-backend cells simulated";
+
+/// [`simulate_analytic`] on an explicit word list, with an
+/// observability handle. `words` replaces the stride list
+/// [`simulate_analytic`] derives from `cfg.sample_stride` (which this
+/// function does not read): duties come back for exactly those words,
+/// in list order, word-major, bit 0 first. Every closed form is per
+/// word and DNN-Life's per-cell draws are keyed by the word index, so
+/// a word's duties do not depend on which other words are listed.
+/// Shard and cell counts are rolled into `telemetry`, and each word
+/// shard journals an `analytic_shard` trace span under `parent`
+/// ([`AnalyticSimConfig`] stays a plain `Eq` value type, so the
+/// borrowed handle and span parent ride alongside it instead of
+/// inside). Never semantic — duties are byte-identical with or
+/// without it.
+///
+/// # Panics
+///
+/// Panics if `inferences == 0` or a listed word lies outside the
+/// source's geometry.
+pub fn simulate_analytic_telemetry(
+    source: &dyn BlockSource,
+    policy: &AnalyticPolicy,
+    cfg: &AnalyticSimConfig,
+    words: &[usize],
+    telemetry: Option<&Telemetry>,
+    parent: SpanId,
+) -> Vec<f64> {
     assert!(
         cfg.inferences > 0,
         "simulate_analytic: inferences must be > 0"
     );
     let geo = source.geometry();
+    assert!(
+        words.iter().all(|&w| w < geo.words),
+        "simulate_analytic: word index outside the memory"
+    );
     let width = geo.word_bits as usize;
     let k_blocks = source.block_count();
     for block in 0..k_blocks {
@@ -196,15 +213,14 @@ pub fn simulate_analytic_telemetry(
         );
     }
     let telemetry = telemetry.unwrap_or_else(|| Telemetry::noop());
-    let sampled: Vec<usize> = (0..geo.words).step_by(cfg.sample_stride).collect();
     if k_blocks == 0 {
         // An unused memory unit holds its reset state (all zeros).
         telemetry.count(
             "analytic_cells_simulated",
             CELLS_HELP,
-            (sampled.len() * width) as u64,
+            (words.len() * width) as u64,
         );
-        return vec![0.0; sampled.len() * width];
+        return vec![0.0; words.len() * width];
     }
 
     // Deterministic per-block counts of MSB-high inferences for the
@@ -227,19 +243,19 @@ pub fn simulate_analytic_telemetry(
     // word shards, one job each. Per-cell duties are counter-seeded, so
     // the partition is never semantic here.
     let threads = exec::thread_count(cfg.threads);
-    let shards = if cfg.shards == 0 { threads } else { cfg.shards }.clamp(1, sampled.len().max(1));
-    let mut duties = vec![0.0f64; sampled.len() * width];
+    let shards = if cfg.shards == 0 { threads } else { cfg.shards }.clamp(1, words.len().max(1));
+    let mut duties = vec![0.0f64; words.len() * width];
     // Each shard's job owns its disjoint output slice.
     let mut jobs = Vec::with_capacity(shards);
     let mut rest = duties.as_mut_slice();
-    for range in crate::exact::shard_ranges(sampled.len(), shards) {
+    for range in crate::exact::shard_ranges(words.len(), shards) {
         let (out, tail) = std::mem::take(&mut rest).split_at_mut(range.len() * width);
         rest = tail;
         jobs.push((range, out));
     }
     exec::run_jobs(jobs, threads, None, |(range, out)| {
         let span = telemetry.span_start("analytic_shard", parent);
-        simulate_words(source, policy, cfg, k_blocks, &m1, &sampled[range], out);
+        simulate_words(source, policy, cfg, k_blocks, &m1, &words[range], out);
         telemetry.span_end(span);
         Some(())
     })

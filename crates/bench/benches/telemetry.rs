@@ -12,7 +12,7 @@
 
 use criterion::{criterion_group, Criterion};
 use dnnlife_accel::{
-    simulate_analytic_telemetry, AnalyticPolicy, AnalyticSimConfig, FifoSlotMemory,
+    simulate_analytic_telemetry, AnalyticPolicy, AnalyticSimConfig, BlockSource, FifoSlotMemory,
 };
 use dnnlife_nn::NetworkSpec;
 use dnnlife_quant::NumberFormat;
@@ -76,6 +76,7 @@ fn duty_sim(telemetry: Option<&Telemetry>) -> f64 {
             threads: 1,
             shards: 1,
         },
+        &(0..slot.geometry().words).step_by(4).collect::<Vec<_>>(),
         telemetry,
         SpanId::NONE,
     );

@@ -183,6 +183,18 @@ impl Trace {
         rows
     }
 
+    /// The share of `scenario` wall time spent inside named child
+    /// spans (stages, shards, trials): `1 − self ÷ cumulative` of the
+    /// `scenario` row of [`Trace::flame_table`]. `None` when no
+    /// scenario span has ended.
+    pub fn coverage(&self) -> Option<f64> {
+        let row = self
+            .flame_table()
+            .into_iter()
+            .find(|row| row.label == "scenario")?;
+        (row.cum_us > 0).then(|| (row.cum_us - row.self_us) as f64 / row.cum_us as f64)
+    }
+
     /// The critical path of each `campaign:*` root: from the root,
     /// repeatedly descend into the child that finished last, collecting
     /// `(label, duration_us)` hops.
@@ -226,6 +238,12 @@ impl Trace {
             self.unended,
             self.skipped_lines
         ));
+        if let Some(coverage) = self.coverage() {
+            out.push_str(&format!(
+                "coverage: {:.1}% of scenario time under named child spans\n",
+                coverage * 100.0
+            ));
+        }
 
         let flame = self.flame_table();
         if !flame.is_empty() {
@@ -315,6 +333,7 @@ impl Serialize for Trace {
             ("orphans".to_string(), self.orphans.to_value()),
             ("unended".to_string(), self.unended.to_value()),
             ("skipped_lines".to_string(), self.skipped_lines.to_value()),
+            ("coverage".to_string(), self.coverage().to_value()),
             ("flame".to_string(), Value::Array(flame)),
             ("critical_paths".to_string(), Value::Array(critical)),
         ])
@@ -382,6 +401,31 @@ mod tests {
 
         // Hottest self-time first.
         assert_eq!(flame[0].label, "scenario");
+    }
+
+    #[test]
+    fn coverage_is_named_child_time_over_scenario_time() {
+        let t = reconstruct(journal().as_bytes());
+        // Scenarios: 4700us cumulative, 2600us self (see above), so
+        // 2100us sit under named children.
+        let coverage = t.coverage().expect("scenario spans ended");
+        assert!((coverage - 2_100.0 / 4_700.0).abs() < 1e-12, "{coverage}");
+        let text = t.render_text();
+        assert!(
+            text.contains("coverage: 44.7% of scenario time under named child spans"),
+            "{text}"
+        );
+        let json = serde_json::to_string(&t.to_value()).expect("serializes");
+        let back: Value = serde_json::from_str(&json).expect("round trips");
+        assert_eq!(back.get("coverage"), Some(&coverage.to_value()));
+
+        // A journal without scenario spans has no coverage figure.
+        let bare =
+            reconstruct(r#"{"ev":"span_start","span":5,"label":"campaign:y","t_us":1}"#.as_bytes());
+        assert_eq!(bare.coverage(), None);
+        assert!(!bare.render_text().contains("coverage"));
+        let json = serde_json::to_string(&bare.to_value()).expect("serializes");
+        assert!(json.contains("\"coverage\":null"), "{json}");
     }
 
     #[test]

@@ -915,10 +915,12 @@ fn simulate_units(spec: &ExperimentSpec, opts: &RunOptions) -> Option<(Vec<Vec<f
                     threads: opts.threads,
                     shards,
                 };
+                let sampled: Vec<usize> = (0..geo.words).step_by(spec.sample_stride).collect();
                 simulate_analytic_telemetry(
                     source.as_ref(),
                     &spec.policy.analytic(policy_seed),
                     &sim_cfg,
+                    &sampled,
                     opts.telemetry,
                     opts.parent_span,
                 )

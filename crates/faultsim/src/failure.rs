@@ -7,51 +7,72 @@
 //! forms match what `dnnlife_core::run_experiment_with` computes for
 //! the same scenario.
 
-use std::collections::HashMap;
-
-use dnnlife_accel::{simulate_analytic, AnalyticSimConfig};
+use dnnlife_accel::{simulate_analytic_telemetry, AnalyticSimConfig};
 use dnnlife_core::experiment::memory_units;
 use dnnlife_core::ExperimentSpec;
 use dnnlife_quant::Quantizer;
 use dnnlife_sram::lifetime::ReadFailureModel;
 use dnnlife_sram::snm::{CalibratedSnmModel, SnmModel};
 use dnnlife_sram::{CellExposure, CellFate, LifetimeModel, ReramEnduranceLifetime};
+use dnnlife_telemetry::SpanId;
 
-/// Lifetime duty cycles of every *physical* memory cell, plus the map
-/// from canonical network weights to the words storing them.
+/// Lifetime duty cycles of every memory cell that stores a network
+/// weight, plus the map from canonical network weights to the words
+/// storing them.
 ///
-/// Stored per physical word, not per weight: big networks stream many
-/// weight blocks through the same fixed-capacity array (AlexNet writes
-/// ~61 M weights through a few hundred thousand words), so the
-/// weight-major layout this replaced would duplicate each word's duties
-/// once per resident weight — gigabytes for the big zoo, where the
-/// per-word layout is megabytes plus one `u32` per weight.
+/// Only *resident* words — words at least one weight's read hits —
+/// are simulated and kept: padding ages too, but no read ever returns
+/// it, so it has no accuracy consequence. Stored per physical word,
+/// not per weight: big networks stream many weight blocks through the
+/// same fixed-capacity array (AlexNet writes ~61 M weights through a
+/// few hundred thousand words), so a weight-major layout would
+/// duplicate each word's duties once per resident weight.
 ///
-/// `word_duties[gw * word_bits + b]` is the duty of bit `b` of global
-/// word `gw`; `weight_words[li][w]` is the global word storing weight
-/// `w` of layer `li` (under wear-leveling: the *final-epoch* physical
-/// word the end-of-life read hits). Global words number the whole
-/// memory flat — `unit × unit_words + word` across FIFO slots — so
-/// `gw * word_bits + b` is exactly the physical cell index keying the
-/// per-cell ReRAM endurance thresholds. `word_bits` is the *stored*
-/// width: data plus SECDED parity columns when the scenario carries a
-/// repair policy.
+/// Duties are stored as levels. Every closed form yields
+/// `duty = n / T` for an integer count `n` of 1-writes among the
+/// `T = inferences × K` writes of the cell's memory unit, so a unit's
+/// cells take at most `T + 1` distinct duties (101 on the single-fill
+/// custom network at 100 inferences). `levels` holds each distinct
+/// `(unit, n)` duty once; `cell_levels` holds one index into it per
+/// resident cell. Per-cell quantities that depend on duty alone (the
+/// SRAM read-failure probability) are then evaluated once per level.
+///
+/// `resident_words[r]` is the global index of resident word `r`;
+/// `cell_levels[r * word_bits + b]` is the level of its bit `b`;
+/// `weight_slots[li][w]` is the resident word `r` storing weight `w`
+/// of layer `li` (under wear-leveling: the *final-epoch* physical word
+/// the end-of-life read hits). Global words number the whole memory
+/// flat — `unit × unit_words + word` across FIFO slots — so
+/// `resident_words[r] * word_bits + b` is exactly the physical cell
+/// index keying the per-cell ReRAM endurance thresholds. `word_bits`
+/// is the *stored* width: data plus SECDED parity columns when the
+/// scenario carries a repair policy.
 #[derive(Debug, Clone)]
 pub struct WeightCellDuties {
     /// Stored word width in bits.
     pub word_bits: u32,
-    /// Per-physical-word duties across every memory unit, global-word
-    /// major, bit 0 first.
-    pub word_duties: Vec<f64>,
-    /// Per-layer global word index of every canonical weight.
-    pub weight_words: Vec<Vec<u32>>,
+    /// Global index of every resident word, ascending.
+    pub resident_words: Vec<u32>,
+    /// Per-layer resident-word index (into
+    /// [`WeightCellDuties::resident_words`]) of every canonical weight.
+    pub weight_slots: Vec<Vec<u32>>,
+    /// The distinct duty values, one per `(unit, n)` pair that occurs.
+    pub levels: Vec<f64>,
+    /// Level index of every resident cell, resident-word major, bit 0
+    /// first.
+    pub cell_levels: Vec<u32>,
 }
 
 impl WeightCellDuties {
-    /// Simulates `scenario`'s memory at stride 1 on the given weight
-    /// tables and gathers the duty of every cell that stores a network
-    /// weight (padding cells age too, but carry no accuracy
-    /// consequence). Returns the duties and the per-layer quantizers.
+    /// Simulates `scenario`'s memory on the given weight tables at
+    /// every word that stores a network weight, and nowhere else.
+    /// Each resident duty is bit-identical to the stride-1 simulation
+    /// of the whole memory at that word. Returns the duties and the
+    /// per-layer quantizers.
+    ///
+    /// Mapping a duty to its level indexes a table of `T + 1` entries
+    /// per memory unit (`T = inferences × K` writes per cell), so no
+    /// duty is hashed.
     ///
     /// # Panics
     ///
@@ -81,13 +102,13 @@ impl WeightCellDuties {
         // final-epoch physical word an end-of-life read hits.
         let units = memory_units(scenario, Some(tables));
         let geometry = units[0].geometry();
-        let mut word_duties = Vec::with_capacity(units.len() * geometry.cells() as usize);
         for unit in &units {
             assert_eq!(unit.geometry(), geometry, "uniform memory units");
-            word_duties.extend(simulate_analytic(unit.as_ref(), &policy, &cfg));
         }
         let network = scenario.network.spec();
-        let weight_words = network
+        // Each weight's global word first; remapped to its resident
+        // slot once the resident set is known.
+        let mut weight_slots: Vec<Vec<u32>> = network
             .layers()
             .iter()
             .enumerate()
@@ -105,14 +126,68 @@ impl WeightCellDuties {
                     .collect()
             })
             .collect();
+        let mut slot_of = vec![u32::MAX; units.len() * geometry.words];
+        for &gw in weight_slots.iter().flatten() {
+            slot_of[gw as usize] = 0;
+        }
+
+        let (mut resident_words, mut levels, mut cell_levels) =
+            (Vec::new(), Vec::new(), Vec::new());
+        for ((u, unit), slots) in units
+            .iter()
+            .enumerate()
+            .zip(slot_of.chunks_mut(geometry.words))
+        {
+            let mut words = Vec::new();
+            for (w, slot) in slots.iter_mut().enumerate() {
+                if *slot != u32::MAX {
+                    *slot = resident_words.len() as u32;
+                    resident_words.push((u * geometry.words + w) as u32);
+                    words.push(w);
+                }
+            }
+            if words.is_empty() {
+                continue;
+            }
+            let duties = simulate_analytic_telemetry(
+                unit.as_ref(),
+                &policy,
+                &cfg,
+                &words,
+                None,
+                SpanId::NONE,
+            );
+            // duty = n / T, correctly rounded, for an integer n ≤ T, so
+            // `duty × T` rounds back to n.
+            let writes = scenario.inferences * unit.block_count();
+            let mut level_of = vec![u32::MAX; writes as usize + 1];
+            for duty in duties {
+                let level = &mut level_of[(duty * writes as f64).round() as usize];
+                if *level == u32::MAX {
+                    *level = u32::try_from(levels.len()).expect("level index fits u32");
+                    levels.push(duty);
+                }
+                assert_eq!(
+                    levels[*level as usize].to_bits(),
+                    duty.to_bits(),
+                    "a duty level holds one value"
+                );
+                cell_levels.push(*level);
+            }
+        }
+        for slot in weight_slots.iter_mut().flatten() {
+            *slot = slot_of[*slot as usize];
+        }
         let quantizers = (0..network.layers().len())
             .map(|li| units[0].layer_quantizer(li))
             .collect();
         (
             Self {
                 word_bits: geometry.word_bits,
-                word_duties,
-                weight_words,
+                resident_words,
+                weight_slots,
+                levels,
+                cell_levels,
             },
             quantizers,
         )
@@ -123,42 +198,53 @@ impl WeightCellDuties {
     /// (multi-fill networks) each count.
     pub fn cells(&self) -> u64 {
         let bits = u64::from(self.word_bits);
-        self.weight_words
+        self.weight_slots
             .iter()
             .map(|l| l.len() as u64 * bits)
             .sum()
     }
 
-    /// The per-bit duties of the physical word storing weight `w` of
+    /// The global index of the physical word storing weight `w` of
     /// layer `li`.
-    pub fn weight_word_duties(&self, li: usize, w: usize) -> &[f64] {
-        let bits = self.word_bits as usize;
-        let gw = self.weight_words[li][w] as usize;
-        &self.word_duties[gw * bits..(gw + 1) * bits]
+    pub fn weight_word(&self, li: usize, w: usize) -> u32 {
+        self.resident_words[self.weight_slots[li][w] as usize]
     }
 
-    /// Per-physical-word stuck-cell masks at age `years` on `die` (the
-    /// ReRAM endurance mechanism), indexed by global word: a
-    /// `(stuck, value)` pair of bit masks — `stuck` flags the worn-out
-    /// cells, `value` holds the bits those cells are stuck reading
-    /// back. Fully deterministic in `(die, years)`: wear is a function
-    /// of each cell's duty, and the per-cell threshold and stuck
-    /// polarity are counter-hashed from the die seed (the cell index is
-    /// `gw × word_bits + bit`, so every weight resident in a word sees
-    /// the same cell fates).
-    pub fn stuck_masks(&self, die: &ReramEnduranceLifetime, years: f64) -> Vec<(u64, u64)> {
+    /// The level indices of resident word `slot`'s cells, bit 0 first.
+    pub fn slot_levels(&self, slot: usize) -> &[u32] {
         let bits = self.word_bits as usize;
-        self.word_duties
-            .chunks(bits)
-            .enumerate()
-            .map(|(gw, word_duties)| {
-                let base = gw as u64 * self.word_bits as u64;
+        &self.cell_levels[slot * bits..(slot + 1) * bits]
+    }
+
+    /// The per-bit duties of the physical word storing weight `w` of
+    /// layer `li`, bit 0 first.
+    pub fn weight_word_duties(&self, li: usize, w: usize) -> impl Iterator<Item = f64> + '_ {
+        self.slot_levels(self.weight_slots[li][w] as usize)
+            .iter()
+            .map(|&level| self.levels[level as usize])
+    }
+
+    /// Per-resident-word stuck-cell masks at age `years` on `die` (the
+    /// ReRAM endurance mechanism), indexed like
+    /// [`WeightCellDuties::resident_words`]: a `(stuck, value)` pair
+    /// of bit masks — `stuck` flags the worn-out cells, `value` holds
+    /// the bits those cells are stuck reading back. Fully
+    /// deterministic in `(die, years)`: wear is a function of each
+    /// cell's duty, and the per-cell threshold and stuck polarity are
+    /// counter-hashed from the die seed (the cell index is
+    /// `global word × word_bits + bit`, so every weight resident in a
+    /// word sees the same cell fates).
+    pub fn stuck_masks(&self, die: &ReramEnduranceLifetime, years: f64) -> Vec<(u64, u64)> {
+        (0..self.resident_words.len())
+            .map(|slot| {
+                let base = u64::from(self.resident_words[slot]) * u64::from(self.word_bits);
                 let (mut stuck, mut value) = (0u64, 0u64);
-                for (b, &duty) in word_duties.iter().enumerate() {
-                    let cell_index = base + b as u64;
-                    if let CellFate::StuckAt { value: v } =
-                        die.cell_fate(CellExposure { duty, cell_index }, years)
-                    {
+                for (b, &level) in self.slot_levels(slot).iter().enumerate() {
+                    let exposure = CellExposure {
+                        duty: self.levels[level as usize],
+                        cell_index: base + b as u64,
+                    };
+                    if let CellFate::StuckAt { value: v } = die.cell_fate(exposure, years) {
                         stuck |= 1 << b;
                         value |= u64::from(v) << b;
                     }
@@ -168,27 +254,22 @@ impl WeightCellDuties {
             .collect()
     }
 
-    /// Per-physical-cell read-failure probabilities at age `years`
-    /// (the SRAM/NBTI mechanism), global-word major like
-    /// [`WeightCellDuties::word_duties`]: duty → NBTI ΔVth → SNM
+    /// Read-failure probability of every duty level at age `years`
+    /// (the SRAM/NBTI mechanism), indexed like
+    /// [`WeightCellDuties::levels`]: duty → NBTI ΔVth → SNM
     /// degradation (`snm`) → Gaussian read-noise failure (`model`).
-    /// Memoized per distinct duty value — analytic duties take few
-    /// distinct values (block-bit fractions), so the `normal_sf` tail
-    /// evaluation runs once per value, not once per cell.
+    /// The cell with level `l` fails a read with probability
+    /// `failure_probabilities(..)[l]`; the `normal_sf` tail runs once
+    /// per level, not once per cell.
     pub fn failure_probabilities(
         &self,
         snm: &CalibratedSnmModel,
         model: &ReadFailureModel,
         years: f64,
     ) -> Vec<f64> {
-        let mut memo: HashMap<u64, f64> = HashMap::new();
-        self.word_duties
+        self.levels
             .iter()
-            .map(|&duty| {
-                *memo.entry(duty.to_bits()).or_insert_with(|| {
-                    model.failure_probability(snm.degradation_percent(duty, years))
-                })
-            })
+            .map(|&duty| model.failure_probability(snm.degradation_percent(duty, years)))
             .collect()
     }
 }
@@ -229,12 +310,12 @@ mod tests {
         let scenario = scenario(Platform::Baseline, PolicySpec::None);
         let tables = tables();
         let (duties, quantizers) = WeightCellDuties::compute(&scenario, &tables, 1, 0);
-        assert_eq!(duties.weight_words.len(), 4);
+        assert_eq!(duties.weight_slots.len(), 4);
         for (li, table) in tables.iter().enumerate() {
             let q = quantizers[li];
             for w in (0..table.len()).step_by(997) {
                 let code = q.encode(table[w]);
-                for (b, &d) in duties.weight_word_duties(li, w).iter().enumerate() {
+                for (b, d) in duties.weight_word_duties(li, w).enumerate() {
                     let bit = (code >> b) & 1;
                     assert_eq!(d, f64::from(bit), "layer {li} weight {w} bit {b}");
                 }
@@ -254,13 +335,13 @@ mod tests {
             },
         );
         let tables = tables();
-        // Spread over the *weight*-resident cells (weight-major, like
-        // the pre-per-word layout), so padding words don't dilute it.
+        // Spread over the cells weight-major, so a word holding many
+        // weights counts once per weight.
         let spread = |d: &WeightCellDuties| {
             let mut all: Vec<f64> = Vec::new();
-            for (li, words) in d.weight_words.iter().enumerate() {
+            for (li, words) in d.weight_slots.iter().enumerate() {
                 for w in 0..words.len() {
-                    all.extend_from_slice(d.weight_word_duties(li, w));
+                    all.extend(d.weight_word_duties(li, w));
                 }
             }
             let mean = all.iter().sum::<f64>() / all.len() as f64;
@@ -287,7 +368,11 @@ mod tests {
             noise_sigma_mv: 65.0,
             ..ReadFailureModel::default_65nm()
         };
-        let mean = |probs: &[f64]| probs.iter().sum::<f64>() / probs.len() as f64;
+        // Mean over the resident cells, not over the levels.
+        let mean = |probs: &[f64]| {
+            let cells = &duties.cell_levels;
+            cells.iter().map(|&l| probs[l as usize]).sum::<f64>() / cells.len() as f64
+        };
         let p2 = mean(&duties.failure_probabilities(&snm, &model, 2.0));
         let p7 = mean(&duties.failure_probabilities(&snm, &model, 7.0));
         let p10 = mean(&duties.failure_probabilities(&snm, &model, 10.0));

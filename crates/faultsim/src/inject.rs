@@ -390,7 +390,6 @@ fn corrupt_tables(
 ) -> (Vec<Vec<f32>>, u64, EccTrialCounts) {
     let mut rng = StdRng::seed_from_u64(spec.trial_seed(age_index, trial as u32));
     let rotates = matches!(spec.scenario.policy, PolicySpec::BarrelShifter);
-    let bits = duties.word_bits as usize;
     let data_bits = spec.scenario.format.bits() as u32;
     let mut flips = 0u64;
     let mut counts = EccTrialCounts::default();
@@ -405,19 +404,13 @@ fn corrupt_tables(
             .enumerate()
             .zip(quantizers)
             .map(|((li, layer_codes), q)| {
-                let words = &duties.weight_words[li];
+                let slots = &duties.weight_slots[li];
                 layer_codes
                     .iter()
                     .enumerate()
                     .map(|(w, &code)| {
-                        let gw = words[w] as usize;
-                        let cell_probs = &probs[gw * bits..(gw + 1) * bits];
-                        let mut mask = 0u64;
-                        for (b, &p) in cell_probs.iter().enumerate() {
-                            if p > 0.0 && rng.random::<f64>() < p {
-                                mask |= 1 << b;
-                            }
-                        }
+                        let mask =
+                            draw_mask(&mut rng, duties.slot_levels(slots[w] as usize), probs);
                         if mask == 0 {
                             return q.decode_corrupted(code);
                         }
@@ -460,19 +453,9 @@ fn corrupt_tables(
             .iter()
             .enumerate()
             .map(|(li, layer_codes)| {
-                let words = &duties.weight_words[li];
-                (0..layer_codes.len())
-                    .map(|w| {
-                        let gw = words[w] as usize;
-                        let cell_probs = &probs[gw * bits..(gw + 1) * bits];
-                        let mut mask = 0u64;
-                        for (b, &p) in cell_probs.iter().enumerate() {
-                            if p > 0.0 && rng.random::<f64>() < p {
-                                mask |= 1 << b;
-                            }
-                        }
-                        mask
-                    })
+                duties.weight_slots[li][..layer_codes.len()]
+                    .iter()
+                    .map(|&slot| draw_mask(&mut rng, duties.slot_levels(slot as usize), probs))
                     .collect()
             })
             .collect(),
@@ -488,12 +471,12 @@ fn corrupt_tables(
                 .iter()
                 .enumerate()
                 .map(|(li, layer_codes)| {
-                    let words = &duties.weight_words[li];
+                    let slots = &duties.weight_slots[li];
                     layer_codes
                         .iter()
                         .enumerate()
                         .map(|(w, &code)| {
-                            let (stuck_mask, stuck_value) = stuck[words[w] as usize];
+                            let (stuck_mask, stuck_value) = stuck[slots[w] as usize];
                             let stored = match ecc {
                                 None => u64::from(code),
                                 Some(layout) => layout.store(u64::from(code)),
@@ -552,6 +535,20 @@ fn corrupt_tables(
         })
         .collect();
     (tables, flips, counts)
+}
+
+/// Draws one word's read-failure mask: bit `b` fails with the
+/// probability of its cell's duty level, `probs[levels[b]]`. A cell
+/// that cannot fail takes no draw.
+fn draw_mask(rng: &mut StdRng, levels: &[u32], probs: &[f64]) -> u64 {
+    let mut mask = 0u64;
+    for (b, &level) in levels.iter().enumerate() {
+        let p = probs[level as usize];
+        if p > 0.0 && rng.random::<f64>() < p {
+            mask |= 1 << b;
+        }
+    }
+    mask
 }
 
 /// Adds one decoder verdict to the trial tallies.

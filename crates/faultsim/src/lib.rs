@@ -13,12 +13,12 @@
 //! ```text
 //! memory units             dnnlife_core::experiment::memory_units on the
 //!   |                        *trained* weight tables (the sweep's builder)
-//! per-cell duty            dnnlife_accel::simulate_analytic (closed forms,
-//!   |                        stride 1)
-//! NBTI ΔVth → SNM loss     dnnlife_sram::snm::CalibratedSnmModel at each age
-//!   |
+//! per-cell duty level      dnnlife_accel::simulate_analytic_telemetry
+//!   |                        (closed forms) on the weight-resident words only
+//! NBTI ΔVth → SNM loss     dnnlife_sram::snm::CalibratedSnmModel at each age,
+//!   |                        once per duty level
 //! read-failure prob        dnnlife_sram::lifetime::ReadFailureModel at the
-//!   |                        spec's read-noise operating point
+//!   |                        spec's read-noise operating point, per level
 //! seeded bit flips         per physical cell, mapped through the policy's
 //!   |                        read-decode permutation into the stored code
 //! corrupted inference      dnnlife_nn zoo network + train::accuracy on a

@@ -1,18 +1,24 @@
 //! Bit pins for `WeightCellDuties::compute`: the memory image the
 //! injection pipeline ages, per platform, repair and wear-level policy.
 //!
-//! The inject goldens only cover the NPU without repair or
-//! wear-leveling; these pins hash everything `compute` returns (stored
-//! word width, every per-word duty's bit pattern, the weight → word
-//! map and the per-layer quantizers) on untrained custom-MNIST tables,
-//! so the flat-memory path, SECDED widening and the wear-level
-//! final-epoch addressing are byte-pinned too.
+//! The inject goldens cover few platform × repair × policy cells;
+//! these pins hash what the injector reads from `compute` weight-major
+//! (stored word width, then every weight's global word and that word's
+//! per-bit duty bit patterns, then the per-layer quantizers) on
+//! untrained custom-MNIST tables, so the flat-memory path, SECDED
+//! widening and the wear-level final-epoch addressing are byte-pinned
+//! too. One ReRAM case pins the stuck-cell masks at every weight's
+//! word. A contract test checks the resident-only duties and the
+//! per-level failure probabilities against a whole-memory simulation.
 
-use dnnlife_core::experiment::{ExperimentSpec, NetworkKind, Platform, PolicySpec};
+use dnnlife_accel::{simulate_analytic, AnalyticSimConfig};
+use dnnlife_core::experiment::{memory_units, ExperimentSpec, NetworkKind, Platform, PolicySpec};
 use dnnlife_core::{DwellModel, RepairPolicy, SimulatorBackend};
 use dnnlife_faultsim::WeightCellDuties;
 use dnnlife_nn::zoo::{build_custom_mnist, extract_layer_weights};
 use dnnlife_quant::{NumberFormat, Quantizer};
+use dnnlife_sram::lifetime::ReadFailureModel;
+use dnnlife_sram::snm::{CalibratedSnmModel, SnmModel};
 use dnnlife_sram::{MemoryTech, ReramEnduranceLifetime};
 
 /// FNV-1a, folded one little-endian `u64` at a time.
@@ -74,9 +80,9 @@ fn weight_duty_hash(scenario: &ExperimentSpec, tables: &[Vec<f32>]) -> u64 {
     let (duties, quantizers) = WeightCellDuties::compute(scenario, tables, 1, 0);
     let mut h = Fnv::new();
     h.word(u64::from(duties.word_bits));
-    for (li, layer) in duties.weight_words.iter().enumerate() {
-        for (w, &gw) in layer.iter().enumerate() {
-            h.word(u64::from(gw));
+    for (li, layer) in duties.weight_slots.iter().enumerate() {
+        for w in 0..layer.len() {
+            h.word(u64::from(duties.weight_word(li, w)));
             for d in duties.weight_word_duties(li, w) {
                 h.word(d.to_bits());
             }
@@ -93,69 +99,15 @@ fn stuck_mask_hash(scenario: &ExperimentSpec, tables: &[Vec<f32>]) -> (u64, u64)
     let stuck = duties.stuck_masks(&ReramEnduranceLifetime::new(0xD1E5_EED5), 7.0);
     let mut h = Fnv::new();
     let mut stuck_cells = 0;
-    for layer in &duties.weight_words {
-        for &gw in layer {
-            let (mask, value) = stuck[gw as usize];
+    for layer in &duties.weight_slots {
+        for &slot in layer {
+            let (mask, value) = stuck[slot as usize];
             h.word(mask);
             h.word(value);
             stuck_cells += u64::from(mask.count_ones());
         }
     }
     (h.0, stuck_cells)
-}
-
-/// Hash of everything `compute` returns for `scenario`.
-fn duty_hash(scenario: &ExperimentSpec, tables: &[Vec<f32>]) -> u64 {
-    let (duties, quantizers) = WeightCellDuties::compute(scenario, tables, 1, 0);
-    let mut h = Fnv::new();
-    h.word(u64::from(duties.word_bits));
-    h.word(duties.word_duties.len() as u64);
-    for d in &duties.word_duties {
-        h.word(d.to_bits());
-    }
-    for layer in &duties.weight_words {
-        h.word(layer.len() as u64);
-        for &w in layer {
-            h.word(u64::from(w));
-        }
-    }
-    hash_quantizers(&mut h, &quantizers);
-    h.0
-}
-
-#[test]
-fn weight_cell_duties_are_bit_pinned() {
-    let tables = extract_layer_weights(&mut build_custom_mnist(5));
-    let (plain, secded) = (RepairPolicy::None, RepairPolicy::Secded { interleave: 1 });
-    let dnn_life = PolicySpec::DnnLife {
-        bias: 0.5,
-        bias_balancing: true,
-        m_bits: 4,
-    };
-    let wear = PolicySpec::WearLevel { epochs: 4 };
-    let (baseline, crossbar, npu) = (Platform::Baseline, Platform::Crossbar, Platform::TpuLike);
-    let cases = [
-        (baseline, PolicySpec::None, plain, 0xf441_9e9a_407b_9260),
-        (baseline, dnn_life, secded, 0x783a_e927_cfd3_5458),
-        (
-            crossbar,
-            PolicySpec::Inversion,
-            plain,
-            0x3977_3798_4e4f_315c,
-        ),
-        (crossbar, wear, plain, 0xb96e_df21_e805_cd65),
-        (npu, PolicySpec::BarrelShifter, plain, 0x6402_b434_a9b5_f665),
-        (npu, wear, plain, 0x0e9a_c241_f15e_55b5),
-        (npu, dnn_life, plain, 0x8722_9ffc_0ae8_e805),
-        (npu, PolicySpec::None, secded, 0xbace_492b_6dde_4a81),
-    ];
-    for (platform, policy, repair, expected) in cases {
-        let hash = duty_hash(&scenario(platform, policy, repair), &tables);
-        assert_eq!(
-            hash, expected,
-            "WeightCellDuties::compute moved for {platform:?} / {policy:?} / {repair:?}: {hash:#018x}"
-        );
-    }
 }
 
 fn cases() -> Vec<(Platform, PolicySpec, RepairPolicy)> {
@@ -201,19 +153,84 @@ fn weight_resident_duties_are_bit_pinned() {
     }
 }
 
-#[test]
-fn reram_stuck_masks_are_bit_pinned() {
-    let tables = extract_layer_weights(&mut build_custom_mnist(5));
+/// The ReRAM case: wear-leveled flat memory on the endurance model.
+fn reram_scenario() -> ExperimentSpec {
     let mut scenario = scenario(
         Platform::Baseline,
         PolicySpec::WearLevel { epochs: 4 },
         RepairPolicy::None,
     );
     scenario.tech = MemoryTech::ReramEndurance;
-    let (hash, stuck_cells) = stuck_mask_hash(&scenario, &tables);
+    scenario
+}
+
+#[test]
+fn reram_stuck_masks_are_bit_pinned() {
+    let tables = extract_layer_weights(&mut build_custom_mnist(5));
+    let (hash, stuck_cells) = stuck_mask_hash(&reram_scenario(), &tables);
     assert!(stuck_cells > 0, "the pin must cover stuck cells");
     assert_eq!(
         hash, 0x7d11_b950_80c0_a8f3,
         "ReRAM stuck masks moved: {hash:#018x} ({stuck_cells} stuck)"
     );
+}
+
+/// Simulating only the resident words changes no duty, and the level
+/// table reproduces the per-cell failure chain. Over every pinned case
+/// plus ReRAM: each resident cell's duty equals the stride-1
+/// simulation of its whole memory unit at that word, bit for bit; and
+/// each level's probability equals `failure_probability` of the
+/// level's duty, bit for bit (every cell of a level carries that exact
+/// duty, so this covers every resident cell).
+#[test]
+fn resident_duties_and_level_probabilities_match_whole_memory_simulation() {
+    let tables = extract_layer_weights(&mut build_custom_mnist(5));
+    let snm = CalibratedSnmModel::paper();
+    let model = ReadFailureModel {
+        noise_sigma_mv: 65.0,
+        ..ReadFailureModel::default_65nm()
+    };
+    let scenarios = cases()
+        .into_iter()
+        .map(|(platform, policy, repair)| scenario(platform, policy, repair))
+        .chain([reram_scenario()]);
+    for scenario in scenarios {
+        let (duties, _) = WeightCellDuties::compute(&scenario, &tables, 2, 3);
+        let policy = scenario.policy.analytic(scenario.policy_seed());
+        let cfg = AnalyticSimConfig {
+            inferences: scenario.inferences,
+            sample_stride: 1,
+            threads: 1,
+            shards: 1,
+        };
+        let whole: Vec<f64> = memory_units(&scenario, Some(&tables))
+            .iter()
+            .flat_map(|unit| simulate_analytic(unit.as_ref(), &policy, &cfg))
+            .collect();
+        let bits = duties.word_bits as usize;
+        assert!(
+            duties.resident_words.windows(2).all(|p| p[0] < p[1]),
+            "resident words ascend"
+        );
+        assert_eq!(duties.cell_levels.len(), duties.resident_words.len() * bits);
+        for (slot, &gw) in duties.resident_words.iter().enumerate() {
+            for (b, &level) in duties.slot_levels(slot).iter().enumerate() {
+                let resident = duties.levels[level as usize].to_bits();
+                let full = whole[gw as usize * bits + b].to_bits();
+                assert_eq!(
+                    resident, full,
+                    "{:?} / {:?}: word {gw} bit {b} duty differs from the whole-memory run",
+                    scenario.platform, scenario.policy
+                );
+            }
+        }
+        for years in [0.0, 7.0] {
+            let probs = duties.failure_probabilities(&snm, &model, years);
+            assert_eq!(probs.len(), duties.levels.len());
+            for (&duty, &p) in duties.levels.iter().zip(&probs) {
+                let chain = model.failure_probability(snm.degradation_percent(duty, years));
+                assert_eq!(p.to_bits(), chain.to_bits(), "duty {duty} at {years}y");
+            }
+        }
+    }
 }
