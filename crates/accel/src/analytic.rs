@@ -43,7 +43,7 @@
 use crate::plan::BlockSource;
 use crate::rng::SplitMix64;
 use dnnlife_nn::exec;
-use dnnlife_numerics::sample_binomial;
+use dnnlife_numerics::BinomialTable;
 use dnnlife_telemetry::{SpanId, Telemetry};
 
 /// Mitigation policy, in the closed-form parameterisation used by this
@@ -300,6 +300,7 @@ fn simulate_words(
     let mut order: Vec<u64> = (0..k_blocks).collect();
     order.sort_by_key(|&k| m1.get(k as usize).copied().unwrap_or(0));
     let lanes = width.div_ceil(8);
+    let mut binomial = None;
     let mut raw = vec![0u64; words.len().min(CHUNK)];
     let mut counts = vec![0u64; raw.len() * width];
     let mut tally = vec![0u64; raw.len() * lanes];
@@ -359,7 +360,16 @@ fn simulate_words(
             .zip(out.chunks_exact_mut(width))
             .zip(chunk)
         {
-            finalize(policy, cells, &barrel, inferences, k_blocks, word, duties);
+            finalize(
+                policy,
+                cells,
+                &barrel,
+                &mut binomial,
+                inferences,
+                k_blocks,
+                word,
+                duties,
+            );
         }
     }
 }
@@ -414,10 +424,14 @@ impl Run {
 
 /// Turns one word's per-bit counters into duties. `ones` below is the
 /// exact count of 1-writes over all `T = inferences · K` writes.
+/// DNN-Life draws its binomials through `binomial`, a table at the
+/// policy's bias built on first use and kept across the caller's words.
+#[allow(clippy::too_many_arguments)]
 fn finalize(
     policy: &AnalyticPolicy,
     counts: &[u64],
     barrel: &[(usize, u64)],
+    binomial: &mut Option<BinomialTable>,
     inferences: u64,
     k_blocks: u64,
     word: usize,
@@ -456,11 +470,12 @@ fn finalize(
         }
         AnalyticPolicy::DnnLife { bias, seed, .. } => {
             let cell_base = word as u64 * width as u64;
+            let table = binomial.get_or_insert_with(|| BinomialTable::new(*bias));
             for (j, (slot, &n_plus)) in out.iter_mut().zip(counts).enumerate() {
                 let n_minus = t_writes - n_plus;
                 let mut rng = SplitMix64::for_stream(*seed, cell_base + j as u64);
-                let x_plus = sample_binomial(&mut rng, n_plus, *bias);
-                let x_minus = sample_binomial(&mut rng, n_minus, *bias);
+                let x_plus = table.sample(&mut rng, n_plus);
+                let x_minus = table.sample(&mut rng, n_minus);
                 *slot = (n_minus + x_plus - x_minus) as f64 / t_writes as f64;
             }
         }

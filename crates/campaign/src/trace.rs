@@ -7,7 +7,7 @@
 //! work under it (`plan_build` for the memory plan and its quantizer
 //! calibration, `exact_shard` / `exact_merge` / `analytic_shard` for
 //! the simulators, `degrade` for the per-cell degradation histogram,
-//! `trial_decode` / `trial_score` for the injector).
+//! `trial_decode` / `trial_load` / `trial_score` for the injector).
 //! Every event carries the span's id and its parent's id, so the whole
 //! forest reconstructs from the journal alone — including journals
 //! appended across `--resume` invocations, because span ids are seeded

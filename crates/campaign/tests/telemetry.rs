@@ -608,14 +608,26 @@ fn sweep_journal_reconstructs_a_complete_span_forest() {
     assert!(paths[0].1.len() >= 2, "path descends into scenarios");
 }
 
-/// The injector nests its stage spans and the per-trial decode and
-/// score spans under the executor's scenario spans: exactly one
-/// `train`, `duty` and `clean_eval` per cell, and one `fail_probs` per
-/// age checkpoint of the cell.
+/// The injector nests its stage spans and the per-trial decode, load
+/// and score spans under the executor's scenario spans: exactly one
+/// `train`, `duty` and `clean_eval` per cell, one `fail_probs` per age
+/// checkpoint of the cell, and one `trial_decode`, `trial_load` and
+/// `trial_score` per trial and age.
 #[test]
 fn injection_journal_carries_per_trial_spans() {
     let dir = util::scratch_dir("telemetry-inject-spans");
-    let grid = inject_grid();
+    let params = InjectionParams {
+        trials: 2,
+        ..tiny_params()
+    };
+    let grid = InjectionGrid::build(
+        "telemetry-inject-spans",
+        Platform::TpuLike,
+        NetworkKind::CustomMnist,
+        NumberFormat::Int8Symmetric,
+        &[PolicySpec::None, PolicySpec::Inversion],
+        &params,
+    );
     let events = dir.join("inject.events.jsonl");
     let telemetry = Telemetry::with_journal(&events).expect("open journal");
     let options = InjectCampaignOptions {
@@ -633,22 +645,23 @@ fn injection_journal_carries_per_trial_spans() {
     let forest = trace::reconstruct(&std::fs::read(&events).expect("read journal"));
     assert!(forest.is_complete_forest());
     assert_eq!(forest.unended, 0);
-    let count = |needle: &str| forest.spans.iter().filter(|s| s.label == needle).count();
-    assert!(count("trial_decode") > 0);
-    assert!(count("trial_score") > 0);
     let scenarios: Vec<_> = forest
         .spans
         .iter()
         .filter(|s| s.label == "scenario")
         .collect();
     assert_eq!(scenarios.len(), grid.len(), "one span per cell");
-    let ages = tiny_params().ages_years.len();
+    let ages = params.ages_years.len();
+    let trials = params.trials as usize * ages;
     for scenario in scenarios {
         for (stage, want) in [
             ("train", 1),
             ("duty", 1),
             ("clean_eval", 1),
             ("fail_probs", ages),
+            ("trial_decode", trials),
+            ("trial_load", trials),
+            ("trial_score", trials),
         ] {
             let children = forest
                 .spans
@@ -669,6 +682,7 @@ fn injection_journal_carries_per_trial_spans() {
         "clean_eval",
         "fail_probs",
         "trial_decode",
+        "trial_load",
         "trial_score",
     ];
     for span in &forest.spans {

@@ -48,7 +48,7 @@ pub struct InjectOptions<'a> {
     pub telemetry: Option<&'a Telemetry>,
     /// Trace-span parent for the stage spans (`train`, `duty`,
     /// `clean_eval`, one `fail_probs` per age) and the per-trial
-    /// `trial_decode` / `trial_score` spans journaled through
+    /// `trial_decode` / `trial_load` / `trial_score` spans journaled through
     /// `telemetry`.
     pub parent_span: SpanId,
 }
@@ -356,8 +356,10 @@ fn run_trials(
             spec, codes, quantizers, probs, duties, years, ecc, age_index, trial,
         );
         telemetry.span_end(span);
+        let span = telemetry.span_start("trial_load", opts.parent_span);
         let mut net = trained.instantiate();
         apply_layer_weights(&mut net, network, &tables);
+        telemetry.span_end(span);
         let span = telemetry.span_start("trial_score", opts.parent_span);
         let score = accuracy(&mut net, eval.0, eval.1);
         telemetry.span_end(span);

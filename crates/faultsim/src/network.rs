@@ -20,7 +20,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use dnnlife_core::experiment::NetworkKind;
 use dnnlife_core::FaultInjectionSpec;
 use dnnlife_nn::data::{adapt_batch, MnistSource};
 use dnnlife_nn::train::Sgd;
@@ -37,12 +36,14 @@ pub const TRAIN_MOMENTUM: f32 = 0.9;
 pub const TRAIN_WEIGHT_DECAY: f32 = 1e-4;
 
 /// A trained (or deliberately untrained, `train_steps == 0`) network
-/// snapshot: every parameter tensor by name, plus the weight tables in
-/// layer order for the memory planner.
+/// snapshot: the executable network carrying every trained parameter,
+/// plus the weight tables in layer order for the memory planner.
 #[derive(Debug, Clone)]
 pub struct TrainedNetwork {
-    network: NetworkKind,
-    params: Vec<(String, Vec<f32>)>,
+    /// Never run: a clean copy (no cached activations) that
+    /// [`TrainedNetwork::instantiate`] clones, shared by the memo's
+    /// clones of the snapshot.
+    template: Arc<Sequential>,
     layer_weights: Vec<Vec<f32>>,
 }
 
@@ -103,10 +104,10 @@ impl TrainedNetwork {
         seed: u64,
         cancel: Option<&AtomicBool>,
     ) -> Option<Self> {
-        let network = spec.scenario.network;
-        let net_spec = network.spec();
+        let net_spec = spec.scenario.network.spec();
         let input_shape = net_spec.input_shape();
         let mut net = build_network(&net_spec, seed);
+        let mut template = net.clone();
         if spec.train_steps > 0 {
             let data = MnistSource::from_env(seed);
             let mut sgd = Sgd::new(TRAIN_LR, TRAIN_MOMENTUM, TRAIN_WEIGHT_DECAY);
@@ -120,11 +121,15 @@ impl TrainedNetwork {
             }
         }
         let mut params = Vec::new();
-        net.visit_params(&mut |p| params.push((p.name.to_string(), p.value.to_vec())));
+        net.visit_params(&mut |p| params.push(p.value.to_vec()));
+        let mut trained = params.into_iter();
+        template.visit_params(&mut |p| {
+            p.value
+                .copy_from_slice(&trained.next().expect("parameter count drifted"))
+        });
         let layer_weights = extract_layer_weights(&mut net);
         Some(Self {
-            network,
-            params,
+            template: Arc::new(template),
             layer_weights,
         })
     }
@@ -136,28 +141,20 @@ impl TrainedNetwork {
         &self.layer_weights
     }
 
-    /// Builds a fresh executable network carrying the snapshot's
-    /// parameters (weights *and* trained biases). Each injection worker
-    /// instantiates its own copy, then swaps corrupted weight tables in
-    /// per trial.
+    /// A fresh executable network carrying the snapshot's parameters
+    /// (weights *and* trained biases): a copy of the built network, so
+    /// no random initialisation is drawn. Each injection trial
+    /// instantiates its own copy, then swaps its corrupted weight tables
+    /// in.
     pub fn instantiate(&self) -> Sequential {
-        let mut net = build_network(&self.network.spec(), 0);
-        let mut index = 0usize;
-        net.visit_params(&mut |p| {
-            let (name, values) = &self.params[index];
-            assert_eq!(p.name, name, "parameter order drifted");
-            p.value.copy_from_slice(values);
-            index += 1;
-        });
-        assert_eq!(index, self.params.len(), "parameter count drifted");
-        net
+        Sequential::clone(&self.template)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dnnlife_core::experiment::{ExperimentSpec, PolicySpec};
+    use dnnlife_core::experiment::{ExperimentSpec, NetworkKind, PolicySpec};
     use dnnlife_nn::zoo::build_custom_mnist;
 
     fn spec(train_steps: u32) -> FaultInjectionSpec {
@@ -194,14 +191,22 @@ mod tests {
         let s = spec(1);
         let t = TrainedNetwork::train(&s, None).expect("uncancelled");
         let mut net = t.instantiate();
-        let mut count = 0usize;
+        assert_eq!(extract_layer_weights(&mut net), t.layer_weights());
+        // The biases start at zero; one SGD step moves them, and the
+        // instance carries the moved values.
+        let mut trained_biases = 0usize;
         net.visit_params(&mut |p| {
-            let (name, values) = &t.params[count];
-            assert_eq!(p.name, name);
-            assert_eq!(p.value, &values[..]);
-            count += 1;
+            if p.name.ends_with(".bias") && p.value.iter().any(|&b| b != 0.0) {
+                trained_biases += 1;
+            }
         });
-        assert_eq!(count, t.params.len());
+        assert_eq!(trained_biases, 4, "every layer's bias is trained");
+        // Instances are independent copies of the template.
+        net.visit_params(&mut |p| p.value.fill(0.0));
+        assert_eq!(
+            extract_layer_weights(&mut t.instantiate()),
+            t.layer_weights()
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Fully-connected (dense) layer and the flattening adapter.
 
-use super::gemm::gemm_acc;
+use super::gemm::{axpy, gemm_acc};
 use super::{Layer, ParamView};
 use crate::tensor::Tensor;
 
@@ -144,14 +144,8 @@ impl Layer for Dense {
                 }
                 self.grad_bias.data_mut()[o] += go;
                 let w_row = &self.weight.data()[o * f..(o + 1) * f];
-                let gi = &mut grad_in.data_mut()[img * f..(img + 1) * f];
-                for (g, wv) in gi.iter_mut().zip(w_row) {
-                    *g += go * wv;
-                }
-                let gw_row = &mut self.grad_weight.data_mut()[o * f..(o + 1) * f];
-                for (gw, xv) in gw_row.iter_mut().zip(x) {
-                    *gw += go * xv;
-                }
+                axpy(&mut grad_in.data_mut()[img * f..(img + 1) * f], go, w_row);
+                axpy(&mut self.grad_weight.data_mut()[o * f..(o + 1) * f], go, x);
             }
         }
         grad_in

@@ -38,7 +38,9 @@ pub struct ParamView<'a> {
 /// `forward` caches whatever `backward` needs; `backward` consumes the
 /// gradient w.r.t. the layer output and returns the gradient w.r.t. the
 /// layer input while *accumulating* parameter gradients internally.
-pub trait Layer: std::fmt::Debug {
+/// Layers are plain data: `Send + Sync`, and cloneable through
+/// [`LayerClone`], so a built network can be copied instead of rebuilt.
+pub trait Layer: std::fmt::Debug + Send + Sync + LayerClone {
     /// Layer instance name (used in parameter names and debugging).
     fn name(&self) -> &str;
 
@@ -60,6 +62,24 @@ pub trait Layer: std::fmt::Debug {
     /// Number of trainable parameters.
     fn param_count(&self) -> usize {
         0
+    }
+}
+
+/// Clones a boxed [`Layer`]; implemented for every `Layer + Clone`.
+pub trait LayerClone {
+    /// A boxed copy of this layer.
+    fn clone_box(&self) -> Box<dyn Layer>;
+}
+
+impl<T: Layer + Clone + 'static> LayerClone for T {
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn Layer> {
+    fn clone(&self) -> Self {
+        self.clone_box()
     }
 }
 

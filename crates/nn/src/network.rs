@@ -18,7 +18,7 @@ use crate::tensor::Tensor;
 /// let out = net.forward(&Tensor::zeros(&[1, 4]));
 /// assert_eq!(out.shape(), &[1, 2]);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Sequential {
     name: String,
     layers: Vec<Box<dyn Layer>>,

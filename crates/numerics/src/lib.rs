@@ -40,5 +40,5 @@ pub mod stats;
 
 pub use binomial::{duty_cycle_tail_probability, population_tail_probability, Binomial};
 pub use histogram::Histogram;
-pub use sampling::{sample_binomial, LaplaceSampler, NormalSampler};
+pub use sampling::{sample_binomial, BinomialTable, LaplaceSampler, NormalSampler};
 pub use stats::Summary;

@@ -6,7 +6,8 @@
 //!
 //! * normal — polar Box–Muller (exact),
 //! * Laplace — inverse CDF (exact),
-//! * binomial — inverse-CDF search from the mode for small variance and a
+//! * binomial — exact inverse-CDF search for small variance (one-shot,
+//!   or through a per-`p` table of cached rows) and a
 //!   continuity-corrected normal approximation for large variance. The
 //!   approximation branch is what makes the analytic weight-memory
 //!   simulator (the dnnlife-accel crate) tractable at 512 KB × `K`-block scale;
@@ -128,17 +129,22 @@ impl LaplaceSampler {
 }
 
 /// Threshold on `n·p·(1-p)` above which [`sample_binomial`] switches from
-/// the exact inverse-CDF walk to the normal approximation.
+/// the exact inverse-CDF search to the normal approximation.
 const BINOMIAL_NORMAL_THRESHOLD: f64 = 100.0;
 
 /// Draws one sample from `Binomial(n, p)`.
 ///
-/// For `n·p·(1-p) <= 100` the sample is exact (inverse-CDF walk starting
-/// at zero, O(n·p) expected work). Beyond that a continuity-corrected
+/// For `n·p·(1-p) <= 100` the sample is exact: one uniform `u`, and `k`
+/// is the first index whose running pmf sum reaches `u` (see
+/// [`BinomialTable`] for the sums). Beyond that a continuity-corrected
 /// normal approximation `round(np + z·sqrt(np(1-p)))` clamped to `[0, n]`
 /// is used; with variance above 100 the approximation error on any tail
 /// probability is far below the Monte-Carlo noise of the simulations that
 /// consume it (see the Kolmogorov–Smirnov test in this module).
+///
+/// One-shot: the sums are walked only as far as `u`. A caller drawing
+/// many samples at one `p` uses [`BinomialTable`], which draws the same
+/// `k` from the same stream.
 ///
 /// # Panics
 ///
@@ -155,23 +161,137 @@ const BINOMIAL_NORMAL_THRESHOLD: f64 = 100.0;
 /// assert!(k <= 100);
 /// ```
 pub fn sample_binomial<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
+    check_probability(p);
+    draw_binomial(rng, n, p, walk)
+}
+
+/// The one-shot exact branch: walks the sums only as far as `u`.
+fn walk<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
+    let Some(mut cdf) = CdfTerms::new(n, p) else {
+        return underflow_mean(n, p);
+    };
+    let u: f64 = rng.random();
+    cdf.position(|c| u <= c).map_or(n, |k| k as u64)
+}
+
+/// A [`sample_binomial`] for one fixed `p` and many `n`, caching each
+/// exact-branch row `cdf[0..=n]` the first time its `n` occurs.
+///
+/// A draw then costs a binary search over the row instead of a walk of
+/// `≈ n·p` dependent multiply-divide steps. The row holds the very sums
+/// the walk adds and is non-decreasing, so the first `k` with
+/// `u ≤ cdf[k]` is the same `k`: every draw equals [`sample_binomial`]'s
+/// on the same stream, bit for bit, and consumes the same uniforms.
+/// Rows exist only for the `n` values drawn, each at most
+/// `100 / (p·(1−p)) + 1` sums long, and stop early once the remaining
+/// sums can no longer change.
+///
+/// # Example
+///
+/// ```
+/// use dnnlife_numerics::{sample_binomial, BinomialTable};
+/// use rand::{rngs::StdRng, SeedableRng};
+///
+/// let (mut a, mut b) = (StdRng::seed_from_u64(7), StdRng::seed_from_u64(7));
+/// let mut table = BinomialTable::new(0.3);
+/// for n in [40, 7, 40, 300] {
+///     assert_eq!(table.sample(&mut a, n), sample_binomial(&mut b, n, 0.3));
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct BinomialTable {
+    p: f64,
+    /// Every built row's sums, back to back.
+    sums: Vec<f64>,
+    /// `rows[n]`: row `n` as `(start, len)` in `sums`, `None` until
+    /// built; empty when `P(X = 0)` underflows.
+    rows: Vec<Option<(u32, u32)>>,
+}
+
+impl BinomialTable {
+    /// An empty table for success probability `p`.
+    ///
+    /// Both buffers start with room for a few rows, so a table is two
+    /// allocations rather than one small one per row. (With glibc,
+    /// small freed blocks stay in a per-thread cache and keep the heap
+    /// from shrinking: per-row boxes raised the fig11 sweep's peak RSS
+    /// by ~0.2 MiB.)
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside `[0, 1]`.
+    pub fn new(p: f64) -> Self {
+        check_probability(p);
+        Self {
+            p,
+            sums: Vec::with_capacity(512),
+            rows: Vec::with_capacity(256),
+        }
+    }
+
+    /// Draws one sample from `Binomial(n, p)`, equal to
+    /// `sample_binomial(rng, n, p)`.
+    pub fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R, n: u64) -> u64 {
+        let p = self.p;
+        draw_binomial(rng, n, p, |rng, n, p| self.exact(rng, n, p))
+    }
+
+    /// The exact branch: builds row `n` on first use, then finds the
+    /// first `k` with `u ≤ cdf[k]` by binary search.
+    fn exact<R: Rng + ?Sized>(&mut self, rng: &mut R, n: u64, p: f64) -> u64 {
+        let index = n as usize;
+        if self.rows.len() <= index {
+            self.rows.resize(index + 1, None);
+        }
+        let sums = &mut self.sums;
+        let (start, len) = *self.rows[index].get_or_insert_with(|| {
+            let start = sums.len();
+            sums.extend(CdfTerms::new(n, p).into_iter().flatten());
+            let offset = |at: usize| u32::try_from(at).expect("row sums overflow u32");
+            (offset(start), offset(sums.len() - start))
+        });
+        let row = &self.sums[start as usize..][..len as usize];
+        if row.is_empty() {
+            return underflow_mean(n, p);
+        }
+        let u: f64 = rng.random();
+        match row.partition_point(|&c| u > c) {
+            k if k == row.len() => n,
+            k => k as u64,
+        }
+    }
+}
+
+fn check_probability(p: f64) {
     assert!(
         p.is_finite() && (0.0..=1.0).contains(&p),
         "sample_binomial: p must be in [0,1], got {p}"
     );
+}
+
+/// The branch logic shared by [`sample_binomial`] and [`BinomialTable`]:
+/// the trivial cases, the `p > 0.5` symmetry, and the normal branch.
+/// `inverse(rng, n, p)` draws the exact branch (`p ≤ 0.5`, variance at
+/// most the threshold).
+fn draw_binomial<R: Rng + ?Sized>(
+    rng: &mut R,
+    n: u64,
+    p: f64,
+    inverse: impl FnOnce(&mut R, u64, f64) -> u64,
+) -> u64 {
     if n == 0 || p == 0.0 {
         return 0;
     }
     if p == 1.0 {
         return n;
     }
-    // Exploit symmetry to keep p <= 0.5 for the exact walk.
+    // Exploit symmetry to keep p <= 0.5 for the exact branch.
     if p > 0.5 {
-        return n - sample_binomial(rng, n, 1.0 - p);
+        return n - draw_binomial(rng, n, 1.0 - p, inverse);
     }
     let variance = n as f64 * p * (1.0 - p);
     if variance <= BINOMIAL_NORMAL_THRESHOLD {
-        sample_binomial_inverse(rng, n, p)
+        inverse(rng, n, p)
     } else {
         let mean = n as f64 * p;
         let z = NormalSampler::new().sample_standard(rng);
@@ -180,26 +300,66 @@ pub fn sample_binomial<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
     }
 }
 
-/// Exact inverse-CDF walk (bottom-up). Expected iterations ≈ `n·p + 1`.
-fn sample_binomial_inverse<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
-    let q = 1.0 - p;
-    // P(X = 0) = q^n; computed in log space to survive large n.
-    let mut pmf = (n as f64 * q.ln()).exp();
-    if pmf <= 0.0 {
-        // Extremely unlikely underflow guard for huge n with the variance
-        // threshold already keeping n·p·q small: fall back to the mean.
-        return (n as f64 * p).round() as u64;
+/// The exact branch's answer when `P(X = 0) = q^n` underflows: the mean.
+/// An extremely unlikely guard for huge n with the variance threshold
+/// already keeping n·p·q small.
+fn underflow_mean(n: u64, p: f64) -> u64 {
+    (n as f64 * p).round() as u64
+}
+
+/// The running sums `cdf[0], cdf[1], …, cdf[n]` of `Binomial(n, p)`'s
+/// pmf, by the one recurrence both samplers use: `P(0) = q^n`, computed
+/// in log space to survive large n, then `P(k+1) = P(k) · (n−k)/(k+1) ·
+/// p/q` and `cdf[k+1] = cdf[k] + P(k+1)`.
+///
+/// Ends early once every later sum equals the last one: past the mode
+/// (`(n−k)/(k+1) · p/q ≤ 1`, and the rounded factor only falls with
+/// `k`) each `P(k+1)` is at most the one before, so once adding it
+/// leaves the sum unchanged, adding any later one does too. A search
+/// that runs off the end therefore answers `n`, as the full walk does.
+struct CdfTerms {
+    n: u64,
+    p_over_q: f64,
+    k: u64,
+    pmf: f64,
+    /// `cdf[k]`, or `None` once the sums are exhausted.
+    cdf: Option<f64>,
+}
+
+impl CdfTerms {
+    /// `None` when `P(X = 0)` underflows to zero.
+    fn new(n: u64, p: f64) -> Option<Self> {
+        let q = 1.0 - p;
+        let pmf = (n as f64 * q.ln()).exp();
+        if pmf <= 0.0 {
+            return None;
+        }
+        Some(Self {
+            n,
+            p_over_q: p / q,
+            k: 0,
+            pmf,
+            cdf: Some(pmf),
+        })
     }
-    let mut cdf = pmf;
-    let u: f64 = rng.random();
-    let mut k = 0u64;
-    while u > cdf && k < n {
-        // Recurrence: P(k+1) = P(k) * (n-k)/(k+1) * p/q.
-        pmf *= (n - k) as f64 / (k + 1) as f64 * (p / q);
-        k += 1;
-        cdf += pmf;
+}
+
+impl Iterator for CdfTerms {
+    type Item = f64;
+
+    fn next(&mut self) -> Option<f64> {
+        let cdf = self.cdf?;
+        self.cdf = if self.k < self.n {
+            let factor = (self.n - self.k) as f64 / (self.k + 1) as f64 * self.p_over_q;
+            self.pmf *= factor;
+            self.k += 1;
+            let next = cdf + self.pmf;
+            (factor > 1.0 || next != cdf).then_some(next)
+        } else {
+            None
+        };
+        Some(cdf)
     }
-    k
 }
 
 /// Draws one biased coin flip with exact probability `p` of returning
@@ -298,6 +458,108 @@ mod tests {
             .sum::<f64>()
             / 20_000.0;
         assert!((mean - 28.5).abs() < 0.1, "mean={mean}");
+    }
+
+    /// The sampler as it was before [`BinomialTable`], kept verbatim as
+    /// the reference both current samplers must reproduce draw for draw.
+    fn reference_binomial<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
+        if n == 0 || p == 0.0 {
+            return 0;
+        }
+        if p == 1.0 {
+            return n;
+        }
+        if p > 0.5 {
+            return n - reference_binomial(rng, n, 1.0 - p);
+        }
+        let variance = n as f64 * p * (1.0 - p);
+        if variance <= BINOMIAL_NORMAL_THRESHOLD {
+            reference_inverse(rng, n, p)
+        } else {
+            let mean = n as f64 * p;
+            let z = NormalSampler::new().sample_standard(rng);
+            let k = (mean + z * variance.sqrt()).round();
+            k.clamp(0.0, n as f64) as u64
+        }
+    }
+
+    /// The bottom-up inverse-CDF walk of the reference.
+    fn reference_inverse<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
+        let q = 1.0 - p;
+        let mut pmf = (n as f64 * q.ln()).exp();
+        if pmf <= 0.0 {
+            return (n as f64 * p).round() as u64;
+        }
+        let mut cdf = pmf;
+        let u: f64 = rng.random();
+        let mut k = 0u64;
+        while u > cdf && k < n {
+            pmf *= (n - k) as f64 / (k + 1) as f64 * (p / q);
+            k += 1;
+            cdf += pmf;
+        }
+        k
+    }
+
+    #[test]
+    fn table_and_one_shot_draw_the_reference_sequence() {
+        for p in [1e-3, 0.3, 0.5, 0.7, 0.999] {
+            let mut table = BinomialTable::new(p);
+            let mut streams = [0; 3].map(|_| StdRng::seed_from_u64(49));
+            let [reference, tabled, one_shot] = &mut streams;
+            // Ascending, then descending: rows are built in both orders
+            // and every n is drawn again from a cached row.
+            for n in (0..=600u64).chain((0..=600).rev()) {
+                for _ in 0..3 {
+                    let want = reference_binomial(reference, n, p);
+                    assert_eq!(table.sample(tabled, n), want, "table p {p} n {n}");
+                    assert_eq!(
+                        sample_binomial(one_shot, n, p),
+                        want,
+                        "one-shot p {p} n {n}"
+                    );
+                }
+            }
+            // The streams consumed the same uniforms, normal branch
+            // (n·p·q > 100 at p 0.3, 0.5 and 0.7) included.
+            let next = streams.map(|mut rng| rng.random::<u64>());
+            assert!(next.iter().all(|&x| x == next[0]), "p {p}: streams drifted");
+        }
+    }
+
+    #[test]
+    fn underflowing_rows_fall_back_to_the_mean_without_a_draw() {
+        // q^n = 0.5^2000 underflows. The variance threshold keeps both
+        // samplers' public paths away from this row, so call their exact
+        // branches directly.
+        let (n, p) = (2000u64, 0.5);
+        let mut streams = [0; 3].map(|_| StdRng::seed_from_u64(50));
+        let [reference, tabled, one_shot] = &mut streams;
+        assert_eq!(reference_inverse(reference, n, p), 1000);
+        assert_eq!(BinomialTable::new(p).exact(tabled, n, p), 1000);
+        assert_eq!(walk(one_shot, n, p), 1000);
+        let fresh = StdRng::seed_from_u64(50).random::<u64>();
+        assert!(streams.map(|mut rng| rng.random::<u64>()) == [fresh; 3]);
+    }
+
+    #[test]
+    fn rows_stop_once_the_sums_stop_moving() {
+        // Binomial(400, 0.5): the sums reach their final value long
+        // before k = 400, and the row ends there.
+        let row: Vec<f64> = CdfTerms::new(400, 0.5).expect("no underflow").collect();
+        assert!(row.len() < 401, "row not truncated: {}", row.len());
+        assert!(
+            row.windows(2).all(|w| w[0] <= w[1]),
+            "sums must not decrease"
+        );
+        // The reference walk's sums past the row's end add nothing.
+        let (mut pmf, mut cdf) = ((400.0 * 0.5f64.ln()).exp(), 0.0);
+        cdf += pmf;
+        for k in 0..400u64 {
+            pmf *= (400 - k) as f64 / (k + 1) as f64 * (0.5 / 0.5);
+            cdf += pmf;
+        }
+        assert_eq!(*row.last().expect("non-empty"), cdf);
     }
 
     #[test]
