@@ -214,8 +214,8 @@ impl BinomialTable {
     /// Both buffers start with room for a few rows, so a table is two
     /// allocations rather than one small one per row. (With glibc,
     /// small freed blocks stay in a per-thread cache and keep the heap
-    /// from shrinking: per-row boxes raised the fig11 sweep's peak RSS
-    /// by ~0.2 MiB.)
+    /// from shrinking: per-row boxes left ~0.2 MiB more resident memory
+    /// at the end of the fig11 sweep.)
     ///
     /// # Panics
     ///
