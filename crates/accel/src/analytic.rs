@@ -291,16 +291,16 @@ fn simulate_words(
     let width = source.geometry().word_bits as usize;
     let inferences = cfg.inferences;
     let mask = u64::MAX >> (64 - width);
-    let barrel = match policy {
-        AnalyticPolicy::BarrelShifter => barrel_terms(k_blocks, width, inferences),
-        _ => Vec::new(),
+    let mut finish = match policy {
+        AnalyticPolicy::BarrelShifter => Finish::Barrel(barrel_terms(k_blocks, width, inferences)),
+        AnalyticPolicy::DnnLife { bias, .. } => Finish::DnnLife(BinomialTable::new(*bias)),
+        _ => Finish::Counts,
     };
     // The counters are sums, so blocks may fold in any order: visiting
     // them by DNN-Life weight makes equally weighted blocks one run.
     let mut order: Vec<u64> = (0..k_blocks).collect();
     order.sort_by_key(|&k| m1.get(k as usize).copied().unwrap_or(0));
     let lanes = width.div_ceil(8);
-    let mut binomial = None;
     let mut raw = vec![0u64; words.len().min(CHUNK)];
     let mut counts = vec![0u64; raw.len() * width];
     let mut tally = vec![0u64; raw.len() * lanes];
@@ -362,9 +362,8 @@ fn simulate_words(
         {
             finalize(
                 policy,
+                &mut finish,
                 cells,
-                &barrel,
-                &mut binomial,
                 inferences,
                 k_blocks,
                 word,
@@ -422,16 +421,23 @@ impl Run {
     }
 }
 
+/// What [`finalize`] keeps across the words of one shard, by policy.
+enum Finish {
+    /// The counters alone suffice.
+    Counts,
+    /// The barrel shifter's rotation terms ([`barrel_terms`]).
+    Barrel(Vec<(usize, u64)>),
+    /// DNN-Life's binomials at the policy's bias, rows cached across
+    /// words.
+    DnnLife(BinomialTable),
+}
+
 /// Turns one word's per-bit counters into duties. `ones` below is the
 /// exact count of 1-writes over all `T = inferences · K` writes.
-/// DNN-Life draws its binomials through `binomial`, a table at the
-/// policy's bias built on first use and kept across the caller's words.
-#[allow(clippy::too_many_arguments)]
 fn finalize(
     policy: &AnalyticPolicy,
+    finish: &mut Finish,
     counts: &[u64],
-    barrel: &[(usize, u64)],
-    binomial: &mut Option<BinomialTable>,
     inferences: u64,
     k_blocks: u64,
     word: usize,
@@ -460,6 +466,9 @@ fn finalize(
             }
         }
         AnalyticPolicy::BarrelShifter => {
+            let Finish::Barrel(barrel) = finish else {
+                unreachable!("barrel terms are built for the barrel shifter")
+            };
             for (j, slot) in out.iter_mut().enumerate() {
                 let ones: u64 = barrel
                     .iter()
@@ -468,9 +477,11 @@ fn finalize(
                 *slot = ones as f64 / t_writes as f64;
             }
         }
-        AnalyticPolicy::DnnLife { bias, seed, .. } => {
+        AnalyticPolicy::DnnLife { seed, .. } => {
+            let Finish::DnnLife(table) = finish else {
+                unreachable!("a binomial table is built for DNN-Life")
+            };
             let cell_base = word as u64 * width as u64;
-            let table = binomial.get_or_insert_with(|| BinomialTable::new(*bias));
             for (j, (slot, &n_plus)) in out.iter_mut().zip(counts).enumerate() {
                 let n_minus = t_writes - n_plus;
                 let mut rng = SplitMix64::for_stream(*seed, cell_base + j as u64);

@@ -104,28 +104,18 @@ impl TrainedNetwork {
         seed: u64,
         cancel: Option<&AtomicBool>,
     ) -> Option<Self> {
-        let net_spec = spec.scenario.network.spec();
-        let input_shape = net_spec.input_shape();
-        let mut net = build_network(&net_spec, seed);
+        let mut net = build_network(&spec.scenario.network.spec(), seed);
+        // Cloned before any pass: the template holds no cached
+        // activations or gradients, only the parameters copied in below.
         let mut template = net.clone();
-        if spec.train_steps > 0 {
-            let data = MnistSource::from_env(seed);
-            let mut sgd = Sgd::new(TRAIN_LR, TRAIN_MOMENTUM, TRAIN_WEIGHT_DECAY);
-            for step in 0..u64::from(spec.train_steps) {
-                if cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
-                    return None;
-                }
-                let (images, labels) = data.batch(step * TRAIN_BATCH as u64, TRAIN_BATCH);
-                let images = adapt_batch(&images, input_shape);
-                let _ = sgd.step(&mut net, &images, &labels);
-            }
-        }
+        fit(&mut net, spec, seed, cancel)?;
         let mut params = Vec::new();
-        net.visit_params(&mut |p| params.push(p.value.to_vec()));
+        net.visit_params(&mut |p| params.push((p.name.to_string(), p.value.to_vec())));
         let mut trained = params.into_iter();
         template.visit_params(&mut |p| {
-            p.value
-                .copy_from_slice(&trained.next().expect("parameter count drifted"))
+            let (name, values) = trained.next().expect("parameter count drifted");
+            assert_eq!(p.name, name, "parameter order drifted");
+            p.value.copy_from_slice(&values);
         });
         let layer_weights = extract_layer_weights(&mut net);
         Some(Self {
@@ -149,6 +139,32 @@ impl TrainedNetwork {
     pub fn instantiate(&self) -> Sequential {
         Sequential::clone(&self.template)
     }
+}
+
+/// Runs `spec`'s SGD recipe (`train_steps` mini-batches of the seeded
+/// MNIST source) on `net` in place. `None` iff `cancel` was raised
+/// between steps.
+fn fit(
+    net: &mut Sequential,
+    spec: &FaultInjectionSpec,
+    seed: u64,
+    cancel: Option<&AtomicBool>,
+) -> Option<()> {
+    if spec.train_steps == 0 {
+        return Some(());
+    }
+    let input_shape = spec.scenario.network.spec().input_shape();
+    let data = MnistSource::from_env(seed);
+    let mut sgd = Sgd::new(TRAIN_LR, TRAIN_MOMENTUM, TRAIN_WEIGHT_DECAY);
+    for step in 0..u64::from(spec.train_steps) {
+        if cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
+            return None;
+        }
+        let (images, labels) = data.batch(step * TRAIN_BATCH as u64, TRAIN_BATCH);
+        let images = adapt_batch(&images, input_shape);
+        let _ = sgd.step(net, &images, &labels);
+    }
+    Some(())
 }
 
 #[cfg(test)]
@@ -190,23 +206,28 @@ mod tests {
     fn instantiate_restores_every_parameter() {
         let s = spec(1);
         let t = TrainedNetwork::train(&s, None).expect("uncancelled");
+        // The same recipe on a freshly built network, outside the memo.
+        let mut reference = build_network(&s.scenario.network.spec(), s.train_seed());
+        fit(&mut reference, &s, s.train_seed(), None).expect("uncancelled");
+        let mut want = Vec::new();
+        reference.visit_params(&mut |p| want.push((p.name.to_string(), p.value.to_vec())));
+        let mut got = Vec::new();
         let mut net = t.instantiate();
-        assert_eq!(extract_layer_weights(&mut net), t.layer_weights());
-        // The biases start at zero; one SGD step moves them, and the
-        // instance carries the moved values.
-        let mut trained_biases = 0usize;
-        net.visit_params(&mut |p| {
-            if p.name.ends_with(".bias") && p.value.iter().any(|&b| b != 0.0) {
-                trained_biases += 1;
-            }
-        });
-        assert_eq!(trained_biases, 4, "every layer's bias is trained");
+        net.visit_params(&mut |p| got.push((p.name.to_string(), p.value.to_vec())));
+        assert_eq!(got, want, "instance differs from the trained network");
+        // One SGD step moves every bias off its zero start, so the
+        // comparison above covers trained biases too.
+        let moved = want
+            .iter()
+            .filter(|(name, values)| name.ends_with(".bias") && values.iter().any(|&b| b != 0.0))
+            .count();
+        assert_eq!(moved, 4, "every layer's bias is trained");
         // Instances are independent copies of the template.
         net.visit_params(&mut |p| p.value.fill(0.0));
-        assert_eq!(
-            extract_layer_weights(&mut t.instantiate()),
-            t.layer_weights()
-        );
+        let mut again = Vec::new();
+        t.instantiate()
+            .visit_params(&mut |p| again.push((p.name.to_string(), p.value.to_vec())));
+        assert_eq!(again, want);
     }
 
     #[test]

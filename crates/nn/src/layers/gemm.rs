@@ -14,20 +14,22 @@
 //!
 //! The one portable body is compiled twice:
 //!
-//! * [`Isa::Portable`] — as is, with `W` = [`NR`] = 8 columns, for the
+//! * `Isa::Portable` — as is, with `W` = [`NR`] = 8 columns, for the
 //!   baseline target (SSE2 on x86-64);
-//! * [`Isa::Avx2`] — inside a `#[target_feature(enable = "avx2")]`
+//! * `Isa::Avx2` — inside a `#[target_feature(enable = "avx2")]`
 //!   function, so LLVM may use 8-lane registers, with `W` =
 //!   [`NR_AVX2`] = 16 columns (two registers per row, eight
 //!   accumulators per 4-row tile).
 //!
-//! [`Isa::detect`] picks the AVX2 instance when
+//! `Isa::detect` picks the AVX2 instance when
 //! `is_x86_feature_detected!("avx2")` holds at run time; no build flag
-//! or environment variable is involved. Only AVX2 is enabled, never
-//! FMA, and Rust never contracts `a * b + c`, so both instances round
-//! every product and every sum exactly as the scalar chain does and
-//! produce the same bits. [`axpy`] (`y += a · x`, element-wise, no
-//! reduction) is dispatched the same way.
+//! or environment variable is involved. The AVX2 variant carries a
+//! token only that check can make, so no caller can pick it on a host
+//! without AVX2. Only AVX2 is enabled, never FMA, and Rust never
+//! contracts `a * b + c`, so both instances round every product and
+//! every sum exactly as the scalar chain does and produce the same bits.
+//! [`axpy`] (`y += a · x`, element-wise, no reduction) is dispatched the
+//! same way.
 
 /// Rows per full tile.
 const MR: usize = 4;
@@ -39,21 +41,35 @@ const NR_AVX2: usize = 16;
 
 /// The instruction set a kernel instance is compiled for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Isa {
+enum Isa {
     /// The baseline target: runs everywhere.
     Portable,
-    /// x86-64 with AVX2. Only [`Isa::detect`] returns it, and only on a
-    /// host that has AVX2.
+    /// x86-64 with AVX2, carrying the proof that this host has it.
     #[cfg(target_arch = "x86_64")]
-    Avx2,
+    Avx2(avx2::Detected),
+}
+
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    /// Proof that this host runs AVX2: its field is private to this
+    /// module, so [`Detected::new`] is the only way to make one.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) struct Detected(());
+
+    impl Detected {
+        /// `Some` iff the running CPU has AVX2.
+        pub(super) fn new() -> Option<Self> {
+            std::arch::is_x86_feature_detected!("avx2").then_some(Self(()))
+        }
+    }
 }
 
 impl Isa {
     /// The widest instance this host runs.
-    pub(crate) fn detect() -> Self {
+    fn detect() -> Self {
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Isa::Avx2;
+        if let Some(detected) = avx2::Detected::new() {
+            return Isa::Avx2(detected);
         }
         Isa::Portable
     }
@@ -80,9 +96,9 @@ fn gemm_acc_on(isa: Isa, a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize
     assert_eq!(b.len(), k * n, "gemm_acc: b is not k × n");
     match isa {
         Isa::Portable => gemm_body::<NR>(a, b, c, k, n),
-        // SAFETY: `Isa::Avx2` only exists on a host that has AVX2.
+        // SAFETY: an `avx2::Detected` exists only on a host that has AVX2.
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { gemm_avx2(a, b, c, k, n) },
+        Isa::Avx2(_) => unsafe { gemm_avx2(a, b, c, k, n) },
     }
 }
 
@@ -189,9 +205,9 @@ fn axpy_on(isa: Isa, y: &mut [f32], a: f32, x: &[f32]) {
     assert_eq!(y.len(), x.len(), "axpy: length mismatch");
     match isa {
         Isa::Portable => axpy_body(y, a, x),
-        // SAFETY: `Isa::Avx2` only exists on a host that has AVX2.
+        // SAFETY: an `avx2::Detected` exists only on a host that has AVX2.
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { axpy_avx2(y, a, x) },
+        Isa::Avx2(_) => unsafe { axpy_avx2(y, a, x) },
     }
 }
 

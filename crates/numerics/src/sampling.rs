@@ -6,8 +6,8 @@
 //!
 //! * normal — polar Box–Muller (exact),
 //! * Laplace — inverse CDF (exact),
-//! * binomial — exact inverse-CDF search for small variance (one-shot,
-//!   or through a per-`p` table of cached rows) and a
+//! * binomial — exact inverse-CDF search for small variance (through a
+//!   per-`p` table of cached rows, kept or used once) and a
 //!   continuity-corrected normal approximation for large variance. The
 //!   approximation branch is what makes the analytic weight-memory
 //!   simulator (the dnnlife-accel crate) tractable at 512 KB × `K`-block scale;
@@ -142,9 +142,9 @@ const BINOMIAL_NORMAL_THRESHOLD: f64 = 100.0;
 /// probability is far below the Monte-Carlo noise of the simulations that
 /// consume it (see the Kolmogorov–Smirnov test in this module).
 ///
-/// One-shot: the sums are walked only as far as `u`. A caller drawing
-/// many samples at one `p` uses [`BinomialTable`], which draws the same
-/// `k` from the same stream.
+/// One-shot: a [`BinomialTable`] used for a single draw. A caller
+/// drawing many samples at one `p` keeps the table, which draws the
+/// same `k` from the same stream without rebuilding its rows.
 ///
 /// # Panics
 ///
@@ -161,30 +161,20 @@ const BINOMIAL_NORMAL_THRESHOLD: f64 = 100.0;
 /// assert!(k <= 100);
 /// ```
 pub fn sample_binomial<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
-    check_probability(p);
-    draw_binomial(rng, n, p, walk)
+    BinomialTable::new(p).sample(rng, n)
 }
 
-/// The one-shot exact branch: walks the sums only as far as `u`.
-fn walk<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
-    let Some(mut cdf) = CdfTerms::new(n, p) else {
-        return underflow_mean(n, p);
-    };
-    let u: f64 = rng.random();
-    cdf.position(|c| u <= c).map_or(n, |k| k as u64)
-}
-
-/// A [`sample_binomial`] for one fixed `p` and many `n`, caching each
+/// [`sample_binomial`] for one fixed `p` and many `n`, caching each
 /// exact-branch row `cdf[0..=n]` the first time its `n` occurs.
 ///
 /// A draw then costs a binary search over the row instead of a walk of
-/// `≈ n·p` dependent multiply-divide steps. The row holds the very sums
-/// the walk adds and is non-decreasing, so the first `k` with
-/// `u ≤ cdf[k]` is the same `k`: every draw equals [`sample_binomial`]'s
-/// on the same stream, bit for bit, and consumes the same uniforms.
-/// Rows exist only for the `n` values drawn, each at most
-/// `100 / (p·(1−p)) + 1` sums long, and stop early once the remaining
-/// sums can no longer change.
+/// `≈ n·p` dependent multiply-divide steps. The row holds the running
+/// sums of the inverse-CDF walk and is non-decreasing, so the first `k`
+/// with `u ≤ cdf[k]` is the `k` the walk stops at: a draw from a kept
+/// table equals one from a fresh table on the same stream, bit for bit,
+/// and consumes the same uniforms. Rows exist only for the `n` values
+/// drawn, each at most `100 / (p·(1−p)) + 1` sums long, and stop early
+/// once the remaining sums can no longer change.
 ///
 /// # Example
 ///
@@ -211,21 +201,18 @@ pub struct BinomialTable {
 impl BinomialTable {
     /// An empty table for success probability `p`.
     ///
-    /// Both buffers start with room for a few rows, so a table is two
-    /// allocations rather than one small one per row. (With glibc,
-    /// small freed blocks stay in a per-thread cache and keep the heap
-    /// from shrinking: per-row boxes left ~0.2 MiB more resident memory
-    /// at the end of the fig11 sweep.)
-    ///
     /// # Panics
     ///
     /// Panics if `p` is outside `[0, 1]`.
     pub fn new(p: f64) -> Self {
-        check_probability(p);
+        assert!(
+            p.is_finite() && (0.0..=1.0).contains(&p),
+            "sample_binomial: p must be in [0,1], got {p}"
+        );
         Self {
             p,
-            sums: Vec::with_capacity(512),
-            rows: Vec::with_capacity(256),
+            sums: Vec::new(),
+            rows: Vec::new(),
         }
     }
 
@@ -233,7 +220,31 @@ impl BinomialTable {
     /// `sample_binomial(rng, n, p)`.
     pub fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R, n: u64) -> u64 {
         let p = self.p;
-        draw_binomial(rng, n, p, |rng, n, p| self.exact(rng, n, p))
+        if n == 0 || p == 0.0 {
+            return 0;
+        }
+        if p == 1.0 {
+            return n;
+        }
+        // Exploit symmetry to keep p <= 0.5 for the exact branch.
+        if p > 0.5 {
+            return n - self.draw(rng, n, 1.0 - p);
+        }
+        self.draw(rng, n, p)
+    }
+
+    /// The exact or the normal branch at `p ≤ 0.5`, which is `self.p`
+    /// or `1 − self.p` for every call on one table.
+    fn draw<R: Rng + ?Sized>(&mut self, rng: &mut R, n: u64, p: f64) -> u64 {
+        let variance = n as f64 * p * (1.0 - p);
+        if variance <= BINOMIAL_NORMAL_THRESHOLD {
+            self.exact(rng, n, p)
+        } else {
+            let mean = n as f64 * p;
+            let z = NormalSampler::new().sample_standard(rng);
+            let k = (mean + z * variance.sqrt()).round();
+            k.clamp(0.0, n as f64) as u64
+        }
     }
 
     /// The exact branch: builds row `n` on first use, then finds the
@@ -252,7 +263,10 @@ impl BinomialTable {
         });
         let row = &self.sums[start as usize..][..len as usize];
         if row.is_empty() {
-            return underflow_mean(n, p);
+            // `P(X = 0) = q^n` underflowed: answer the mean. An extremely
+            // unlikely guard for huge n with the variance threshold
+            // already keeping n·p·q small.
+            return (n as f64 * p).round() as u64;
         }
         let u: f64 = rng.random();
         match row.partition_point(|&c| u > c) {
@@ -262,53 +276,8 @@ impl BinomialTable {
     }
 }
 
-fn check_probability(p: f64) {
-    assert!(
-        p.is_finite() && (0.0..=1.0).contains(&p),
-        "sample_binomial: p must be in [0,1], got {p}"
-    );
-}
-
-/// The branch logic shared by [`sample_binomial`] and [`BinomialTable`]:
-/// the trivial cases, the `p > 0.5` symmetry, and the normal branch.
-/// `inverse(rng, n, p)` draws the exact branch (`p ≤ 0.5`, variance at
-/// most the threshold).
-fn draw_binomial<R: Rng + ?Sized>(
-    rng: &mut R,
-    n: u64,
-    p: f64,
-    inverse: impl FnOnce(&mut R, u64, f64) -> u64,
-) -> u64 {
-    if n == 0 || p == 0.0 {
-        return 0;
-    }
-    if p == 1.0 {
-        return n;
-    }
-    // Exploit symmetry to keep p <= 0.5 for the exact branch.
-    if p > 0.5 {
-        return n - draw_binomial(rng, n, 1.0 - p, inverse);
-    }
-    let variance = n as f64 * p * (1.0 - p);
-    if variance <= BINOMIAL_NORMAL_THRESHOLD {
-        inverse(rng, n, p)
-    } else {
-        let mean = n as f64 * p;
-        let z = NormalSampler::new().sample_standard(rng);
-        let k = (mean + z * variance.sqrt()).round();
-        k.clamp(0.0, n as f64) as u64
-    }
-}
-
-/// The exact branch's answer when `P(X = 0) = q^n` underflows: the mean.
-/// An extremely unlikely guard for huge n with the variance threshold
-/// already keeping n·p·q small.
-fn underflow_mean(n: u64, p: f64) -> u64 {
-    (n as f64 * p).round() as u64
-}
-
 /// The running sums `cdf[0], cdf[1], …, cdf[n]` of `Binomial(n, p)`'s
-/// pmf, by the one recurrence both samplers use: `P(0) = q^n`, computed
+/// pmf, by the inverse-CDF recurrence: `P(0) = q^n`, computed
 /// in log space to survive large n, then `P(k+1) = P(k) · (n−k)/(k+1) ·
 /// p/q` and `cdf[k+1] = cdf[k] + P(k+1)`.
 ///
@@ -461,7 +430,7 @@ mod tests {
     }
 
     /// The sampler as it was before [`BinomialTable`], kept verbatim as
-    /// the reference both current samplers must reproduce draw for draw.
+    /// the reference the table must reproduce draw for draw.
     fn reference_binomial<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
         if n == 0 || p == 0.0 {
             return 0;
@@ -529,17 +498,16 @@ mod tests {
 
     #[test]
     fn underflowing_rows_fall_back_to_the_mean_without_a_draw() {
-        // q^n = 0.5^2000 underflows. The variance threshold keeps both
-        // samplers' public paths away from this row, so call their exact
-        // branches directly.
+        // q^n = 0.5^2000 underflows. The variance threshold keeps the
+        // public path away from this row, so call the exact branches
+        // directly.
         let (n, p) = (2000u64, 0.5);
-        let mut streams = [0; 3].map(|_| StdRng::seed_from_u64(50));
-        let [reference, tabled, one_shot] = &mut streams;
+        let mut streams = [0; 2].map(|_| StdRng::seed_from_u64(50));
+        let [reference, tabled] = &mut streams;
         assert_eq!(reference_inverse(reference, n, p), 1000);
         assert_eq!(BinomialTable::new(p).exact(tabled, n, p), 1000);
-        assert_eq!(walk(one_shot, n, p), 1000);
         let fresh = StdRng::seed_from_u64(50).random::<u64>();
-        assert!(streams.map(|mut rng| rng.random::<u64>()) == [fresh; 3]);
+        assert!(streams.map(|mut rng| rng.random::<u64>()) == [fresh; 2]);
     }
 
     #[test]
