@@ -21,6 +21,17 @@
 //! a batch of addresses of one block, resolving the block's layer (or
 //! tile), quantizer and ECC layout once per call; both simulators gather
 //! through it, which is what lets them shard and sample words freely.
+//!
+//! A generated weight is non-decreasing in its raw 53-bit draw (see
+//! [`LayerWeightGen::weight_of_draw`]), and an 8-bit code is
+//! non-decreasing in the weight (see [`Quantizer::code_rank`]). So each
+//! generated layer of an 8-bit plan gets a draw→code step table when the
+//! plan is built: a fill then costs one SplitMix64 draw, a bucket lookup
+//! and a short scan per word, with the same bytes as encoding the
+//! weight. fp32, trained-weight tables and a degenerate scale encode
+//! each weight. The four slots of a FIFO plan share one table per layer.
+
+mod steps;
 
 use std::sync::Arc;
 
@@ -29,6 +40,8 @@ use dnnlife_nn::weights::{LayerWeightGen, WeightRange};
 use dnnlife_nn::zoo::NetworkSpec;
 use dnnlife_quant::{EccLayout, NumberFormat, Quantizer, RepairPolicy};
 
+use steps::StepTable;
+
 /// Where one layer's weight values come from: the synthetic
 /// counter-based generator (the default — pure `O(1)` random access),
 /// or an explicit per-layer table (trained weights supplied by the
@@ -36,25 +49,20 @@ use dnnlife_quant::{EccLayout, NumberFormat, Quantizer, RepairPolicy};
 /// values the executable network computes with).
 #[derive(Debug, Clone)]
 enum WeightSource {
-    /// Synthetic trained-like model (`dnnlife_nn::weights`).
-    Gen(LayerWeightGen),
+    /// Synthetic trained-like model (`dnnlife_nn::weights`), with its
+    /// draw→code step table once [`LayerCodes::calibrate`] finds the
+    /// quantizer has one.
+    Gen(LayerWeightGen, Option<Arc<StepTable>>),
     /// Explicit weight table in canonical `[out][in]` order.
     Table(Arc<Vec<f32>>),
 }
 
 impl WeightSource {
-    fn weight(&self, index: u64) -> f32 {
-        match self {
-            WeightSource::Gen(gen) => gen.weight(index),
-            WeightSource::Table(table) => table[usize::try_from(index).expect("index fits usize")],
-        }
-    }
-
     /// Observed range over the first `limit` weights (quantizer
     /// calibration — mirrors [`LayerWeightGen::range`]).
     fn range(&self, limit: u64) -> WeightRange {
         match self {
-            WeightSource::Gen(gen) => gen.range(limit),
+            WeightSource::Gen(gen, _) => gen.range(limit),
             WeightSource::Table(table) => {
                 let n = (table.len() as u64).min(limit.max(1));
                 let mut lo = f32::INFINITY;
@@ -73,10 +81,49 @@ impl WeightSource {
     }
 }
 
+/// One layer's weights and the quantizer that stores them.
+#[derive(Debug, Clone)]
+struct LayerCodes {
+    source: WeightSource,
+    quantizer: Quantizer,
+}
+
+impl LayerCodes {
+    /// Calibrates `format` on the range of up to [`RANGE_CAP`] weights
+    /// (for generated weights an integer scan of the raw draws, see
+    /// [`LayerWeightGen::range`]) and builds a generated layer's step
+    /// table when the quantizer has one.
+    fn calibrate(source: WeightSource, format: NumberFormat) -> Self {
+        let quantizer = Quantizer::calibrate(format, &source.range(RANGE_CAP));
+        let source = match source {
+            WeightSource::Gen(gen, _) => {
+                WeightSource::Gen(gen, StepTable::build(&gen, &quantizer).map(Arc::new))
+            }
+            table => table,
+        };
+        Self { source, quantizer }
+    }
+
+    /// The stored word of canonical weight `index`: its quantized code,
+    /// wrapped in the ECC codeword when the plan carries one.
+    #[inline]
+    fn stored_word(&self, ecc: Option<&EccLayout>, index: u64) -> u64 {
+        let code = match &self.source {
+            WeightSource::Gen(gen, Some(steps)) => steps.code(gen.draw(index)),
+            WeightSource::Gen(gen, None) => self.quantizer.encode(gen.weight(index)),
+            WeightSource::Table(table) => self
+                .quantizer
+                .encode(table[usize::try_from(index).expect("index fits usize")]),
+        };
+        let data = u64::from(code);
+        ecc.map_or(data, |layout| layout.store(data))
+    }
+}
+
 /// Per-layer weight sources drawing from the synthetic generator.
 fn gen_sources(spec: &NetworkSpec, seed: u64) -> Vec<WeightSource> {
     (0..spec.layers().len())
-        .map(|li| WeightSource::Gen(LayerWeightGen::new(spec, li, seed)))
+        .map(|li| WeightSource::Gen(LayerWeightGen::new(spec, li, seed), None))
         .collect()
 }
 
@@ -240,19 +287,6 @@ pub trait BlockSource: Sync {
     }
 }
 
-/// The stored word of canonical weight `index`: its quantized code,
-/// wrapped in the ECC codeword when the plan carries one.
-#[inline]
-fn stored_word(
-    source: &WeightSource,
-    quantizer: &Quantizer,
-    ecc: Option<&EccLayout>,
-    index: u64,
-) -> u64 {
-    let data = u64::from(quantizer.encode(source.weight(index)));
-    ecc.map_or(data, |layout| layout.store(data))
-}
-
 /// Per-layer slice of a flat dataflow plan.
 #[derive(Debug, Clone)]
 struct LayerPlan {
@@ -265,10 +299,8 @@ struct LayerPlan {
     filters: u64,
     /// Weights per filter.
     weights_per_filter: u64,
-    /// Weight values for the layer.
-    source: WeightSource,
-    /// Calibrated quantizer for the layer.
-    quantizer: Quantizer,
+    /// Weight values and quantizer of the layer.
+    codes: LayerCodes,
 }
 
 /// The baseline accelerator's weight buffer under the Fig. 5 dataflow.
@@ -368,14 +400,12 @@ impl FlatWeightMemory {
             let wpf = layer.weights_per_filter();
             let sets = filters.div_ceil(f);
             let stream_len = sets * f * wpf;
-            let quantizer = Quantizer::calibrate(format, &source.range(RANGE_CAP));
             layers.push(LayerPlan {
                 stream_offset: offset,
                 stream_len,
                 filters,
                 weights_per_filter: wpf,
-                source,
-                quantizer,
+                codes: LayerCodes::calibrate(source, format),
             });
             offset += stream_len;
         }
@@ -498,7 +528,7 @@ impl BlockSource for FlatWeightMemory {
             let filter = set * f + in_set % f;
             *slot = if filter < layer.filters {
                 let canonical = filter * layer.weights_per_filter + weight_index;
-                stored_word(&layer.source, &layer.quantizer, ecc, canonical)
+                layer.codes.stored_word(ecc, canonical)
             } else {
                 0 // padded lane of a ragged final set
             };
@@ -520,7 +550,7 @@ impl BlockSource for FlatWeightMemory {
     }
 
     fn layer_quantizer(&self, layer: usize) -> Quantizer {
-        self.layers[layer].quantizer
+        self.layers[layer].codes.quantizer
     }
 
     /// Always `Some`: the flat memory is the platform's only unit.
@@ -581,8 +611,7 @@ struct LayerTiles {
     row_tiles: u64,
     filters: u64,
     weights_per_filter: u64,
-    source: WeightSource,
-    quantizer: Quantizer,
+    codes: LayerCodes,
 }
 
 /// One slot of the TPU-like NPU's circular weight FIFO.
@@ -629,12 +658,10 @@ impl FifoSlotMemory {
     /// Tile side in weights (256 × 256 PE array).
     pub const TILE_SIDE: u64 = 256;
 
-    /// The slot-independent part of the plan: tile layout and quantizer
-    /// calibration per layer. Calibration takes the range of up to
-    /// [`RANGE_CAP`] weights per layer — for generated weights an
-    /// integer scan of the raw draws, see [`LayerWeightGen::range`] —
-    /// so `all_slots` computes this once and shares it across the four
-    /// slots.
+    /// The slot-independent part of the plan: tile layout, quantizer
+    /// calibration and step table per layer (see
+    /// [`LayerCodes::calibrate`]), so `all_slots` computes this once and
+    /// shares it across the four slots.
     fn plan_layers(
         spec: &NetworkSpec,
         format: NumberFormat,
@@ -653,15 +680,13 @@ impl FifoSlotMemory {
             let wpf = layer.weights_per_filter();
             let col_tiles = filters.div_ceil(side);
             let row_tiles = wpf.div_ceil(side);
-            let quantizer = Quantizer::calibrate(format, &source.range(RANGE_CAP));
             layers.push(LayerTiles {
                 tile_offset: offset,
                 tiles: col_tiles * row_tiles,
                 row_tiles,
                 filters,
                 weights_per_filter: wpf,
-                source,
-                quantizer,
+                codes: LayerCodes::calibrate(source, format),
             });
             offset += col_tiles * row_tiles;
         }
@@ -712,10 +737,11 @@ impl FifoSlotMemory {
         self
     }
 
-    /// All four slots of the FIFO. The per-layer plan (tile layout and
-    /// quantizer calibration) is slot-independent, so it is computed
-    /// once and shared — building all four slots calibrates each layer
-    /// once, not four times.
+    /// All four slots of the FIFO. The per-layer plan (tile layout,
+    /// quantizer calibration and step table) is slot-independent, so it
+    /// is computed once and shared — building all four slots calibrates
+    /// each layer once, not four times, and the slots hold one step
+    /// table per layer between them.
     ///
     /// # Panics
     ///
@@ -804,7 +830,7 @@ impl BlockSource for FifoSlotMemory {
             let weight_index = first_weight + word / side; // weight-in-chunk
             *slot = if filter < layer.filters && weight_index < layer.weights_per_filter {
                 let canonical = filter * layer.weights_per_filter + weight_index;
-                stored_word(&layer.source, &layer.quantizer, ecc, canonical)
+                layer.codes.stored_word(ecc, canonical)
             } else {
                 0
             };
@@ -826,7 +852,7 @@ impl BlockSource for FifoSlotMemory {
     }
 
     fn layer_quantizer(&self, layer: usize) -> Quantizer {
-        self.layers[layer].quantizer
+        self.layers[layer].codes.quantizer
     }
 
     /// `Some` iff the weight's tile round-robins into this slot:

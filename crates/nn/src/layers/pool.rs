@@ -84,8 +84,11 @@ impl Layer for MaxPool2d {
             for ch in 0..c {
                 for oy in 0..oh {
                     for ox in 0..ow {
+                        // A window with no value above −∞ (all NaN or
+                        // all −∞) outputs −∞ and routes its gradient to
+                        // its own first tap.
                         let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
+                        let mut best_idx = input.idx4(img, ch, oy * s, ox * s);
                         for ky in 0..k {
                             for kx in 0..k {
                                 let idx = input.idx4(img, ch, oy * s + ky, ox * s + kx);
@@ -161,6 +164,37 @@ mod tests {
         let _ = pool.forward(&input);
         let grad = pool.backward(&Tensor::from_vec(&[1, 1, 1, 1], vec![5.0]));
         assert_eq!(grad.data(), &[0.0, 5.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn windows_without_a_max_route_to_their_first_tap() {
+        // Image 1's left window is all NaN and its right window all −∞:
+        // both output −∞ and send their gradient to their own first tap,
+        // never to flat element 0 (image 0's first pixel).
+        let mut pool = MaxPool2d::new(2);
+        let mut input = Tensor::zeros(&[2, 1, 2, 4]);
+        input.data_mut()[8..].copy_from_slice(&[
+            f32::NAN,
+            f32::NAN,
+            f32::NEG_INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::NAN,
+            f32::NEG_INFINITY,
+            f32::NEG_INFINITY,
+        ]);
+        let out = pool.forward(&input);
+        assert_eq!(
+            out.data(),
+            &[0.0, 0.0, f32::NEG_INFINITY, f32::NEG_INFINITY]
+        );
+        let grad = pool.backward(&Tensor::from_vec(&[2, 1, 1, 2], vec![1.0, 2.0, 3.0, 5.0]));
+        let mut want = [0.0; 16];
+        want[0] = 1.0; // image 0's windows hold only zeros: first tap
+        want[2] = 2.0;
+        want[8] = 3.0;
+        want[10] = 5.0;
+        assert_eq!(grad.data(), &want[..]);
     }
 
     #[test]

@@ -22,6 +22,13 @@
 //! (sequential scan) and the accelerator dataflow (strided block order)
 //! therefore observe *identical* values without ever materialising a
 //! 138M-element tensor.
+//!
+//! The weight is a non-decreasing function of the raw 53-bit draw
+//! behind it ([`LayerWeightGen::draw`] then
+//! [`LayerWeightGen::weight_of_draw`]). Calibration uses that order to
+//! find a layer's range from the extreme draws alone, and the memory
+//! plans use it to turn a layer's 8-bit codes into a step function of
+//! the draw.
 
 use crate::zoo::NetworkSpec;
 
@@ -85,6 +92,10 @@ impl LayerWeightGen {
         }
     }
 
+    /// Number of distinct raw draws: every [`LayerWeightGen::draw`] is
+    /// below `2⁵³`.
+    pub const DRAWS: u64 = 1 << 53;
+
     /// Number of weights in the layer.
     pub fn len(&self) -> u64 {
         self.count
@@ -136,23 +147,35 @@ impl LayerWeightGen {
     /// Debug-asserts that `index < self.len()`.
     #[inline]
     pub fn weight(&self, index: u64) -> f32 {
-        debug_assert!(index < self.count, "weight index out of range");
         self.weight_of_draw(self.draw(index))
     }
 
     /// The raw 53-bit counter draw behind weight `index`: SplitMix64 of
-    /// `(layer_seed, index)`, top 53 bits.
+    /// `(layer_seed, index)`, top 53 bits, so always below
+    /// [`LayerWeightGen::DRAWS`]. `weight(index)` is
+    /// `weight_of_draw(draw(index))`.
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts that `index < self.len()`.
     #[inline]
-    fn draw(&self, index: u64) -> u64 {
+    pub fn draw(&self, index: u64) -> u64 {
+        debug_assert!(index < self.count, "weight index out of range");
         splitmix(self.layer_seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15)) >> 11
     }
 
-    /// The weight a raw draw maps to — a non-decreasing function of
-    /// `draw` (see [`LayerWeightGen::range`]).
+    /// The weight a raw draw maps to. It is a non-decreasing function of
+    /// `draw`: the `(d + 0.5)/2⁵³` map, `ln`, the `−TAIL_CLAMP` clamp,
+    /// the multiplication by a positive tail scale and the `f32` cast
+    /// are all monotone, and the `u < 0.5` branch stays at or below
+    /// `location` while the other stays at or above it. Two things rest
+    /// on that order: [`LayerWeightGen::range`] maps only the extreme
+    /// draws, and a memory plan turns a whole layer's quantized codes
+    /// into a step function of the draw.
     #[inline]
-    fn weight_of_draw(&self, draw: u64) -> f32 {
+    pub fn weight_of_draw(&self, draw: u64) -> f32 {
         // Map to (0, 1) — never exactly 0 or 1.
-        let u = (draw as f64 + 0.5) / (1u64 << 53) as f64;
+        let u = (draw as f64 + 0.5) / Self::DRAWS as f64;
         // Two-sided exponential with asymmetric tails: each side carries
         // half of the probability mass, so the median is `location`.
         let x = if u < 0.5 {
@@ -162,6 +185,22 @@ impl LayerWeightGen {
             self.location - self.scale_pos * (2.0 * (1.0 - u)).ln().max(-TAIL_CLAMP)
         };
         x as f32
+    }
+
+    /// An estimate of the first draw whose weight, before the `f32`
+    /// cast, reaches `w`: the closed-form inverse of
+    /// [`LayerWeightGen::weight_of_draw`]'s transform, clamped to
+    /// `[0, DRAWS − 1]`. Float rounding puts it within a few draws of
+    /// the exact answer, so a search seeded with it must still confirm
+    /// the boundary with `weight_of_draw` itself.
+    pub fn draw_estimate(&self, w: f64) -> u64 {
+        let u = if w < self.location {
+            0.5 * ((w - self.location) / self.scale_neg).exp()
+        } else {
+            1.0 - 0.5 * (-(w - self.location) / self.scale_pos).exp()
+        };
+        // `as` saturates: NaN and negatives go to 0.
+        ((u * Self::DRAWS as f64 - 0.5).ceil() as u64).min(Self::DRAWS - 1)
     }
 
     /// Iterates over all weights in canonical order.
@@ -179,11 +218,8 @@ impl LayerWeightGen {
     /// The scan is integer-only: it finds the argmin/argmax of the raw
     /// 53-bit draws and maps just those two through the weight
     /// transform. That gives exactly the min/max of [`weight`] because
-    /// the transform is non-decreasing in the draw — the `(d + 0.5)/2⁵³`
-    /// map, `ln`, the `−TAIL_CLAMP` clamp, the multiplication by a
-    /// positive tail scale and the `f32` cast are all monotone, and the
-    /// `u < 0.5` branch stays at or below `location` while the other
-    /// stays at or above it.
+    /// the transform is non-decreasing in the draw (see
+    /// [`LayerWeightGen::weight_of_draw`]).
     ///
     /// [`weight`]: LayerWeightGen::weight
     pub fn range(&self, limit: u64) -> WeightRange {

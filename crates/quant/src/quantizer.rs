@@ -140,6 +140,26 @@ impl Quantizer {
         }
     }
 
+    /// The rank of stored code `code` in an order that
+    /// [`Quantizer::encode`] is non-decreasing in, if there is one: the
+    /// code read as an `i8` for symmetric, as a `u8` for asymmetric.
+    /// Division by a finite positive scale, `round`, the zero-point add,
+    /// `clamp` and the cast are each monotone, so `encode(a) ≤ encode(b)`
+    /// in rank whenever `a ≤ b`. `None` for fp32, whose bit patterns
+    /// have no such order, and for a scale that is not finite and
+    /// positive, which the argument does not cover.
+    pub fn code_rank(&self, code: u32) -> Option<i32> {
+        match *self {
+            Quantizer::Int8Symmetric { scale } if scale.is_finite() && scale > 0.0 => {
+                Some(i32::from(code as u8 as i8))
+            }
+            Quantizer::Int8Asymmetric { scale, .. } if scale.is_finite() && scale > 0.0 => {
+                Some(i32::from(code as u8))
+            }
+            _ => None,
+        }
+    }
+
     /// Decodes a stored bit pattern back to a real value.
     ///
     /// For the integer formats this is the usual dequantization
@@ -344,6 +364,42 @@ mod tests {
         for w in [-0.123f32, 0.0, 1e-20, 3.5e7] {
             assert_eq!(q.decode_corrupted(w.to_bits()), w);
         }
+    }
+
+    /// `encode` never steps down in `code_rank` order along a sweep of
+    /// ascending weights that crosses both clamps, zero and the zero
+    /// point.
+    #[test]
+    fn encode_is_monotone_in_code_rank() {
+        for fmt in [NumberFormat::Int8Symmetric, NumberFormat::Int8Asymmetric] {
+            let q = Quantizer::calibrate(fmt, &range(-0.7, 0.4));
+            let mut last = i32::MIN;
+            for i in -20_000..=20_000 {
+                let rank = q.code_rank(q.encode(i as f32 * 1e-4)).expect("8-bit rank");
+                assert!(rank >= last, "{fmt:?}: rank fell at step {i}");
+                last = rank;
+            }
+        }
+    }
+
+    #[test]
+    fn code_rank_is_none_without_a_monotone_order() {
+        assert_eq!(Quantizer::Fp32.code_rank(0), None);
+        for scale in [0.0, -1.0, f32::NAN, f32::INFINITY] {
+            assert_eq!(Quantizer::Int8Symmetric { scale }.code_rank(0), None);
+            let q = Quantizer::Int8Asymmetric {
+                scale,
+                zero_point: 3,
+            };
+            assert_eq!(q.code_rank(0), None);
+        }
+        let q = Quantizer::Int8Symmetric { scale: 0.5 };
+        assert_eq!(q.code_rank(0x81), Some(-127));
+        let q = Quantizer::Int8Asymmetric {
+            scale: 0.5,
+            zero_point: 3,
+        };
+        assert_eq!(q.code_rank(0x81), Some(129));
     }
 
     #[test]
