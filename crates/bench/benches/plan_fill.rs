@@ -21,32 +21,41 @@ const WORD_STRIDE: usize = 64;
 /// Master seed of the generated weights.
 const SEED: u64 = 42;
 
-/// One benchmark case: a plan family and a format.
+/// The memory plans the bench fills.
+#[derive(Clone, Copy)]
+enum Plan {
+    /// AlexNet on the baseline's flat 512 KB weight buffer.
+    FlatAlexnet,
+    /// VGG16 on the four slots of the NPU weight FIFO.
+    FifoVgg16,
+}
+
+/// One benchmark case: a plan and a format.
 #[derive(Clone, Copy)]
 struct Case {
-    plan: &'static str,
+    plan: Plan,
     format: NumberFormat,
 }
 
 const CASES: [Case; 5] = [
     Case {
-        plan: "flat/alexnet",
+        plan: Plan::FlatAlexnet,
         format: NumberFormat::Fp32,
     },
     Case {
-        plan: "flat/alexnet",
+        plan: Plan::FlatAlexnet,
         format: NumberFormat::Int8Symmetric,
     },
     Case {
-        plan: "flat/alexnet",
+        plan: Plan::FlatAlexnet,
         format: NumberFormat::Int8Asymmetric,
     },
     Case {
-        plan: "fifo/vgg16",
+        plan: Plan::FifoVgg16,
         format: NumberFormat::Int8Symmetric,
     },
     Case {
-        plan: "fifo/vgg16",
+        plan: Plan::FifoVgg16,
         format: NumberFormat::Int8Asymmetric,
     },
 ];
@@ -54,25 +63,35 @@ const CASES: [Case; 5] = [
 impl Case {
     /// The memory units of the case: one flat memory or four FIFO slots.
     fn build(self) -> Vec<Box<dyn BlockSource>> {
-        if self.plan.starts_with("flat") {
-            let config = AcceleratorConfig::baseline();
-            let mem = FlatWeightMemory::new(&config, &NetworkSpec::alexnet(), self.format, SEED);
-            vec![Box::new(mem)]
-        } else {
-            FifoSlotMemory::all_slots(&NetworkSpec::vgg16(), self.format, SEED)
+        match self.plan {
+            Plan::FlatAlexnet => {
+                let config = AcceleratorConfig::baseline();
+                let spec = NetworkSpec::alexnet();
+                vec![Box::new(FlatWeightMemory::new(
+                    &config,
+                    &spec,
+                    self.format,
+                    SEED,
+                ))]
+            }
+            Plan::FifoVgg16 => FifoSlotMemory::all_slots(&NetworkSpec::vgg16(), self.format, SEED)
                 .into_iter()
                 .map(|slot| Box::new(slot) as Box<dyn BlockSource>)
-                .collect()
+                .collect(),
         }
     }
 
     fn name(self) -> String {
+        let plan = match self.plan {
+            Plan::FlatAlexnet => "flat/alexnet",
+            Plan::FifoVgg16 => "fifo/vgg16",
+        };
         let format = match self.format {
             NumberFormat::Fp32 => "fp32",
             NumberFormat::Int8Symmetric => "int8-sym",
             NumberFormat::Int8Asymmetric => "int8-asym",
         };
-        format!("{}/{format}", self.plan)
+        format!("{plan}/{format}")
     }
 }
 
