@@ -8,9 +8,10 @@
 //! the analytic simulator is validated against, and the right tool for
 //! small configurations and residency ablations.
 //!
-//! The inner loop is bit-parallel: each block's stored words are
-//! encoded in one batched [`WriteTransducer::encode_run`] call, packed
-//! into the `u64` memory image, and folded into a bit-sliced
+//! The inner loop is bit-parallel end to end: each block's raw words
+//! are packed once into a `width`-bits-per-word image, one
+//! [`WriteTransducer::encode_packed`] call turns it into the stored
+//! `u64` memory image, and that image is folded into a bit-sliced
 //! [`DutySliceTracker`] — 64 cells per `u64` operation instead of an
 //! f64 add per cell. Uniform dwell (the default) keeps integer counts
 //! end to end, so deterministic policies with a known write period
@@ -21,10 +22,11 @@
 //!
 //! For campaign sweeps, [`simulate_exact_sharded`] simulates every
 //! n-th memory word (the same unbiased word subsample the analytic
-//! simulator's `sample_stride` takes) and caches each block's raw words
-//! across inferences — the weight generator and quantizer are the
-//! expensive part of the inner loop, and their output is identical
-//! every inference.
+//! simulator's `sample_stride` takes) and caches each block's packed
+//! raw image across inferences — the weight generator and quantizer are
+//! the expensive part of a block write, and their output is identical
+//! every inference. The bits-beyond-width check runs when a block is
+//! packed, once per (block, word), not on every write.
 //!
 //! The same call splits the sampled words into contiguous *word
 //! shards*: each shard runs an independent [`WriteTransducer::fork`] of
@@ -40,16 +42,18 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::plan::BlockSource;
+pub use dnnlife_mitigation::packed::{read_bits, write_bits};
 use dnnlife_mitigation::WriteTransducer;
 use dnnlife_nn::exec;
 use dnnlife_sram::{DutyCycleTracker, DutySliceTracker};
 use dnnlife_telemetry::{SpanId, Telemetry};
 
-/// Raw-block-word cache ceiling for [`simulate_exact_sharded`]: above
-/// this the simulator recomputes words per inference instead of
-/// caching `block_count × sampled_words` u64s. Sharded runs partition
-/// the same budget — each shard caches only its own word range, so the
-/// total stays under this ceiling for every shard count.
+/// Raw-block cache ceiling for [`simulate_exact_sharded`], in bytes of
+/// packed images (`block_count × sampled_words × word_bits` bits):
+/// above it the simulator refills and repacks each block per inference
+/// instead. Sharded runs partition the same budget — each shard caches
+/// only its own word range, so the total stays under this ceiling for
+/// every shard count (up to one partly used `u64` per shard per block).
 const BLOCK_CACHE_BYTES: usize = 64 << 20;
 
 /// Execution knobs for [`simulate_exact_sharded`].
@@ -262,8 +266,12 @@ fn check_and_sample(
     let k_blocks = source.block_count();
     assert!(k_blocks > 0, "simulate_exact_sharded: source has no blocks");
     let sampled: Vec<usize> = (0..geo.words).step_by(sample_stride).collect();
-    let cache_len = (k_blocks as usize).saturating_mul(sampled.len());
-    let use_cache = inferences > 1 && cache_len.saturating_mul(8) <= BLOCK_CACHE_BYTES;
+    let image_bytes = sampled
+        .len()
+        .saturating_mul(geo.word_bits as usize)
+        .div_ceil(8);
+    let use_cache =
+        inferences > 1 && (k_blocks as usize).saturating_mul(image_bytes) <= BLOCK_CACHE_BYTES;
     (sampled, use_cache)
 }
 
@@ -285,19 +293,20 @@ pub(crate) fn shard_ranges(len: usize, shards: usize) -> Vec<std::ops::Range<usi
 }
 
 /// The exact inner loop over one contiguous range of sampled words:
-/// every word of every block of every inference goes through
-/// `transducer` into a packed bit image, and each block state is
-/// folded into a bit-sliced integer duty tracker — 64 cells per `u64`
-/// op instead of a branch and an f64 add per cell. Returns `None` if
-/// `cancel` was raised (polled once per block, including during cache
-/// fill).
+/// every block of every inference goes through `transducer` as one
+/// packed raw image into the packed memory image, and each block state
+/// is folded into a bit-sliced integer duty tracker — 64 cells per
+/// `u64` op instead of a branch and an f64 add per cell. Returns `None`
+/// if `cancel` was raised (polled once per block, including during
+/// cache fill).
 ///
 /// Two further collapses keep the loop's *output* untouched while
 /// shrinking its work:
 ///
-/// * Encodes go through [`WriteTransducer::encode_run`] — one virtual
-///   dispatch per block instead of per word, with the same stored bits
-///   and state advance.
+/// * Encodes go through [`WriteTransducer::encode_packed`] — one
+///   virtual dispatch per block instead of per word, image in and image
+///   out, with the same stored bits and state advance as per-word
+///   [`WriteTransducer::encode`].
 /// * When the policy reports a [`WriteTransducer::write_period`], only
 ///   one period of the repeated inference schedule is simulated; the
 ///   remaining full periods are replayed by exact integer
@@ -332,26 +341,29 @@ fn simulate_word_range(
     } else {
         Recorder::Scalar(DutyCycleTracker::new(cells))
     };
-    let mut state = vec![0u64; cells.div_ceil(64)];
+    let image_len = cells.div_ceil(64);
+    let mut state = vec![0u64; image_len];
     let addrs: Vec<u64> = words.iter().map(|&word| word as u64).collect();
-    let mut stored = vec![0u64; words.len()];
+    let mut raw_words = vec![0u64; words.len()];
 
-    // Raw words are a pure function of (block, word): cache them once
-    // and replay from memory on every later inference. A single
-    // inference has no later replay, so it skips the cache entirely.
+    // Raw words are a pure function of (block, word): pack each block's
+    // image once and replay it from memory on every later inference. A
+    // single inference has no later replay, so it skips the cache and
+    // packs one scratch image per block.
     let cached: Option<Vec<u64>> = if use_cache {
-        let mut cache = vec![0u64; (k_blocks as usize).saturating_mul(words.len())];
-        for (block, raw) in (0..k_blocks).zip(cache.chunks_exact_mut(words.len())) {
+        let mut cache = vec![0u64; (k_blocks as usize).saturating_mul(image_len)];
+        for (block, image) in (0..k_blocks).zip(cache.chunks_exact_mut(image_len)) {
             if cancelled(cancel) {
                 return None;
             }
-            source.fill(block, words, raw);
+            source.fill(block, words, &mut raw_words);
+            pack_state(image, &raw_words, width);
         }
         Some(cache)
     } else {
         None
     };
-    let mut scratch = vec![0u64; if cached.is_some() { 0 } else { words.len() }];
+    let mut scratch = vec![0u64; if cached.is_some() { 0 } else { image_len }];
 
     let mut run =
         |tracker: &mut Recorder, transducer: &mut dyn WriteTransducer, n: u64| -> Option<()> {
@@ -361,14 +373,14 @@ fn simulate_word_range(
                         return None;
                     }
                     let raw: &[u64] = match &cached {
-                        Some(cache) => &cache[block as usize * words.len()..][..words.len()],
+                        Some(cache) => &cache[block as usize * image_len..][..image_len],
                         None => {
-                            source.fill(block, words, &mut scratch);
+                            source.fill(block, words, &mut raw_words);
+                            pack_state(&mut scratch, &raw_words, width);
                             &scratch
                         }
                     };
-                    transducer.encode_run(&addrs, raw, &mut stored);
-                    pack_state(&mut state, &stored, width);
+                    transducer.encode_packed(&addrs, raw, &mut state);
                     transducer.new_block();
                     tracker.record(&state, source.dwell(block));
                 }
@@ -440,24 +452,31 @@ fn gcd(a: u64, b: u64) -> u64 {
     }
 }
 
-/// Rebuilds the packed bit image from one block's stored words: word
-/// `i`'s low `width` bits land at bit offset `i × width`, LSB-first —
-/// exactly [`write_bits`] of every word in sequence, but as a
-/// streaming pack with no read-modify-write (valid because a block
-/// write covers every cell of the image). `stored` words must have no
-/// bits beyond `width` (transducer outputs never do).
-fn pack_state(state: &mut [u64], stored: &[u64], width: usize) {
+/// Packs one block's raw words into the memory-image layout: word
+/// `i`'s `width` bits land at bit offset `i × width`, LSB-first —
+/// exactly [`write_bits`] of every word in sequence into a zeroed
+/// image, but as a streaming pack with no read-modify-write. Bits past
+/// the last word are zero.
+///
+/// # Panics
+///
+/// Panics on the first word with a bit beyond `width`, with the message
+/// [`WriteTransducer::encode`] gives for it.
+fn pack_state(state: &mut [u64], words: &[u64], width: usize) {
     debug_assert!((1..=64).contains(&width), "pack_state: bad width {width}");
-    debug_assert_eq!(state.len(), (stored.len() * width).div_ceil(64));
+    debug_assert_eq!(state.len(), (words.len() * width).div_ceil(64));
     if width == 64 {
-        state.copy_from_slice(stored);
+        state.copy_from_slice(words);
         return;
     }
     let mut acc = 0u64;
     let mut fill = 0usize;
     let mut out = 0usize;
-    for &value in stored {
-        debug_assert_eq!(value >> width, 0, "stored word has bits beyond width");
+    for &value in words {
+        assert!(
+            value >> width == 0,
+            "word {value:#x} has bits beyond width {width}"
+        );
         acc |= value << fill;
         fill += width;
         if fill >= 64 {
@@ -474,56 +493,6 @@ fn pack_state(state: &mut [u64], stored: &[u64], width: usize) {
     if fill > 0 {
         state[out] = acc;
     }
-}
-
-/// Writes the low `width` bits of `value` into the packed bit image at
-/// bit offset `offset` (LSB-first; a write may straddle one 64-bit
-/// word boundary). Bits of `value` beyond `width` are ignored.
-///
-/// # Panics
-///
-/// Panics if the write reaches past the end of `state`, or if `width`
-/// is 0 or above 64.
-pub fn write_bits(state: &mut [u64], offset: usize, width: usize, value: u64) {
-    assert!((1..=64).contains(&width), "write_bits: bad width {width}");
-    let mask = if width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    };
-    let value = value & mask;
-    let word = offset / 64;
-    let pos = offset % 64;
-    state[word] = (state[word] & !(mask << pos)) | (value << pos);
-    let spill = pos + width;
-    if spill > 64 {
-        let hi_bits = spill - 64;
-        let hi_mask = (1u64 << hi_bits) - 1;
-        state[word + 1] = (state[word + 1] & !hi_mask) | (value >> (64 - pos));
-    }
-}
-
-/// Reads `width` bits starting at bit `offset` from the packed image —
-/// the inverse of [`write_bits`], used by its property tests.
-///
-/// # Panics
-///
-/// Panics if the read reaches past the end of `state`, or if `width`
-/// is 0 or above 64.
-pub fn read_bits(state: &[u64], offset: usize, width: usize) -> u64 {
-    assert!((1..=64).contains(&width), "read_bits: bad width {width}");
-    let mask = if width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    };
-    let word = offset / 64;
-    let pos = offset % 64;
-    let mut value = state[word] >> pos;
-    if pos + width > 64 {
-        value |= state[word + 1] << (64 - pos);
-    }
-    value & mask
 }
 
 #[cfg(test)]
@@ -702,6 +671,70 @@ mod tests {
         assert_eq!(read_bits(&state, 8, 8), 0x00);
         assert_eq!(read_bits(&state, 0, 8), 0xFF, "neighbours untouched");
         assert_eq!(read_bits(&state, 16, 8), 0xFF, "neighbours untouched");
+    }
+
+    /// An 8-bit memory of four words whose block 1 stores `0x1ff` at
+    /// word 2 — one bit beyond the width.
+    struct WideWord;
+
+    impl BlockSource for WideWord {
+        fn geometry(&self) -> crate::plan::MemoryGeometry {
+            crate::plan::MemoryGeometry {
+                word_bits: 8,
+                words: 4,
+            }
+        }
+        fn block_count(&self) -> u64 {
+            2
+        }
+        fn fill(&self, block: u64, words: &[usize], out: &mut [u64]) {
+            for (slot, &word) in out.iter_mut().zip(words) {
+                *slot = if block == 1 && word == 2 { 0x1FF } else { 0xA5 };
+            }
+        }
+        fn global_block_index(&self, inference: u64, block: u64) -> u64 {
+            inference * 2 + block
+        }
+        fn label(&self) -> String {
+            "wide-word".into()
+        }
+        fn layer_quantizer(&self, _: usize) -> dnnlife_quant::Quantizer {
+            unreachable!("holds no network layers")
+        }
+        fn locate_weight(&self, _: usize, _: u64) -> Option<crate::WeightAddress> {
+            unreachable!("holds no network layers")
+        }
+        fn layer_stream_words(&self, _: usize) -> u64 {
+            unreachable!("holds no network layers")
+        }
+        fn per_layer_dwell_weights(&self, _: &[f64]) -> Vec<f64> {
+            unreachable!("holds no network layers")
+        }
+    }
+
+    #[test]
+    fn fill_word_beyond_width_panics_with_the_encode_message() {
+        // Cached (several inferences) and uncached (one) block images.
+        for inferences in [3u64, 1] {
+            let caught = std::panic::catch_unwind(|| {
+                simulate_exact_sharded(
+                    &WideWord,
+                    &Passthrough::new(8),
+                    inferences,
+                    1,
+                    &ExactShardConfig::default(),
+                )
+            });
+            let panic = caught.expect_err("a 9-bit word in an 8-bit memory must panic");
+            let message = panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert_eq!(
+                message, "word 0x1ff has bits beyond width 8",
+                "{inferences} inference(s)"
+            );
+        }
     }
 
     #[test]

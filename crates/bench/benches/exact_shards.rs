@@ -10,12 +10,28 @@
 //! `BENCH_exact_shards.json` (override the path with the
 //! `BENCH_JSON_PATH` env var), so CI can start recording the exact
 //! backend's throughput trajectory.
+//!
+//! The JSON also carries a serial per-policy section on the Fig. 9
+//! AlexNet baseline plan at the perfbench sweep's stride and inference
+//! count: int8 and fp32 × none / barrel shifter / DNN-Life, one shard
+//! on one thread, each as ns per logical word write (best of three
+//! runs, cache fill included) and the bytes of its packed raw-block
+//! cache.
 
 use criterion::{criterion_group, Criterion};
+use dnnlife_accel::{
+    simulate_exact_sharded, AcceleratorConfig, BlockSource, ExactShardConfig, FlatWeightMemory,
+};
 use dnnlife_core::experiment::{
     ExperimentSpec, NetworkKind, PolicySpec, RunOptions, ShardPolicy, SimulatorBackend,
 };
 use dnnlife_core::run_experiment_with;
+use dnnlife_mitigation::packed::image_len;
+use dnnlife_mitigation::{
+    AgingController, BarrelShifter, DnnLife, Passthrough, PseudoTrbg, WriteTransducer,
+};
+use dnnlife_nn::NetworkSpec;
+use dnnlife_quant::NumberFormat;
 
 /// The Fig. 11 exact cell, sized so one run takes on the order of a
 /// hundred milliseconds in release mode: every 4th word of all four
@@ -73,6 +89,75 @@ fn best_of(spec: &ExperimentSpec, shards: usize, passes: usize) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
+/// Sampled-word stride and inferences of the serial per-policy cases
+/// (those of the perfbench `sweep-fig9-exact` workload).
+const FIG9_STRIDE: usize = 32;
+const FIG9_INFERENCES: u64 = 10;
+
+/// The serial per-policy cases: every policy on both formats.
+fn fig9_policy_cases() -> Vec<String> {
+    let mut results = Vec::new();
+    for (label, format) in [
+        ("int8", NumberFormat::Int8Symmetric),
+        ("fp32", NumberFormat::Fp32),
+    ] {
+        let mem = FlatWeightMemory::new(
+            &AcceleratorConfig::baseline(),
+            &NetworkSpec::alexnet(),
+            format,
+            42,
+        );
+        let geo = mem.geometry();
+        let width = geo.word_bits;
+        let sampled = geo.words.div_ceil(FIG9_STRIDE);
+        let writes = sampled as u64 * mem.block_count() * FIG9_INFERENCES;
+        let cache_bytes = mem.block_count() as usize * image_len(sampled, width) * 8;
+        let policies: [Box<dyn WriteTransducer>; 3] = [
+            Box::new(Passthrough::new(width)),
+            Box::new(BarrelShifter::new(width, geo.words)),
+            Box::new(DnnLife::new(
+                width,
+                AgingController::new(PseudoTrbg::new(42, 0.5), 4),
+            )),
+        ];
+        for policy in policies {
+            let run = || {
+                let cfg = ExactShardConfig {
+                    threads: 1,
+                    ..ExactShardConfig::default()
+                };
+                let duties = simulate_exact_sharded(
+                    &mem,
+                    policy.as_ref(),
+                    FIG9_INFERENCES,
+                    FIG9_STRIDE,
+                    &cfg,
+                )
+                .expect("not cancelled");
+                assert_eq!(duties.len(), sampled * width as usize);
+            };
+            run();
+            let seconds = (0..3)
+                .map(|_| {
+                    let started = std::time::Instant::now();
+                    run();
+                    started.elapsed().as_secs_f64()
+                })
+                .fold(f64::INFINITY, f64::min);
+            results.push(format!(
+                "{{\"format\": \"{}\", \"policy\": \"{}\", \"word_bits\": {width}, \
+                 \"sampled_words\": {sampled}, \"blocks\": {}, \"word_writes\": {writes}, \
+                 \"ns_per_word_write\": {:.3}, \"raw_cache_bytes\": {cache_bytes}}}",
+                label,
+                policy.name(),
+                mem.block_count(),
+                seconds * 1e9 / writes as f64
+            ));
+        }
+    }
+    results
+}
+
 fn emit_json() {
     let spec = fig11_exact_cell();
     let seconds: Vec<(usize, f64)> = SHARD_COUNTS
@@ -93,10 +178,13 @@ fn emit_json() {
     let cores = dnnlife_nn::exec::thread_count(0);
     let json = format!(
         "{{\n  \"bench\": \"exact_shards\",\n  \"cell\": \"fig11/Custom (MNIST)/int8/dnn-life [exact]\",\n  \
-         \"sample_stride\": {},\n  \"inferences\": {},\n  \"host_cores\": {cores},\n  \"results\": [\n    {}\n  ]\n}}\n",
+         \"sample_stride\": {},\n  \"inferences\": {},\n  \"host_cores\": {cores},\n  \"results\": [\n    {}\n  ],\n  \
+         \"fig9_serial\": {{\"plan\": \"Baseline/AlexNet\", \"sample_stride\": {FIG9_STRIDE}, \
+         \"inferences\": {FIG9_INFERENCES}, \"shards\": 1, \"threads\": 1, \"results\": [\n    {}\n  ]}}\n}}\n",
         spec.sample_stride,
         spec.inferences,
-        results.join(",\n    ")
+        results.join(",\n    "),
+        fig9_policy_cases().join(",\n    ")
     );
     let path =
         std::env::var("BENCH_JSON_PATH").unwrap_or_else(|_| "BENCH_exact_shards.json".to_string());

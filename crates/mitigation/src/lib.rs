@@ -45,6 +45,7 @@
 //! ```
 
 pub mod controller;
+pub mod packed;
 pub mod randtest;
 pub mod transducer;
 pub mod trbg;

@@ -5,7 +5,10 @@
 //! `decode` restores it bit-exactly on its way out. The four policies
 //! are the ones compared in Fig. 9 / Fig. 11 of the paper.
 
+use std::hint::select_unpredictable;
+
 use crate::controller::AgingController;
+use crate::packed::{check_images, map_words, mask};
 use crate::trbg::Trbg;
 
 /// Per-write metadata produced by `encode` and consumed by `decode`.
@@ -83,24 +86,26 @@ pub trait WriteTransducer: Send + Sync {
     /// Decodes a stored pattern using its metadata.
     fn decode(&self, stored: u64, meta: Metadata) -> u64;
 
-    /// Encodes a run of words (`raw[i]` written to `addrs[i]`) into
-    /// `out`, exactly as the same sequence of [`Self::encode`] calls
-    /// would, discarding the metadata. Implementations override this
-    /// with a monomorphic loop so the exact simulator pays one virtual
-    /// dispatch per run instead of one per word — the override must be
-    /// observationally identical to the default (same stored bits,
-    /// same state advance, same panics).
+    /// Encodes one block write held as packed images (see
+    /// [`crate::packed`]): word `i` of `raw` is written to `addrs[i]`,
+    /// and its stored pattern lands in word `i` of `out`. Bits past the
+    /// last word are zero in `raw` and are left zero in `out`.
+    ///
+    /// The default unpacks each word, calls [`Self::encode`] and packs
+    /// the result, discarding the metadata. Implementations override it
+    /// to work on the image directly, and the override must be
+    /// observationally identical to the default: the same stored bits,
+    /// the same per-address state advance and TRBG draw order, the same
+    /// panics. The exact simulator pays one virtual dispatch per block
+    /// write through this method.
     ///
     /// # Panics
     ///
-    /// Panics if the slice lengths differ, or as [`Self::encode`] does
-    /// for any element.
-    fn encode_run(&mut self, addrs: &[u64], raw: &[u64], out: &mut [u64]) {
-        assert_eq!(addrs.len(), raw.len(), "encode_run: length mismatch");
-        assert_eq!(addrs.len(), out.len(), "encode_run: length mismatch");
-        for ((&addr, &word), slot) in addrs.iter().zip(raw).zip(out) {
-            *slot = self.encode(addr, word).0;
-        }
+    /// Panics if `raw` or `out` is not [`crate::packed::image_len`]`(addrs.len(), width)`
+    /// long, if `raw` has a set bit past its last word, or as
+    /// [`Self::encode`] does for any address.
+    fn encode_packed(&mut self, addrs: &[u64], raw: &[u64], out: &mut [u64]) {
+        encode_packed_by_word(self, addrs, raw, out);
     }
 
     /// Period of the complete encoder state in *writes per address*,
@@ -124,13 +129,19 @@ pub trait WriteTransducer: Send + Sync {
     fn fork(&self, shard: u64) -> Box<dyn WriteTransducer>;
 }
 
-fn mask(width: u32) -> u64 {
-    debug_assert!((1..=64).contains(&width));
-    if width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    }
+/// [`WriteTransducer::encode_packed`]'s default: one [`WriteTransducer::encode`]
+/// per word, in word order.
+fn encode_packed_by_word<T: WriteTransducer + ?Sized>(
+    t: &mut T,
+    addrs: &[u64],
+    raw: &[u64],
+    out: &mut [u64],
+) {
+    let width = t.width();
+    let m = mask(width);
+    map_words(width, addrs.len(), raw, out, |i, word| {
+        t.encode(addrs[i], word).0 & m
+    });
 }
 
 fn check_word(width: u32, word: u64) {
@@ -191,13 +202,9 @@ impl WriteTransducer for Passthrough {
         stored
     }
 
-    fn encode_run(&mut self, addrs: &[u64], raw: &[u64], out: &mut [u64]) {
-        assert_eq!(addrs.len(), raw.len(), "encode_run: length mismatch");
-        assert_eq!(addrs.len(), out.len(), "encode_run: length mismatch");
-        for (&word, slot) in raw.iter().zip(out) {
-            check_word(self.width, word);
-            *slot = word;
-        }
+    fn encode_packed(&mut self, addrs: &[u64], raw: &[u64], out: &mut [u64]) {
+        check_images(addrs.len(), self.width, raw, out);
+        out.copy_from_slice(raw);
     }
 
     fn write_period(&self) -> Option<u64> {
@@ -277,17 +284,15 @@ impl WriteTransducer for PeriodicInversion {
         }
     }
 
-    fn encode_run(&mut self, addrs: &[u64], raw: &[u64], out: &mut [u64]) {
-        assert_eq!(addrs.len(), raw.len(), "encode_run: length mismatch");
-        assert_eq!(addrs.len(), out.len(), "encode_run: length mismatch");
-        let m = mask(self.width);
-        for ((&addr, &word), slot) in addrs.iter().zip(raw).zip(out) {
-            check_word(self.width, word);
-            let parity = &mut self.parity[usize::try_from(addr).expect("address fits usize")];
-            let invert = *parity;
-            *parity = !*parity;
-            *slot = if invert { word ^ m } else { word };
-        }
+    fn encode_packed(&mut self, addrs: &[u64], raw: &[u64], out: &mut [u64]) {
+        // XOR each word with its address's parity spread over the word.
+        let (m, parity) = (mask(self.width), &mut self.parity);
+        map_words(self.width, addrs.len(), raw, out, |i, word| {
+            let slot = &mut parity[usize::try_from(addrs[i]).expect("address fits usize")];
+            let invert = *slot;
+            *slot = !invert;
+            word ^ select_unpredictable(invert, m, 0)
+        });
     }
 
     fn write_period(&self) -> Option<u64> {
@@ -380,16 +385,23 @@ impl WriteTransducer for BarrelShifter {
         }
     }
 
-    fn encode_run(&mut self, addrs: &[u64], raw: &[u64], out: &mut [u64]) {
-        assert_eq!(addrs.len(), raw.len(), "encode_run: length mismatch");
-        assert_eq!(addrs.len(), out.len(), "encode_run: length mismatch");
-        for ((&addr, &word), slot) in addrs.iter().zip(raw).zip(out) {
-            check_word(self.width, word);
-            let counter = &mut self.counters[usize::try_from(addr).expect("address fits usize")];
-            let shift = u32::from(*counter) % self.width;
-            *counter = ((u32::from(*counter) + 1) % self.width) as u8;
-            *slot = self.rotate_left(word, shift);
-        }
+    fn encode_packed(&mut self, addrs: &[u64], raw: &[u64], out: &mut [u64]) {
+        // Rotate each word left by its address's counter, then step the
+        // counter with a compare-and-reset (it is always below the
+        // width). A zero shift needs no special case: `width - 0`
+        // shifts the word out entirely or, at width 64, wraps to a
+        // shift by 0, and both leave `word | word = word`.
+        let (width, m, counters) = (self.width, mask(self.width), &mut self.counters);
+        map_words(width, addrs.len(), raw, out, |i, word| {
+            let counter = &mut counters[usize::try_from(addrs[i]).expect("address fits usize")];
+            let shift = u32::from(*counter);
+            *counter = if shift + 1 == width {
+                0
+            } else {
+                shift as u8 + 1
+            };
+            ((word << shift) | word.wrapping_shr(width - shift)) & m
+        });
     }
 
     fn write_period(&self) -> Option<u64> {
@@ -458,17 +470,14 @@ impl<T: Trbg + Send + Sync + 'static> WriteTransducer for DnnLife<T> {
         }
     }
 
-    fn encode_run(&mut self, addrs: &[u64], raw: &[u64], out: &mut [u64]) {
-        assert_eq!(addrs.len(), raw.len(), "encode_run: length mismatch");
-        assert_eq!(addrs.len(), out.len(), "encode_run: length mismatch");
-        let m = mask(self.width);
-        // Monomorphic over the TRBG, so `next_enable` inlines; the
-        // draw order is exactly the per-word `encode` order.
-        for (&word, slot) in raw.iter().zip(out) {
-            check_word(self.width, word);
-            let enable = self.controller.next_enable();
-            *slot = if enable { word ^ m } else { word };
-        }
+    fn encode_packed(&mut self, addrs: &[u64], raw: &[u64], out: &mut [u64]) {
+        // XOR each word with its enable bit spread over the word, one
+        // TRBG draw per word in word order. The enable is random, so the
+        // select must not become a branch.
+        let (m, controller) = (mask(self.width), &mut self.controller);
+        map_words(self.width, addrs.len(), raw, out, |_, word| {
+            word ^ select_unpredictable(controller.next_enable(), m, 0)
+        });
     }
 
     fn new_block(&mut self) {
@@ -486,6 +495,7 @@ impl<T: Trbg + Send + Sync + 'static> WriteTransducer for DnnLife<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packed::write_bits;
     use crate::trbg::PseudoTrbg;
 
     fn duty_of_repeated_writes(t: &mut dyn WriteTransducer, word: u64, writes: u32) -> Vec<f64> {
@@ -649,25 +659,27 @@ mod tests {
     }
 
     #[test]
-    fn encode_run_matches_sequential_encode() {
-        // The batched override must be observationally identical to
+    fn encode_packed_matches_sequential_encode() {
+        // The packed override must be observationally identical to
         // per-word `encode`: same stored bits and same state advance,
-        // across block boundaries.
+        // across block boundaries. (`tests/properties.rs` covers every
+        // width and address pattern.)
         for proto in all_policies() {
-            let mut batched = proto.fork(0);
+            let mut packed = proto.fork(0);
             let mut sequential = proto.fork(0);
             for round in 0..40u64 {
                 let addrs: Vec<u64> = (0..16).collect();
-                let raw: Vec<u64> = addrs.iter().map(|a| (a * 37 + round * 11) & 0xFF).collect();
-                let mut out = vec![0u64; raw.len()];
-                batched.encode_run(&addrs, &raw, &mut out);
-                let expect: Vec<u64> = addrs
-                    .iter()
-                    .zip(&raw)
-                    .map(|(&a, &w)| sequential.encode(a, w).0)
-                    .collect();
+                let mut raw = vec![0u64; 2];
+                let mut expect = vec![0u64; 2];
+                for (i, &a) in addrs.iter().enumerate() {
+                    let word = (a * 37 + round * 11) & 0xFF;
+                    write_bits(&mut raw, i * 8, 8, word);
+                    write_bits(&mut expect, i * 8, 8, sequential.encode(a, word).0);
+                }
+                let mut out = vec![0u64; 2];
+                packed.encode_packed(&addrs, &raw, &mut out);
                 assert_eq!(out, expect, "policy {} round {round}", proto.name());
-                batched.new_block();
+                packed.new_block();
                 sequential.new_block();
             }
         }

@@ -24,6 +24,7 @@
 //!   machinery like every other mitigation — its data path is the
 //!   identity (remap moves words, it never rewrites them).
 
+use crate::packed::check_images;
 use crate::transducer::{Metadata, WriteTransducer};
 
 /// Deterministic logical↔physical row rotation schedule.
@@ -170,6 +171,11 @@ impl WriteTransducer for WearLevelRemap {
 
     fn decode(&self, stored: u64, _meta: Metadata) -> u64 {
         stored
+    }
+
+    fn encode_packed(&mut self, addrs: &[u64], raw: &[u64], out: &mut [u64]) {
+        check_images(addrs.len(), self.width, raw, out);
+        out.copy_from_slice(raw);
     }
 
     fn write_period(&self) -> Option<u64> {

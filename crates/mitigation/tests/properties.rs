@@ -1,10 +1,13 @@
 //! Property tests: every transducer's encode/decode must be the
 //! identity, for any word, any address pattern, any policy state.
 
+use dnnlife_mitigation::packed::{image_len, write_bits};
 use dnnlife_mitigation::transducer::{
     BarrelShifter, DnnLife, Passthrough, PeriodicInversion, WriteTransducer,
 };
-use dnnlife_mitigation::{AgingController, PseudoTrbg, RingOscillatorTrbg, Trbg};
+use dnnlife_mitigation::{
+    AgingController, PseudoTrbg, RemapSchedule, RingOscillatorTrbg, Trbg, WearLevelRemap,
+};
 use proptest::prelude::*;
 
 fn mask(width: u32) -> u64 {
@@ -172,6 +175,72 @@ proptest! {
                     shard,
                     prototype.name()
                 );
+            }
+        }
+    }
+}
+
+/// Word widths of the packed-image property: the lane widths 1, 8, 32
+/// and 64, and 7, 13 and 39, whose words straddle `u64`s.
+const PACKED_WIDTHS: [u32; 7] = [1, 7, 8, 13, 32, 39, 64];
+
+/// Addresses of the packed-image property's memory.
+const PACKED_WORDS: usize = 24;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `encode_packed` stores exactly what per-word `encode` followed
+    /// by `write_bits` stores, with the same state advance, for all five
+    /// transducers: every width of `PACKED_WIDTHS`, ragged image tails,
+    /// shuffled and repeated addresses, several blocks with
+    /// `new_block` between them, on fork `shard` of each prototype. The
+    /// output image starts as all ones, so every bit must be written.
+    #[test]
+    fn encode_packed_matches_per_word_encode_then_write_bits(
+        seed: u64,
+        shard in 0u64..4,
+        blocks in prop::collection::vec(
+            prop::collection::vec((0u64..PACKED_WORDS as u64, any::<u64>()), 0..150),
+            1..6
+        )
+    ) {
+        for width in PACKED_WIDTHS {
+            let schedule = RemapSchedule::new(PACKED_WORDS, 8, 4);
+            let prototypes: Vec<Box<dyn WriteTransducer>> = vec![
+                Box::new(Passthrough::new(width)),
+                Box::new(PeriodicInversion::new(width, PACKED_WORDS)),
+                Box::new(BarrelShifter::new(width, PACKED_WORDS)),
+                Box::new(DnnLife::new(width, AgingController::new(PseudoTrbg::new(seed, 0.7), 2))),
+                Box::new(WearLevelRemap::new(width, schedule)),
+            ];
+            for prototype in &prototypes {
+                let mut packed = prototype.fork(shard);
+                let mut sequential = prototype.fork(shard);
+                let w = width as usize;
+                for (block, writes) in blocks.iter().enumerate() {
+                    let addrs: Vec<u64> = writes.iter().map(|&(addr, _)| addr).collect();
+                    let len = image_len(writes.len(), width);
+                    let mut raw = vec![0u64; len];
+                    let mut expect = vec![0u64; len];
+                    for (i, &(addr, word)) in writes.iter().enumerate() {
+                        let word = word & mask(width);
+                        write_bits(&mut raw, i * w, w, word);
+                        write_bits(&mut expect, i * w, w, sequential.encode(addr, word).0);
+                    }
+                    let mut out = vec![u64::MAX; len];
+                    packed.encode_packed(&addrs, &raw, &mut out);
+                    prop_assert_eq!(
+                        &out,
+                        &expect,
+                        "policy {} width {} block {}",
+                        prototype.name(),
+                        width,
+                        block
+                    );
+                    packed.new_block();
+                    sequential.new_block();
+                }
             }
         }
     }

@@ -5,9 +5,9 @@
 //! simulator's inner loop. [`DutySliceTracker`] replaces that with
 //! vertical carry-save counters: each recorded state word is folded
 //! into `PLANES` bit-plane words (plane `p` holds bit `p` of every
-//! cell's pending count), so one record costs ~2 `u64` ops per 64
-//! cells amortized. Pending planes spill into per-cell `u64` counters
-//! every `2^PLANES − 1` records.
+//! cell's pending count), so one record costs a branch-free
+//! `PLANES`-level ripple of `u64` ops per 64 cells. Pending planes
+//! spill into per-cell `u64` counters every `2^PLANES − 1` records.
 //!
 //! Counts are kept as **integers per distinct dwell value** (grouped in
 //! first-seen order) and converted to f64 duty once, at the end:
@@ -73,15 +73,15 @@ impl DwellGroup {
             if w == words - 1 {
                 carry &= tail_mask;
             }
-            let mut level = 0;
-            while carry != 0 {
-                debug_assert!(level < PLANES, "carry-save overflow before spill");
-                let plane = &mut word_planes[level];
+            // A fixed ripple through every plane: stopping once the
+            // carry dies out is a branch that mispredicts on random
+            // states and costs more than the levels it skips.
+            for plane in word_planes.iter_mut() {
                 let t = *plane & carry;
                 *plane ^= carry;
                 carry = t;
-                level += 1;
             }
+            debug_assert_eq!(carry, 0, "carry-save overflow before spill");
         }
         self.writes += 1;
         self.pending += 1;
@@ -382,6 +382,36 @@ mod tests {
             let state = [1u64 << (round % 64) | 1];
             sliced.record_packed(&state, 1.0);
             scalar.record_packed(&state, 1.0);
+        }
+        assert_eq!(sliced.into_duties(), duties_of(&scalar));
+    }
+
+    #[test]
+    fn multi_word_all_ones_stress_matches_scalar_across_spills_and_scales() {
+        // 130 cells: three state words, two live bits in the last. All
+        // ones carries through every plane on every record; every 7th
+        // record clears a few cells so the duties differ per cell.
+        let mut sliced = DutySliceTracker::new(130);
+        let mut scalar = DutyCycleTracker::new(130);
+        let mut history: Vec<[u64; 3]> = Vec::new();
+        for round in 0..u64::from(SPILL_EVERY) * 2 + 3 {
+            let state = if round % 7 == 3 {
+                [!(1u64 << (round % 64)), u64::MAX >> (round % 5), !2]
+            } else {
+                [u64::MAX; 3]
+            };
+            sliced.record_packed(&state, 1.0);
+            scalar.record_packed(&state, 1.0);
+            history.push(state);
+            if round == 100 || round == u64::from(SPILL_EVERY) + 40 {
+                // `scale(3)` replays everything so far twice more.
+                sliced.scale(3);
+                let past = history.clone();
+                for state in past.iter().chain(&past) {
+                    scalar.record_packed(state, 1.0);
+                    history.push(*state);
+                }
+            }
         }
         assert_eq!(sliced.into_duties(), duties_of(&scalar));
     }
