@@ -42,7 +42,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::plan::BlockSource;
-pub use dnnlife_mitigation::packed::{read_bits, write_bits};
+use dnnlife_mitigation::packed::pack;
 use dnnlife_mitigation::WriteTransducer;
 use dnnlife_nn::exec;
 use dnnlife_sram::{DutyCycleTracker, DutySliceTracker};
@@ -242,7 +242,7 @@ pub fn simulate_exact_sharded(
 }
 
 /// Shared input validation: returns the sampled-word list and whether
-/// the raw-block-word cache pays off (a *global* decision over the full
+/// the packed raw-block cache pays off (a *global* decision over the full
 /// sampled population, so shard counts never change memory behaviour —
 /// each shard caches only its own slice of the budget).
 fn check_and_sample(
@@ -321,9 +321,9 @@ fn simulate_word_range(
     use_cache: bool,
     cancel: Option<&AtomicBool>,
 ) -> Option<Vec<f64>> {
-    let width = source.geometry().word_bits as usize;
+    let width = source.geometry().word_bits;
     let k_blocks = source.block_count();
-    let cells = words.len() * width;
+    let cells = words.len() * width as usize;
     if cells == 0 {
         return Some(Vec::new());
     }
@@ -357,7 +357,7 @@ fn simulate_word_range(
                 return None;
             }
             source.fill(block, words, &mut raw_words);
-            pack_state(image, &raw_words, width);
+            pack(&raw_words, width, image);
         }
         Some(cache)
     } else {
@@ -376,7 +376,7 @@ fn simulate_word_range(
                         Some(cache) => &cache[block as usize * image_len..][..image_len],
                         None => {
                             source.fill(block, words, &mut raw_words);
-                            pack_state(&mut scratch, &raw_words, width);
+                            pack(&raw_words, width, &mut scratch);
                             &scratch
                         }
                     };
@@ -452,54 +452,12 @@ fn gcd(a: u64, b: u64) -> u64 {
     }
 }
 
-/// Packs one block's raw words into the memory-image layout: word
-/// `i`'s `width` bits land at bit offset `i × width`, LSB-first —
-/// exactly [`write_bits`] of every word in sequence into a zeroed
-/// image, but as a streaming pack with no read-modify-write. Bits past
-/// the last word are zero.
-///
-/// # Panics
-///
-/// Panics on the first word with a bit beyond `width`, with the message
-/// [`WriteTransducer::encode`] gives for it.
-fn pack_state(state: &mut [u64], words: &[u64], width: usize) {
-    debug_assert!((1..=64).contains(&width), "pack_state: bad width {width}");
-    debug_assert_eq!(state.len(), (words.len() * width).div_ceil(64));
-    if width == 64 {
-        state.copy_from_slice(words);
-        return;
-    }
-    let mut acc = 0u64;
-    let mut fill = 0usize;
-    let mut out = 0usize;
-    for &value in words {
-        assert!(
-            value >> width == 0,
-            "word {value:#x} has bits beyond width {width}"
-        );
-        acc |= value << fill;
-        fill += width;
-        if fill >= 64 {
-            state[out] = acc;
-            out += 1;
-            fill -= 64;
-            acc = if fill == 0 {
-                0
-            } else {
-                value >> (width - fill)
-            };
-        }
-    }
-    if fill > 0 {
-        state[out] = acc;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::AcceleratorConfig;
     use crate::plan::FlatWeightMemory;
+    use dnnlife_mitigation::packed::{read_bits, write_bits};
     use dnnlife_mitigation::{BarrelShifter, Passthrough, PeriodicInversion};
     use dnnlife_nn::NetworkSpec;
     use dnnlife_quant::NumberFormat;
@@ -640,7 +598,7 @@ mod tests {
 
     #[test]
     fn pack_state_matches_write_bits() {
-        // The streaming packer must produce exactly the image that
+        // The block-cache packer must produce exactly the image that
         // word-by-word `write_bits` calls would.
         for (width, words) in [(1usize, 130usize), (3, 41), (8, 16), (13, 10), (64, 5)] {
             let stored: Vec<u64> = (0..words as u64)
@@ -656,7 +614,7 @@ mod tests {
             let cells = words * width;
             let mut packed = vec![0u64; cells.div_ceil(64)];
             let mut reference = vec![0u64; cells.div_ceil(64)];
-            pack_state(&mut packed, &stored, width);
+            pack(&stored, width as u32, &mut packed);
             for (i, &value) in stored.iter().enumerate() {
                 write_bits(&mut reference, i * width, width, value);
             }

@@ -1,7 +1,7 @@
 //! Property tests for dataflow plans, the analytic simulator and the
 //! exact simulator's packed-bit image.
 
-use dnnlife_accel::exact::{read_bits, write_bits};
+use dnnlife_mitigation::packed::{read_bits, write_bits};
 use std::sync::OnceLock;
 
 use dnnlife_accel::{

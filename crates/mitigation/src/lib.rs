@@ -30,7 +30,9 @@
 //! [`WriteTransducer::fork`] into per-shard clones (deterministic
 //! policies: a per-address state snapshot; DNN-Life: an independent
 //! seed-derived TRBG stream per shard) — see the *Fork contract* on
-//! the trait.
+//! the trait. The exact simulator drives a transducer one block write
+//! at a time through [`WriteTransducer::encode_packed`], on word images
+//! in the [`packed`] layout.
 //!
 //! # Example
 //!

@@ -13,9 +13,77 @@ pub(crate) fn mask(width: u32) -> u64 {
     }
 }
 
+/// Panics unless `word` fits in `width` bits — the check every
+/// transducer's `encode` makes.
+pub(crate) fn check_word(width: u32, word: u64) {
+    assert!(
+        word & !mask(width) == 0,
+        "word {word:#x} has bits beyond width {width}"
+    );
+}
+
 /// `u64`s in the image of `words` words of `width` bits.
 pub fn image_len(words: usize, width: u32) -> usize {
     (words * width as usize).div_ceil(64)
+}
+
+/// Packs `words` into `image`, [`image_len`]`(words.len(), width)`
+/// long: word `i` lands at bit offset `i × width` — exactly
+/// [`write_bits`] of every word in sequence into a zeroed image, but
+/// streamed with no read-modify-write. Bits past the last word are
+/// zero.
+///
+/// # Panics
+///
+/// Panics on the first word with a bit beyond `width`, with the message
+/// [`crate::WriteTransducer::encode`] gives for it, or if `image` has
+/// the wrong length.
+pub fn pack(words: &[u64], width: u32, image: &mut [u64]) {
+    assert_eq!(
+        image.len(),
+        image_len(words.len(), width),
+        "pack: image length mismatch"
+    );
+    let mut packer = Packer::default();
+    for &word in words {
+        check_word(width, word);
+        packer.push(image, word, width);
+    }
+    packer.finish(image);
+}
+
+/// Streams `width`-bit words into consecutive bits of an image.
+#[derive(Default)]
+struct Packer {
+    /// The low `fill` bits of `image[next]` pushed so far.
+    acc: u64,
+    fill: u32,
+    next: usize,
+}
+
+impl Packer {
+    #[inline(always)]
+    fn push(&mut self, image: &mut [u64], word: u64, width: u32) {
+        self.acc |= word << self.fill;
+        self.fill += width;
+        if self.fill >= 64 {
+            image[self.next] = self.acc;
+            self.next += 1;
+            self.fill -= 64;
+            self.acc = if self.fill == 0 {
+                0
+            } else {
+                word >> (width - self.fill)
+            };
+        }
+    }
+
+    #[inline(always)]
+    fn finish(self, image: &mut [u64]) {
+        if self.fill > 0 {
+            image[self.next] = self.acc;
+        }
+    }
 }
 
 /// Writes the low `width` bits of `value` into the packed bit image at
@@ -144,20 +212,9 @@ fn map_straddling(
     mut f: impl FnMut(usize, u64) -> u64,
 ) {
     let w = width as usize;
-    // `acc` holds the `fill` low bits of `out[next]` produced so far.
-    let (mut acc, mut fill, mut next) = (0u64, 0usize, 0usize);
+    let mut packer = Packer::default();
     for i in 0..words {
-        let stored = f(i, read_bits(raw, i * w, w));
-        acc |= stored << fill;
-        fill += w;
-        if fill >= 64 {
-            out[next] = acc;
-            next += 1;
-            fill -= 64;
-            acc = if fill == 0 { 0 } else { stored >> (w - fill) };
-        }
+        packer.push(out, f(i, read_bits(raw, i * w, w)), width);
     }
-    if fill > 0 {
-        out[next] = acc;
-    }
+    packer.finish(out);
 }

@@ -8,7 +8,7 @@
 use std::hint::select_unpredictable;
 
 use crate::controller::AgingController;
-use crate::packed::{check_images, map_words, mask};
+use crate::packed::{check_images, check_word, map_words, mask};
 use crate::trbg::Trbg;
 
 /// Per-write metadata produced by `encode` and consumed by `decode`.
@@ -142,13 +142,6 @@ fn encode_packed_by_word<T: WriteTransducer + ?Sized>(
     map_words(width, addrs.len(), raw, out, |i, word| {
         t.encode(addrs[i], word).0 & m
     });
-}
-
-fn check_word(width: u32, word: u64) {
-    assert!(
-        word & !mask(width) == 0,
-        "word {word:#x} has bits beyond width {width}"
-    );
 }
 
 /// No mitigation: words are stored as-is.

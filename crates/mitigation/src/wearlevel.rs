@@ -24,7 +24,7 @@
 //!   machinery like every other mitigation — its data path is the
 //!   identity (remap moves words, it never rewrites them).
 
-use crate::packed::check_images;
+use crate::packed::{check_images, check_word};
 use crate::transducer::{Metadata, WriteTransducer};
 
 /// Deterministic logical↔physical row rotation schedule.
@@ -161,11 +161,7 @@ impl WriteTransducer for WearLevelRemap {
     }
 
     fn encode(&mut self, _addr: u64, word: u64) -> (u64, Metadata) {
-        assert!(
-            self.width == 64 || word >> self.width == 0,
-            "word {word:#x} has bits beyond width {}",
-            self.width
-        );
+        check_word(self.width, word);
         (word, Metadata::None)
     }
 
