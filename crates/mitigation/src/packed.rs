@@ -211,10 +211,26 @@ fn map_straddling(
     out: &mut [u64],
     mut f: impl FnMut(usize, u64) -> u64,
 ) {
-    let w = width as usize;
+    debug_assert!(width < 64, "64-bit words take the lane loop");
+    let m = mask(width);
+    // `acc` holds the `avail` bits of `raw[next - 1]` not yet read.
+    let (mut acc, mut avail, mut next) = (0u64, 0u32, 0usize);
     let mut packer = Packer::default();
     for i in 0..words {
-        packer.push(out, f(i, read_bits(raw, i * w, w)), width);
+        let word = if avail >= width {
+            let word = acc & m;
+            acc >>= width;
+            avail -= width;
+            word
+        } else {
+            let r = raw[next];
+            next += 1;
+            let word = (acc | r << avail) & m;
+            acc = r >> (width - avail);
+            avail += 64 - width;
+            word
+        };
+        packer.push(out, f(i, word), width);
     }
     packer.finish(out);
 }
