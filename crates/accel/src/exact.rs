@@ -294,8 +294,8 @@ pub(crate) fn shard_ranges(len: usize, shards: usize) -> Vec<std::ops::Range<usi
 
 /// The exact inner loop over one contiguous range of sampled words:
 /// every block of every inference goes through `transducer` as one
-/// packed raw image into the packed memory image, and each block state
-/// is folded into a bit-sliced integer duty tracker — 64 cells per
+/// packed image, raw in and stored out, and each block state is
+/// folded into a bit-sliced integer duty tracker — 64 cells per
 /// `u64` op instead of a branch and an f64 add per cell. Returns `None`
 /// if `cancel` was raised (polled once per block, including during
 /// cache fill).
