@@ -367,15 +367,24 @@ fn run_trials(
     })
 }
 
-/// Builds the corrupted weight tables of one trial: every physical
-/// cell (data *and* parity under a repair policy) faults according to
-/// the scenario's memory technology — independent seeded read failures
-/// under SRAM/NBTI, deterministic stuck-at cells from this trial's
-/// endurance die under ReRAM; with SECDED the raw word's error mask
-/// runs through syndrome decode *before* the policy's read-decode
-/// permutation (the ECC engine sits at the array port, below the
-/// mitigation logic); the surviving data-bit flips are then carried
-/// through the permutation and the corrupted code is dequantized.
+/// Builds the corrupted weight tables of one trial in one pass over
+/// the stored words, in layer order. Each word's physical error mask
+/// (data *and* parity cells under a repair policy) comes from the
+/// scenario's memory technology: independent seeded read failures
+/// under SRAM/NBTI, the disagreement with this trial's endurance die
+/// under ReRAM. With SECDED the mask runs through syndrome decode
+/// *before* the policy's read-decode permutation (the ECC engine sits
+/// at the array port, below the mitigation logic); the surviving
+/// data-bit flips are then carried through the permutation and the
+/// corrupted code is dequantized.
+///
+/// The barrel shifter draws its read rotation from the trial stream
+/// right after the word's mask draws, and only when data bits survive
+/// the decoder. Nothing else draws while decoding, and ReRAM masks draw
+/// nothing at all, so the stream stays a function of the word order
+/// alone: the same draws as a pass that drew every mask first and
+/// decoded afterwards.
+///
 /// Returns the tables, the raw faulted-cell count, and the decoder
 /// tallies (zero without a repair policy).
 #[allow(clippy::too_many_arguments)]
@@ -393,126 +402,49 @@ fn corrupt_tables(
     let mut rng = StdRng::seed_from_u64(spec.trial_seed(age_index, trial as u32));
     let rotates = matches!(spec.scenario.policy, PolicySpec::BarrelShifter);
     let data_bits = spec.scenario.format.bits() as u32;
+    // Under ReRAM each trial manufactures a fresh die: per-cell
+    // lognormal endurance thresholds hashed from the trial's die seed.
+    let stuck = (spec.scenario.tech == MemoryTech::ReramEndurance).then(|| {
+        let die = ReramEnduranceLifetime::new(spec.die_seed(trial as u32));
+        duties.stuck_masks(&die, years)
+    });
     let mut flips = 0u64;
     let mut counts = EccTrialCounts::default();
-
-    if spec.scenario.tech == MemoryTech::SramNbti && rotates {
-        // The rotating read path draws its shift *between* words, so
-        // the random stream interleaves mask and shift draws; keep the
-        // original one-word-at-a-time decode to preserve it exactly
-        // (the golden stores pin these bytes).
-        let tables = codes
-            .iter()
-            .enumerate()
-            .zip(quantizers)
-            .map(|((li, layer_codes), q)| {
-                let slots = &duties.weight_slots[li];
-                layer_codes
-                    .iter()
-                    .enumerate()
-                    .map(|(w, &code)| {
-                        let mask =
-                            draw_mask(&mut rng, duties.slot_levels(slots[w] as usize), probs);
-                        if mask == 0 {
-                            return q.decode_corrupted(code);
-                        }
-                        flips += u64::from(mask.count_ones());
-                        let mut data_mask = match ecc {
-                            None => mask as u32,
-                            Some(layout) => {
-                                // Syndrome decode on the raw array
-                                // word's error pattern (codes are
-                                // linear, so the decoder's action
-                                // depends only on the mask), gathered
-                                // out of the interleaved column layout.
-                                let decode = layout.code().decode_mask(layout.gather_mask(mask));
-                                tally(&mut counts, decode.outcome);
-                                let survived = (decode.residual & ((1u64 << data_bits) - 1)) as u32;
-                                counts.residual_flips += u64::from(survived.count_ones());
-                                survived
-                            }
-                        };
-                        if data_mask == 0 {
-                            return q.decode_corrupted(code);
-                        }
-                        let shift = (rng.random::<f64>() * f64::from(data_bits)) as u32 % data_bits;
-                        data_mask = rotate_right(data_mask, shift, data_bits);
-                        q.decode_corrupted(code ^ data_mask)
-                    })
-                    .collect()
-            })
-            .collect();
-        return (tables, flips, counts);
-    }
-
-    // Every other path splits mask generation from decoding, so the
-    // SECDED syndromes run through the bit-sliced batch decoder (64
-    // array words per syndrome operation). The random stream is
-    // untouched: mask draws happen in the same per-cell order, and no
-    // draw depends on a decode.
-    let layer_masks: Vec<Vec<u64>> = match spec.scenario.tech {
-        MemoryTech::SramNbti => codes
-            .iter()
-            .enumerate()
-            .map(|(li, layer_codes)| {
-                duties.weight_slots[li][..layer_codes.len()]
-                    .iter()
-                    .map(|&slot| draw_mask(&mut rng, duties.slot_levels(slot as usize), probs))
-                    .collect()
-            })
-            .collect(),
-        MemoryTech::ReramEndurance => {
-            // Each trial manufactures a fresh die: per-cell lognormal
-            // endurance thresholds hashed from the trial's die seed. A
-            // worn-out cell reads back its stuck value regardless of
-            // the stored bit, so the error mask is the disagreement
-            // between the stored physical word and the stuck pattern.
-            let die = ReramEnduranceLifetime::new(spec.die_seed(trial as u32));
-            let stuck = duties.stuck_masks(&die, years);
-            codes
-                .iter()
-                .enumerate()
-                .map(|(li, layer_codes)| {
-                    let slots = &duties.weight_slots[li];
-                    layer_codes
-                        .iter()
-                        .enumerate()
-                        .map(|(w, &code)| {
-                            let (stuck_mask, stuck_value) = stuck[slots[w] as usize];
-                            let stored = match ecc {
-                                None => u64::from(code),
-                                Some(layout) => layout.store(u64::from(code)),
-                            };
-                            stuck_mask & (stored ^ stuck_value)
-                        })
-                        .collect()
-                })
-                .collect()
-        }
-    };
-
     let tables = codes
         .iter()
         .zip(quantizers)
-        .zip(&layer_masks)
-        .map(|((layer_codes, q), masks)| {
-            let decodes = ecc.map(|layout| {
-                let gathered: Vec<u64> = masks.iter().map(|&m| layout.gather_mask(m)).collect();
-                layout.code().decode_masks(&gathered)
-            });
+        .zip(&duties.weight_slots)
+        .map(|((layer_codes, q), slots)| {
             layer_codes
                 .iter()
-                .enumerate()
-                .map(|(w, &code)| {
-                    let mask = masks[w];
+                .zip(slots)
+                .map(|(&code, &slot)| {
+                    let slot = slot as usize;
+                    let mask = match &stuck {
+                        None => draw_mask(&mut rng, duties.slot_levels(slot), probs),
+                        // A worn-out cell reads back its stuck value
+                        // regardless of the stored bit, so the error
+                        // mask is the disagreement between the stored
+                        // physical word and the stuck pattern.
+                        Some(stuck) => {
+                            let (stuck_mask, stuck_value) = stuck[slot];
+                            let stored =
+                                ecc.map_or(u64::from(code), |layout| layout.store(u64::from(code)));
+                            stuck_mask & (stored ^ stuck_value)
+                        }
+                    };
                     if mask == 0 {
                         return q.decode_corrupted(code);
                     }
                     flips += u64::from(mask.count_ones());
-                    let mut data_mask = match &decodes {
+                    let mut data_mask = match ecc {
                         None => mask as u32,
-                        Some(decodes) => {
-                            let decode = decodes[w];
+                        Some(layout) => {
+                            // Codes are linear, so the decoder's action
+                            // depends only on the error pattern,
+                            // gathered out of the interleaved column
+                            // layout.
+                            let decode = layout.code().decode_mask(layout.gather_mask(mask));
                             tally(&mut counts, decode.outcome);
                             let survived = (decode.residual & ((1u64 << data_bits) - 1)) as u32;
                             counts.residual_flips += u64::from(survived.count_ones());

@@ -18,6 +18,12 @@
 //! double errors (even parity, nonzero syndrome) are distinguishable
 //! from single errors (odd parity).
 //!
+//! Two functions decode. [`SecdedCode::correct`] takes a received word,
+//! as the hardware decoder would. [`SecdedCode::decode_mask`] takes the
+//! error mask instead, so it can also tell an escape from a correction.
+//! The fault-injection read path calls `decode_mask` once per faulted
+//! word; it has no other decoder.
+//!
 //! # Example
 //!
 //! ```
@@ -215,96 +221,6 @@ impl SecdedCode {
             residual: mask,
             outcome: EccOutcome::Detected,
         }
-    }
-
-    /// Bit-sliced batch decoder: [`SecdedCode::decode_mask`] over a
-    /// whole array of error masks, 64 codewords per syndrome
-    /// operation. The masks are transposed into codeword-bit planes
-    /// (sparse — only set bits are visited, and fault-free words cost
-    /// nothing), each syndrome bit is one XOR reduction over the
-    /// planes its H-matrix row covers, and only lanes with a nonzero
-    /// mask fall back to the per-word correction lookup. Verdicts and
-    /// residuals are identical to the scalar decoder lane for lane.
-    pub fn decode_masks(&self, masks: &[u64]) -> Vec<MaskDecode> {
-        let width = self.codeword_bits() as usize;
-        let data_bits = self.data_bits as usize;
-        let check_bits = self.check_bits as usize;
-        let mut out = Vec::with_capacity(masks.len());
-        let mut planes = vec![0u64; width];
-        for chunk in masks.chunks(64) {
-            let mut nonzero = 0u64;
-            for (t, &mask) in chunk.iter().enumerate() {
-                if mask == 0 {
-                    continue;
-                }
-                nonzero |= 1u64 << t;
-                let mut m = mask;
-                while m != 0 {
-                    planes[m.trailing_zeros() as usize] |= 1u64 << t;
-                    m &= m - 1;
-                }
-            }
-            if nonzero == 0 {
-                out.extend(chunk.iter().map(|_| MaskDecode {
-                    residual: 0,
-                    outcome: EccOutcome::Clean,
-                }));
-                continue;
-            }
-            // Syndrome bit-planes: bit `t` of `s_planes[j]` is bit `j`
-            // of lane `t`'s syndrome. Check bit `j` carries column
-            // `2^j`; the overall parity bit carries column 0.
-            let mut s_planes = [0u64; 8];
-            for (j, s_plane) in s_planes.iter_mut().take(check_bits).enumerate() {
-                let mut acc = planes[data_bits + j];
-                for (i, &c) in self.data_cols.iter().enumerate() {
-                    if c >> j & 1 == 1 {
-                        acc ^= planes[i];
-                    }
-                }
-                *s_plane = acc;
-            }
-            let parity = planes.iter().fold(0u64, |acc, &p| acc ^ p);
-            for (t, &mask) in chunk.iter().enumerate() {
-                if nonzero >> t & 1 == 0 {
-                    out.push(MaskDecode {
-                        residual: 0,
-                        outcome: EccOutcome::Clean,
-                    });
-                    continue;
-                }
-                let mut s = 0usize;
-                for (j, &sp) in s_planes.iter().take(check_bits).enumerate() {
-                    s |= ((sp >> t & 1) as usize) << j;
-                }
-                out.push(if parity >> t & 1 == 1 {
-                    let pos = self.col_to_pos[s];
-                    if pos < 0 {
-                        MaskDecode {
-                            residual: mask,
-                            outcome: EccOutcome::Detected,
-                        }
-                    } else {
-                        let residual = mask ^ (1u64 << pos);
-                        MaskDecode {
-                            residual,
-                            outcome: if residual == 0 {
-                                EccOutcome::Corrected
-                            } else {
-                                EccOutcome::Escaped
-                            },
-                        }
-                    }
-                } else {
-                    MaskDecode {
-                        residual: mask,
-                        outcome: EccOutcome::Detected,
-                    }
-                });
-            }
-            planes.iter_mut().for_each(|p| *p = 0);
-        }
-        out
     }
 
     /// Decodes a received word: corrects a located single-bit error and
@@ -597,18 +513,33 @@ mod tests {
     }
 
     #[test]
-    fn batch_decoder_matches_scalar_exhaustively_at_8_bits() {
-        // Every 13-bit mask (8192 of them) in one batch: the bit-sliced
-        // decoder must agree with the scalar decoder lane for lane,
-        // across chunk boundaries and for the all-zero tail.
+    fn mask_decoder_matches_word_decoder_exhaustively_at_8_bits() {
+        // Every 13-bit error mask (8192 of them) over one codeword: the
+        // mask-space decoder's residual is exactly the error left in the
+        // data the receiver's decoder delivers, and its verdict is the
+        // receiver's up to what only the true mask can tell. A receiver
+        // reports an aliasing escape as a correction, and sees a mask
+        // that is itself a nonzero codeword (all 255 of them) as a
+        // clean read, which the mask decoder files as detected.
         let code = SecdedCode::for_data_bits(8);
-        let mut masks: Vec<u64> = (0u64..1 << 13).collect();
-        masks.extend([0u64; 70]);
-        let batch = code.decode_masks(&masks);
-        assert_eq!(batch.len(), masks.len());
-        for (&mask, decode) in masks.iter().zip(&batch) {
-            assert_eq!(*decode, code.decode_mask(mask), "mask {mask:#06x}");
+        let data = 0x5Cu64;
+        let cw = code.encode(data);
+        let mut invisible = 0;
+        for mask in 0u64..1 << 13 {
+            let d = code.decode_mask(mask);
+            let (delivered, outcome) = code.correct(cw ^ mask);
+            assert_eq!(delivered, data ^ (d.residual & 0xFF), "mask {mask:#06x}");
+            let seen = match d.outcome {
+                EccOutcome::Escaped => EccOutcome::Corrected,
+                EccOutcome::Detected if code.syndrome(mask) == 0 && mask.count_ones() % 2 == 0 => {
+                    invisible += 1;
+                    EccOutcome::Clean
+                }
+                other => other,
+            };
+            assert_eq!(outcome, seen, "mask {mask:#06x}");
         }
+        assert_eq!(invisible, (1 << 8) - 1);
     }
 
     #[test]

@@ -86,37 +86,6 @@ proptest! {
     }
 
     #[test]
-    fn batch_decode_masks_matches_scalar_lane_for_lane(seed: u64, len: u16, density: u8) {
-        // Pseudo-random mask arrays at both widths (length crossing
-        // chunk boundaries, thinned toward the realistic sparse case):
-        // the bit-sliced batch decoder must reproduce the scalar
-        // decoder's residual and verdict for every lane.
-        let len = usize::from(len) % 200;
-        for width in WIDTHS {
-            let code = SecdedCode::for_data_bits(width);
-            let field = (1u64 << code.codeword_bits()) - 1;
-            let mut state = seed;
-            let masks: Vec<u64> = (0..len)
-                .map(|_| {
-                    let raw = splitmix(&mut state);
-                    let mask = raw & field;
-                    match density % 4 {
-                        0 => mask,
-                        1 => mask & (raw >> 13) & field,
-                        2 => mask & (raw >> 13) & (raw >> 26) & field,
-                        _ => 0,
-                    }
-                })
-                .collect();
-            let batch = code.decode_masks(&masks);
-            prop_assert_eq!(batch.len(), masks.len());
-            for (i, (&mask, decode)) in masks.iter().zip(&batch).enumerate() {
-                prop_assert_eq!(*decode, code.decode_mask(mask), "width {} lane {}", width, i);
-            }
-        }
-    }
-
-    #[test]
     fn interleaved_single_bit_flip_still_corrects(raw: u64, stride_pick: u32, bit_pick: u32) {
         for width in WIDTHS {
             let code = SecdedCode::for_data_bits(width);
@@ -140,14 +109,6 @@ proptest! {
             prop_assert_eq!(layout.gather_mask(layout.store(data)), code.encode(data));
         }
     }
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn gcd(a: u32, b: u32) -> u32 {
