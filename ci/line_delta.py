@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Net line delta of the Rust code under crates/ between two revisions.
+"""Net line delta of the workspace's Rust code between two revisions.
 
 Usage: ci/line_delta.py BASE [HEAD]      (HEAD defaults to `HEAD`)
 
 Counts the added and removed lines of `git diff BASE HEAD` over the
-`.rs` files in `crates/`, in three buckets:
+`.rs` files in `crates/`, the facade crate's `src/`, and the top-level
+`tests/` and `examples/` (the offline shims under `vendor/` are left
+out), in four buckets:
 
   non-test Rust  `src/` lines before the file's first `#[cfg(test)]`
   tests          `tests/` files, plus `src/` lines from the first
                  `#[cfg(test)]` on (in-file test modules)
   benches        `benches/` files
+  examples       `examples/` files
 
 A removed line is classified by the base revision of its file, an added
 line by the head revision, so a test module that moves or a non-test
@@ -20,7 +23,8 @@ import re
 import subprocess
 import sys
 
-BUCKETS = ("non-test Rust", "tests", "benches")
+BUCKETS = ("non-test Rust", "tests", "benches", "examples")
+PATHS = ("crates/*.rs", "src/*.rs", "tests/*.rs", "examples/*.rs")
 HUNK = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
 CFG_TEST = re.compile(r"^\s*#\[cfg\(test\)\]")
 
@@ -44,6 +48,8 @@ def bucket(path, line, cutoff):
     parts = path.split("/")
     if "benches" in parts:
         return "benches"
+    if "examples" in parts:
+        return "examples"
     if "tests" in parts:
         return "tests"
     if "src" in parts and line >= cutoff:
@@ -56,7 +62,7 @@ def main(argv):
         sys.exit(__doc__.strip().splitlines()[2])
     base = argv[1]
     head = argv[2] if len(argv) == 3 else "HEAD"
-    diff = git("diff", "-U0", "-M", base, head, "--", "crates/*.rs")
+    diff = git("diff", "-U0", "-M", base, head, "--", *PATHS)
     counts = {b: [0, 0] for b in BUCKETS}
     old_path = new_path = None
     old_cut = new_cut = float("inf")
@@ -83,7 +89,7 @@ def main(argv):
         elif line.startswith("+"):
             counts[bucket(new_path, new_line, new_cut)][0] += 1
             new_line += 1
-    print(f"crates/ Rust line delta {base}..{head}")
+    print(f"Rust line delta {base}..{head}")
     print(f"{'bucket':<14} {'added':>7} {'removed':>8} {'net':>7}")
     total = [0, 0]
     for name in BUCKETS:

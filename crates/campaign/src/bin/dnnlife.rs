@@ -864,10 +864,9 @@ fn inject(args: &Args) -> Result<(), CliError> {
         noise_sigma_mv: args.bounded(&NOISE_MV, defaults.noise_sigma_mv, "> 0", |mv| {
             mv.is_finite() && *mv > 0.0
         })?,
-        ..defaults
     };
-    // No --tech flag: the single default-technology axis value.
-    let techs = args.value(&TECH, vec![params.tech], parse_tech)?;
+    // No --tech flag: the paper's SRAM/NBTI aging alone.
+    let techs = args.value(&TECH, vec![MemoryTech::SramNbti], parse_tech)?;
 
     // The requested zoo network crossed with the paper's Fig. 11 policy
     // set (optionally filtered by `--policy` substrings). A requested

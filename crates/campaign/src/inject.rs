@@ -81,12 +81,6 @@ pub struct InjectionParams {
     pub train_steps: u32,
     /// Read-noise operating point in mV.
     pub noise_sigma_mv: f64,
-    /// Repair (ECC) axis over the stored weight words
-    /// (`dnnlife inject --ecc`).
-    pub repair: RepairPolicy,
-    /// Memory technology whose lifetime model ages the weight cells
-    /// (`dnnlife inject --tech`).
-    pub tech: MemoryTech,
 }
 
 impl Default for InjectionParams {
@@ -104,8 +98,6 @@ impl Default for InjectionParams {
             eval_images: proto.eval_images,
             train_steps: proto.train_steps,
             noise_sigma_mv: proto.noise_sigma_mv,
-            repair: RepairPolicy::None,
-            tech: MemoryTech::SramNbti,
         }
     }
 }
@@ -121,39 +113,15 @@ pub struct InjectionGrid {
 
 impl InjectionGrid {
     /// Builds the campaign for one platform × network × format cell
-    /// crossed with `policies`. Invalid combinations (fp32 on the NPU,
-    /// a non-coprime SECDED interleave) are dropped; policies appear
-    /// in list order. Callers that let the user request the cell
+    /// crossed with `policies`, each repair value and each
+    /// [`MemoryTech`] (`dnnlife inject --ecc both --tech both`), tech
+    /// innermost after repair. Invalid combinations (fp32 on the NPU,
+    /// a non-coprime SECDED interleave) are dropped; policies appear in
+    /// list order. Callers that let the user request the cell
     /// explicitly must treat an empty grid as an error (the `dnnlife
     /// inject` CLI exits nonzero naming the combination) instead of
-    /// writing an empty store.
-    pub fn build(
-        name: impl Into<String>,
-        platform: Platform,
-        network: NetworkKind,
-        format: NumberFormat,
-        policies: &[PolicySpec],
-        params: &InjectionParams,
-    ) -> Self {
-        Self::build_with_axes(
-            name,
-            platform,
-            network,
-            format,
-            policies,
-            params,
-            &[params.repair],
-            &[params.tech],
-        )
-    }
-
-    /// [`InjectionGrid::build`] with explicit repair and memory
-    /// technology axes (`dnnlife inject --ecc both --tech both`): every
-    /// policy is crossed with each repair value and each [`MemoryTech`],
-    /// tech innermost after repair, overriding `params.repair` and
-    /// `params.tech`. Invalid cells (a non-coprime interleave) are
-    /// dropped like any other invalid combination — callers that need
-    /// to diagnose a partial drop can count cells per repair value.
+    /// writing an empty store; callers that need to diagnose a partial
+    /// drop can count cells per repair value.
     #[allow(clippy::too_many_arguments)]
     pub fn build_with_axes(
         name: impl Into<String>,
@@ -570,43 +538,47 @@ mod tests {
             eval_images: 4,
             train_steps: 0,
             noise_sigma_mv: 65.0,
-            repair: RepairPolicy::None,
-            tech: MemoryTech::SramNbti,
         }
     }
 
     #[test]
     fn grid_builder_filters_invalid_cells_and_derives_seeds() {
         let params = tiny_params();
-        let grid = InjectionGrid::build(
+        let grid = InjectionGrid::build_with_axes(
             "t",
             Platform::TpuLike,
             NetworkKind::CustomMnist,
             NumberFormat::Int8Symmetric,
             &[PolicySpec::None, PolicySpec::Inversion, PolicySpec::None],
             &params,
+            &[RepairPolicy::None],
+            &[MemoryTech::SramNbti],
         );
         assert_eq!(grid.len(), 2, "duplicates dedup");
         assert_ne!(grid.specs[0].scenario.seed, grid.specs[1].scenario.seed);
         // fp32 on the NPU is invalid and filtered.
-        let fp32 = InjectionGrid::build(
+        let fp32 = InjectionGrid::build_with_axes(
             "t",
             Platform::TpuLike,
             NetworkKind::CustomMnist,
             NumberFormat::Fp32,
             &[PolicySpec::None],
             &params,
+            &[RepairPolicy::None],
+            &[MemoryTech::SramNbti],
         );
         assert!(fp32.is_empty());
         // The whole zoo is injectable now — the big networks build
         // real grid cells with campaign-derived seeds.
-        let alex = InjectionGrid::build(
+        let alex = InjectionGrid::build_with_axes(
             "t",
             Platform::Baseline,
             NetworkKind::Alexnet,
             NumberFormat::Int8Symmetric,
             &[PolicySpec::None],
             &params,
+            &[RepairPolicy::None],
+            &[MemoryTech::SramNbti],
         );
         assert_eq!(alex.len(), 1, "AlexNet must yield a runnable cell");
         assert_eq!(alex.specs[0].scenario.network, NetworkKind::Alexnet);
@@ -619,13 +591,15 @@ mod tests {
         // sweep grid derives for the same coordinates, so duty cycles
         // line up between the two campaign kinds.
         let params = tiny_params();
-        let grid = InjectionGrid::build(
+        let grid = InjectionGrid::build_with_axes(
             "t",
             Platform::TpuLike,
             NetworkKind::CustomMnist,
             NumberFormat::Int8Symmetric,
             &[PolicySpec::None],
             &params,
+            &[RepairPolicy::None],
+            &[MemoryTech::SramNbti],
         );
         let sweep = crate::grid::CampaignGrid::fig11(crate::grid::SweepOptions {
             base_seed: params.base_seed,

@@ -2,11 +2,9 @@
 //! determinism, resume, table rendering, and (nightly tier) the
 //! paper's accuracy claim.
 //!
-//! The tier-1 smoke test keeps debug-mode cost down by using the
-//! cheap deterministic policies and an untrained network — the
-//! stochastic DNN-Life policy and the trained-accuracy claim run in
-//! the nightly `--ignored` release tier (and in `dnnlife-faultsim`'s
-//! own unit tests at smaller scale).
+//! The tier-1 tests keep debug-mode cost down with an untrained
+//! network and a few evaluation images; the trained-accuracy claims
+//! and the AlexNet store run in the nightly `--ignored` release tier.
 
 use std::path::Path;
 
@@ -15,7 +13,7 @@ use dnnlife_campaign::{
     InjectionGrid, InjectionParams, InjectionStore,
 };
 use dnnlife_core::experiment::{fig11_policies, NetworkKind, Platform, PolicySpec};
-use dnnlife_core::RepairPolicy;
+use dnnlife_core::{MemoryTech, RepairPolicy};
 use dnnlife_quant::NumberFormat;
 
 mod util;
@@ -38,19 +36,19 @@ fn tiny_params() -> InjectionParams {
         eval_images: 4,
         train_steps: 0,
         noise_sigma_mv: 65.0,
-        repair: RepairPolicy::None,
-        tech: dnnlife_core::MemoryTech::SramNbti,
     }
 }
 
 fn tiny_grid(policies: &[PolicySpec]) -> InjectionGrid {
-    InjectionGrid::build(
+    InjectionGrid::build_with_axes(
         "inject-test",
         Platform::TpuLike,
         NetworkKind::CustomMnist,
         NumberFormat::Int8Symmetric,
         policies,
         &tiny_params(),
+        &[RepairPolicy::None],
+        &[MemoryTech::SramNbti],
     )
 }
 
@@ -135,8 +133,6 @@ fn golden_params() -> InjectionParams {
         eval_images: 4,
         train_steps: 0,
         noise_sigma_mv: 65.0,
-        repair: RepairPolicy::None,
-        tech: dnnlife_core::MemoryTech::SramNbti,
     }
 }
 
@@ -150,18 +146,21 @@ fn golden_bytes() -> Vec<u8> {
 /// cells of the golden campaign reproduces the corresponding lines of
 /// the pre-repair-axis golden file exactly. (The store finalizes in
 /// grid order and scenario seeds are grid-composition-independent, so
-/// the two-cell store equals the golden file's first two lines; the
-/// nightly tier checks the full four-cell file.)
+/// the two-cell store equals the golden file's first two lines;
+/// `full_none_axis_store_matches_pre_repair_golden_bytes` checks the
+/// full four-cell file.)
 #[test]
 fn none_axis_store_is_byte_identical_to_pre_repair_golden() {
     let dir = util::scratch_dir("inject-golden");
-    let grid = InjectionGrid::build(
+    let grid = InjectionGrid::build_with_axes(
         "inject",
         Platform::TpuLike,
         NetworkKind::CustomMnist,
         NumberFormat::Int8Symmetric,
         &[PolicySpec::None, PolicySpec::Inversion],
         &golden_params(),
+        &[RepairPolicy::None],
+        &[MemoryTech::SramNbti],
     );
     let path = dir.join("golden-check.jsonl");
     run(&grid, &path, 2, false);
@@ -216,13 +215,15 @@ fn store_reads_a_tear_at_every_byte_of_its_last_record_as_a_torn_tail() {
         .expect("label carries a σ");
     let path = dir.join("resume.jsonl");
     std::fs::write(&path, &prefix[..records[0].len() + sigma + 1]).expect("tear mid-σ");
-    let grid = InjectionGrid::build(
+    let grid = InjectionGrid::build_with_axes(
         "inject",
         Platform::TpuLike,
         NetworkKind::CustomMnist,
         NumberFormat::Int8Symmetric,
         &[PolicySpec::None, PolicySpec::Inversion],
         &golden_params(),
+        &[RepairPolicy::None],
+        &[MemoryTech::SramNbti],
     );
     run(&grid, &path, 2, true);
     assert!(
@@ -231,20 +232,22 @@ fn store_reads_a_tear_at_every_byte_of_its_last_record_as_a_torn_tail() {
     );
 }
 
-/// Nightly tier: the *whole* golden campaign — including the
-/// stochastic DNN-Life cell — reproduces the pre-repair-axis store
+/// The *whole* golden campaign — including the stochastic DNN-Life
+/// cell and the barrel shifter, whose read rotation draws from the
+/// trial stream between words — reproduces the pre-repair-axis store
 /// byte for byte.
 #[test]
-#[ignore = "stride-1 DNN-Life duty simulation; run in the nightly release tier"]
 fn full_none_axis_store_matches_pre_repair_golden_bytes() {
     let dir = util::scratch_dir("inject-golden-full");
-    let grid = InjectionGrid::build(
+    let grid = InjectionGrid::build_with_axes(
         "inject",
         Platform::TpuLike,
         NetworkKind::CustomMnist,
         NumberFormat::Int8Symmetric,
         &fig11_policies(),
         &golden_params(),
+        &[RepairPolicy::None],
+        &[MemoryTech::SramNbti],
     );
     let path = dir.join("golden-full.jsonl");
     run(&grid, &path, 0, false);
@@ -320,13 +323,15 @@ fn alexnet_golden_params() -> InjectionParams {
 #[ignore = "runs the full AlexNet forward pass; run in the nightly release tier"]
 fn alexnet_store_matches_committed_golden_across_threads() {
     let dir = util::scratch_dir("inject-alexnet-golden");
-    let grid = InjectionGrid::build(
+    let grid = InjectionGrid::build_with_axes(
         "inject",
         Platform::TpuLike,
         NetworkKind::Alexnet,
         NumberFormat::Int8Symmetric,
         &[PolicySpec::None, PolicySpec::Inversion],
         &alexnet_golden_params(),
+        &[RepairPolicy::None],
+        &[MemoryTech::SramNbti],
     );
     assert_eq!(grid.len(), 2);
     let golden = {
@@ -406,23 +411,21 @@ fn baseline_secded_store_matches_committed_golden_on_both_techs() {
 #[test]
 fn secded_campaign_resume_is_thread_byte_identical_and_renders() {
     let dir = util::scratch_dir("inject-secded");
-    let secded = InjectionParams {
-        repair: RepairPolicy::Secded { interleave: 1 },
-        noise_sigma_mv: 80.0,
-        ..tiny_params()
-    };
+    let secded = RepairPolicy::Secded { interleave: 1 };
     let policies = [PolicySpec::None, PolicySpec::Inversion];
-    let build = |params: &InjectionParams, policies: &[PolicySpec]| {
-        InjectionGrid::build(
+    let build = |repair: RepairPolicy, policies: &[PolicySpec]| {
+        InjectionGrid::build_with_axes(
             "inject-ecc",
             Platform::TpuLike,
             NetworkKind::CustomMnist,
             NumberFormat::Int8Symmetric,
             policies,
-            params,
+            &tiny_params_at_80mv(),
+            &[repair],
+            &[MemoryTech::SramNbti],
         )
     };
-    let full = build(&secded, &policies);
+    let full = build(secded, &policies);
     assert_eq!(full.len(), 2);
 
     // Clean single-threaded reference.
@@ -432,7 +435,7 @@ fn secded_campaign_resume_is_thread_byte_identical_and_renders() {
 
     // Interrupted-then-resumed under a different --threads: identical.
     let resumed = dir.join("ecc-resumed.jsonl");
-    run(&build(&secded, &policies[..1]), &resumed, 1, false);
+    run(&build(secded, &policies[..1]), &resumed, 1, false);
     let outcome = run_injection_campaign(
         &full,
         &resumed,
@@ -453,7 +456,7 @@ fn secded_campaign_resume_is_thread_byte_identical_and_renders() {
     );
 
     // A combined store (plain + SECDED twins) renders both tables.
-    let mut combined = build(&tiny_params_at_80mv(), &policies);
+    let mut combined = build(RepairPolicy::None, &policies);
     combined.specs.extend(full.specs.iter().cloned());
     let combined_path = dir.join("ecc-combined.jsonl");
     run(&combined, &combined_path, 2, false);
@@ -491,17 +494,15 @@ fn tiny_params_at_80mv() -> InjectionParams {
 #[test]
 fn reram_injection_store_is_deterministic_and_labels_the_tech() {
     let dir = util::scratch_dir("inject-reram");
-    let params = InjectionParams {
-        tech: dnnlife_core::MemoryTech::ReramEndurance,
-        ..tiny_params()
-    };
-    let grid = InjectionGrid::build(
+    let grid = InjectionGrid::build_with_axes(
         "inject-reram",
         Platform::Baseline,
         NetworkKind::CustomMnist,
         NumberFormat::Int8Symmetric,
         &[PolicySpec::None, PolicySpec::WearLevel { epochs: 4 }],
-        &params,
+        &tiny_params(),
+        &[RepairPolicy::None],
+        &[MemoryTech::ReramEndurance],
     );
     assert_eq!(grid.len(), 2);
 
@@ -521,10 +522,7 @@ fn reram_injection_store_is_deterministic_and_labels_the_tech() {
         // The axis is a spec coordinate: keys round-trip and the
         // stored spec carries the technology.
         assert_eq!(record.key, record.spec.content_key());
-        assert_eq!(
-            record.spec.scenario.tech,
-            dnnlife_core::MemoryTech::ReramEndurance
-        );
+        assert_eq!(record.spec.scenario.tech, MemoryTech::ReramEndurance);
         // Endurance faults are hard wear-outs, not read noise: a fresh
         // die (0 years, zero wear) flips nothing, an aged one does.
         let fresh = &record.result.ages[0];
@@ -550,23 +548,21 @@ fn reram_injection_store_is_deterministic_and_labels_the_tech() {
 #[ignore = "trains the CNN; run in the nightly release tier"]
 fn trained_secded_strictly_improves_seven_year_accuracy() {
     let dir = util::scratch_dir("inject-secded-nightly");
-    let plain_params = InjectionParams::default();
-    let secded_params = InjectionParams {
-        repair: RepairPolicy::Secded { interleave: 1 },
-        ..InjectionParams::default()
-    };
-    let build = |params: &InjectionParams| {
-        InjectionGrid::build(
+    let build = |repair: RepairPolicy| {
+        InjectionGrid::build_with_axes(
             "secded-nightly",
             Platform::Baseline,
             NetworkKind::CustomMnist,
             NumberFormat::Int8Symmetric,
             &[PolicySpec::None],
-            params,
+            &InjectionParams::default(),
+            &[repair],
+            &[MemoryTech::SramNbti],
         )
     };
-    let mut grid = build(&plain_params);
-    grid.specs.extend(build(&secded_params).specs);
+    let mut grid = build(RepairPolicy::None);
+    grid.specs
+        .extend(build(RepairPolicy::Secded { interleave: 1 }).specs);
     assert_eq!(grid.len(), 2);
     let path = dir.join("secded-nightly.jsonl");
     run(&grid, &path, 0, false);
@@ -619,17 +615,15 @@ fn trained_secded_strictly_improves_seven_year_accuracy() {
 #[ignore = "trains the CNN; run in the nightly release tier"]
 fn trained_wear_leveling_beats_unprotected_reram_at_seven_years() {
     let dir = util::scratch_dir("inject-reram-nightly");
-    let params = InjectionParams {
-        tech: dnnlife_core::MemoryTech::ReramEndurance,
-        ..InjectionParams::default()
-    };
-    let grid = InjectionGrid::build(
+    let grid = InjectionGrid::build_with_axes(
         "reram-nightly",
         Platform::Baseline,
         NetworkKind::CustomMnist,
         NumberFormat::Int8Symmetric,
         &[PolicySpec::None, PolicySpec::WearLevel { epochs: 4 }],
-        &params,
+        &InjectionParams::default(),
+        &[RepairPolicy::None],
+        &[MemoryTech::ReramEndurance],
     );
     assert_eq!(grid.len(), 2);
     let path = dir.join("reram-nightly.jsonl");
@@ -692,10 +686,8 @@ fn trained_alexnet_dnn_life_beats_unprotected_at_seven_years() {
         eval_images: 32,
         train_steps: 12,
         noise_sigma_mv: 65.0,
-        repair: RepairPolicy::None,
-        tech: dnnlife_core::MemoryTech::SramNbti,
     };
-    let grid = InjectionGrid::build(
+    let grid = InjectionGrid::build_with_axes(
         "inject",
         Platform::Baseline,
         NetworkKind::Alexnet,
@@ -709,6 +701,8 @@ fn trained_alexnet_dnn_life_beats_unprotected_at_seven_years() {
             },
         ],
         &params,
+        &[RepairPolicy::None],
+        &[MemoryTech::SramNbti],
     );
     assert_eq!(grid.len(), 2);
     let path = dir.join("alexnet-nightly.jsonl");
@@ -759,13 +753,15 @@ fn trained_dnn_life_beats_unprotected_baseline_at_seven_years() {
     // (InjectionParams::default()), so this asserts over the same
     // deterministic records the README table documents.
     let params = InjectionParams::default();
-    let grid = InjectionGrid::build(
+    let grid = InjectionGrid::build_with_axes(
         "inject-nightly",
         Platform::Baseline,
         NetworkKind::CustomMnist,
         NumberFormat::Int8Symmetric,
         &[PolicySpec::None, dnn_life()],
         &params,
+        &[RepairPolicy::None],
+        &[MemoryTech::SramNbti],
     );
     let path = dir.join("nightly.jsonl");
     run(&grid, &path, 0, false);

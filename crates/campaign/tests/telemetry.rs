@@ -171,19 +171,19 @@ fn tiny_params() -> InjectionParams {
         eval_images: 4,
         train_steps: 0,
         noise_sigma_mv: 65.0,
-        repair: RepairPolicy::Secded { interleave: 4 },
-        tech: dnnlife_core::MemoryTech::SramNbti,
     }
 }
 
 fn inject_grid() -> InjectionGrid {
-    InjectionGrid::build(
+    InjectionGrid::build_with_axes(
         "telemetry-inject-test",
         Platform::TpuLike,
         NetworkKind::CustomMnist,
         NumberFormat::Int8Symmetric,
         &[PolicySpec::None, PolicySpec::Inversion],
         &tiny_params(),
+        &[RepairPolicy::Secded { interleave: 4 }],
+        &[dnnlife_core::MemoryTech::SramNbti],
     )
 }
 
@@ -620,13 +620,15 @@ fn injection_journal_carries_per_trial_spans() {
         trials: 2,
         ..tiny_params()
     };
-    let grid = InjectionGrid::build(
+    let grid = InjectionGrid::build_with_axes(
         "telemetry-inject-spans",
         Platform::TpuLike,
         NetworkKind::CustomMnist,
         NumberFormat::Int8Symmetric,
         &[PolicySpec::None, PolicySpec::Inversion],
         &params,
+        &[RepairPolicy::Secded { interleave: 4 }],
+        &[dnnlife_core::MemoryTech::SramNbti],
     );
     let events = dir.join("inject.events.jsonl");
     let telemetry = Telemetry::with_journal(&events).expect("open journal");
