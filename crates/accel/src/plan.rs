@@ -299,8 +299,40 @@ struct LayerPlan {
     filters: u64,
     /// Weights per filter.
     weights_per_filter: u64,
+    /// Stream words per filter set, `f × weights_per_filter`.
+    set_len: Divisor,
     /// Weight values and quantizer of the layer.
     codes: LayerCodes,
+}
+
+/// Division by a fixed divisor `d`: one widening multiply by
+/// `m = ⌊(2⁶⁴ − 1) / d⌋` and one correction, exact for every `u64`
+/// dividend. For `n < 2⁶⁴`, `n · m / 2⁶⁴` lies in `(n/d − 1, n/d]`, so
+/// its floor is the quotient or one below it, and the remainder then
+/// shows which.
+#[derive(Debug, Clone, Copy)]
+struct Divisor {
+    d: u64,
+    m: u64,
+}
+
+impl Divisor {
+    /// # Panics
+    ///
+    /// Panics if `d == 0`.
+    fn new(d: u64) -> Self {
+        assert!(d > 0, "Divisor: division by zero");
+        Self { d, m: u64::MAX / d }
+    }
+
+    /// `(n / d, n % d)`.
+    #[inline]
+    fn div_rem(self, n: u64) -> (u64, u64) {
+        let q = ((u128::from(n) * u128::from(self.m)) >> 64) as u64;
+        let r = n - q * self.d;
+        let short = u64::from(r >= self.d);
+        (q + short, r - short * self.d)
+    }
 }
 
 /// The baseline accelerator's weight buffer under the Fig. 5 dataflow.
@@ -332,6 +364,8 @@ struct LayerPlan {
 pub struct FlatWeightMemory {
     geometry: MemoryGeometry,
     parallel_filters: u64,
+    /// `parallel_filters` as a [`Divisor`]: the lane count of a set.
+    lanes: Divisor,
     layers: Vec<LayerPlan>,
     stream_len: u64,
     total_blocks: u64,
@@ -405,6 +439,7 @@ impl FlatWeightMemory {
                 stream_len,
                 filters,
                 weights_per_filter: wpf,
+                set_len: Divisor::new(f * wpf),
                 codes: LayerCodes::calibrate(source, format),
             });
             offset += stream_len;
@@ -413,6 +448,7 @@ impl FlatWeightMemory {
         Self {
             geometry: MemoryGeometry { word_bits, words },
             parallel_filters: f,
+            lanes: Divisor::new(f),
             layers,
             stream_len: offset,
             total_blocks,
@@ -518,14 +554,11 @@ impl BlockSource for FlatWeightMemory {
                     .partition_point(|l| l.stream_offset + l.stream_len <= pos);
                 layer = &self.layers[idx];
             }
-            let local = pos - layer.stream_offset;
-            let set_len = f * layer.weights_per_filter;
-            let set = local / set_len;
-            let in_set = local % set_len;
+            let (set, in_set) = layer.set_len.div_rem(pos - layer.stream_offset);
             // Interleaved rows: consecutive stream words cycle over the
             // f filter lanes of the set.
-            let weight_index = in_set / f;
-            let filter = set * f + in_set % f;
+            let (weight_index, lane) = self.lanes.div_rem(in_set);
+            let filter = set * f + lane;
             *slot = if filter < layer.filters {
                 let canonical = filter * layer.weights_per_filter + weight_index;
                 layer.codes.stored_word(ecc, canonical)
@@ -1005,6 +1038,46 @@ impl<S: BlockSource> BlockSource for RemappedMemory<S> {
 mod tests {
     use super::*;
     use crate::config::AcceleratorConfig;
+
+    #[test]
+    fn divisor_matches_hardware_division() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let divisors = [
+            1,
+            2,
+            3,
+            7,
+            8,
+            255,
+            256,
+            257,
+            2304,
+            u64::from(u32::MAX),
+            1 << 40,
+            u64::MAX / 3,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for d in divisors {
+            let div = Divisor::new(d);
+            let edges = [0, 1, d - 1, d, d.saturating_add(1), d.saturating_mul(3)];
+            let tops = [u64::MAX - 1, u64::MAX, u64::MAX - d + 1];
+            for n in edges
+                .into_iter()
+                .chain(tops)
+                .chain((0..2000).map(|_| next()))
+            {
+                assert_eq!(div.div_rem(n), (n / d, n % d), "{n} / {d}");
+            }
+        }
+    }
 
     #[test]
     fn alexnet_block_count_matches_paper_scale() {

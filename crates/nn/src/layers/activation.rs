@@ -4,7 +4,8 @@ use super::Layer;
 use crate::tensor::Tensor;
 
 /// Rectified linear unit, `y = max(0, x)`, applied elementwise to any
-/// tensor shape.
+/// tensor shape. `−0.0` and NaN map to `+0.0` and block the gradient,
+/// as `x = 0` does.
 ///
 /// # Example
 ///
@@ -34,12 +35,14 @@ impl Layer for ReLU {
     }
 
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mut out = input.clone();
-        let mask: Vec<bool> = input.data().iter().map(|&x| x > 0.0).collect();
-        for (v, &keep) in out.data_mut().iter_mut().zip(&mask) {
-            if !keep {
-                *v = 0.0;
-            }
+        // One select pass writes the output and the mask. `x > 0.0` is
+        // false for −0.0 and NaN, so both leave as +0.0.
+        let mut out = Tensor::zeros(input.shape());
+        let mut mask = vec![false; input.len()];
+        for ((o, m), &x) in out.data_mut().iter_mut().zip(&mut mask).zip(input.data()) {
+            let keep = x > 0.0;
+            *m = keep;
+            *o = if keep { x } else { 0.0 };
         }
         self.mask = Some(mask);
         out
@@ -55,11 +58,9 @@ impl Layer for ReLU {
             grad_out.len(),
             "ReLU::backward: gradient length mismatch"
         );
-        let mut grad_in = grad_out.clone();
-        for (g, &keep) in grad_in.data_mut().iter_mut().zip(mask) {
-            if !keep {
-                *g = 0.0;
-            }
+        let mut grad_in = Tensor::zeros(grad_out.shape());
+        for ((g, &keep), &go) in grad_in.data_mut().iter_mut().zip(mask).zip(grad_out.data()) {
+            *g = if keep { go } else { 0.0 };
         }
         grad_in
     }

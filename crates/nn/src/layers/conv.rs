@@ -3,6 +3,7 @@
 use super::gemm::gemm_acc;
 use super::{Layer, ParamView};
 use crate::tensor::Tensor;
+use std::borrow::Cow;
 
 /// A 2-D convolution layer over `[n, c, h, w]` tensors.
 ///
@@ -13,15 +14,23 @@ use crate::tensor::Tensor;
 /// network and a weight-memory trace see identical data.
 ///
 /// The forward pass is an im2col lowering: each image's input patches
-/// are gathered per group into a dense patch-major `patch × positions`
-/// matrix (padding as literal zeros), and the layer's register-tiled
-/// GEMM kernel multiplies the `[out_channels, patch]` filter matrix
-/// into bias-prefilled output rows, several channels × several
-/// positions per tile. Each output keeps the direct convolution's
-/// ascending-patch f32 chain, so the tiling changes no bit. The batch
-/// fans out over the thread budget in [`crate::exec`]; results are
-/// byte-identical at every budget. The backward pass stays a direct
-/// loop that skips zero upstream gradients.
+/// are copied per group into a dense patch-major `patch × positions`
+/// matrix, one contiguous (stride 1) or strided copy per (tap, output
+/// row) with the padding written as literal zeros, and the layer's
+/// register-tiled GEMM kernel multiplies the `[out_channels, patch]`
+/// filter matrix into bias-prefilled output rows, several channels ×
+/// several positions per tile. Each output keeps the direct
+/// convolution's ascending-patch f32 chain, so the tiling changes no
+/// bit. The batch fans out over the thread budget in [`crate::exec`];
+/// results are byte-identical at every budget.
+///
+/// The backward pass walks the nonzero upstream gradients (all-zero
+/// runs of them are passed over a block at a time) and adds each one's
+/// products to whole runs of taps: `(kx, input channel)` runs in a
+/// channel-last copy of the input and weights when the gradient is
+/// dense enough to pay for the copies, short `kx` runs in place when it
+/// is not. Every gradient element still receives its terms in the
+/// direct loop's order, so the bits match it in either layout.
 ///
 /// # Example
 ///
@@ -129,33 +138,35 @@ impl Conv2d {
         (oh, ow)
     }
 
-    /// im2col gather table: for every `(output position, ky, kx)` tap,
-    /// the channel-local flat input offset `iy * w + ix`, or `-1` when
-    /// the tap lands in the zero padding. The table is shared by every
-    /// image and channel, so forward builds it once per batch.
-    fn spatial_offsets(&self, h: usize, w: usize, oh: usize, ow: usize) -> Vec<isize> {
-        let k = self.kernel;
+    /// For every kernel offset `kk` (`ky` along rows, `kx` along
+    /// columns) of an axis `len` input values long with `out` outputs,
+    /// the output range `lo..hi` whose tap `o · stride + kk − padding`
+    /// lands inside the input; the taps outside it read zero padding.
+    fn tap_spans(&self, len: usize, out: usize) -> Vec<(usize, usize)> {
         let (stride, pad) = (self.stride, self.padding);
-        let mut offsets = vec![-1isize; oh * ow * k * k];
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let pos = oy * ow + ox;
-                for ky in 0..k {
-                    let iy = (oy * stride + ky) as isize - pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for kx in 0..k {
-                        let ix = (ox * stride + kx) as isize - pad as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        offsets[(pos * k + ky) * k + kx] = iy * w as isize + ix;
-                    }
-                }
-            }
-        }
-        offsets
+        (0..self.kernel)
+            .map(|kk| {
+                let hi = (len + pad)
+                    .checked_sub(kk + 1)
+                    .map_or(0, |last| (last / stride + 1).min(out));
+                let lo = pad.saturating_sub(kk).div_ceil(stride).min(hi);
+                (lo, hi)
+            })
+            .collect()
+    }
+
+    /// For every output `o` along an axis `len` input values long, the
+    /// kernel offsets `lo..hi` whose tap lands inside the input (the
+    /// transpose of [`Conv2d::tap_spans`]).
+    fn kernel_spans(&self, len: usize, out: usize) -> Vec<(usize, usize)> {
+        let (k, stride, pad) = (self.kernel, self.stride, self.padding);
+        (0..out)
+            .map(|o| {
+                let lo = pad.saturating_sub(o * stride).min(k);
+                let hi = (len + pad).saturating_sub(o * stride).clamp(lo, k);
+                (lo, hi)
+            })
+            .collect()
     }
 }
 
@@ -182,10 +193,10 @@ impl Layer for Conv2d {
 
         let cin_g = self.in_channels / self.groups;
         let cout_g = self.out_channels / self.groups;
-        let k = self.kernel;
+        let (k, stride, pad) = (self.kernel, self.stride, self.padding);
         let positions = oh * ow;
         let patch = cin_g * k * k;
-        let spatial = self.spatial_offsets(h, w, oh, ow);
+        let (rows_in, cols_in) = (self.tap_spans(h, oh), self.tap_spans(w, ow));
 
         let weight = self.weight.data();
         let bias = self.bias.data();
@@ -195,8 +206,10 @@ impl Layer for Conv2d {
 
         // im2col + GEMM per image, fanned over the batch within the
         // campaign thread budget. The column matrix is patch-major
-        // (`[patch][positions]`) with padded taps gathered as literal
-        // zeros; each output row starts from its bias and the tiled
+        // (`[patch][positions]`) with padded taps written as literal
+        // zeros: each (tap, output row) segment is one contiguous (stride
+        // 1) or strided copy of an input row, zero-filled at its clipped
+        // ends. Each output row starts from its bias and the tiled
         // kernel adds the products in ascending (ic_local, ky, kx) patch
         // order, so every output is the same f32 chain as a direct
         // convolution wherever no padding is involved, and differs from
@@ -210,9 +223,29 @@ impl Layer for Conv2d {
                     let channel = &input_data[(img * c + ic) * h * w..][..h * w];
                     let rows = &mut col[ic_local * k * k * positions..][..k * k * positions];
                     for (tap, row) in rows.chunks_exact_mut(positions).enumerate() {
-                        for (pos, d) in row.iter_mut().enumerate() {
-                            let s = spatial[pos * k * k + tap];
-                            *d = if s < 0 { 0.0 } else { channel[s as usize] };
+                        let (ky, kx) = (tap / k, tap % k);
+                        let (lo, hi) = cols_in[kx];
+                        for (oy, seg) in row.chunks_exact_mut(ow).enumerate() {
+                            if !(rows_in[ky].0..rows_in[ky].1).contains(&oy) {
+                                seg.fill(0.0);
+                                continue;
+                            }
+                            let (head, rest) = seg.split_at_mut(lo);
+                            let (body, tail) = rest.split_at_mut(hi - lo);
+                            head.fill(0.0);
+                            tail.fill(0.0);
+                            if body.is_empty() {
+                                continue;
+                            }
+                            let iy = oy * stride + ky - pad;
+                            let src = &channel[iy * w + lo * stride + kx - pad..];
+                            if stride == 1 {
+                                body.copy_from_slice(&src[..hi - lo]);
+                            } else {
+                                for (d, &v) in body.iter_mut().zip(src.iter().step_by(stride)) {
+                                    *d = v;
+                                }
+                            }
                         }
                     }
                 }
@@ -236,12 +269,7 @@ impl Layer for Conv2d {
             .cached_input
             .as_ref()
             .expect("Conv2d::backward called before forward");
-        let (n, c, h, w) = (
-            input.shape()[0],
-            input.shape()[1],
-            input.shape()[2],
-            input.shape()[3],
-        );
+        let (n, h, w) = (input.shape()[0], input.shape()[2], input.shape()[3]);
         let (oh, ow) = self.out_hw(h, w);
         assert_eq!(
             grad_out.shape(),
@@ -249,46 +277,110 @@ impl Layer for Conv2d {
             "Conv2d::backward: grad shape mismatch"
         );
 
-        let mut grad_in = Tensor::zeros(input.shape());
         let cin_g = self.in_channels / self.groups;
         let cout_g = self.out_channels / self.groups;
-        let k = self.kernel;
-        let positions = oh * ow;
-        let patch = cin_g * k * k;
-        // The same im2col gather table the forward pass uses; `-1` taps
-        // are the padded positions the direct loops skipped, so walking
-        // the table preserves the exact f32 accumulation order of the
-        // original nested loops (training bytes are golden-pinned).
-        let spatial = self.spatial_offsets(h, w, oh, ow);
+        let (groups, out_channels) = (self.groups, self.out_channels);
+        let (k, stride, pad) = (self.kernel, self.stride, self.padding);
+        let (hw, kk, positions) = (h * w, k * k, oh * ow);
+        let (rows_in, cols_in) = (self.kernel_spans(h, oh), self.kernel_spans(w, ow));
 
-        for img in 0..n {
-            for oc in 0..self.out_channels {
-                let g = oc / cout_g;
-                let w_base = oc * patch;
-                for pos in 0..positions {
-                    let go = grad_out.data()[(img * self.out_channels + oc) * positions + pos];
-                    if go == 0.0 {
-                        continue;
-                    }
-                    self.grad_bias.data_mut()[oc] += go;
-                    let taps = &spatial[pos * k * k..(pos + 1) * k * k];
-                    for ic_local in 0..cin_g {
-                        let ic = g * cin_g + ic_local;
-                        let base = (img * c + ic) * h * w;
-                        for (t, &s) in taps.iter().enumerate() {
-                            if s < 0 {
+        // Two layouts, one loop. Channel-last — `[img][g][pixel][ic_local]`
+        // for the input and its gradient, `[oc][tap][ic_local]` for the
+        // weights and theirs — makes the taps `kx ∈ lo..hi` of one kernel
+        // row a single `(kx, ic_local)` run, so each nonzero upstream
+        // gradient updates `ky` long runs; the native `[ic][pixel]` /
+        // `[ic][tap]` layouts need one short `kx` run per input channel
+        // but copy nothing. Channel-last pays for its copies (in: the
+        // input, the weights and their gradient; out: both gradients)
+        // once the runs it merges, `(cin_g − 1) · k` per nonzero
+        // gradient, outnumber the values it moves; with one input
+        // channel per group the layouts coincide.
+        let moved = 2 * input.len() + 3 * self.weight.len();
+        let channel_last = cin_g > 1 && nonzero_count(grad_out.data()) * (cin_g - 1) * k >= moved;
+        let (inner, outer) = if channel_last { (cin_g, 1) } else { (1, cin_g) };
+        let layout = |data, cols| match channel_last {
+            true => transposed_blocks(data, cin_g, cols),
+            false => Cow::Borrowed(data),
+        };
+        let xs = layout(input.data(), hw);
+        let ws = layout(self.weight.data(), kk);
+        // The weight gradient accumulates in place, or in a copy seeded
+        // from it, so backward still accumulates either way.
+        let mut gw_copy = Vec::new();
+        let gw = match channel_last {
+            true => {
+                gw_copy = transposed_blocks(self.grad_weight.data(), cin_g, kk).into_owned();
+                &mut gw_copy[..]
+            }
+            false => self.grad_weight.data_mut(),
+        };
+        let mut gi = vec![0.0f32; input.len()];
+
+        // Every gradient element still receives its terms in the direct
+        // loop's order — a weight gradient over (image, position), an
+        // input gradient over (output channel, position) — each one
+        // `go · v` product added to its own accumulator, and zero
+        // upstream gradients contribute nothing, so the bits match the
+        // seven-deep loop nest.
+        let grad_bias = self.grad_bias.data_mut();
+        for (img, go_img) in grad_out
+            .data()
+            .chunks_exact(out_channels * positions)
+            .enumerate()
+        {
+            for (oc, go_oc) in go_img.chunks_exact(positions).enumerate() {
+                let base = (img * groups + oc / cout_g) * cin_g * hw;
+                let x_img = &xs[base..][..cin_g * hw];
+                let gi_img = &mut gi[base..][..cin_g * hw];
+                let w_oc = &ws[oc * cin_g * kk..][..cin_g * kk];
+                let gw_oc = &mut gw[oc * cin_g * kk..][..cin_g * kk];
+                for (oy, go_row) in go_oc.chunks_exact(ow).enumerate() {
+                    let (ky_lo, ky_hi) = rows_in[oy];
+                    for (c, eight) in go_row.chunks(8).enumerate() {
+                        // One vectorisable test passes over all-zero
+                        // (±0.0) blocks, which skip nothing else.
+                        if eight.iter().fold(0, |acc, g| acc | (g.to_bits() << 1)) == 0 {
+                            continue;
+                        }
+                        for (j, &go) in eight.iter().enumerate() {
+                            if go == 0.0 {
                                 continue;
                             }
-                            let w_idx = w_base + ic_local * k * k + t;
-                            let i_idx = base + s as usize;
-                            self.grad_weight.data_mut()[w_idx] += go * input.data()[i_idx];
-                            grad_in.data_mut()[i_idx] += go * self.weight.data()[w_idx];
+                            let ox = c * 8 + j;
+                            grad_bias[oc] += go;
+                            let (kx_lo, kx_hi) = cols_in[ox];
+                            let run = (kx_hi - kx_lo) * inner;
+                            if run == 0 {
+                                continue;
+                            }
+                            let ix = ox * stride + kx_lo - pad;
+                            for ky in ky_lo..ky_hi {
+                                let iy = oy * stride + ky - pad;
+                                for ic in 0..outer {
+                                    let at_x = (ic * hw + iy * w + ix) * inner;
+                                    let at_w = (ic * kk + ky * k + kx_lo) * inner;
+                                    scatter_run(
+                                        go,
+                                        &x_img[at_x..][..run],
+                                        &mut gw_oc[at_w..][..run],
+                                        &w_oc[at_w..][..run],
+                                        &mut gi_img[at_x..][..run],
+                                    );
+                                }
+                            }
                         }
                     }
                 }
             }
         }
-        grad_in
+
+        if channel_last {
+            self.grad_weight
+                .data_mut()
+                .copy_from_slice(&transposed_blocks(&gw_copy, kk, cin_g));
+            gi = transposed_blocks(&gi, hw, cin_g).into_owned();
+        }
+        Tensor::from_vec(input.shape(), gi)
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(ParamView<'_>)) {
@@ -307,6 +399,59 @@ impl Layer for Conv2d {
     fn param_count(&self) -> usize {
         self.weight.len() + self.bias.len()
     }
+}
+
+/// The values of `data` other than ±0.0, counted in `u32` lanes (which
+/// vectorise) per 64 Ki-value chunk.
+fn nonzero_count(data: &[f32]) -> usize {
+    data.chunks(1 << 16)
+        .map(|chunk| {
+            let lanes = chunk.iter().map(|v| u32::from(v.to_bits() << 1 != 0));
+            lanes.sum::<u32>() as usize
+        })
+        .sum()
+}
+
+/// `gw[i] += go · x[i]` and `gi[i] += go · w[i]` over one tap run.
+/// Runs shorter than a vector (one input channel per group: at most
+/// `kernel` taps) take a plain scalar loop, which beats the vector
+/// loop's set-up at that length.
+#[inline(always)]
+fn scatter_run(go: f32, x: &[f32], gw: &mut [f32], w: &[f32], gi: &mut [f32]) {
+    let n = x.len();
+    let (gw, w, gi) = (&mut gw[..n], &w[..n], &mut gi[..n]);
+    if n < 8 {
+        for i in 0..n {
+            gw[i] += go * x[i];
+            gi[i] += go * w[i];
+        }
+        return;
+    }
+    for ((gw_e, &x_e), (gi_e, &w_e)) in gw.iter_mut().zip(x).zip(gi.iter_mut().zip(w)) {
+        *gw_e += go * x_e;
+        *gi_e += go * w_e;
+    }
+}
+
+/// `data` as consecutive row-major `rows × cols` blocks, each
+/// transposed to `cols × rows`; borrowed as is when `rows` or `cols` is
+/// 1, where both layouts are the same.
+fn transposed_blocks(data: &[f32], rows: usize, cols: usize) -> Cow<'_, [f32]> {
+    if rows == 1 || cols == 1 {
+        return Cow::Borrowed(data);
+    }
+    let mut out = vec![0.0f32; data.len()];
+    for (src, dst) in data
+        .chunks_exact(rows * cols)
+        .zip(out.chunks_exact_mut(rows * cols))
+    {
+        for (r, row) in src.chunks_exact(cols).enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                dst[j * rows + r] = v;
+            }
+        }
+    }
+    Cow::Owned(out)
 }
 
 #[cfg(test)]

@@ -2,11 +2,18 @@
 //!
 //! Every layer implements [`Layer`] with a caching `forward` and a
 //! gradient-producing `backward`, which is all the SGD trainer in
-//! [`crate::train`] needs. `Conv2d` lowers to an im2col GEMM fanned over
-//! the batch within the [`crate::exec`] thread budget, and `Dense` runs
-//! its batch through the same register-tiled kernel, so the full zoo —
-//! the paper's custom MNIST CNN *and* the ImageNet-class AlexNet/VGG
-//! stacks built by [`crate::zoo`] — executes end to end.
+//! [`crate::train`] needs. `Conv2d` lowers to an im2col GEMM (patches
+//! gathered by run copies) fanned over the batch within the
+//! [`crate::exec`] thread budget, and `Dense` runs its batch through the
+//! same register-tiled kernel, so the full zoo — the paper's custom
+//! MNIST CNN *and* the ImageNet-class AlexNet/VGG stacks built by
+//! [`crate::zoo`] — executes end to end. The backward passes skip zero
+//! upstream gradients and add each remaining one's products over
+//! contiguous runs: `Conv2d` over tap × input-channel runs, `Dense` over
+//! whole rows. `ReLU` is one branch-free select each way and `MaxPool2d`
+//! a select-based running max. Every
+//! kernel adds each accumulator's terms in the textbook loop's order, so
+//! results are bit-identical to the direct loops (`tests/exec_props.rs`).
 
 mod activation;
 mod conv;

@@ -25,7 +25,7 @@ pub struct MaxPool2d {
     window: usize,
     stride: usize,
     /// Flat input index of the argmax for every output element.
-    argmax: Option<Vec<usize>>,
+    argmax: Option<Vec<u32>>,
     input_shape: Option<Vec<usize>>,
 }
 
@@ -77,33 +77,28 @@ impl Layer for MaxPool2d {
             h >= k && w >= k && (h - k).is_multiple_of(s) && (w - k).is_multiple_of(s),
             "MaxPool2d: spatial dims ({h}×{w}) must divide the window ({k}) at stride {s}"
         );
+        assert!(
+            u32::try_from(input.len()).is_ok(),
+            "MaxPool2d: input of {} values exceeds the u32 argmax index",
+            input.len()
+        );
         let (oh, ow) = ((h - k) / s + 1, (w - k) / s + 1);
         let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        let mut argmax = vec![0usize; out.len()];
-        for img in 0..n {
-            for ch in 0..c {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        // A window with no value above −∞ (all NaN or
-                        // all −∞) outputs −∞ and routes its gradient to
-                        // its own first tap.
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = input.idx4(img, ch, oy * s, ox * s);
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                let idx = input.idx4(img, ch, oy * s + ky, ox * s + kx);
-                                let v = input.data()[idx];
-                                if v > best {
-                                    best = v;
-                                    best_idx = idx;
-                                }
-                            }
-                        }
-                        let o_idx = ((img * c + ch) * oh + oy) * ow + ox;
-                        out.data_mut()[o_idx] = best;
-                        argmax[o_idx] = best_idx;
-                    }
-                }
+        let mut argmax = vec![0u32; out.len()];
+        let planes = input.data().chunks_exact(h * w);
+        let out_planes = out.data_mut().chunks_exact_mut(oh * ow);
+        for (p, ((plane, best), arg)) in planes
+            .zip(out_planes)
+            .zip(argmax.chunks_exact_mut(oh * ow))
+            .enumerate()
+        {
+            let base = p * h * w;
+            // The common windows get their own constant-`k` instance, so
+            // the window loops unroll.
+            match k {
+                2 => pool_plane(plane, best, arg, base, 2, s, w, ow),
+                3 => pool_plane(plane, best, arg, base, 3, s, w, ow),
+                _ => pool_plane(plane, best, arg, base, k, s, w, ow),
             }
         }
         self.argmax = Some(argmax);
@@ -123,10 +118,49 @@ impl Layer for MaxPool2d {
             "MaxPool2d::backward: gradient length mismatch"
         );
         let mut grad_in = Tensor::zeros(shape);
-        for (o_idx, &i_idx) in argmax.iter().enumerate() {
-            grad_in.data_mut()[i_idx] += grad_out.data()[o_idx];
+        let grad = grad_in.data_mut();
+        for (&i_idx, &go) in argmax.iter().zip(grad_out.data()) {
+            grad[i_idx as usize] += go;
         }
         grad_in
+    }
+}
+
+/// Max-pools one `[h][w]` input plane (flat offset `base` in the
+/// batch) into `best` and `arg`, `ow` outputs per row.
+///
+/// Each window is read by slice, one row of `k` taps per kernel row,
+/// into a select-based running max: strict `>` keeps the first maximum
+/// and never lets NaN win, so a window with no value above −∞ (all NaN
+/// or all −∞) outputs −∞ and routes its gradient to its own first tap.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn pool_plane(
+    plane: &[f32],
+    best: &mut [f32],
+    arg: &mut [u32],
+    base: usize,
+    k: usize,
+    s: usize,
+    w: usize,
+    ow: usize,
+) {
+    let rows = best.chunks_exact_mut(ow).zip(arg.chunks_exact_mut(ow));
+    for (oy, (best_row, arg_row)) in rows.enumerate() {
+        for (ox, (b, a)) in best_row.iter_mut().zip(arg_row).enumerate() {
+            let first = oy * s * w + ox * s;
+            let (mut max, mut at) = (f32::NEG_INFINITY, first);
+            for ky in 0..k {
+                let row = first + ky * w;
+                for (kx, &v) in plane[row..][..k].iter().enumerate() {
+                    let better = v > max;
+                    max = if better { v } else { max };
+                    at = if better { row + kx } else { at };
+                }
+            }
+            *b = max;
+            *a = (base + at) as u32;
+        }
     }
 }
 

@@ -186,6 +186,16 @@ impl SecdedCode {
     /// error pattern, never on the stored data. Returns the error bits
     /// remaining after the decoder's correction attempt and its
     /// verdict.
+    ///
+    /// A nonzero mask that is itself a codeword (zero syndrome, even
+    /// parity; weight ≥ 4, e.g. 255 of the 8191 nonzero 13-bit masks)
+    /// is filed as [`EccOutcome::Detected`], although no decoder can see
+    /// it: [`SecdedCode::correct`] on the corrupted word returns
+    /// [`EccOutcome::Clean`] with wrong data, a silent escape. Injection
+    /// statistics therefore over-count detected and under-count escaped
+    /// words at high flip densities. Filing it as `Escaped` changes the
+    /// SECDED injection store bytes, so it waits for a versioned golden
+    /// break.
     pub fn decode_mask(&self, mask: u64) -> MaskDecode {
         if mask == 0 {
             return MaskDecode {
