@@ -3,7 +3,6 @@
 use super::gemm::gemm_acc;
 use super::{Layer, ParamView};
 use crate::tensor::Tensor;
-use std::borrow::Cow;
 
 /// A 2-D convolution layer over `[n, c, h, w]` tensors.
 ///
@@ -26,11 +25,9 @@ use std::borrow::Cow;
 ///
 /// The backward pass walks the nonzero upstream gradients (all-zero
 /// runs of them are passed over a block at a time) and adds each one's
-/// products to whole runs of taps: `(kx, input channel)` runs in a
-/// channel-last copy of the input and weights when the gradient is
-/// dense enough to pay for the copies, short `kx` runs in place when it
-/// is not. Every gradient element still receives its terms in the
-/// direct loop's order, so the bits match it in either layout.
+/// products to whole `(kx, input channel)` runs of a channel-last copy
+/// of the input and weights. Every gradient element still receives its
+/// terms in the direct loop's order, so the bits match it.
 ///
 /// # Example
 ///
@@ -284,36 +281,16 @@ impl Layer for Conv2d {
         let (hw, kk, positions) = (h * w, k * k, oh * ow);
         let (rows_in, cols_in) = (self.kernel_spans(h, oh), self.kernel_spans(w, ow));
 
-        // Two layouts, one loop. Channel-last — `[img][g][pixel][ic_local]`
-        // for the input and its gradient, `[oc][tap][ic_local]` for the
-        // weights and theirs — makes the taps `kx ∈ lo..hi` of one kernel
-        // row a single `(kx, ic_local)` run, so each nonzero upstream
-        // gradient updates `ky` long runs; the native `[ic][pixel]` /
-        // `[ic][tap]` layouts need one short `kx` run per input channel
-        // but copy nothing. Channel-last pays for its copies (in: the
-        // input, the weights and their gradient; out: both gradients)
-        // once the runs it merges, `(cin_g − 1) · k` per nonzero
-        // gradient, outnumber the values it moves; with one input
-        // channel per group the layouts coincide.
-        let moved = 2 * input.len() + 3 * self.weight.len();
-        let channel_last = cin_g > 1 && nonzero_count(grad_out.data()) * (cin_g - 1) * k >= moved;
-        let (inner, outer) = if channel_last { (cin_g, 1) } else { (1, cin_g) };
-        let layout = |data, cols| match channel_last {
-            true => transposed_blocks(data, cin_g, cols),
-            false => Cow::Borrowed(data),
-        };
-        let xs = layout(input.data(), hw);
-        let ws = layout(self.weight.data(), kk);
-        // The weight gradient accumulates in place, or in a copy seeded
-        // from it, so backward still accumulates either way.
-        let mut gw_copy = Vec::new();
-        let gw = match channel_last {
-            true => {
-                gw_copy = transposed_blocks(self.grad_weight.data(), cin_g, kk).into_owned();
-                &mut gw_copy[..]
-            }
-            false => self.grad_weight.data_mut(),
-        };
+        // Channel-last copies — `[img][g][pixel][ic_local]` for the input
+        // and its gradient, `[oc][tap][ic_local]` for the weights and
+        // theirs — make the taps `kx ∈ lo..hi` of one kernel row a single
+        // `(kx, ic_local)` run, so each nonzero upstream gradient updates
+        // `ky` long runs instead of one short `kx` run per input channel.
+        // The weight gradient accumulates in a copy seeded from it, so
+        // backward still accumulates.
+        let xs = transposed_blocks(input.data(), cin_g, hw);
+        let ws = transposed_blocks(self.weight.data(), cin_g, kk);
+        let mut gw = transposed_blocks(self.grad_weight.data(), cin_g, kk);
         let mut gi = vec![0.0f32; input.len()];
 
         // Every gradient element still receives its terms in the direct
@@ -349,24 +326,22 @@ impl Layer for Conv2d {
                             let ox = c * 8 + j;
                             grad_bias[oc] += go;
                             let (kx_lo, kx_hi) = cols_in[ox];
-                            let run = (kx_hi - kx_lo) * inner;
+                            let run = (kx_hi - kx_lo) * cin_g;
                             if run == 0 {
                                 continue;
                             }
                             let ix = ox * stride + kx_lo - pad;
                             for ky in ky_lo..ky_hi {
                                 let iy = oy * stride + ky - pad;
-                                for ic in 0..outer {
-                                    let at_x = (ic * hw + iy * w + ix) * inner;
-                                    let at_w = (ic * kk + ky * k + kx_lo) * inner;
-                                    scatter_run(
-                                        go,
-                                        &x_img[at_x..][..run],
-                                        &mut gw_oc[at_w..][..run],
-                                        &w_oc[at_w..][..run],
-                                        &mut gi_img[at_x..][..run],
-                                    );
-                                }
+                                let at_x = (iy * w + ix) * cin_g;
+                                let at_w = (ky * k + kx_lo) * cin_g;
+                                scatter_run(
+                                    go,
+                                    &x_img[at_x..][..run],
+                                    &mut gw_oc[at_w..][..run],
+                                    &w_oc[at_w..][..run],
+                                    &mut gi_img[at_x..][..run],
+                                );
                             }
                         }
                     }
@@ -374,13 +349,10 @@ impl Layer for Conv2d {
             }
         }
 
-        if channel_last {
-            self.grad_weight
-                .data_mut()
-                .copy_from_slice(&transposed_blocks(&gw_copy, kk, cin_g));
-            gi = transposed_blocks(&gi, hw, cin_g).into_owned();
-        }
-        Tensor::from_vec(input.shape(), gi)
+        self.grad_weight
+            .data_mut()
+            .copy_from_slice(&transposed_blocks(&gw, kk, cin_g));
+        Tensor::from_vec(input.shape(), transposed_blocks(&gi, hw, cin_g))
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(ParamView<'_>)) {
@@ -399,17 +371,6 @@ impl Layer for Conv2d {
     fn param_count(&self) -> usize {
         self.weight.len() + self.bias.len()
     }
-}
-
-/// The values of `data` other than ±0.0, counted in `u32` lanes (which
-/// vectorise) per 64 Ki-value chunk.
-fn nonzero_count(data: &[f32]) -> usize {
-    data.chunks(1 << 16)
-        .map(|chunk| {
-            let lanes = chunk.iter().map(|v| u32::from(v.to_bits() << 1 != 0));
-            lanes.sum::<u32>() as usize
-        })
-        .sum()
 }
 
 /// `gw[i] += go · x[i]` and `gi[i] += go · w[i]` over one tap run.
@@ -434,11 +395,11 @@ fn scatter_run(go: f32, x: &[f32], gw: &mut [f32], w: &[f32], gi: &mut [f32]) {
 }
 
 /// `data` as consecutive row-major `rows × cols` blocks, each
-/// transposed to `cols × rows`; borrowed as is when `rows` or `cols` is
-/// 1, where both layouts are the same.
-fn transposed_blocks(data: &[f32], rows: usize, cols: usize) -> Cow<'_, [f32]> {
+/// transposed to `cols × rows` (a plain copy when `rows` or `cols` is
+/// 1, where both layouts are the same).
+fn transposed_blocks(data: &[f32], rows: usize, cols: usize) -> Vec<f32> {
     if rows == 1 || cols == 1 {
-        return Cow::Borrowed(data);
+        return data.to_vec();
     }
     let mut out = vec![0.0f32; data.len()];
     for (src, dst) in data
@@ -451,7 +412,7 @@ fn transposed_blocks(data: &[f32], rows: usize, cols: usize) -> Cow<'_, [f32]> {
             }
         }
     }
-    Cow::Owned(out)
+    out
 }
 
 #[cfg(test)]

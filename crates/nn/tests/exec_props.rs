@@ -285,8 +285,8 @@ proptest! {
 
         // Gradient: a mixed-sign pattern with exact zeros, nonzero on one
         // position in `sparsity` (the executor skips zero upstream
-        // gradients; so does direct; half the cases are dense, so both
-        // backward layouts run), and zero on every output of image 0
+        // gradients and all-zero blocks of them; so does direct; half the
+        // cases are dense), and zero on every output of image 0
         // whose window reads the poisoned pixel, so ±∞/NaN enter only
         // through zero gradients and the reference stays finite.
         let sparsity = sparsity.saturating_sub(19).max(1);
