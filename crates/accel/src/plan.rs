@@ -90,9 +90,10 @@ struct LayerCodes {
 
 impl LayerCodes {
     /// Calibrates `format` on the range of up to [`RANGE_CAP`] weights
-    /// (for generated weights an integer scan of the raw draws, see
-    /// [`LayerWeightGen::range`]) and builds a generated layer's step
-    /// table when the quantizer has one.
+    /// (for generated weights an integer scan of the raw draws that stops
+    /// once both clamped tails are drawn, see [`LayerWeightGen::range`])
+    /// and builds a generated layer's step table when the quantizer has
+    /// one.
     fn calibrate(source: WeightSource, format: NumberFormat) -> Self {
         let quantizer = Quantizer::calibrate(format, &source.range(RANGE_CAP));
         let source = match source {

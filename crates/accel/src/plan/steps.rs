@@ -9,7 +9,7 @@
 //! function, and then answers a draw with one lookup on its top bits
 //! and a short scan: no `ln` and no quantizer call per word.
 
-use dnnlife_nn::weights::LayerWeightGen;
+use dnnlife_nn::weights::{first_reaching, LayerWeightGen};
 use dnnlife_quant::Quantizer;
 
 /// Top draw bits that pick a bucket of the index.
@@ -107,45 +107,6 @@ impl StepTable {
     }
 }
 
-/// The least `x` in `(lo, hi]` with `reaches(x)`, for a monotone
-/// `reaches` that is false at `lo` and true at `hi`. Gallops out from
-/// `guess` in doubling steps until the boundary is bracketed, then
-/// bisects, so the cost grows with the log of the guess's error.
-fn first_reaching(mut lo: u64, mut hi: u64, guess: u64, reaches: impl Fn(u64) -> bool) -> u64 {
-    let guess = guess.clamp(lo + 1, hi);
-    let mut step = 1;
-    if reaches(guess) {
-        hi = guess;
-        while hi - lo > step {
-            if !reaches(hi - step) {
-                lo = hi - step;
-                break;
-            }
-            hi -= step;
-            step *= 2;
-        }
-    } else {
-        lo = guess;
-        while hi - lo > step {
-            if reaches(lo + step) {
-                hi = lo + step;
-                break;
-            }
-            lo += step;
-            step *= 2;
-        }
-    }
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if reaches(mid) {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    hi
-}
-
 /// `w`'s position in the total order of f32 values, as an integer.
 fn f32_key(w: f32) -> u64 {
     let bits = w.to_bits();
@@ -233,24 +194,6 @@ mod tests {
             assert!(StepTable::build(&gen, &asym).is_none());
         }
         assert!(StepTable::build(&gen, &Quantizer::Fp32).is_none());
-    }
-
-    #[test]
-    fn first_reaching_finds_the_boundary_from_any_guess() {
-        for boundary in [1u64, 2, 7, 1000, 1 << 40] {
-            for guess in [
-                0,
-                1,
-                boundary - 1,
-                boundary,
-                boundary + 3,
-                1 << 50,
-                u64::MAX,
-            ] {
-                let found = first_reaching(0, 1 << 50, guess, |x| x >= boundary);
-                assert_eq!(found, boundary, "guess {guess}");
-            }
-        }
     }
 
     #[test]

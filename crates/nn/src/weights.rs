@@ -26,9 +26,10 @@
 //! The weight is a non-decreasing function of the raw 53-bit draw
 //! behind it ([`LayerWeightGen::draw`] then
 //! [`LayerWeightGen::weight_of_draw`]). Calibration uses that order to
-//! find a layer's range from the extreme draws alone, and the memory
-//! plans use it to turn a layer's 8-bit codes into a step function of
-//! the draw.
+//! find a layer's range from the extreme draws alone, and to stop its
+//! scan once both clamped tails have been drawn; the memory plans use
+//! it to turn a layer's 8-bit codes into a step function of the draw.
+//! [`first_reaching`] is the boundary search both rest on.
 
 use crate::zoo::NetworkSpec;
 
@@ -219,17 +220,20 @@ impl LayerWeightGen {
     /// 53-bit draws and maps just those two through the weight
     /// transform. That gives exactly the min/max of [`weight`] because
     /// the transform is non-decreasing in the draw (see
-    /// [`LayerWeightGen::weight_of_draw`]).
+    /// [`LayerWeightGen::weight_of_draw`]). The scan stops as soon as it
+    /// has seen one draw in each clamped tail (at or below the lower
+    /// saturation draw and at or above the upper one): from there on
+    /// neither extreme weight can change, so the result is the one a
+    /// full scan gives, bit for bit. On large layers that is after about
+    /// 10⁴ draws.
     ///
     /// [`weight`]: LayerWeightGen::weight
     pub fn range(&self, limit: u64) -> WeightRange {
         let n = self.count.min(limit.max(1));
-        let (lo, hi) = (0..n)
-            .map(|i| self.draw(i))
-            .fold((u64::MAX, 0), |(lo, hi), d| (lo.min(d), hi.max(d)));
         let (min, max) = if n == 0 {
             (f32::INFINITY, f32::NEG_INFINITY)
         } else {
+            let (lo, hi, _) = self.extreme_draws(n);
             (self.weight_of_draw(lo), self.weight_of_draw(hi))
         };
         WeightRange {
@@ -237,6 +241,41 @@ impl LayerWeightGen {
             max,
             sampled: n,
         }
+    }
+
+    /// The least and greatest of the first `n` draws, and the number of
+    /// draws read. The scan leaves once the least is at or below the
+    /// lower saturation draw and the greatest at or above the upper one:
+    /// the two it returns then map to the same weights as the true
+    /// extremes.
+    fn extreme_draws(&self, n: u64) -> (u64, u64, u64) {
+        let (lo_sat, hi_sat) = self.saturation_draws();
+        let (mut lo, mut hi) = (u64::MAX, 0);
+        for i in 0..n {
+            let d = self.draw(i);
+            lo = lo.min(d);
+            hi = hi.max(d);
+            if lo <= lo_sat && hi >= hi_sat {
+                return (lo, hi, i + 1);
+            }
+        }
+        (lo, hi, n)
+    }
+
+    /// `(lo_sat, hi_sat)`: the largest draw whose weight has the bits of
+    /// draw 0's and the smallest whose weight has the bits of draw
+    /// `DRAWS − 1`'s. Every draw up to `lo_sat` (from `hi_sat` up) maps
+    /// to the lower (upper) clamped weight. Both searches start at the
+    /// draw of the clamp weight itself.
+    fn saturation_draws(&self) -> (u64, u64) {
+        let last = Self::DRAWS - 1;
+        let bits = |d: u64| self.weight_of_draw(d).to_bits();
+        let (bottom, top) = (bits(0), bits(last));
+        let lo_clamp = self.draw_estimate(self.location - TAIL_CLAMP * self.scale_neg);
+        let hi_clamp = self.draw_estimate(self.location + TAIL_CLAMP * self.scale_pos);
+        let lo_sat = first_reaching(0, last, lo_clamp, |d| bits(d) != bottom) - 1;
+        let hi_sat = first_reaching(0, last, hi_clamp, |d| bits(d) == top);
+        (lo_sat, hi_sat)
     }
 }
 
@@ -247,7 +286,8 @@ pub struct WeightRange {
     pub min: f32,
     /// Largest observed weight.
     pub max: f32,
-    /// Number of weights inspected.
+    /// Number of weights the range covers: the scan behind it may stop
+    /// earlier once the range can no longer change.
     pub sampled: u64,
 }
 
@@ -256,6 +296,45 @@ impl WeightRange {
     pub fn abs_max(&self) -> f32 {
         self.min.abs().max(self.max.abs())
     }
+}
+
+/// The least `x` in `(lo, hi]` with `reaches(x)`, for a monotone
+/// `reaches` that is false at `lo` and true at `hi`. Gallops out from
+/// `guess` in doubling steps until the boundary is bracketed, then
+/// bisects, so the cost grows with the log of the guess's error.
+pub fn first_reaching(mut lo: u64, mut hi: u64, guess: u64, reaches: impl Fn(u64) -> bool) -> u64 {
+    let guess = guess.clamp(lo + 1, hi);
+    let mut step = 1;
+    if reaches(guess) {
+        hi = guess;
+        while hi - lo > step {
+            if !reaches(hi - step) {
+                lo = hi - step;
+                break;
+            }
+            hi -= step;
+            step *= 2;
+        }
+    } else {
+        lo = guess;
+        while hi - lo > step {
+            if reaches(lo + step) {
+                hi = lo + step;
+                break;
+            }
+            lo += step;
+            step *= 2;
+        }
+    }
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if reaches(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
 }
 
 /// Uniform in `[0, 1)` from 64 random bits.
@@ -452,6 +531,77 @@ mod tests {
     fn range_matches_brute_force_on_vgg16_across_seeds() {
         let seeds: Vec<u64> = (0..20).collect();
         assert_every_layer_matches_brute_force(&NetworkSpec::vgg16(), &seeds);
+    }
+
+    /// custom-mnist conv1 (400 weights) under seed 7 draws neither
+    /// clamped tail, so the scan must read every weight, and still match
+    /// the brute-force range bit for bit.
+    #[test]
+    fn range_reads_every_weight_of_a_layer_that_never_reaches_a_clamp() {
+        let spec = NetworkSpec::custom_mnist();
+        let gen = LayerWeightGen::new(&spec, 0, 7);
+        let n = gen.len();
+        let (lo_sat, hi_sat) = gen.saturation_draws();
+        assert!(
+            (0..n).all(|i| (lo_sat + 1..hi_sat).contains(&gen.draw(i))),
+            "precondition: some draw of the layer reaches a clamp"
+        );
+        assert_eq!(gen.extreme_draws(n).2, n);
+        assert_range_matches_brute_force(&spec, 7, 0, &[u64::MAX]);
+    }
+
+    /// On a layer far larger than the clamp odds (1.7·10⁻⁴ per tail) the
+    /// scan stops after a small fraction of the draws.
+    #[test]
+    fn range_stops_early_on_a_large_layer() {
+        let gen = LayerWeightGen::new(&NetworkSpec::alexnet(), 5, 1);
+        let n = gen.len().min(1_000_000);
+        let read = gen.extreme_draws(n).2;
+        assert!(read < n / 10, "read {read} of {n} draws");
+    }
+
+    /// `lo_sat` is the last draw with the bottom weight's bits and
+    /// `hi_sat` the first with the top weight's, on every zoo layer.
+    #[test]
+    fn saturation_draws_are_exact_on_every_zoo_layer() {
+        let last = LayerWeightGen::DRAWS - 1;
+        for spec in [
+            NetworkSpec::custom_mnist(),
+            NetworkSpec::alexnet(),
+            NetworkSpec::vgg16(),
+        ] {
+            for seed in [1, 42, 0xDEAD_BEEF] {
+                for layer in 0..spec.layers().len() {
+                    let gen = LayerWeightGen::new(&spec, layer, seed);
+                    let bits = |d: u64| gen.weight_of_draw(d).to_bits();
+                    let (bottom, top) = (bits(0), bits(last));
+                    let (lo_sat, hi_sat) = gen.saturation_draws();
+                    let what = format!("{} seed {seed} layer {layer}", spec.name());
+                    assert_eq!(bits(lo_sat), bottom, "{what}: lo_sat");
+                    assert_ne!(bits(lo_sat + 1), bottom, "{what}: lo_sat + 1");
+                    assert_ne!(bits(hi_sat - 1), top, "{what}: hi_sat - 1");
+                    assert_eq!(bits(hi_sat), top, "{what}: hi_sat");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn first_reaching_finds_the_boundary_from_any_guess() {
+        for boundary in [1u64, 2, 7, 1000, 1 << 40] {
+            for guess in [
+                0,
+                1,
+                boundary - 1,
+                boundary,
+                boundary + 3,
+                1 << 50,
+                u64::MAX,
+            ] {
+                let found = first_reaching(0, 1 << 50, guess, |x| x >= boundary);
+                assert_eq!(found, boundary, "guess {guess}");
+            }
+        }
     }
 
     /// Pinned `weight(i)` bit patterns: no change to `draw` or
