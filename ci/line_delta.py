@@ -8,9 +8,11 @@ Counts the added and removed lines of `git diff BASE HEAD` over the
 `tests/` and `examples/` (the offline shims under `vendor/` are left
 out), in four buckets:
 
-  non-test Rust  `src/` lines before the file's first `#[cfg(test)]`
+  non-test Rust  `src/` lines before the file's test module
   tests          `tests/` files, plus `src/` lines from the first
-                 `#[cfg(test)]` on (in-file test modules)
+                 `#[cfg(test)]` that gates a `mod` on (in-file test
+                 modules; a `#[cfg(test)]` helper item above it stays
+                 non-test)
   benches        `benches/` files
   examples       `examples/` files
 
@@ -27,6 +29,7 @@ BUCKETS = ("non-test Rust", "tests", "benches", "examples")
 PATHS = ("crates/*.rs", "src/*.rs", "tests/*.rs", "examples/*.rs")
 HUNK = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
 CFG_TEST = re.compile(r"^\s*#\[cfg\(test\)\]")
+MOD = re.compile(r"^\s*(pub(\([^)]*\))?\s+)?mod\s")
 
 
 def git(*args):
@@ -37,10 +40,17 @@ def git(*args):
 
 def test_cutoff(rev, path):
     """1-based number of the first `#[cfg(test)]` line of `path` at
-    `rev`, or infinity when the file has none."""
-    for number, line in enumerate(git("show", f"{rev}:{path}").splitlines(), 1):
+    `rev` whose next item (past blank, comment and attribute lines) is
+    a `mod`, or infinity when the file has none."""
+    lines = git("show", f"{rev}:{path}").splitlines()
+    for number, line in enumerate(lines, 1):
         if CFG_TEST.match(line):
-            return number
+            item = next(
+                (l for l in lines[number:] if l.strip() and not l.lstrip().startswith(("#", "//"))),
+                "",
+            )
+            if MOD.match(item):
+                return number
     return float("inf")
 
 

@@ -39,6 +39,10 @@
 //! n-th word — an unbiased subsample of the cell population for
 //! histogram purposes; [`simulate_analytic_telemetry`] takes any word
 //! list, e.g. only the words that hold a network weight.
+//!
+//! Each cell's count `n` goes into a caller buffer, [`DutyCells`]:
+//! `u32` counts keep `n` (inject's duty levels), `f64` duties the
+//! correctly rounded `n / T` (the sweeps).
 
 use crate::plan::BlockSource;
 use crate::rng::SplitMix64;
@@ -126,7 +130,8 @@ const _: () = {
 };
 
 /// Runs the analytic simulation, returning per-cell duty cycles for the
-/// sampled words (cell order: sampled-word-major, bit 0 first).
+/// sampled words (cell order: sampled-word-major, bit 0 first): the
+/// `f64` instance of [`simulate_analytic_telemetry`] on the stride list.
 ///
 /// # Panics
 ///
@@ -160,40 +165,95 @@ pub fn simulate_analytic(
         cfg.sample_stride > 0,
         "simulate_analytic: stride must be > 0"
     );
-    let sampled: Vec<usize> = (0..source.geometry().words)
-        .step_by(cfg.sample_stride)
-        .collect();
-    simulate_analytic_telemetry(source, policy, cfg, &sampled, None, SpanId::NONE)
+    let geo = source.geometry();
+    let words: Vec<usize> = (0..geo.words).step_by(cfg.sample_stride).collect();
+    let mut duties = vec![0.0; words.len() * geo.word_bits as usize];
+    let out = DutyCells::Duties(&mut duties);
+    simulate_analytic_telemetry(source, policy, cfg, &words, out, None, SpanId::NONE);
+    duties
+}
+
+/// The caller buffer [`simulate_analytic_telemetry`] fills, one entry
+/// per cell, from the cell's count `n` of 1-writes among its `T`
+/// writes.
+pub enum DutyCells<'a> {
+    /// `n` itself. The run checks `T ≤ u32::MAX` once, before any work.
+    Counts(&'a mut [u32]),
+    /// The duty `n / T`, correctly rounded (0 for an empty unit).
+    Duties(&'a mut [f64]),
+}
+
+impl<'a> DutyCells<'a> {
+    fn len(&self) -> usize {
+        match self {
+            DutyCells::Counts(c) => c.len(),
+            DutyCells::Duties(d) => d.len(),
+        }
+    }
+
+    fn split_at_mut(self, mid: usize) -> (DutyCells<'a>, DutyCells<'a>) {
+        match self {
+            DutyCells::Counts(c) => {
+                let (a, b) = c.split_at_mut(mid);
+                (DutyCells::Counts(a), DutyCells::Counts(b))
+            }
+            DutyCells::Duties(d) => {
+                let (a, b) = d.split_at_mut(mid);
+                (DutyCells::Duties(a), DutyCells::Duties(b))
+            }
+        }
+    }
+
+    /// Stores the counts `ones` of `t_writes > 0` writes from cell `at`
+    /// on.
+    fn store(&mut self, at: usize, ones: &[u64], t_writes: u64) {
+        match self {
+            DutyCells::Counts(c) => {
+                for (slot, &n) in c[at..].iter_mut().zip(ones) {
+                    *slot = n as u32;
+                }
+            }
+            DutyCells::Duties(d) => {
+                for (slot, &n) in d[at..].iter_mut().zip(ones) {
+                    *slot = n as f64 / t_writes as f64;
+                }
+            }
+        }
+    }
 }
 
 const CELLS_HELP: &str = "Analytic-backend cells simulated";
 
-/// [`simulate_analytic`] on an explicit word list, with an
-/// observability handle. `words` replaces the stride list
-/// [`simulate_analytic`] derives from `cfg.sample_stride` (which this
-/// function does not read): duties come back for exactly those words,
-/// in list order, word-major, bit 0 first. Every closed form is per
-/// word and DNN-Life's per-cell draws are keyed by the word index, so
-/// a word's duties do not depend on which other words are listed.
+/// [`simulate_analytic`] on an explicit word list, into a caller
+/// buffer, with an observability handle. `words` replaces the stride
+/// list [`simulate_analytic`] derives from `cfg.sample_stride` (which
+/// this function does not read): `out` receives one entry per cell
+/// of exactly those words, in list order, word-major, bit 0
+/// first. Returns `T = inferences × K`, the writes per cell (0 for an
+/// empty unit, whose cells all read 0). Every closed form is per word
+/// and DNN-Life's per-cell draws are keyed by the word index, so a
+/// word's cells do not depend on which other words are listed.
 /// Shard and cell counts are rolled into `telemetry`, and each word
 /// shard journals an `analytic_shard` trace span under `parent`
 /// ([`AnalyticSimConfig`] stays a plain `Eq` value type, so the
 /// borrowed handle and span parent ride alongside it instead of
-/// inside). Never semantic — duties are byte-identical with or
+/// inside). Never semantic — the output is byte-identical with or
 /// without it.
 ///
 /// # Panics
 ///
-/// Panics if `inferences == 0` or a listed word lies outside the
-/// source's geometry.
+/// Panics if `inferences == 0`, a listed word lies outside the
+/// source's geometry, `out` does not hold `words.len() × word_bits`
+/// cells, or `T` does not fit [`DutyCells::Counts`].
 pub fn simulate_analytic_telemetry(
     source: &dyn BlockSource,
     policy: &AnalyticPolicy,
     cfg: &AnalyticSimConfig,
     words: &[usize],
+    out: DutyCells,
     telemetry: Option<&Telemetry>,
     parent: SpanId,
-) -> Vec<f64> {
+) -> u64 {
     assert!(
         cfg.inferences > 0,
         "simulate_analytic: inferences must be > 0"
@@ -204,6 +264,11 @@ pub fn simulate_analytic_telemetry(
         "simulate_analytic: word index outside the memory"
     );
     let width = geo.word_bits as usize;
+    assert_eq!(
+        out.len(),
+        words.len() * width,
+        "simulate_analytic: one output cell per listed word bit"
+    );
     let k_blocks = source.block_count();
     for block in 0..k_blocks {
         assert!(
@@ -212,15 +277,20 @@ pub fn simulate_analytic_telemetry(
              (paper assumption (b)); use simulate_exact_sharded for weighted dwell"
         );
     }
+    let t_writes = cfg.inferences * k_blocks;
+    if let (DutyCells::Counts(_), Err(e)) = (&out, u32::try_from(t_writes)) {
+        panic!("simulate_analytic: T = {t_writes} writes per cell overflow u32 counts: {e}");
+    }
     let telemetry = telemetry.unwrap_or_else(|| Telemetry::noop());
+    let cells = out.len() as u64;
     if k_blocks == 0 {
         // An unused memory unit holds its reset state (all zeros).
-        telemetry.count(
-            "analytic_cells_simulated",
-            CELLS_HELP,
-            (words.len() * width) as u64,
-        );
-        return vec![0.0; words.len() * width];
+        telemetry.count("analytic_cells_simulated", CELLS_HELP, cells);
+        match out {
+            DutyCells::Counts(c) => c.fill(0),
+            DutyCells::Duties(d) => d.fill(0.0),
+        }
+        return 0;
     }
 
     // Deterministic per-block counts of MSB-high inferences for the
@@ -244,12 +314,11 @@ pub fn simulate_analytic_telemetry(
     // the partition is never semantic here.
     let threads = exec::thread_count(cfg.threads);
     let shards = if cfg.shards == 0 { threads } else { cfg.shards }.clamp(1, words.len().max(1));
-    let mut duties = vec![0.0f64; words.len() * width];
     // Each shard's job owns its disjoint output slice.
     let mut jobs = Vec::with_capacity(shards);
-    let mut rest = duties.as_mut_slice();
+    let mut rest = out;
     for range in crate::exact::shard_ranges(words.len(), shards) {
-        let (out, tail) = std::mem::take(&mut rest).split_at_mut(range.len() * width);
+        let (out, tail) = rest.split_at_mut(range.len() * width);
         rest = tail;
         jobs.push((range, out));
     }
@@ -265,8 +334,8 @@ pub fn simulate_analytic_telemetry(
         "Analytic-backend word shards executed",
         shards as u64,
     );
-    telemetry.count("analytic_cells_simulated", CELLS_HELP, duties.len() as u64);
-    duties
+    telemetry.count("analytic_cells_simulated", CELLS_HELP, cells);
+    t_writes
 }
 
 /// Sampled words per block pass: the per-cell counters of one chunk
@@ -278,7 +347,7 @@ const CHUNK: usize = 256;
 /// chunks of [`CHUNK`] words: each block is gathered with one
 /// [`BlockSource::fill`] per chunk, transformed per policy and folded
 /// into per-(word, bit) counters (through byte-wide tallies, see
-/// [`Run`]), which then finalize into duties.
+/// [`Run`]), which then finalize into 1-write counts.
 fn simulate_words(
     source: &dyn BlockSource,
     policy: &AnalyticPolicy,
@@ -286,15 +355,18 @@ fn simulate_words(
     k_blocks: u64,
     m1: &[u64],
     words: &[usize],
-    out: &mut [f64],
+    mut out: DutyCells,
 ) {
     let width = source.geometry().word_bits as usize;
     let inferences = cfg.inferences;
     let mask = u64::MAX >> (64 - width);
     let mut finish = match policy {
+        AnalyticPolicy::Passthrough => Finish::Passthrough,
+        AnalyticPolicy::PeriodicInversion => Finish::Inversion,
         AnalyticPolicy::BarrelShifter => Finish::Barrel(barrel_terms(k_blocks, width, inferences)),
-        AnalyticPolicy::DnnLife { bias, .. } => Finish::DnnLife(BinomialTable::new(*bias)),
-        _ => Finish::Counts,
+        AnalyticPolicy::DnnLife { bias, seed, .. } => {
+            Finish::DnnLife(BinomialTable::new(*bias), *seed)
+        }
     };
     // The counters are sums, so blocks may fold in any order: visiting
     // them by DNN-Life weight makes equally weighted blocks one run.
@@ -304,9 +376,13 @@ fn simulate_words(
     let mut raw = vec![0u64; words.len().min(CHUNK)];
     let mut counts = vec![0u64; raw.len() * width];
     let mut tally = vec![0u64; raw.len() * lanes];
-    for (chunk, out) in words.chunks(CHUNK).zip(out.chunks_mut(CHUNK * width)) {
+    // On the stack: a per-shard heap buffer here left ~0.4 MiB more
+    // anonymous memory resident in the fig11 sweep.
+    let mut ones = [0u64; 64];
+    let ones = &mut ones[..width];
+    for (c, chunk) in words.chunks(CHUNK).enumerate() {
         let raw = &mut raw[..chunk.len()];
-        let counts = &mut counts[..out.len()];
+        let counts = &mut counts[..chunk.len() * width];
         let tally = &mut tally[..chunk.len() * lanes];
         counts.fill(0);
         let mut run = Run::default();
@@ -355,20 +431,9 @@ fn simulate_words(
             run.blocks += 1;
         }
         run.flush(counts, tally, width);
-        for ((cells, duties), &word) in counts
-            .chunks_exact(width)
-            .zip(out.chunks_exact_mut(width))
-            .zip(chunk)
-        {
-            finalize(
-                policy,
-                &mut finish,
-                cells,
-                inferences,
-                k_blocks,
-                word,
-                duties,
-            );
+        for (i, (cells, &word)) in counts.chunks_exact(width).zip(chunk).enumerate() {
+            finalize(&mut finish, cells, inferences, k_blocks, word, ones);
+            out.store((c * CHUNK + i) * width, ones, inferences * k_blocks);
         }
     }
 }
@@ -421,73 +486,65 @@ impl Run {
     }
 }
 
-/// What [`finalize`] keeps across the words of one shard, by policy.
+/// The policy's closed form, with what [`finalize`] keeps across the
+/// words of one shard.
 enum Finish {
-    /// The counters alone suffice.
-    Counts,
+    Passthrough,
+    Inversion,
     /// The barrel shifter's rotation terms ([`barrel_terms`]).
     Barrel(Vec<(usize, u64)>),
     /// DNN-Life's binomials at the policy's bias, rows cached across
-    /// words.
-    DnnLife(BinomialTable),
+    /// words, and its seed.
+    DnnLife(BinomialTable, u64),
 }
 
-/// Turns one word's per-bit counters into duties. `ones` below is the
-/// exact count of 1-writes over all `T = inferences · K` writes.
+/// Turns one word's per-bit counters into the exact count of 1-writes
+/// of each bit over all `T = inferences · K` writes.
 fn finalize(
-    policy: &AnalyticPolicy,
     finish: &mut Finish,
     counts: &[u64],
     inferences: u64,
     k_blocks: u64,
     word: usize,
-    out: &mut [f64],
+    out: &mut [u64],
 ) {
     let width = counts.len();
     let t_writes = inferences * k_blocks;
-    match policy {
-        AnalyticPolicy::Passthrough => {
-            for (slot, &ones) in out.iter_mut().zip(counts) {
-                *slot = ones as f64 / k_blocks as f64;
+    match finish {
+        Finish::Passthrough => {
+            for (slot, &c) in out.iter_mut().zip(counts) {
+                *slot = inferences * c;
             }
         }
-        AnalyticPolicy::PeriodicInversion => {
+        Finish::Inversion => {
             // `c` counts one inference with odd blocks inverted. Write
             // parity repeats every 2K writes and T mod 2K ∈ {0, K}: a
             // 2K cycle holds 2c ones for even K; for odd K its second
             // half is the complement of the first, so it holds K.
             for (slot, &c) in out.iter_mut().zip(counts) {
-                let ones = if k_blocks.is_multiple_of(2) {
+                *slot = if k_blocks.is_multiple_of(2) {
                     inferences * c
                 } else {
                     inferences / 2 * k_blocks + inferences % 2 * c
                 };
-                *slot = ones as f64 / t_writes as f64;
             }
         }
-        AnalyticPolicy::BarrelShifter => {
-            let Finish::Barrel(barrel) = finish else {
-                unreachable!("barrel terms are built for the barrel shifter")
-            };
+        Finish::Barrel(barrel) => {
             for (j, slot) in out.iter_mut().enumerate() {
-                let ones: u64 = barrel
+                *slot = barrel
                     .iter()
                     .map(|&(s, times)| times * counts[if j >= s { j - s } else { j + width - s }])
                     .sum();
-                *slot = ones as f64 / t_writes as f64;
             }
         }
-        AnalyticPolicy::DnnLife { seed, .. } => {
-            let Finish::DnnLife(table) = finish else {
-                unreachable!("a binomial table is built for DNN-Life")
-            };
+        Finish::DnnLife(table, seed) => {
             let cell_base = word as u64 * width as u64;
             for (j, (slot, &n_plus)) in out.iter_mut().zip(counts).enumerate() {
                 let n_minus = t_writes - n_plus;
                 let mut rng = SplitMix64::for_stream(*seed, cell_base + j as u64);
                 let x_plus = table.sample(&mut rng, n_plus);
                 let x_minus = table.sample(&mut rng, n_minus);
-                *slot = (n_minus + x_plus - x_minus) as f64 / t_writes as f64;
+                *slot = n_minus + x_plus - x_minus;
             }
         }
     }
@@ -532,44 +589,46 @@ mod tests {
         assert_eq!(gcd(5, 0), 5);
     }
 
-    /// A one-word memory of `width`-bit cells: block `k` stores
-    /// `blocks[k]`, and the global block index runs `inference · K + k`.
-    struct OneWord {
+    /// A memory of `words` identical words of `width`-bit cells: block
+    /// `k` stores `blocks[k]` in every word, and the global block index
+    /// runs `inference · K + k`.
+    struct SameWords {
         width: u32,
+        words: usize,
         blocks: Vec<u64>,
     }
 
-    impl BlockSource for OneWord {
+    impl BlockSource for SameWords {
         fn geometry(&self) -> MemoryGeometry {
             MemoryGeometry {
                 word_bits: self.width,
-                words: 1,
+                words: self.words,
             }
         }
         fn block_count(&self) -> u64 {
             self.blocks.len() as u64
         }
         fn fill(&self, block: u64, words: &[usize], out: &mut [u64]) {
-            assert!(words.iter().all(|&w| w == 0));
+            assert!(words.iter().all(|&w| w < self.words));
             out.fill(self.blocks[block as usize]);
         }
         fn global_block_index(&self, inference: u64, block: u64) -> u64 {
             inference * self.block_count() + block
         }
         fn label(&self) -> String {
-            "one-word".into()
+            "same-words".into()
         }
         fn layer_quantizer(&self, _: usize) -> dnnlife_quant::Quantizer {
-            unreachable!("a one-word memory holds no network layers")
+            unreachable!("a test memory holds no network layers")
         }
         fn locate_weight(&self, _: usize, _: u64) -> Option<crate::WeightAddress> {
-            unreachable!("a one-word memory holds no network layers")
+            unreachable!("a test memory holds no network layers")
         }
         fn layer_stream_words(&self, _: usize) -> u64 {
-            unreachable!("a one-word memory holds no network layers")
+            unreachable!("a test memory holds no network layers")
         }
         fn per_layer_dwell_weights(&self, _: &[f64]) -> Vec<f64> {
-            unreachable!("a one-word memory holds no network layers")
+            unreachable!("a test memory holds no network layers")
         }
     }
 
@@ -579,8 +638,9 @@ mod tests {
     }
 
     fn duties_w(width: u32, blocks: &[u64], policy: &AnalyticPolicy, inferences: u64) -> Vec<f64> {
-        let source = OneWord {
+        let source = SameWords {
             width,
+            words: 1,
             blocks: blocks.to_vec(),
         };
         let cfg = AnalyticSimConfig {
@@ -598,6 +658,215 @@ mod tests {
             bias_balancing,
             seed,
         }
+    }
+
+    fn every_policy() -> [AnalyticPolicy; 5] {
+        [
+            AnalyticPolicy::Passthrough,
+            AnalyticPolicy::PeriodicInversion,
+            AnalyticPolicy::BarrelShifter,
+            dnn_life(0.7, None, 5),
+            dnn_life(0.7, Some(4), 5),
+        ]
+    }
+
+    /// The 2 KiB int8 custom-mnist weight memory (several fills).
+    fn small_flat_memory() -> crate::plan::FlatWeightMemory {
+        let mut hw = crate::config::AcceleratorConfig::baseline();
+        hw.weight_memory_bytes = 2048;
+        crate::plan::FlatWeightMemory::new(
+            &hw,
+            &dnnlife_nn::NetworkSpec::custom_mnist(),
+            dnnlife_quant::NumberFormat::Int8Symmetric,
+            3,
+        )
+    }
+
+    /// Runs `words` into a `u32` count buffer; returns it and `T`.
+    fn run_counts(
+        source: &dyn BlockSource,
+        policy: &AnalyticPolicy,
+        cfg: &AnalyticSimConfig,
+        words: &[usize],
+    ) -> (Vec<u32>, u64) {
+        let mut out = vec![u32::MAX; words.len() * source.geometry().word_bits as usize];
+        let cells = DutyCells::Counts(&mut out);
+        let t = simulate_analytic_telemetry(source, policy, cfg, words, cells, None, SpanId::NONE);
+        (out, t)
+    }
+
+    /// Runs `words` into an `f64` duty buffer; returns it and `T`.
+    fn run_duties(
+        source: &dyn BlockSource,
+        policy: &AnalyticPolicy,
+        cfg: &AnalyticSimConfig,
+        words: &[usize],
+    ) -> (Vec<f64>, u64) {
+        let mut out = vec![f64::NAN; words.len() * source.geometry().word_bits as usize];
+        let cells = DutyCells::Duties(&mut out);
+        let t = simulate_analytic_telemetry(source, policy, cfg, words, cells, None, SpanId::NONE);
+        (out, t)
+    }
+
+    fn serial(inferences: u64) -> AnalyticSimConfig {
+        AnalyticSimConfig {
+            inferences,
+            sample_stride: 1,
+            threads: 1,
+            shards: 1,
+        }
+    }
+
+    #[test]
+    fn f64_duties_are_the_u32_counts_over_t() {
+        let one_word = SameWords {
+            width: 13,
+            words: 1,
+            blocks: (0..7u64).map(|k| (k * 0x9E5 + 0x3A) & 0x1FFF).collect(),
+        };
+        let flat = small_flat_memory();
+        for policy in every_policy() {
+            for (source, inferences) in [(&one_word as &dyn BlockSource, 5), (&flat, 6)] {
+                let words: Vec<usize> = (0..source.geometry().words).collect();
+                let cfg = serial(inferences);
+                let (duties, t) = run_duties(source, &policy, &cfg, &words);
+                let (counts, t_counts) = run_counts(source, &policy, &cfg, &words);
+                assert_eq!((t, t_counts), (inferences * source.block_count(), t));
+                for (cell, (d, &n)) in duties.iter().zip(&counts).enumerate() {
+                    assert!(u64::from(n) <= t, "{policy:?} cell {cell}: n {n} > T {t}");
+                    assert_eq!(
+                        d.to_bits(),
+                        (f64::from(n) / t as f64).to_bits(),
+                        "{policy:?} on {}: cell {cell}",
+                        source.label()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_unit_reads_all_zeros() {
+        let empty = SameWords {
+            width: 8,
+            words: 3,
+            blocks: Vec::new(),
+        };
+        for policy in every_policy() {
+            let (duties, t) = run_duties(&empty, &policy, &serial(4), &[0, 2, 1]);
+            let (counts, _) = run_counts(&empty, &policy, &serial(4), &[0, 2, 1]);
+            assert_eq!(t, 0);
+            assert!(duties.iter().all(|d| d.to_bits() == 0), "{duties:?}");
+            assert_eq!(counts, [0; 24]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "T = 4294967296 writes per cell overflow u32 counts")]
+    fn u32_counts_refuse_more_writes_than_fit() {
+        // T = 2 × 2³¹ = 2³²: the f64 run is exact, the u32 run must
+        // fail the one check before any work sized by T.
+        let source = SameWords {
+            width: 8,
+            words: 1,
+            blocks: vec![0xF0, 0x3C],
+        };
+        let cfg = serial(1 << 31);
+        let policy = AnalyticPolicy::Passthrough;
+        let (duties, t) = run_duties(&source, &policy, &cfg, &[0]);
+        assert_eq!(t, 1 << 32);
+        assert_eq!(duties, [0.0, 0.0, 0.5, 0.5, 1.0, 1.0, 0.5, 0.5]);
+        run_counts(&source, &policy, &cfg, &[0]);
+    }
+
+    /// Pearson's chi-square of `counts` against Binomial(`t`, `p`) —
+    /// consecutive values of `n` pooled until each bin expects ≥ 5
+    /// cells — its degrees of freedom, and the z-score of the counts'
+    /// mean.
+    fn binomial_fit(counts: &[u64], t: u64, p: f64) -> (f64, usize, f64) {
+        let cells = counts.len() as f64;
+        let mut observed = vec![0.0; t as usize + 1];
+        for &n in counts {
+            observed[n as usize] += 1.0;
+        }
+        let (mut bins, mut expected, mut seen) = (Vec::new(), 0.0, 0.0);
+        let mut pmf = (1.0 - p).powi(t as i32);
+        for n in 0..=t {
+            expected += cells * pmf;
+            seen += observed[n as usize];
+            if expected >= 5.0 {
+                bins.push((expected, seen));
+                (expected, seen) = (0.0, 0.0);
+            }
+            pmf *= (t - n) as f64 / (n + 1) as f64 * p / (1.0 - p);
+        }
+        let last = bins.last_mut().expect("some bin expects 5 cells");
+        (last.0, last.1) = (last.0 + expected, last.1 + seen);
+        let chi2 = bins.iter().map(|(e, o)| (o - e) * (o - e) / e).sum();
+        let mean = counts.iter().sum::<u64>() as f64 / cells;
+        let z = (mean - t as f64 * p) / (t as f64 * p * (1.0 - p) / cells).sqrt();
+        (chi2, bins.len() - 1, z)
+    }
+
+    /// DNN-Life without bias balancing on 512 words of constant data,
+    /// `T = 100`: the chi-square fit and mean z-score of every cell's
+    /// count against its law — `Binomial(T, bias)` of 1-writes on
+    /// all-zero data, of 0-writes on all-one data. Each cell's stream
+    /// feeds its one nonzero binomial, so the two fits of a seed agree.
+    fn dnn_life_binomial_fits(seed: u64) -> [(f64, usize, f64); 2] {
+        let bias = 0.7;
+        [0x00u64, 0xFF].map(|data| {
+            let source = SameWords {
+                width: 8,
+                words: 512,
+                blocks: vec![data; 4],
+            };
+            let words: Vec<usize> = (0..source.words).collect();
+            let policy = dnn_life(bias, None, seed);
+            let (counts, t) = run_counts(&source, &policy, &serial(25), &words);
+            let laws: Vec<u64> = counts
+                .iter()
+                .map(|&n| {
+                    if data == 0 {
+                        u64::from(n)
+                    } else {
+                        t - u64::from(n)
+                    }
+                })
+                .collect();
+            binomial_fit(&laws, t, bias)
+        })
+    }
+
+    /// ~1e-5 upper tails of χ²(df) and of the normal mean.
+    fn assert_fits(seed: u64, fits: &[(f64, usize, f64); 2]) {
+        for &(chi2, df, z) in fits {
+            let bound = df as f64 + 6.0 * (2.0 * df as f64).sqrt();
+            assert!(chi2 < bound, "seed {seed}: χ² {chi2} on {df} df");
+            assert!(z.abs() < 5.0, "seed {seed}: mean z-score {z}");
+        }
+    }
+
+    #[test]
+    fn dnn_life_counts_follow_their_binomial_law() {
+        assert_fits(11, &dnn_life_binomial_fits(11));
+    }
+
+    #[test]
+    #[ignore = "40 seeds; cargo test -- --ignored"]
+    fn dnn_life_binomial_fit_spreads_like_chance_over_40_seeds() {
+        let fits: Vec<_> = (0..40).map(dnn_life_binomial_fits).collect();
+        for (seed, f) in (0..).zip(&fits) {
+            assert_fits(seed, f);
+        }
+        let n = fits.len() as f64;
+        let zs: Vec<f64> = fits.iter().map(|f| f[0].2).collect();
+        let mean = zs.iter().sum::<f64>() / n;
+        let sd = (zs.iter().map(|z| (z - mean) * (z - mean)).sum::<f64>() / (n - 1.0)).sqrt();
+        assert!(mean.abs() * n.sqrt() < 4.0, "mean z {mean} over {n} seeds");
+        assert!((0.6..1.4).contains(&sd), "z spread {sd} over {n} seeds");
+        let ratio = fits.iter().map(|f| f[0].0 / f[0].1 as f64).sum::<f64>() / n;
+        assert!((0.85..1.15).contains(&ratio), "mean χ²/df {ratio}");
     }
 
     #[test]
@@ -752,27 +1021,17 @@ mod tests {
 
     #[test]
     fn shard_and_thread_counts_never_change_analytic_bytes() {
-        use crate::config::AcceleratorConfig;
-        use crate::plan::FlatWeightMemory;
-        let mut hw = AcceleratorConfig::baseline();
-        hw.weight_memory_bytes = 2048;
-        let mem = FlatWeightMemory::new(
-            &hw,
-            &dnnlife_nn::NetworkSpec::custom_mnist(),
-            dnnlife_quant::NumberFormat::Int8Symmetric,
-            3,
-        );
+        let mem = small_flat_memory();
+        let words: Vec<usize> = (0..mem.geometry().words).step_by(5).collect();
         let run = |threads: usize, shards: usize, policy: &AnalyticPolicy| {
-            simulate_analytic(
-                &mem,
-                policy,
-                &AnalyticSimConfig {
-                    inferences: 6,
-                    sample_stride: 5,
-                    threads,
-                    shards,
-                },
-            )
+            let cfg = AnalyticSimConfig {
+                inferences: 6,
+                sample_stride: 5,
+                threads,
+                shards,
+            };
+            let counts = run_counts(&mem, policy, &cfg, &words).0;
+            (simulate_analytic(&mem, policy, &cfg), counts)
         };
         for policy in [
             AnalyticPolicy::BarrelShifter,

@@ -40,7 +40,7 @@ pub mod plan;
 pub mod rng;
 
 pub use analytic::{
-    simulate_analytic, simulate_analytic_telemetry, AnalyticPolicy, AnalyticSimConfig,
+    simulate_analytic, simulate_analytic_telemetry, AnalyticPolicy, AnalyticSimConfig, DutyCells,
 };
 pub use config::AcceleratorConfig;
 pub use exact::{simulate_exact_sharded, ExactShardConfig};

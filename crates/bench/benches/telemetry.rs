@@ -12,7 +12,8 @@
 
 use criterion::{criterion_group, Criterion};
 use dnnlife_accel::{
-    simulate_analytic_telemetry, AnalyticPolicy, AnalyticSimConfig, BlockSource, FifoSlotMemory,
+    simulate_analytic_telemetry, AnalyticPolicy, AnalyticSimConfig, BlockSource, DutyCells,
+    FifoSlotMemory,
 };
 use dnnlife_nn::NetworkSpec;
 use dnnlife_quant::NumberFormat;
@@ -67,7 +68,9 @@ fn duty_sim(telemetry: Option<&Telemetry>) -> f64 {
         42,
     )
     .swap_remove(0);
-    let duties = simulate_analytic_telemetry(
+    let words: Vec<usize> = (0..slot.geometry().words).step_by(4).collect();
+    let mut duties = vec![0.0; words.len() * slot.geometry().word_bits as usize];
+    simulate_analytic_telemetry(
         &slot,
         &AnalyticPolicy::PeriodicInversion,
         &AnalyticSimConfig {
@@ -76,7 +79,8 @@ fn duty_sim(telemetry: Option<&Telemetry>) -> f64 {
             threads: 1,
             shards: 1,
         },
-        &(0..slot.geometry().words).step_by(4).collect::<Vec<_>>(),
+        &words,
+        DutyCells::Duties(&mut duties),
         telemetry,
         SpanId::NONE,
     );

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use dnnlife_accel::{
     simulate_analytic_telemetry, simulate_exact_sharded, AcceleratorConfig, AnalyticPolicy,
-    AnalyticSimConfig, BlockSource, ExactShardConfig, FifoSlotMemory, FlatWeightMemory,
+    AnalyticSimConfig, BlockSource, DutyCells, ExactShardConfig, FifoSlotMemory, FlatWeightMemory,
     RemappedMemory,
 };
 use dnnlife_mitigation::{
@@ -916,14 +916,17 @@ fn simulate_units(spec: &ExperimentSpec, opts: &RunOptions) -> Option<(Vec<Vec<f
                     shards,
                 };
                 let sampled: Vec<usize> = (0..geo.words).step_by(spec.sample_stride).collect();
+                let mut unit_duties = vec![0.0; sampled.len() * geo.word_bits as usize];
                 simulate_analytic_telemetry(
                     source.as_ref(),
                     &spec.policy.analytic(policy_seed),
                     &sim_cfg,
                     &sampled,
+                    DutyCells::Duties(&mut unit_duties),
                     opts.telemetry,
                     opts.parent_span,
-                )
+                );
+                unit_duties
             }
             SimulatorBackend::Exact => {
                 let transducer = build_transducer(

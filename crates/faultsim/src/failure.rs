@@ -7,7 +7,7 @@
 //! forms match what `dnnlife_core::run_experiment_with` computes for
 //! the same scenario.
 
-use dnnlife_accel::{simulate_analytic_telemetry, AnalyticSimConfig};
+use dnnlife_accel::{simulate_analytic_telemetry, AnalyticSimConfig, DutyCells};
 use dnnlife_core::experiment::memory_units;
 use dnnlife_core::ExperimentSpec;
 use dnnlife_quant::Quantizer;
@@ -28,14 +28,14 @@ use dnnlife_telemetry::SpanId;
 /// few hundred thousand words), so a weight-major layout would
 /// duplicate each word's duties once per resident weight.
 ///
-/// Duties are stored as levels. Every closed form yields
-/// `duty = n / T` for an integer count `n` of 1-writes among the
-/// `T = inferences × K` writes of the cell's memory unit, so a unit's
-/// cells take at most `T + 1` distinct duties (101 on the single-fill
-/// custom network at 100 inferences). `levels` holds each distinct
-/// `(unit, n)` duty once; `cell_levels` holds one index into it per
-/// resident cell. Per-cell quantities that depend on duty alone (the
-/// SRAM read-failure probability) are then evaluated once per level.
+/// Duties are stored as levels. The analytic simulator yields each
+/// cell's integer count `n` of 1-writes among the `T = inferences × K`
+/// writes of its memory unit, so a unit's cells take at most `T + 1`
+/// distinct duties `n / T` (101 on the single-fill custom network at
+/// 100 inferences). `levels` holds each distinct `(unit, n)` duty
+/// once; `cell_levels` holds one index into it per resident cell.
+/// Per-cell quantities that depend on duty alone (the SRAM
+/// read-failure probability) are then evaluated once per level.
 ///
 /// `resident_words[r]` is the global index of resident word `r`;
 /// `cell_levels[r * word_bits + b]` is the level of its bit `b`;
@@ -70,9 +70,11 @@ impl WeightCellDuties {
     /// of the whole memory at that word. Returns the duties and the
     /// per-layer quantizers.
     ///
-    /// Mapping a duty to its level indexes a table of `T + 1` entries
-    /// per memory unit (`T = inferences × K` writes per cell), so no
-    /// duty is hashed.
+    /// Each unit's counts `n` land straight in
+    /// [`WeightCellDuties::cell_levels`] and are remapped there, in
+    /// place, through a table of `T + 1` entries (`T = inferences × K`
+    /// writes per cell); a new level stores `n / T`, the duty the
+    /// sweep computes for the cell. No per-cell duty is ever held.
     ///
     /// # Panics
     ///
@@ -149,30 +151,25 @@ impl WeightCellDuties {
             if words.is_empty() {
                 continue;
             }
-            let duties = simulate_analytic_telemetry(
+            let start = cell_levels.len();
+            cell_levels.resize(start + words.len() * geometry.word_bits as usize, 0);
+            let writes = simulate_analytic_telemetry(
                 unit.as_ref(),
                 &policy,
                 &cfg,
                 &words,
+                DutyCells::Counts(&mut cell_levels[start..]),
                 None,
                 SpanId::NONE,
             );
-            // duty = n / T, correctly rounded, for an integer n ≤ T, so
-            // `duty × T` rounds back to n.
-            let writes = scenario.inferences * unit.block_count();
             let mut level_of = vec![u32::MAX; writes as usize + 1];
-            for duty in duties {
-                let level = &mut level_of[(duty * writes as f64).round() as usize];
+            for cell in &mut cell_levels[start..] {
+                let level = &mut level_of[*cell as usize];
                 if *level == u32::MAX {
                     *level = u32::try_from(levels.len()).expect("level index fits u32");
-                    levels.push(duty);
+                    levels.push(f64::from(*cell) / writes as f64);
                 }
-                assert_eq!(
-                    levels[*level as usize].to_bits(),
-                    duty.to_bits(),
-                    "a duty level holds one value"
-                );
-                cell_levels.push(*level);
+                *cell = *level;
             }
         }
         for slot in weight_slots.iter_mut().flatten() {

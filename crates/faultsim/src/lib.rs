@@ -13,8 +13,9 @@
 //! ```text
 //! memory units             dnnlife_core::experiment::memory_units on the
 //!   |                        *trained* weight tables (the sweep's builder)
-//! per-cell duty level      dnnlife_accel::simulate_analytic_telemetry
-//!   |                        (closed forms) on the weight-resident words only
+//! per-cell duty count      dnnlife_accel::simulate_analytic_telemetry
+//!   |                        (closed forms) on the weight-resident words only,
+//!   |                        as u32 counts, each remapped to its duty level
 //! NBTI ΔVth → SNM loss     dnnlife_sram::snm::CalibratedSnmModel at each age,
 //!   |                        once per duty level
 //! read-failure prob        dnnlife_sram::lifetime::ReadFailureModel at the
