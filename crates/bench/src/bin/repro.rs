@@ -12,9 +12,9 @@
 //! `--quick` samples every 16th memory word (unbiased histogram
 //! subsample) for fast smoke runs; the default simulates every cell.
 //!
-//! The Fig. 9 / Fig. 11 grids run through the `dnnlife-campaign`
-//! parallel executor; for resumable sweeps, stored results and the
-//! sensitivity grids, use the `dnnlife` CLI
+//! The Fig. 9 / Fig. 11 panels run their scenarios in parallel; for
+//! resumable sweeps, stored results and the sensitivity grids, use the
+//! `dnnlife` CLI
 //! (`cargo run --release -p dnnlife-campaign --bin dnnlife -- --help`).
 
 use dnnlife_bench::{fig11_report, fig9_report, HarnessOptions};
@@ -36,24 +36,15 @@ fn main() {
             "--quick" => {
                 opts.stride = HarnessOptions::quick().stride;
             }
-            "--seed" => {
-                let value = iter.next().expect("--seed needs a value");
-                opts.seed = value.parse().expect("--seed needs an integer");
-            }
+            "--seed" => match iter.next().map(|value| value.parse()) {
+                Some(Ok(seed)) => opts.seed = seed,
+                _ => usage_error("--seed needs an integer value"),
+            },
             other if command.is_none() => command = Some(other.to_string()),
-            other => {
-                eprintln!("unexpected argument: {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unexpected argument: {other}")),
         }
     }
-    let command = command.unwrap_or_else(|| {
-        eprintln!(
-            "usage: repro <fig1|fig2b|fig6|fig7|fig9|fig11|table1|table2|energy|verilog|all> \
-             [--quick] [--seed N]"
-        );
-        std::process::exit(2);
-    });
+    let command = command.unwrap_or_else(|| usage_error("no command given"));
 
     match command.as_str() {
         "fig1" => fig1(),
@@ -77,11 +68,18 @@ fn main() {
             print!("{}", fig11_report(&opts));
             energy();
         }
-        other => {
-            eprintln!("unknown command: {other}");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!("unknown command: {other}")),
     }
+}
+
+/// Prints `message` and the usage line to stderr and exits 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!(
+        "repro: {message}\n\
+         usage: repro <fig1|fig2b|fig6|fig7|fig9|fig11|table1|table2|energy|verilog|all> \
+         [--quick] [--seed N]"
+    );
+    std::process::exit(2);
 }
 
 /// Fig. 1: motivational DNN sizes and access energies.

@@ -1,14 +1,15 @@
 //! Reproduction harness library: shared helpers for the `repro` binary
 //! and the Criterion benches.
 //!
-//! Since the campaign subsystem landed, the Fig. 9 / Fig. 11 grids run
-//! through `dnnlife_campaign`'s parallel executor instead of a serial
-//! loop — same scenarios, same rendering, all cores.
+//! The Fig. 9 / Fig. 11 panels run their scenarios as
+//! [`dnnlife_nn::exec::run_jobs`] jobs on every core — same scenarios,
+//! same rendering as a serial loop.
 
-use dnnlife_campaign::grid::CampaignGrid;
-use dnnlife_campaign::run_scenarios;
-use dnnlife_core::experiment::{fig11_policies, fig9_policies, ExperimentSpec, NetworkKind};
+use dnnlife_core::experiment::{
+    fig11_policies, fig9_policies, run_experiment_with, ExperimentSpec, NetworkKind, RunOptions,
+};
 use dnnlife_core::report::render_experiment;
+use dnnlife_nn::exec::{self, run_jobs};
 use dnnlife_quant::NumberFormat;
 
 /// Run-time options for the harness.
@@ -49,34 +50,45 @@ impl HarnessOptions {
     }
 }
 
+/// Runs one panel's scenarios on every core and appends their
+/// rendered results to `out`, in scenario order.
+fn render_panel(out: &mut String, specs: Vec<ExperimentSpec>) {
+    let results = run_jobs(specs, 0, None, |spec| {
+        let opts = RunOptions {
+            threads: exec::budget(),
+            ..RunOptions::default()
+        };
+        run_experiment_with(&spec, &opts)
+    })
+    .expect("no cancel token");
+    for result in results {
+        out.push_str(&render_experiment(&result));
+        out.push('\n');
+    }
+}
+
 /// Runs and renders the full Fig. 9 grid (3 formats × 6 policies) into
-/// a report string, sweeping the scenarios in parallel through the
-/// campaign executor. Every panel uses `opts.seed` directly (paper
-/// semantics), unlike `CampaignGrid::fig9` which derives per-scenario
-/// seeds for store stability.
+/// a report string, running each panel's scenarios in parallel. Every
+/// panel uses `opts.seed` directly (paper semantics: all policies of a
+/// panel see the same weights), unlike `CampaignGrid::fig9` which
+/// derives per-scenario seeds for store stability.
 pub fn fig9_report(opts: &HarnessOptions) -> String {
     let mut out = String::new();
     for format in NumberFormat::all() {
         out.push_str(&format!(
             "=== Baseline accelerator, AlexNet, {format} ===\n"
         ));
-        let grid = CampaignGrid {
-            name: format!("fig9-report-{format:?}"),
-            scenarios: fig9_policies()
-                .into_iter()
-                .map(|policy| opts.apply(ExperimentSpec::fig9(format, policy, opts.seed)))
-                .collect(),
-        };
-        for record in run_scenarios(&grid, 0) {
-            out.push_str(&render_experiment(&record.result));
-            out.push('\n');
-        }
+        let specs = fig9_policies()
+            .into_iter()
+            .map(|policy| opts.apply(ExperimentSpec::fig9(format, policy, opts.seed)))
+            .collect();
+        render_panel(&mut out, specs);
     }
     out
 }
 
 /// Runs and renders the full Fig. 11 grid (3 networks × 4 policies),
-/// swept in parallel through the campaign executor.
+/// each panel's scenarios in parallel on one seed.
 pub fn fig11_report(opts: &HarnessOptions) -> String {
     let mut out = String::new();
     for network in [
@@ -88,17 +100,11 @@ pub fn fig11_report(opts: &HarnessOptions) -> String {
             "=== TPU-like NPU, {}, 8-bit symmetric ===\n",
             network.display_name()
         ));
-        let grid = CampaignGrid {
-            name: format!("fig11-report-{network:?}"),
-            scenarios: fig11_policies()
-                .into_iter()
-                .map(|policy| opts.apply(ExperimentSpec::fig11(network, policy, opts.seed)))
-                .collect(),
-        };
-        for record in run_scenarios(&grid, 0) {
-            out.push_str(&render_experiment(&record.result));
-            out.push('\n');
-        }
+        let specs = fig11_policies()
+            .into_iter()
+            .map(|policy| opts.apply(ExperimentSpec::fig11(network, policy, opts.seed)))
+            .collect();
+        render_panel(&mut out, specs);
     }
     out
 }
@@ -121,8 +127,8 @@ mod tests {
 
     #[test]
     fn parallel_report_matches_serial_execution() {
-        // The campaign executor must not change report content: compare
-        // against a direct serial run of the same specs.
+        // Running a panel's scenarios in parallel must not change report
+        // content: compare against a direct serial run of the same specs.
         let opts = HarnessOptions {
             seed: 7,
             stride: 1024,

@@ -7,20 +7,19 @@
 //! reports per-cell duty divergence. Under uniform dwell this is a
 //! correctness check of the closed forms; under a non-uniform dwell
 //! model the divergence quantifies how much assumption (b) distorts
-//! that scenario. This module fans the pairs out across the shared
-//! campaign worker pool, keeping results in scenario order.
+//! that scenario. This module runs the pairs as jobs on
+//! [`dnnlife_nn::exec::run_jobs`], which returns them in scenario
+//! order.
 //!
-//! The fan-out honours the campaign cancellation token: a raised token
+//! The jobs honour the campaign cancellation token: a raised token
 //! (the CLI's Ctrl-C handler) aborts in-flight pairs *mid-scenario* —
 //! the exact side polls the flag at block granularity — instead of
 //! letting a minutes-long pair run to completion first.
 
-use std::sync::atomic::Ordering;
-
 use dnnlife_core::{cross_validate_with, CrossValidation, ExperimentSpec, RunOptions};
+use dnnlife_nn::exec::run_jobs;
 
-use crate::executor::{execute_shared_pool, CampaignOptions};
-use dnnlife_nn::exec::thread_count;
+use crate::executor::CampaignOptions;
 
 /// Runs [`dnnlife_core::cross_validate_with`] for every scenario,
 /// returning results in scenario order. The knobs are the campaign
@@ -42,43 +41,29 @@ pub fn validate_scenarios(
     options: &CampaignOptions,
 ) -> Option<Vec<CrossValidation>> {
     let (shards, cancel, instr) = (options.shards, options.cancel, options.instr);
-    let budget = thread_count(options.threads);
     if let Some(progress) = instr.progress {
         progress.set_total(scenarios.len());
     }
-    let mut slots: Vec<Option<CrossValidation>> = vec![None; scenarios.len()];
-    execute_shared_pool(
-        scenarios,
-        budget,
+    run_jobs(
+        scenarios.iter().collect(),
+        options.threads,
         cancel,
-        // Each pair runs single-threaded internally (matched pairs are
-        // plentiful on real grids); the pool-level fan-out is the
-        // parallelism. The shared flag still reaches the exact
-        // simulator through `cross_validate_with`'s cancel option.
-        |spec, _index, _threads, cancel| {
+        |spec| {
+            // Each pair runs single-threaded internally (matched pairs are
+            // plentiful on real grids); the jobs are the parallelism. The
+            // token still reaches the exact simulator through
+            // `cross_validate_with`'s cancel option.
             let opts = RunOptions {
                 threads: 1,
                 shards,
-                cancel: Some(cancel),
+                cancel,
                 telemetry: instr.telemetry,
                 ..RunOptions::default()
             };
-            cross_validate_with(spec, &opts)
-        },
-        |index, cv| {
-            slots[index] = Some(cv);
+            let cv = cross_validate_with(spec, &opts)?;
             instr.tick();
-            true
+            Some(cv)
         },
-    );
-    if cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
-        return None;
-    }
-    Some(
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every scenario validated"))
-            .collect(),
     )
 }
 

@@ -1,25 +1,18 @@
 //! Parallel campaign executor.
 //!
-//! Scenarios are sharded across a std-only worker pool: workers pull
-//! the next pending scenario index from a shared atomic counter (work
-//! stealing without queues — scenario runtimes vary by orders of
-//! magnitude between networks, so static partitioning would idle
-//! cores), run it, and send the record back over a channel. The main
-//! thread journals each completion to the [`ResultStore`] immediately,
-//! then finalizes the store in canonical grid order.
+//! Scenarios run as jobs on [`dnnlife_nn::exec::run_jobs`], the
+//! workspace's one thread pool: idle workers claim the next pending
+//! scenario from its shared queue (scenario runtimes vary by orders of
+//! magnitude between networks, so a static partition would idle
+//! cores), run it, and journal the record to the [`ResultStore`]
+//! themselves, one append and flush at a time under a lock, so every
+//! completion is durable as soon as it finishes. The store is then
+//! finalized in canonical grid order.
 //!
-//! The thread budget is **two-level**: when a grid has fewer pending
-//! scenarios than budgeted threads, the leftover threads are pooled
-//! and each worker claims a fair share of them when it starts a
-//! scenario, handing them to the simulator (analytic cell shards /
-//! exact word shards) instead of letting them idle — one exact
-//! scenario no longer monopolizes a single core while the rest of the
-//! pool waits.
-//!
-//! The pool itself (`execute_shared_pool`) is generic over the work
-//! item: the scenario sweep, the cross-validation fan-out and the
-//! fault-injection campaign all run on it, so every subsystem shares
-//! the same budget arithmetic and the same cancellation story.
+//! When a grid has fewer pending scenarios than budgeted threads,
+//! `run_jobs` splits the leftover threads evenly over its workers, and
+//! each scenario hands its share to the simulator (analytic cell
+//! shards / exact word shards) instead of letting it idle.
 //!
 //! Determinism: each scenario's result depends only on its spec plus
 //! the (deterministic) shard policy — never on the thread count — and
@@ -27,21 +20,21 @@
 //! store is **byte-identical for any worker count** and for
 //! interrupted-then-resumed runs.
 //!
-//! Aborts are prompt: when the completion callback declines further
-//! results — or an external cancellation token (Ctrl-C) is raised — a
-//! shared flag cancels in-flight **exact** simulations at block
-//! granularity (within one inference — the backend whose scenarios run
-//! for minutes) and their partial results are discarded, not
-//! journaled. Analytic scenarios poll the flag only between memory
-//! units; their closed forms are orders of magnitude shorter, so the
-//! flag exists to stop the expensive backend, not the cheap one.
+//! Aborts are prompt: when a journal append fails — or an external
+//! cancellation token (Ctrl-C) is raised — a shared flag cancels
+//! in-flight **exact** simulations at block granularity (within one
+//! inference — the backend whose scenarios run for minutes) and their
+//! partial results are discarded, not journaled. Analytic scenarios
+//! poll the flag only between memory units; their closed forms are
+//! orders of magnitude shorter, so the flag exists to stop the
+//! expensive backend, not the cheap one.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::Mutex;
 use std::time::Instant;
 
 use dnnlife_core::experiment::{run_experiment_with, RunOptions, ShardPolicy};
-use dnnlife_nn::exec::thread_count;
+use dnnlife_nn::exec::{self, run_jobs, thread_count};
 use dnnlife_telemetry::{Instrumentation, SpanId};
 use serde::Serialize;
 
@@ -51,8 +44,9 @@ use crate::store::{ResultStore, ScenarioRecord, StoreLock};
 /// Executor knobs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CampaignOptions<'a> {
-    /// Total thread budget: scenario workers plus the spare threads
-    /// handed to in-flight simulators (0 = all available cores).
+    /// Total thread budget (0 = all available cores), split evenly
+    /// over the scenario workers; a worker's share goes to the
+    /// simulator of the scenario it runs.
     pub threads: usize,
     /// Skip scenarios already present in the store. When false, an
     /// existing store file is discarded and every scenario re-runs.
@@ -192,7 +186,7 @@ pub fn run_campaign(
                 parent_span: span,
             };
             run_experiment_with(spec, &opts)
-                .map(|result| ScenarioRecord::annotated((*spec).clone(), result, shards))
+                .map(|result| ScenarioRecord::annotated(spec.clone(), result, shards))
         },
     )?;
     Ok(CampaignOutcome {
@@ -203,11 +197,11 @@ pub fn run_campaign(
 }
 
 /// The common tail of the scenario and injection campaign drivers:
-/// fans `pending` through the shared pool, journals every completed
-/// record into `store` (flushing per record), reports progress, maps a
-/// journal I/O error or a raised cancellation token to an error, and
-/// finalizes the store in canonical `keys` order. Returns the number
-/// of items journaled by this invocation.
+/// runs `pending` as [`run_jobs`] jobs, each worker journaling its
+/// completed record into `store` (flushing per record) under one lock,
+/// reports progress, maps a journal I/O error or a raised cancellation
+/// token to an error, and finalizes the store in canonical `keys`
+/// order. Returns the number of items journaled by this invocation.
 ///
 /// Observability rides along without touching results: each item's
 /// queue wait and run wall time accumulate into `instr.telemetry`'s
@@ -246,7 +240,7 @@ pub(crate) fn journal_into_store<T, R, RunF>(
 where
     T: Sync,
     R: crate::store::StoreRecord + Send,
-    RunF: Fn(&&T, usize, &AtomicBool, SpanId) -> Option<R> + Sync,
+    RunF: Fn(&T, usize, &AtomicBool, SpanId) -> Option<R> + Sync,
 {
     let telemetry = instr.telemetry();
     if let Some(progress) = instr.progress {
@@ -290,103 +284,113 @@ where
             "Item workers the shared pool started with",
             workers as u64,
         );
+        // Two abort sources, and the caller's token is never written
+        // (a journal error must not masquerade as a Ctrl-C): a failed
+        // append raises the *local* flag, the external token is only
+        // read. In-flight work polls the external token when there is
+        // one (so Ctrl-C cancels at block granularity), the local flag
+        // otherwise (so a journal error stops it equally promptly);
+        // with a token present, a journal error still stops in-flight
+        // items at delivery and idle workers at their next claim.
+        let local_abort = AtomicBool::new(false);
+        let run_flag: &AtomicBool = cancel.unwrap_or(&local_abort);
+        let journal = Mutex::new((&mut *store, 0usize, None::<std::io::Error>));
         let epoch = Instant::now();
-        let mut journal_error = None;
-        execute_shared_pool(
-            pending,
-            budget,
-            cancel,
-            |item, index, threads, run_flag| {
-                // Queue wait: how long this item sat pending before a
-                // worker claimed it. Two clock reads per item — noise
-                // next to scenario runtimes (ms to minutes).
-                let queue_nanos = epoch.elapsed().as_nanos() as u64;
+        let jobs: Vec<(usize, &T)> = pending.iter().copied().enumerate().collect();
+        // `None` when an item was cancelled or could not be journaled;
+        // both are read back from the flags and the journal below.
+        let _ = run_jobs(jobs, budget, Some(run_flag), |(index, item)| {
+            let threads = exec::budget();
+            // Queue wait: how long this item sat pending before a
+            // worker claimed it. Two clock reads per item — noise next
+            // to scenario runtimes (ms to minutes).
+            let queue_nanos = epoch.elapsed().as_nanos() as u64;
+            telemetry.emit(
+                "scenario_start",
+                &[
+                    ("i", (index as u64).to_value()),
+                    ("threads", (threads as u64).to_value()),
+                ],
+            );
+            let span = telemetry.span_start("scenario", campaign_span);
+            let started = Instant::now();
+            let result = run(item, threads, run_flag, span);
+            let wall_nanos = started.elapsed().as_nanos() as u64;
+            telemetry.span_end(span);
+            let Some(record) = result else {
+                // Counted even with telemetry off: the stderr
+                // cancellation summary needs it.
+                discarded.fetch_add(1, Ordering::Relaxed);
+                telemetry.count(
+                    "scenarios_discarded",
+                    "In-flight scenarios cancelled mid-run and discarded",
+                    1,
+                );
                 telemetry.emit(
-                    "scenario_start",
+                    "scenario_discarded",
                     &[
                         ("i", (index as u64).to_value()),
-                        ("threads", (threads as u64).to_value()),
+                        ("wall_ms", (wall_nanos as f64 / 1e6).to_value()),
                     ],
                 );
-                let span = telemetry.span_start("scenario", campaign_span);
-                let started = Instant::now();
-                let result = run(item, threads, run_flag, span);
-                let wall_nanos = started.elapsed().as_nanos() as u64;
-                telemetry.span_end(span);
-                match result {
-                    Some(record) => {
-                        telemetry.count(
-                            "scenarios_completed",
-                            "Campaign scenarios (or injection cells) journaled",
-                            1,
-                        );
-                        telemetry.count(
-                            "queue_wait_nanos",
-                            "Total time items waited before a worker picked them up",
-                            queue_nanos,
-                        );
-                        telemetry.count(
-                            "scenario_wall_nanos",
-                            "Total per-scenario run wall time summed across workers",
-                            wall_nanos,
-                        );
-                        telemetry.observe(
-                            "scenario_wall_us",
-                            "Per-scenario run wall time in microseconds",
-                            wall_nanos / 1_000,
-                        );
-                        telemetry.observe(
-                            "scenario_queue_us",
-                            "Per-scenario queue wait in microseconds",
-                            queue_nanos / 1_000,
-                        );
-                        telemetry.emit(
-                            "scenario_done",
-                            &[
-                                ("i", (index as u64).to_value()),
-                                ("label", label(&record).to_value()),
-                                ("group", group(&record).to_value()),
-                                ("wall_ms", (wall_nanos as f64 / 1e6).to_value()),
-                                ("queue_ms", (queue_nanos as f64 / 1e6).to_value()),
-                                ("threads", (threads as u64).to_value()),
-                            ],
-                        );
-                        Some(record)
-                    }
-                    None => {
-                        // Counted even with telemetry off: the stderr
-                        // cancellation summary needs it.
-                        discarded.fetch_add(1, Ordering::Relaxed);
-                        telemetry.count(
-                            "scenarios_discarded",
-                            "In-flight scenarios cancelled mid-run and discarded",
-                            1,
-                        );
-                        telemetry.emit(
-                            "scenario_discarded",
-                            &[
-                                ("i", (index as u64).to_value()),
-                                ("wall_ms", (wall_nanos as f64 / 1e6).to_value()),
-                            ],
-                        );
-                        None
-                    }
-                }
-            },
-            |_, record| {
-                let label = label(&record);
-                if let Err(e) = store.append(record) {
-                    journal_error = Some(e);
-                    return false;
-                }
-                done += 1;
-                instr.tick();
-                if verbose {
-                    eprintln!("  [{done}/{}] {label}", pending.len());
-                }
-                true
-            },
-        );
+                return None;
+            };
+            telemetry.count(
+                "scenarios_completed",
+                "Campaign scenarios (or injection cells) journaled",
+                1,
+            );
+            telemetry.count(
+                "queue_wait_nanos",
+                "Total time items waited before a worker picked them up",
+                queue_nanos,
+            );
+            telemetry.count(
+                "scenario_wall_nanos",
+                "Total per-scenario run wall time summed across workers",
+                wall_nanos,
+            );
+            telemetry.observe(
+                "scenario_wall_us",
+                "Per-scenario run wall time in microseconds",
+                wall_nanos / 1_000,
+            );
+            telemetry.observe(
+                "scenario_queue_us",
+                "Per-scenario queue wait in microseconds",
+                queue_nanos / 1_000,
+            );
+            let label = label(&record);
+            telemetry.emit(
+                "scenario_done",
+                &[
+                    ("i", (index as u64).to_value()),
+                    ("label", label.to_value()),
+                    ("group", group(&record).to_value()),
+                    ("wall_ms", (wall_nanos as f64 / 1e6).to_value()),
+                    ("queue_ms", (queue_nanos as f64 / 1e6).to_value()),
+                    ("threads", (threads as u64).to_value()),
+                ],
+            );
+            let mut journal = journal.lock().expect("no append panics under the lock");
+            let (store, done, error) = &mut *journal;
+            if error.is_some() {
+                return None; // the journal already failed: drop the record
+            }
+            if let Err(e) = store.append(record) {
+                *error = Some(e);
+                local_abort.store(true, Ordering::Relaxed);
+                return None;
+            }
+            *done += 1;
+            instr.tick();
+            if verbose {
+                eprintln!("  [{done}/{}] {label}", pending.len());
+            }
+            Some(())
+        });
+        let (_, journaled, journal_error) = journal.into_inner().expect("no append panicked");
+        done = journaled;
         if let Some(e) = journal_error {
             return Err(e);
         }
@@ -433,139 +437,6 @@ where
     Ok(done)
 }
 
-/// Runs every scenario of `grid` on a `threads`-sized budget (0 = all
-/// cores) without touching disk, returning records in grid order. This
-/// is the path report harnesses use when they only need the in-memory
-/// fold.
-pub fn run_scenarios(grid: &CampaignGrid, threads: usize) -> Vec<ScenarioRecord> {
-    let specs: Vec<&dnnlife_core::ExperimentSpec> = grid.scenarios.iter().collect();
-    let mut slots: Vec<Option<ScenarioRecord>> = vec![None; specs.len()];
-    execute_shared_pool(
-        &specs,
-        thread_count(threads),
-        None,
-        |spec, _index, threads, cancel| {
-            let opts = RunOptions {
-                threads,
-                shards: ShardPolicy::default(),
-                cancel: Some(cancel),
-                ..RunOptions::default()
-            };
-            run_experiment_with(spec, &opts).map(|result| {
-                ScenarioRecord::annotated((*spec).clone(), result, ShardPolicy::default())
-            })
-        },
-        |index, record| {
-            slots[index] = Some(record);
-            true
-        },
-    );
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("execute_shared_pool completes every scenario"))
-        .collect()
-}
-
-/// Shared worker pool with a two-level thread budget: `budget` threads
-/// total, `min(budget, |items|)` of them item workers pulling indices
-/// from an atomic counter, the remainder pooled as *spare* simulator
-/// threads. A worker starting an item claims a fair share of the spare
-/// pool and runs the item on `1 + share` simulator threads (returning
-/// the share afterwards), so a wide machine is not wasted on a narrow
-/// grid.
-///
-/// `run` executes one item — `(item, index, threads, cancel)` — on the
-/// given thread count under the shared cancellation flag, returning
-/// `None` iff the item was cancelled mid-run (a cancelled partial
-/// result is discarded, never delivered). The item's index lets
-/// instrumented callers join start/done telemetry events without
-/// threading state through the result type. The calling thread
-/// observes each `(index, result)` completion in completion order;
-/// `on_complete` returning `false` — or an external `cancel` token
-/// being raised — stops the pool: idle workers stop at their next
-/// claim, and in-flight work observes the flag through `run`'s cancel
-/// argument (the exact simulator polls it at block granularity, within
-/// one inference).
-pub(crate) fn execute_shared_pool<T, R, RunF, DoneF>(
-    items: &[T],
-    budget: usize,
-    cancel: Option<&AtomicBool>,
-    run: RunF,
-    mut on_complete: DoneF,
-) where
-    T: Sync,
-    R: Send,
-    RunF: Fn(&T, usize, usize, &AtomicBool) -> Option<R> + Sync,
-    DoneF: FnMut(usize, R) -> bool,
-{
-    let workers = budget.min(items.len()).max(1);
-    let spare = AtomicUsize::new(budget.saturating_sub(workers));
-    // Two abort sources, never written into the caller's token (a
-    // journal error must not masquerade as a Ctrl-C): `on_complete`
-    // declining raises the *local* flag; the external token is only
-    // read. In-flight work polls `run_flag` — the external token when
-    // provided (so Ctrl-C cancels at block granularity), the local
-    // flag otherwise (so an in-process abort stays equally prompt);
-    // a local abort with an external token present still stops
-    // in-flight items at delivery (the dropped receiver fails their
-    // send) and idle workers at their next claim.
-    let local_abort = AtomicBool::new(false);
-    let run_flag: &AtomicBool = cancel.unwrap_or(&local_abort);
-    let aborted = || local_abort.load(Ordering::Relaxed) || run_flag.load(Ordering::Relaxed);
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let (next, spare, run, aborted) = (&next, &spare, &run, &aborted);
-            scope.spawn(move || loop {
-                if aborted() {
-                    break;
-                }
-                let slot = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(slot) else {
-                    break;
-                };
-                let extra = claim_spare(spare, items.len() - slot);
-                let result = run(item, slot, 1 + extra, run_flag);
-                if extra > 0 {
-                    spare.fetch_add(extra, Ordering::AcqRel);
-                }
-                let Some(result) = result else {
-                    break; // cancelled mid-item: discard the partial
-                };
-                if tx.send((slot, result)).is_err() {
-                    break; // receiver gone: abort requested
-                }
-            });
-        }
-        drop(tx);
-        for (index, result) in rx {
-            if !on_complete(index, result) {
-                // Raise the local flag *and* drop the receiver: idle
-                // workers stop at their next claim, in-flight
-                // simulations stop within one inference (or, with an
-                // external token present, at delivery).
-                local_abort.store(true, Ordering::Relaxed);
-                break;
-            }
-        }
-    });
-}
-
-/// Claims this worker's share of the spare-thread pool: an even split
-/// over the items not yet claimed (`remaining` ≥ 1 counts the one
-/// being started), so early claimers don't starve the rest of the
-/// grid, and the last item takes everything still pooled.
-fn claim_spare(spare: &AtomicUsize, remaining: usize) -> usize {
-    let mut take = 0;
-    let _ = spare.fetch_update(Ordering::AcqRel, Ordering::Acquire, |pooled| {
-        take = pooled.div_ceil(remaining.max(1)).min(pooled);
-        Some(pooled - take)
-    });
-    take
-}
-
 pub(crate) fn effective_threads(requested: usize, pending: usize) -> usize {
     thread_count(requested).min(pending).max(1)
 }
@@ -577,27 +448,58 @@ mod tests {
         DwellModel, NetworkKind, Platform, PolicySpec, SimulatorBackend,
     };
     use dnnlife_core::ExperimentSpec;
+    use std::path::{Path, PathBuf};
 
-    fn run_pool_of_specs<F>(specs: &[&ExperimentSpec], budget: usize, shards: ShardPolicy, f: F)
-    where
-        F: FnMut(usize, ScenarioRecord) -> bool,
-    {
-        execute_shared_pool(
+    /// A fresh, empty directory under the system temp dir.
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("dnnlife-executor-{tag}-{}", std::process::id()));
+        if dir.exists() {
+            std::fs::remove_dir_all(&dir).expect("clear stale scratch dir");
+        }
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        dir
+    }
+
+    /// Runs `specs` through [`journal_into_store`] into a store at
+    /// `path` on 2 threads, the way [`run_campaign`] does; `after`
+    /// sees each finished record before it is journaled.
+    fn journal_specs(
+        path: &Path,
+        specs: &[&ExperimentSpec],
+        cancel: Option<&AtomicBool>,
+        after: impl Fn(&ScenarioRecord) + Sync,
+    ) -> (std::io::Result<usize>, ResultStore) {
+        let mut store = ResultStore::open(path).expect("open store");
+        let keys: Vec<String> = specs.iter().map(|spec| spec.content_key()).collect();
+        let result = journal_into_store(
+            "test",
+            "scenario",
+            &mut store,
+            &keys,
             specs,
-            budget,
-            None,
-            |spec, _index, threads, cancel| {
+            2,
+            cancel,
+            false,
+            Instrumentation::default(),
+            |record| record.result.label.clone(),
+            |record| record.spec.policy.display_name().to_string(),
+            |spec, threads, cancel, _span| {
                 let opts = RunOptions {
                     threads,
-                    shards,
                     cancel: Some(cancel),
                     ..RunOptions::default()
                 };
-                run_experiment_with(spec, &opts)
-                    .map(|r| ScenarioRecord::annotated((*spec).clone(), r, shards))
+                let record = ScenarioRecord::annotated(
+                    spec.clone(),
+                    run_experiment_with(spec, &opts)?,
+                    ShardPolicy::Auto,
+                );
+                after(&record);
+                Some(record)
             },
-            f,
         );
+        (result, store)
     }
 
     #[test]
@@ -606,17 +508,6 @@ mod tests {
         assert_eq!(effective_threads(2, 100), 2);
         assert_eq!(effective_threads(4, 0), 1);
         assert!(effective_threads(0, usize::MAX) >= 1);
-    }
-
-    #[test]
-    fn spare_claims_split_fairly_and_drain_on_the_tail() {
-        let spare = AtomicUsize::new(5);
-        assert_eq!(claim_spare(&spare, 3), 2);
-        assert_eq!(claim_spare(&spare, 2), 2);
-        assert_eq!(claim_spare(&spare, 1), 1, "last scenario takes the rest");
-        assert_eq!(claim_spare(&spare, 4), 0, "empty pool claims nothing");
-        let spare = AtomicUsize::new(7);
-        assert_eq!(claim_spare(&spare, 1), 7, "sole scenario takes everything");
     }
 
     fn npu_spec(backend: SimulatorBackend, inferences: u64, stride: usize) -> ExperimentSpec {
@@ -652,95 +543,106 @@ mod tests {
         }
     }
 
-    /// The abort-latency contract: after `on_complete` declines, an
-    /// in-flight exact scenario is cancelled within one inference (not
-    /// after minutes of finishing its whole run), and its partial
-    /// result is discarded — `on_complete` never sees it.
+    /// The abort-latency contract: when a journal append fails, the
+    /// error is returned, an in-flight exact scenario is cancelled
+    /// within one inference (not after minutes of finishing its whole
+    /// run), and nothing is journaled.
     #[test]
     fn abort_cancels_in_flight_scenarios_within_one_inference() {
-        // One fast analytic scenario and one slow exact scenario.
+        // One fast analytic scenario and one slow exact scenario, into
+        // a store whose parent path is a regular file: the first
+        // append cannot create the journal.
         let fast = npu_spec(SimulatorBackend::Analytic, 10, 1024);
         let slow = slow_spec();
-        let specs: Vec<&ExperimentSpec> = vec![&fast, &slow];
+        let dir = scratch_dir("journal-error");
+        let not_a_dir = dir.join("file");
+        std::fs::write(&not_a_dir, b"").expect("write blocker file");
 
         let started = std::time::Instant::now();
-        let mut delivered = 0usize;
-        run_pool_of_specs(&specs, 2, ShardPolicy::Auto, |_, _| {
-            delivered += 1;
-            false // abort after the first completion
-        });
-        assert_eq!(
-            delivered, 1,
-            "the cancelled partial result must be discarded, not delivered"
+        let (result, store) = journal_specs(
+            &not_a_dir.join("store.jsonl"),
+            &[&fast, &slow],
+            None,
+            |_| {},
         );
+        let error = result.expect_err("the append error is returned");
+        assert_ne!(error.kind(), std::io::ErrorKind::Interrupted, "{error}");
+        assert!(store.is_empty(), "nothing may be journaled");
         assert!(
             started.elapsed().as_secs() < 30,
             "abort took {:?} — in-flight work was not cancelled promptly",
             started.elapsed()
         );
+        std::fs::remove_dir_all(&dir).expect("remove scratch dir");
     }
 
-    /// An external cancellation token raised mid-run stops the pool the
-    /// same way `on_complete` declining does.
+    /// An external cancellation token raised mid-run cancels the
+    /// in-flight exact scenario and returns `Interrupted`; the record
+    /// that finished before is already durable on disk.
     #[test]
     fn external_cancel_token_aborts_the_pool() {
         let fast = npu_spec(SimulatorBackend::Analytic, 10, 1024);
         let slow = slow_spec();
-        let specs: Vec<&ExperimentSpec> = vec![&fast, &slow];
         let cancel = AtomicBool::new(false);
+        let dir = scratch_dir("external-cancel");
+        let path = dir.join("store.jsonl");
 
         let started = std::time::Instant::now();
-        let mut delivered = 0usize;
-        execute_shared_pool(
-            &specs,
-            2,
-            Some(&cancel),
-            |spec, _index, threads, cancel| {
-                let opts = RunOptions {
-                    threads,
-                    shards: ShardPolicy::Auto,
-                    cancel: Some(cancel),
-                    ..RunOptions::default()
-                };
-                run_experiment_with(spec, &opts).map(|r| ScenarioRecord::new((*spec).clone(), r))
-            },
-            |_, _| {
-                delivered += 1;
-                // Simulate Ctrl-C arriving while the slow scenario is
-                // in flight.
-                cancel.store(true, Ordering::Relaxed);
-                true // the callback itself keeps accepting
-            },
-        );
-        assert_eq!(delivered, 1, "the cancelled scenario must not deliver");
+        // Ctrl-C arrives as soon as the fast scenario finishes, while
+        // the slow one is in flight.
+        let (result, _) = journal_specs(&path, &[&fast, &slow], Some(&cancel), |_| {
+            cancel.store(true, Ordering::Relaxed);
+        });
+        let error = result.expect_err("a raised token interrupts the run");
+        assert_eq!(error.kind(), std::io::ErrorKind::Interrupted, "{error}");
         assert!(
             started.elapsed().as_secs() < 30,
             "external cancel took {:?}",
             started.elapsed()
         );
+        let reopened = ResultStore::open(&path).expect("reopen store from disk");
+        assert_eq!(
+            reopened.len(),
+            1,
+            "exactly the finished record is journaled"
+        );
+        assert!(reopened.contains(&fast.content_key()));
+        std::fs::remove_dir_all(&dir).expect("remove scratch dir");
     }
 
     /// Budgets wider than the grid hand their leftover threads to the
-    /// running scenarios instead of idling them — and results are the
-    /// same as a single-threaded pool.
+    /// running scenarios instead of idling them — and the store is the
+    /// same bytes as a single-threaded run's.
     #[test]
     fn wide_budget_on_narrow_grid_matches_single_thread_results() {
         let a = npu_spec(SimulatorBackend::Exact, 8, 256);
-        let mut b = a.clone();
-        b.seed = 4;
-        let specs: Vec<&ExperimentSpec> = vec![&a, &b];
-        let run = |budget: usize| {
-            let mut out: Vec<Option<ScenarioRecord>> = vec![None; specs.len()];
-            run_pool_of_specs(&specs, budget, ShardPolicy::Fixed(4), |i, r| {
-                out[i] = Some(r);
-                true
-            });
-            out
+        let b = ExperimentSpec {
+            seed: 4,
+            ..a.clone()
         };
+        let grid = CampaignGrid {
+            name: "wide".into(),
+            scenarios: vec![a, b],
+        };
+        let dir = scratch_dir("wide-budget");
+        let store_bytes = |threads: usize| {
+            let path = dir.join(format!("threads{threads}.jsonl"));
+            let options = CampaignOptions {
+                threads,
+                shards: ShardPolicy::Fixed(4),
+                ..CampaignOptions::default()
+            };
+            let outcome = run_campaign(&grid, &path, &options).expect("campaign run");
+            assert_eq!(outcome.executed, 2);
+            std::fs::read(&path).expect("read store")
+        };
+        let serial = store_bytes(1);
+        assert!(!serial.is_empty());
         assert_eq!(
-            run(1),
-            run(8),
+            serial,
+            store_bytes(8),
             "spare simulator threads must never be semantic"
         );
+        std::fs::remove_dir_all(&dir).expect("remove scratch dir");
     }
 }

@@ -267,13 +267,9 @@ impl CampaignGrid {
         }
     }
 
-    /// TRBG bias-sensitivity sweep (beyond the paper): DNN-Life with
-    /// bias 0.50..0.90 in 0.05 steps, with and without bias balancing,
-    /// on the NPU running the custom network.
-    pub fn bias_sweep(options: SweepOptions) -> Self {
-        Self::bias_axes(options).build("bias")
-    }
-
+    /// TRBG bias-sensitivity axes (`bias`, beyond the paper): DNN-Life
+    /// with bias 0.50..0.90 in 0.05 steps, with and without bias
+    /// balancing, on the NPU running the custom network.
     fn bias_axes(options: SweepOptions) -> GridAxes {
         let mut policies = Vec::new();
         for step in 0..=8 {
@@ -300,13 +296,9 @@ impl CampaignGrid {
         }
     }
 
-    /// Counter-width sensitivity sweep (beyond the paper): the M-bit
-    /// bias-balancing register from 1 to 8 bits at the paper's 0.7
-    /// bias, on the NPU running the custom network.
-    pub fn mbits_sweep(options: SweepOptions) -> Self {
-        Self::mbits_axes(options).build("mbits")
-    }
-
+    /// Counter-width sensitivity axes (`mbits`, beyond the paper): the
+    /// M-bit bias-balancing register from 1 to 8 bits at the paper's
+    /// 0.7 bias, on the NPU running the custom network.
     fn mbits_axes(options: SweepOptions) -> GridAxes {
         let policies = (1..=8)
             .map(|m_bits| PolicySpec::DnnLife {

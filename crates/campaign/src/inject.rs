@@ -5,9 +5,10 @@
 //! platform × network × format cell crossed with a policy list, each
 //! cell carrying the shared injection parameters (age checkpoints,
 //! trials, training recipe, read-noise operating point). The campaign
-//! executor fans the cells over the shared two-level worker pool —
-//! spare threads go to each in-flight injection's duty simulation and
-//! trial fan-out — journals every completed cell to a resumable
+//! executor runs the cells as jobs on the workspace's one thread pool
+//! ([`dnnlife_nn::exec::run_jobs`]; threads left over when there are
+//! fewer cells than threads go to each cell's duty simulation and
+//! trial fan-out), journals every completed cell to a resumable
 //! [`InjectionStore`] keyed by the spec's content hash, and finalizes
 //! the store in grid order, so finished stores are byte-identical for
 //! any thread count, exactly like scenario sweeps.
@@ -298,7 +299,7 @@ pub fn run_injection_campaign(
                 telemetry: instr.telemetry,
                 parent_span: span,
             };
-            run_injection(spec, &opts).map(|result| InjectionRecord::new((*spec).clone(), result))
+            run_injection(spec, &opts).map(|result| InjectionRecord::new(spec.clone(), result))
         },
     )?;
     Ok(InjectionOutcome {

@@ -14,7 +14,7 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`grid`] | axis lists → deduplicated, validity-filtered scenario sets with deterministic per-scenario seeds |
-//! | [`executor`] | std-only work-stealing thread pool; byte-identical results for any worker count |
+//! | [`executor`] | runs and journals scenarios as `dnnlife_nn::exec::run_jobs` jobs; byte-identical stores for any thread count |
 //! | [`store`] | JSONL result store keyed by spec content hash; journaled, crash-tolerant, resumable |
 //! | [`aggregate`] | folds stored records into Fig. 9/11 tables and bias / counter-width sensitivity tables |
 //! | [`crossval`] | matched analytic↔exact scenario pairs with per-cell duty divergence |
@@ -52,7 +52,7 @@
 //!
 //! ```
 //! use dnnlife_campaign::grid::{CampaignGrid, SweepOptions};
-//! use dnnlife_campaign::run_scenarios;
+//! use dnnlife_campaign::{run_campaign, CampaignOptions, ResultStore};
 //!
 //! let grid = CampaignGrid::fig11(SweepOptions {
 //!     base_seed: 42,
@@ -60,17 +60,27 @@
 //!     inferences: 20,
 //!     ..SweepOptions::default() // analytic backend, uniform dwell
 //! });
-//! let records = run_scenarios(&grid, 2);
-//! assert_eq!(records.len(), grid.len());
+//! let dir = std::env::temp_dir().join(format!("dnnlife-doc-{}", std::process::id()));
+//! let path = dir.join("fig11.jsonl");
+//! let options = CampaignOptions {
+//!     threads: 2,
+//!     ..CampaignOptions::default()
+//! };
+//! let outcome = run_campaign(&grid, &path, &options)?;
+//! assert_eq!(outcome.executed, grid.len());
+//! let store = ResultStore::open(&path)?;
+//! assert_eq!(store.len(), grid.len());
 //! // DNN-Life beats no-mitigation on every network.
 //! let mean = |k: &str| {
-//!     records
-//!         .iter()
+//!     store
+//!         .records()
 //!         .filter(|r| r.result.label.contains(k))
 //!         .map(|r| r.result.snm.mean())
 //!         .sum::<f64>()
 //! };
 //! assert!(mean("DNN-Life with Bias Balancing") < mean("Without Aging Mitigation"));
+//! # std::fs::remove_dir_all(&dir)?;
+//! # Ok::<(), std::io::Error>(())
 //! ```
 
 pub mod aggregate;
@@ -85,7 +95,7 @@ pub mod trace;
 pub use crossval::validate_scenarios;
 pub use dnnlife_core::ShardPolicy;
 pub use dnnlife_telemetry::{Instrumentation, Progress, ProgressStyle, Telemetry};
-pub use executor::{run_campaign, run_scenarios, CampaignOptions, CampaignOutcome};
+pub use executor::{run_campaign, CampaignOptions, CampaignOutcome};
 pub use grid::{CampaignGrid, GridAxes};
 pub use inject::{
     accuracy_vs_age_table, ecc_comparison_table, run_injection_campaign, InjectCampaignOptions,

@@ -26,7 +26,8 @@ pub struct ScenarioPerf {
     /// Time from pool start until a worker claimed the item,
     /// milliseconds.
     pub queue_ms: f64,
-    /// Simulator threads the item ran on (1 + spare-pool share).
+    /// Simulator threads the item ran on (its worker's share of the
+    /// thread budget).
     pub threads: u64,
 }
 

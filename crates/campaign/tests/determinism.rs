@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 
 use dnnlife_campaign::grid::{CampaignGrid, GridAxes, SweepOptions};
-use dnnlife_campaign::{run_campaign, run_scenarios, CampaignOptions, ShardPolicy};
+use dnnlife_campaign::{run_campaign, CampaignOptions, ShardPolicy};
 use dnnlife_core::experiment::{DwellModel, NetworkKind, Platform, PolicySpec, SimulatorBackend};
 use dnnlife_quant::NumberFormat;
 
@@ -142,22 +142,6 @@ fn store_bytes_identical_across_shard_counts_for_deterministic_policies() {
     assert!(!unsharded.is_empty());
     assert_eq!(unsharded, sharded, "1-shard vs 8-shard stores differ");
     assert_eq!(unsharded, auto, "1-shard vs auto-shard stores differ");
-}
-
-#[test]
-fn in_memory_records_match_store_order_and_content() {
-    let dir = util::scratch_dir("determinism-mem");
-    let grid = test_grid();
-    let path = dir.join("store.jsonl");
-    run_campaign(&grid, &path, &CampaignOptions::default()).expect("campaign run");
-
-    let store = dnnlife_campaign::ResultStore::open(&path).expect("reopen store");
-    let in_memory = run_scenarios(&grid, 3);
-    assert_eq!(in_memory.len(), store.len());
-    for (spec, record) in grid.scenarios.iter().zip(&in_memory) {
-        let stored = store.get(&spec.content_key()).expect("scenario stored");
-        assert_eq!(stored, record);
-    }
 }
 
 #[test]

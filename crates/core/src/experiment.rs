@@ -962,7 +962,7 @@ fn simulate_units(spec: &ExperimentSpec, opts: &RunOptions) -> Option<(Vec<Vec<f
 /// Both backends honour `opts.threads` (0 = all cores): the analytic
 /// simulator shards cells, the exact simulator runs its word shards on
 /// that many threads. The campaign executor passes each scenario its
-/// slice of the two-level thread budget so scenario-level parallelism
+/// worker's share of the thread budget so scenario-level parallelism
 /// isn't multiplied by cell-level parallelism.
 ///
 /// Pure: the result is a deterministic function of the spec and the

@@ -1,16 +1,17 @@
-//! Thread budget and job runner.
+//! Thread budget and job runner: the workspace's only thread pool.
 //!
 //! The campaign layer owns the thread count (`--threads`); no layer
-//! below it spawns a pool of its own. Every parallel loop of the
-//! workspace — exact and analytic word shards, injection trials, the
-//! images of a [`Conv2d`] batch — hands its independent jobs to
-//! [`run_jobs`], which spreads them over a thread count and returns
-//! the results in job order.
+//! spawns a pool of its own. Every parallel loop of the workspace —
+//! sweep scenarios, `validate` pairs and injection cells, exact and
+//! analytic word shards, injection trials, the images of a [`Conv2d`]
+//! batch — hands its independent jobs to [`run_jobs`], which spreads
+//! them over a thread count and returns the results in job order.
 //!
 //! The budget travels as a thread-local: [`with_budget`] gives a
 //! closure `n` threads, and [`run_jobs`] runs each of its workers under
 //! an even share of its own thread count, so a job that fans out again
-//! (a trial scoring a batch) spends only its share.
+//! (a scenario sharding its words, a trial scoring a batch) spends
+//! only its share.
 //!
 //! Determinism contract: a job's result depends only on the job, and
 //! results come back in job order, so every output is byte-identical
@@ -69,11 +70,12 @@ pub fn thread_count(requested: usize) -> usize {
 /// (0 = all available cores) and returns the results in job order.
 ///
 /// One worker runs the jobs inline on the calling thread. More workers
-/// are scoped threads that claim jobs in order from one shared queue;
-/// with `w` workers each runs under [`with_budget`]`(threads / w)`, so
-/// cores left over when there are fewer jobs than threads go to the
-/// batched layers inside each job. Results never depend on `threads`
-/// as long as each job's result depends only on the job.
+/// are scoped threads that claim jobs in order from one shared queue.
+/// With `w` workers, worker `i` runs under [`with_budget`] with
+/// `threads / w` threads, plus one when `i < threads % w`, so cores
+/// left over when there are fewer jobs than threads go to the parallel
+/// loops inside each job. Results never depend on `threads` as long as
+/// each job's result depends only on the job.
 ///
 /// Returns `None` when `cancel` is raised or a job returns `None`: no
 /// worker claims a job after that, and jobs already running finish.
@@ -106,27 +108,33 @@ where
         || stop.load(Ordering::Relaxed) || cancel.is_some_and(|flag| flag.load(Ordering::Relaxed));
     // One worker's loop: claim the next job until the queue drains or
     // the run stops; the lock is released before the job runs.
-    let work = || {
-        with_budget(threads / workers, || {
-            let mut done = Vec::new();
-            while !stopped() {
-                let Some((index, job)) = queue.lock().expect("no job runs under the lock").next()
-                else {
-                    break;
-                };
-                match f(job) {
-                    Some(result) => done.push((index, result)),
-                    None => stop.store(true, Ordering::Relaxed),
+    let work = |worker: usize| {
+        with_budget(
+            threads / workers + usize::from(worker < threads % workers),
+            || {
+                let mut done = Vec::new();
+                while !stopped() {
+                    let Some((index, job)) =
+                        queue.lock().expect("no job runs under the lock").next()
+                    else {
+                        break;
+                    };
+                    match f(job) {
+                        Some(result) => done.push((index, result)),
+                        None => stop.store(true, Ordering::Relaxed),
+                    }
                 }
-            }
-            done
-        })
+                done
+            },
+        )
     };
     let mut done: Vec<(usize, R)> = if workers == 1 {
-        work()
+        work(0)
     } else {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+            let handles: Vec<_> = (0..workers)
+                .map(|worker| scope.spawn(move || work(worker)))
+                .collect();
             handles
                 .into_iter()
                 .flat_map(|h| {
@@ -212,9 +220,17 @@ mod tests {
 
     #[test]
     fn workers_split_the_thread_budget() {
-        // 5 threads over 2 jobs: two workers with 2 threads each.
-        let budgets = run_jobs(vec![(); 2], 5, None, |()| Some(budget()));
-        assert_eq!(budgets, Some(vec![2, 2]));
+        // 5 threads over 2 jobs: two workers, one with 3 threads and
+        // one with 2. The barrier holds each job until both have
+        // started, so one worker cannot claim both.
+        let barrier = std::sync::Barrier::new(2);
+        let mut budgets = run_jobs(vec![(); 2], 5, None, |()| {
+            barrier.wait();
+            Some(budget())
+        })
+        .expect("no cancel flag and no failing job");
+        budgets.sort_unstable();
+        assert_eq!(budgets, [2, 3]);
         // One job keeps the whole budget, inline.
         assert_eq!(
             run_jobs(vec![()], 5, None, |()| Some(budget())),
