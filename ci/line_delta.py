@@ -18,9 +18,15 @@ out), in four buckets:
 
 A removed line is classified by the base revision of its file, an added
 line by the head revision, so a test module that moves or a non-test
-item added above one lands in the right bucket. Standard library only.
+item added above one lands in the right bucket.
+
+It then prints the number of public items at BASE and at HEAD: lines
+declaring a `pub` (not `pub(crate)` or `pub(super)`) `fn`, `struct`,
+`enum`, `trait`, `const`, `static` or `type` that the same classifier
+puts in the non-test Rust bucket. Standard library only.
 """
 
+import fnmatch
 import re
 import subprocess
 import sys
@@ -30,6 +36,10 @@ PATHS = ("crates/*.rs", "src/*.rs", "tests/*.rs", "examples/*.rs")
 HUNK = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
 CFG_TEST = re.compile(r"^\s*#\[cfg\(test\)\]")
 MOD = re.compile(r"^\s*(pub(\([^)]*\))?\s+)?mod\s")
+PUB_ITEM = re.compile(
+    r"^\s*pub\s+((const|async|unsafe|extern\s+\"[^\"]*\")\s+)*"
+    r"(fn|struct|enum|trait|const|static|type)\b"
+)
 
 
 def git(*args):
@@ -38,11 +48,12 @@ def git(*args):
     ).stdout
 
 
-def test_cutoff(rev, path):
+def test_cutoff(rev, path, lines=None):
     """1-based number of the first `#[cfg(test)]` line of `path` at
     `rev` whose next item (past blank, comment and attribute lines) is
     a `mod`, or infinity when the file has none."""
-    lines = git("show", f"{rev}:{path}").splitlines()
+    if lines is None:
+        lines = git("show", f"{rev}:{path}").splitlines()
     for number, line in enumerate(lines, 1):
         if CFG_TEST.match(line):
             item = next(
@@ -65,6 +76,25 @@ def bucket(path, line, cutoff):
     if "src" in parts and line >= cutoff:
         return "tests"
     return "non-test Rust"
+
+
+def pub_items(rev):
+    """Public item declarations in the non-test Rust of `rev`."""
+    paths = [
+        path
+        for path in git("ls-tree", "-r", "--name-only", rev).splitlines()
+        if any(fnmatch.fnmatchcase(path, pattern) for pattern in PATHS)
+    ]
+    total = 0
+    for path in paths:
+        lines = git("show", f"{rev}:{path}").splitlines()
+        cutoff = test_cutoff(rev, path, lines)
+        total += sum(
+            1
+            for number, line in enumerate(lines, 1)
+            if bucket(path, number, cutoff) == "non-test Rust" and PUB_ITEM.match(line)
+        )
+    return total
 
 
 def main(argv):
@@ -108,6 +138,8 @@ def main(argv):
         total[1] += removed
         print(f"{name:<14} {added:>7} {removed:>8} {added - removed:>+7}")
     print(f"{'total':<14} {total[0]:>7} {total[1]:>8} {total[0] - total[1]:>+7}")
+    before, after = pub_items(base), pub_items(head)
+    print(f"pub items      {before:>7} -> {after:<7} {after - before:>+7}")
 
 
 if __name__ == "__main__":

@@ -244,7 +244,7 @@ const CELLS_HELP: &str = "Analytic-backend cells simulated";
 ///
 /// Panics if `inferences == 0`, a listed word lies outside the
 /// source's geometry, `out` does not hold `words.len() × word_bits`
-/// cells, or `T` does not fit [`DutyCells::Counts`].
+/// cells, or `T` does not fit `u64` (`u32` for [`DutyCells::Counts`]).
 pub fn simulate_analytic_telemetry(
     source: &dyn BlockSource,
     policy: &AnalyticPolicy,
@@ -277,7 +277,12 @@ pub fn simulate_analytic_telemetry(
              (paper assumption (b)); use simulate_exact_sharded for weighted dwell"
         );
     }
-    let t_writes = cfg.inferences * k_blocks;
+    let t_writes = cfg.inferences.checked_mul(k_blocks).unwrap_or_else(|| {
+        panic!(
+            "simulate_analytic: T = {} inferences × {k_blocks} blocks writes per cell overflow u64",
+            cfg.inferences
+        )
+    });
     if let (DutyCells::Counts(_), Err(e)) = (&out, u32::try_from(t_writes)) {
         panic!("simulate_analytic: T = {t_writes} writes per cell overflow u32 counts: {e}");
     }
@@ -615,9 +620,6 @@ mod tests {
         fn global_block_index(&self, inference: u64, block: u64) -> u64 {
             inference * self.block_count() + block
         }
-        fn label(&self) -> String {
-            "same-words".into()
-        }
         fn layer_quantizer(&self, _: usize) -> dnnlife_quant::Quantizer {
             unreachable!("a test memory holds no network layers")
         }
@@ -726,7 +728,10 @@ mod tests {
         };
         let flat = small_flat_memory();
         for policy in every_policy() {
-            for (source, inferences) in [(&one_word as &dyn BlockSource, 5), (&flat, 6)] {
+            for (name, source, inferences) in [
+                ("same-words", &one_word as &dyn BlockSource, 5),
+                ("small-flat", &flat, 6),
+            ] {
                 let words: Vec<usize> = (0..source.geometry().words).collect();
                 let cfg = serial(inferences);
                 let (duties, t) = run_duties(source, &policy, &cfg, &words);
@@ -737,8 +742,7 @@ mod tests {
                     assert_eq!(
                         d.to_bits(),
                         (f64::from(n) / t as f64).to_bits(),
-                        "{policy:?} on {}: cell {cell}",
-                        source.label()
+                        "{policy:?} on {name}: cell {cell}"
                     );
                 }
             }

@@ -653,9 +653,6 @@ mod tests {
         fn global_block_index(&self, inference: u64, block: u64) -> u64 {
             inference * 2 + block
         }
-        fn label(&self) -> String {
-            "wide-word".into()
-        }
         fn layer_quantizer(&self, _: usize) -> dnnlife_quant::Quantizer {
             unreachable!("holds no network layers")
         }

@@ -228,9 +228,6 @@ pub trait BlockSource: Sync {
         1.0
     }
 
-    /// Human-readable label for reports.
-    fn label(&self) -> String;
-
     /// The calibrated quantizer of network layer `layer` — what the
     /// stored words encode that layer's weights with, exposed so fault
     /// injection decodes corrupted codes with the exact same
@@ -370,15 +367,15 @@ pub struct FlatWeightMemory {
     layers: Vec<LayerPlan>,
     stream_len: u64,
     total_blocks: u64,
-    label: String,
     /// Optional per-block relative residency (mean 1.0).
     dwell_weights: Option<Vec<f64>>,
     /// Optional SECDED layout: stored words carry parity columns.
     ecc: Option<EccLayout>,
 }
 
-/// Sample cap for quantizer range calibration (see
-/// [`dnnlife_quant::distribution::DEFAULT_SAMPLE_CAP`]).
+/// Sample cap for quantizer range calibration: a million samples
+/// bound the calibrated range's sampling error far below one 8-bit
+/// quantization step while keeping VGG-16 plans fast to build.
 const RANGE_CAP: u64 = 1_000_000;
 
 impl FlatWeightMemory {
@@ -453,7 +450,6 @@ impl FlatWeightMemory {
             layers,
             stream_len: offset,
             total_blocks,
-            label: format!("{}/{}/{}", config.name, spec.name(), format),
             dwell_weights: None,
             ecc: None,
         }
@@ -579,10 +575,6 @@ impl BlockSource for FlatWeightMemory {
             .map_or(1.0, |w| w[block as usize])
     }
 
-    fn label(&self) -> String {
-        self.label.clone()
-    }
-
     fn layer_quantizer(&self, layer: usize) -> Quantizer {
         self.layers[layer].codes.quantizer
     }
@@ -679,7 +671,6 @@ pub struct FifoSlotMemory {
     layers: Vec<LayerTiles>,
     total_tiles: u64,
     local_blocks: u64,
-    label: String,
     /// Optional per-block relative residency (mean 1.0).
     dwell_weights: Option<Vec<f64>>,
     /// Optional SECDED layout: stored words carry parity columns.
@@ -727,13 +718,7 @@ impl FifoSlotMemory {
         (layers, offset)
     }
 
-    fn from_plan(
-        slot: u64,
-        spec: &NetworkSpec,
-        format: NumberFormat,
-        layers: Vec<LayerTiles>,
-        offset: u64,
-    ) -> Self {
+    fn from_plan(slot: u64, layers: Vec<LayerTiles>, offset: u64) -> Self {
         assert!(
             slot < Self::DEPTH,
             "FifoSlotMemory: slot {slot} out of range"
@@ -748,7 +733,6 @@ impl FifoSlotMemory {
             layers,
             total_tiles: offset,
             local_blocks,
-            label: format!("tpu-like-npu/{}/{}/slot{}", spec.name(), format, slot),
             dwell_weights: None,
             ecc: None,
         }
@@ -804,7 +788,7 @@ impl FifoSlotMemory {
     fn slots(spec: &NetworkSpec, format: NumberFormat, sources: Vec<WeightSource>) -> Vec<Self> {
         let (layers, total_tiles) = Self::plan_layers(spec, format, sources);
         (0..Self::DEPTH)
-            .map(|s| Self::from_plan(s, spec, format, layers.clone(), total_tiles))
+            .map(|s| Self::from_plan(s, layers.clone(), total_tiles))
             .collect()
     }
 
@@ -879,10 +863,6 @@ impl BlockSource for FifoSlotMemory {
         self.dwell_weights
             .as_ref()
             .map_or(1.0, |w| w[block as usize])
-    }
-
-    fn label(&self) -> String {
-        self.label.clone()
     }
 
     fn layer_quantizer(&self, layer: usize) -> Quantizer {
@@ -998,14 +978,6 @@ impl<S: BlockSource> BlockSource for RemappedMemory<S> {
 
     fn dwell(&self, block: u64) -> f64 {
         self.inner.dwell(block % self.inner.block_count())
-    }
-
-    fn label(&self) -> String {
-        format!(
-            "{}+wear-level:{}",
-            self.inner.label(),
-            self.schedule.epochs()
-        )
     }
 
     fn layer_quantizer(&self, layer: usize) -> Quantizer {
@@ -1589,15 +1561,5 @@ mod tests {
                 "layer 2 weight {index}"
             );
         }
-    }
-
-    #[test]
-    fn remapped_memory_label_names_the_rotation() {
-        let remapped = RemappedMemory::new(small_flat(), 16, 4);
-        assert!(
-            remapped.label().ends_with("+wear-level:4"),
-            "{}",
-            remapped.label()
-        );
     }
 }

@@ -123,8 +123,12 @@ fn fig11_vgg16_fifo_slot_fills_are_pinned() {
         ),
     ] {
         let slots = FifoSlotMemory::all_slots(&NetworkSpec::vgg16(), format, SEED);
-        for (slot, want) in slots.iter().zip(want) {
-            check(&slot.label(), digest(FNV_OFFSET, slot), want);
+        for (i, (slot, want)) in slots.iter().zip(want).enumerate() {
+            check(
+                &format!("vgg16/{format}/slot{i}"),
+                digest(FNV_OFFSET, slot),
+                want,
+            );
         }
     }
 }

@@ -93,7 +93,7 @@ proptest! {
         block_pick in 0u64..1000,
         picks in prop::collection::vec(0usize..1 << 20, 1..48),
     ) {
-        for mem in fill_plans() {
+        for (plan, mem) in fill_plans().iter().enumerate() {
             let block = block_pick % mem.block_count();
             let mut words: Vec<usize> = picks.iter().map(|p| p % mem.geometry().words).collect();
             words.extend(words.clone().iter().rev().step_by(3));
@@ -102,7 +102,7 @@ proptest! {
             for (&word, &got) in words.iter().zip(&batched) {
                 let mut one = [0u64];
                 mem.fill(block, &[word], &mut one);
-                prop_assert_eq!(got, one[0], "{} block {} word {}", mem.label(), block, word);
+                prop_assert_eq!(got, one[0], "plan {} block {} word {}", plan, block, word);
                 prop_assert_eq!(got, mem.word(block, word));
             }
         }

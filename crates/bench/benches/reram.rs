@@ -1,6 +1,6 @@
-//! ReRAM-endurance axis throughput: the per-cell fate kernel (lognormal
-//! threshold + stuck-value derivation — the hot loop of the injection
-//! path's stuck-at mask builder) and the end-to-end overhead the
+//! ReRAM-endurance axis throughput: the per-cell stuck-at query
+//! (lognormal threshold + stuck-value derivation — the hot loop of the
+//! injection path's stuck-at mask builder) and the end-to-end overhead the
 //! technology axis adds to one analytic duty simulation relative to the
 //! SRAM default.
 //!
@@ -16,12 +16,12 @@ use dnnlife_core::experiment::{
 };
 use dnnlife_core::{DwellModel, MemoryTech, RepairPolicy};
 use dnnlife_quant::NumberFormat;
-use dnnlife_sram::{CellExposure, CellFate, LifetimeModel, ReramEnduranceLifetime};
+use dnnlife_sram::ReramEnduranceLifetime;
 
 /// Cells per fate timing pass.
 const CELLS: u64 = 1 << 16;
 
-/// Runs the per-cell fate kernel over a synthetic exposure stream at
+/// Runs the per-cell stuck-at query over a synthetic duty stream at
 /// the paper's 7-year checkpoint; returns the stuck-cell count so the
 /// work cannot be optimized away.
 fn fate_stream(die: &ReramEnduranceLifetime, years: f64) -> u64 {
@@ -29,13 +29,7 @@ fn fate_stream(die: &ReramEnduranceLifetime, years: f64) -> u64 {
     for cell in 0..CELLS {
         // Duty sweeps [0, 1) deterministically across the stream.
         let duty = (cell % 97) as f64 / 97.0;
-        let exposure = CellExposure {
-            duty,
-            cell_index: cell,
-        };
-        if matches!(die.cell_fate(exposure, years), CellFate::StuckAt { .. }) {
-            stuck += 1;
-        }
+        stuck += u64::from(die.stuck_at(duty, cell, years).is_some());
     }
     stuck
 }

@@ -1,10 +1,10 @@
 //! Telemetry overhead: the observability contract promises that the
 //! counters are cheap enough to leave compiled into the instrumented
 //! paths, so this bench pins the cost of (a) a named counter bump
-//! (registry lookup + relaxed add) against an enabled vs no-op sink,
-//! (b) a `time()` span, and (c) one analytic duty simulation of the
-//! Fig. 11 custom-network cell with telemetry off vs on — the
-//! end-to-end number that must stay ~1.0×.
+//! (lookup and add under the registry mutex) against an enabled vs
+//! no-op sink, (b) a `time()` span, and (c) one analytic duty
+//! simulation of the Fig. 11 custom-network cell with telemetry off vs
+//! on — the end-to-end number that must stay ~1.0×.
 //!
 //! Like the other benches, the measurements land in
 //! `BENCH_telemetry.json` (override with `BENCH_JSON_PATH`) for CI

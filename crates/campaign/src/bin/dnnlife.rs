@@ -110,6 +110,12 @@ const fn opt(name: &'static str, value: &'static str) -> Flag {
 const GRID: Flag = flag("--grid", "fig9|fig11|bias|mbits|full", Required);
 const STRIDE: Flag = opt("--stride", "N");
 const INFERENCES: Flag = opt("--inferences", "N");
+/// The largest `--inferences`: a memory cell is written `T =
+/// inferences × K` times (K blocks per inference), and the analytic
+/// kernel counts those writes in 32 bits. `T` fits `u32` while K ≤ 4294,
+/// and the largest built-in K is 4224 (VGG16 fp32 on the baseline under
+/// 4 wear-leveling epochs; `tests/cli.rs` checks every built-in cell).
+const MAX_INFERENCES: u64 = 1_000_000;
 const BACKEND: Flag = opt("--backend", "analytic|exact");
 const DWELL: Flag = opt("--dwell", "uniform|layer|zipf[:EXP]|custom:F1,F2,...");
 const ECC: Flag = opt("--ecc", "none|secded[:INTERLEAVE]|both[:INTERLEAVE]");
@@ -399,6 +405,19 @@ impl<'a> Args<'a> {
         self.value(flag, default, |raw| raw.parse().ok())
     }
 
+    /// `--inferences`, at least 1 and at most [`MAX_INFERENCES`].
+    fn inferences(&self, default: u64) -> Result<u64, CliError> {
+        let n = self.bounded(&INFERENCES, default, ">= 1", |&n| n >= 1)?;
+        if n > MAX_INFERENCES {
+            return Err(self.error(format_args!(
+                "{} must be <= {MAX_INFERENCES}: T = inferences × K writes per cell \
+                 must fit 32-bit counts",
+                INFERENCES.name
+            )));
+        }
+        Ok(n)
+    }
+
     /// A number that must satisfy `ok` (spelled `bound` in the error).
     fn bounded<T: std::str::FromStr>(
         &self,
@@ -517,7 +536,7 @@ fn scenario_grid(
     let options = SweepOptions {
         base_seed: run.seed,
         sample_stride: args.bounded(&STRIDE, defaults.sample_stride, ">= 1", |&n| n >= 1)?,
-        inferences: args.bounded(&INFERENCES, defaults.inferences, ">= 1", |&n| n >= 1)?,
+        inferences: args.inferences(defaults.inferences)?,
         backend: args.value(&BACKEND, backend, SimulatorBackend::parse)?,
         dwell: args.value(&DWELL, DwellModel::Uniform, DwellModel::parse)?,
         ..defaults
@@ -856,7 +875,7 @@ fn inject(args: &Args) -> Result<(), CliError> {
     let repairs = args.value(&ECC, vec![RepairPolicy::None], parse_ecc)?;
     let params = InjectionParams {
         base_seed: run.seed,
-        inferences: args.bounded(&INFERENCES, defaults.inferences, ">= 1", |&n| n >= 1)?,
+        inferences: args.inferences(defaults.inferences)?,
         ages_years: args.value(&AGES, defaults.ages_years.clone(), parse_ages)?,
         trials: args.bounded(&TRIALS, defaults.trials, ">= 1", |&n| n >= 1)?,
         eval_images: args.bounded(&EVAL_IMAGES, defaults.eval_images, ">= 1", |&n| n >= 1)?,

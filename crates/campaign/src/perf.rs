@@ -9,7 +9,7 @@
 //! per-invocation `counters` roll-ups sum, scenario events concatenate,
 //! and the campaign wall clock is the sum over invocations.
 
-use dnnlife_telemetry::{read_events, HistogramSnapshot};
+use dnnlife_telemetry::{read_events, Histogram};
 use serde::{Serialize, Value};
 
 /// One `scenario_done` event: a completed item's identity and timing.
@@ -59,7 +59,7 @@ pub struct PerfSummary {
     /// Latency histograms from `hist` roll-up events, keyed by metric
     /// name (`scenario_wall_us`, `scenario_queue_us`, ...), merged
     /// across the journal's invocations.
-    pub hists: Vec<(String, HistogramSnapshot)>,
+    pub hists: Vec<(String, Histogram)>,
 }
 
 /// Percentile view of a microsecond latency histogram, in milliseconds.
@@ -194,7 +194,7 @@ impl PerfSummary {
 
     /// A merged latency histogram by metric name, `None` when the
     /// journal carries no `hist` events for it.
-    pub fn hist(&self, name: &str) -> Option<&HistogramSnapshot> {
+    pub fn hist(&self, name: &str) -> Option<&Histogram> {
         self.hists
             .iter()
             .find(|(k, _)| k == name)
@@ -661,7 +661,6 @@ pub fn check_wall_p99(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dnnlife_telemetry::Histogram;
 
     fn journal() -> String {
         [
@@ -874,11 +873,10 @@ mod tests {
     /// writes it, built from real `Histogram` recordings so the sparse
     /// bucket pairs match production output.
     fn hist_line(name: &str, values: &[u64]) -> String {
-        let h = Histogram::new();
+        let mut snap = Histogram::empty();
         for &v in values {
-            h.record(v);
+            snap.record(v);
         }
-        let snap = h.snapshot();
         let pairs: Vec<String> = snap
             .sparse()
             .iter()

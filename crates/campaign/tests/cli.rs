@@ -491,3 +491,104 @@ fn an_unloadable_mnist_dir_is_a_usage_error_before_any_store_is_opened() {
         assert!(!left.exists(), "{} left behind", left.display());
     }
 }
+
+/// `MAX_INFERENCES` in the binary: the largest `--inferences` value.
+const MAX_INFERENCES: u64 = 1_000_000;
+
+#[test]
+fn an_inferences_value_past_the_bound_is_a_usage_error_not_a_panic() {
+    let dir = util::scratch_dir("cli-inferences-bound");
+    let store = dir.join("x.jsonl");
+    let sweep: &[&str] = &["sweep", "--grid", "fig11", "--stride", "4096"];
+    let inject: &[&str] = &[
+        "inject",
+        "--policy",
+        "without",
+        "--trials",
+        "1",
+        "--train-steps",
+        "0",
+        "--eval-images",
+        "1",
+        "--ages",
+        "0",
+    ];
+    let past = (MAX_INFERENCES + 1).to_string();
+    for (mode, inferences) in [
+        (sweep, "9223372036854775808"),
+        (sweep, past.as_str()),
+        (inject, "5000000000"),
+        (inject, past.as_str()),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_dnnlife"))
+            .args(mode)
+            .args(["--inferences", inferences, "--out"])
+            .arg(&store)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn dnnlife");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{mode:?} {inferences}: {stderr}"
+        );
+        assert!(
+            stderr.contains(&format!("--inferences must be <= {MAX_INFERENCES}")),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(!store.exists(), "{} left behind", store.display());
+    }
+}
+
+#[test]
+fn the_inferences_bound_keeps_every_built_in_cells_writes_in_u32() {
+    use dnnlife_core::experiment::{memory_units, NetworkKind, Platform, PolicySpec};
+    use dnnlife_core::{DwellModel, ExperimentSpec, MemoryTech, SimulatorBackend};
+    use dnnlife_quant::{NumberFormat, RepairPolicy};
+
+    let mut worst = (0, String::new());
+    for platform in [Platform::Baseline, Platform::TpuLike, Platform::Crossbar] {
+        for network in NetworkKind::ALL {
+            for format in [
+                NumberFormat::Fp32,
+                NumberFormat::Int8Symmetric,
+                NumberFormat::Int8Asymmetric,
+            ] {
+                for repair in [RepairPolicy::None, RepairPolicy::Secded { interleave: 1 }] {
+                    // Wear-leveling multiplies K by its epoch count, the
+                    // largest K any built-in policy sees.
+                    let spec = ExperimentSpec {
+                        platform,
+                        network,
+                        format,
+                        policy: PolicySpec::WearLevel { epochs: 4 },
+                        inferences: MAX_INFERENCES,
+                        years: 7.0,
+                        seed: 1,
+                        sample_stride: 1,
+                        backend: SimulatorBackend::Analytic,
+                        dwell: DwellModel::Uniform,
+                        repair,
+                        tech: MemoryTech::ReramEndurance,
+                    };
+                    if !spec.is_valid() {
+                        continue;
+                    }
+                    for unit in memory_units(&spec, None) {
+                        if unit.block_count() > worst.0 {
+                            worst = (unit.block_count(), format!("{spec:?}"));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let (k, cell) = worst;
+    assert!(
+        MAX_INFERENCES * k <= u64::from(u32::MAX),
+        "K = {k} of {cell} overflows u32 at {MAX_INFERENCES} inferences"
+    );
+    println!("largest K = {k}: {cell}");
+}

@@ -22,8 +22,8 @@ use dnnlife_mitigation::{
 };
 use dnnlife_numerics::{Histogram, Summary};
 use dnnlife_quant::{NumberFormat, RepairPolicy};
-use dnnlife_sram::snm::CalibratedSnmModel;
-use dnnlife_sram::{LifetimeModel, MemoryTech, ReramEnduranceLifetime, SramNbtiLifetime};
+use dnnlife_sram::snm::{CalibratedSnmModel, SnmModel};
+use dnnlife_sram::{MemoryTech, ReramEnduranceLifetime};
 use dnnlife_telemetry::{SpanId, Telemetry};
 use serde::{Deserialize, Serialize};
 
@@ -981,17 +981,10 @@ pub fn run_experiment_with(spec: &ExperimentSpec, opts: &RunOptions) -> Option<E
         spec.is_valid(),
         "run_experiment_with: invalid spec (platform/format, backend/dwell): {spec:?}"
     );
-    // The technology selects the degradation model and its natural
-    // histogram range: SNM-degradation percent for SRAM (the SRAM model
-    // delegates to `CalibratedSnmModel` bit-identically, so pre-axis
-    // results are unchanged), percent-of-median-endurance consumed for
-    // ReRAM. The degradation curve is die-independent (per-cell
-    // threshold spread only affects injection fates), so the die seed
-    // here is immaterial.
-    let model: Box<dyn LifetimeModel> = match spec.tech {
-        MemoryTech::SramNbti => Box::new(SramNbtiLifetime::paper()),
-        MemoryTech::ReramEndurance => Box::new(ReramEnduranceLifetime::new(spec.policy_seed())),
-    };
+    // The technology selects the degradation curve and its natural
+    // histogram range: SNM-degradation percent for SRAM,
+    // percent-of-median-endurance consumed for ReRAM.
+    let snm = CalibratedSnmModel::paper();
     let mut histogram = match spec.tech {
         MemoryTech::SramNbti => Histogram::new(SNM_HIST_LO, SNM_HIST_HI, SNM_HIST_BINS),
         MemoryTech::ReramEndurance => Histogram::new(RERAM_HIST_LO, RERAM_HIST_HI, RERAM_HIST_BINS),
@@ -1016,7 +1009,7 @@ pub fn run_experiment_with(spec: &ExperimentSpec, opts: &RunOptions) -> Option<E
         let degradation = if entry.0 == bits {
             entry.1
         } else {
-            let v = model.degradation_percent(d, spec.years);
+            let v = degradation_percent(spec.tech, &snm, d, spec.years);
             *entry = (bits, v);
             v
         };
@@ -1041,6 +1034,15 @@ pub fn run_experiment_with(spec: &ExperimentSpec, opts: &RunOptions) -> Option<E
         cells: duty_summary.count(),
         blocks_per_inference: blocks,
     })
+}
+
+/// The `degrade` stage's per-duty curve: `snm`'s SNM degradation for
+/// SRAM, the die-independent consumed median endurance for ReRAM.
+fn degradation_percent(tech: MemoryTech, snm: &CalibratedSnmModel, duty: f64, years: f64) -> f64 {
+    match tech {
+        MemoryTech::SramNbti => snm.degradation_percent(duty, years),
+        MemoryTech::ReramEndurance => ReramEnduranceLifetime::degradation_percent(duty, years),
+    }
 }
 
 /// Documented analytic↔exact agreement tolerance for deterministic
@@ -1622,6 +1624,33 @@ mod tests {
         let sram = quick(PolicySpec::None);
         assert_eq!(r.duty, sram.duty);
         assert!(r.label.contains("[tech=reram]"), "{}", r.label);
+    }
+
+    #[test]
+    fn degrade_dispatch_matches_each_tech_model_bit_for_bit() {
+        // SRAM is the paper's calibrated SNM curve; ReRAM is the
+        // consumed median endurance, 100 · wear / median, capped at 100.
+        let snm = CalibratedSnmModel::paper();
+        for duty in [0.0, 0.25, 0.5, 0.9, 1.0] {
+            for years in [2.0, 7.0, 10.0, 100.0] {
+                assert_eq!(
+                    degradation_percent(MemoryTech::SramNbti, &snm, duty, years).to_bits(),
+                    CalibratedSnmModel::paper()
+                        .degradation_percent(duty, years)
+                        .to_bits()
+                );
+                let wear = years
+                    * ReramEnduranceLifetime::WRITES_PER_YEAR
+                    * (ReramEnduranceLifetime::RESET_WEAR
+                        + (1.0 - ReramEnduranceLifetime::RESET_WEAR) * duty);
+                let want =
+                    (100.0 * wear / ReramEnduranceLifetime::MEDIAN_ENDURANCE_WRITES).min(100.0);
+                assert_eq!(
+                    degradation_percent(MemoryTech::ReramEndurance, &snm, duty, years).to_bits(),
+                    want.to_bits()
+                );
+            }
+        }
     }
 
     #[test]

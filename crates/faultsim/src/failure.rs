@@ -13,7 +13,7 @@ use dnnlife_core::ExperimentSpec;
 use dnnlife_quant::Quantizer;
 use dnnlife_sram::lifetime::ReadFailureModel;
 use dnnlife_sram::snm::{CalibratedSnmModel, SnmModel};
-use dnnlife_sram::{CellExposure, CellFate, LifetimeModel, ReramEnduranceLifetime};
+use dnnlife_sram::ReramEnduranceLifetime;
 use dnnlife_telemetry::SpanId;
 
 /// Lifetime duty cycles of every memory cell that stores a network
@@ -237,11 +237,8 @@ impl WeightCellDuties {
                 let base = u64::from(self.resident_words[slot]) * u64::from(self.word_bits);
                 let (mut stuck, mut value) = (0u64, 0u64);
                 for (b, &level) in self.slot_levels(slot).iter().enumerate() {
-                    let exposure = CellExposure {
-                        duty: self.levels[level as usize],
-                        cell_index: base + b as u64,
-                    };
-                    if let CellFate::StuckAt { value: v } = die.cell_fate(exposure, years) {
+                    let duty = self.levels[level as usize];
+                    if let Some(v) = die.stuck_at(duty, base + b as u64, years) {
                         stuck |= 1 << b;
                         value |= u64::from(v) << b;
                     }

@@ -116,19 +116,6 @@ impl Tensor {
         self
     }
 
-    /// Flat offset of a 2-D index `[i, j]`.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts shape rank and bounds; hot paths rely on the slice
-    /// bounds check.
-    #[inline]
-    pub fn idx2(&self, i: usize, j: usize) -> usize {
-        debug_assert_eq!(self.shape.len(), 2);
-        debug_assert!(i < self.shape[0] && j < self.shape[1]);
-        i * self.shape[1] + j
-    }
-
     /// Flat offset of a 4-D index `[n, c, h, w]`.
     #[inline]
     pub fn idx4(&self, n: usize, c: usize, h: usize, w: usize) -> usize {
@@ -137,12 +124,6 @@ impl Tensor {
             n < self.shape[0] && c < self.shape[1] && h < self.shape[2] && w < self.shape[3]
         );
         ((n * self.shape[1] + c) * self.shape[2] + h) * self.shape[3] + w
-    }
-
-    /// Value at a 2-D index.
-    #[inline]
-    pub fn at2(&self, i: usize, j: usize) -> f32 {
-        self.data[self.idx2(i, j)]
     }
 
     /// Value at a 4-D index.
@@ -171,11 +152,6 @@ impl Tensor {
         for a in &mut self.data {
             *a *= k;
         }
-    }
-
-    /// Sets every element to zero (gradient reset between batches).
-    pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
     }
 
     /// Maximum absolute value (0 for empty data).
@@ -227,8 +203,6 @@ mod tests {
     #[test]
     fn from_vec_roundtrip() {
         let t = Tensor::from_vec(&[2, 2], vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(t.at2(0, 1), 2.0);
-        assert_eq!(t.at2(1, 0), 3.0);
         assert_eq!(t.into_vec(), vec![1.0, 2.0, 3.0, 4.0]);
     }
 
@@ -253,7 +227,7 @@ mod tests {
     fn reshape_preserves_data() {
         let t = Tensor::from_fn(&[4, 3], |i| i as f32).reshape(&[2, 6]);
         assert_eq!(t.shape(), &[2, 6]);
-        assert_eq!(t.at2(1, 0), 6.0);
+        assert_eq!(t.data()[6], 6.0);
     }
 
     #[test]
@@ -272,8 +246,6 @@ mod tests {
         assert_eq!(a.data(), &[3.0, -3.0, 7.0]);
         assert_eq!(a.abs_max(), 7.0);
         assert_eq!(a.min_max(), (-3.0, 7.0));
-        a.fill_zero();
-        assert_eq!(a.data(), &[0.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -61,16 +61,6 @@ impl Sgd {
         self.learning_rate
     }
 
-    /// Updates the learning rate (for schedules).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `learning_rate <= 0`.
-    pub fn set_learning_rate(&mut self, learning_rate: f32) {
-        assert!(learning_rate > 0.0, "Sgd: learning rate must be > 0");
-        self.learning_rate = learning_rate;
-    }
-
     /// Runs one forward/backward/update step on a batch, returning the
     /// batch loss.
     pub fn step(&mut self, net: &mut Sequential, images: &Tensor, labels: &[usize]) -> f32 {

@@ -331,21 +331,6 @@ impl Iterator for CdfTerms {
     }
 }
 
-/// Draws one biased coin flip with exact probability `p` of returning
-/// `true`. This is the behavioural model of an ideal (possibly biased)
-/// TRBG output bit.
-///
-/// # Panics
-///
-/// Panics if `p` is outside `[0, 1]`.
-pub fn sample_bernoulli<R: Rng + ?Sized>(rng: &mut R, p: f64) -> bool {
-    assert!(
-        p.is_finite() && (0.0..=1.0).contains(&p),
-        "sample_bernoulli: p must be in [0,1], got {p}"
-    );
-    rng.random::<f64>() < p
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,14 +521,5 @@ mod tests {
         assert_eq!(sample_binomial(&mut rng, 0, 0.5), 0);
         assert_eq!(sample_binomial(&mut rng, 10, 0.0), 0);
         assert_eq!(sample_binomial(&mut rng, 10, 1.0), 10);
-    }
-
-    #[test]
-    fn bernoulli_bias() {
-        let mut rng = StdRng::seed_from_u64(48);
-        let n = 100_000;
-        let ones = (0..n).filter(|_| sample_bernoulli(&mut rng, 0.7)).count();
-        let ratio = ones as f64 / n as f64;
-        assert!((ratio - 0.7).abs() < 0.01, "ratio={ratio}");
     }
 }

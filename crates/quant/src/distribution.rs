@@ -4,11 +4,6 @@ use crate::quantizer::{NumberFormat, Quantizer};
 use dnnlife_nn::weights::LayerWeightGen;
 use dnnlife_nn::zoo::NetworkSpec;
 
-/// Default per-layer sample cap for network-level analysis. A million
-/// samples bounds the per-bit probability standard error below 0.0005 —
-/// invisible at Fig. 6 scale — while keeping VGG-16 analysis fast.
-pub const DEFAULT_SAMPLE_CAP: u64 = 1_000_000;
-
 /// Counts of observed `1`s per bit position (bit 0 = LSB).
 ///
 /// # Example

@@ -372,11 +372,6 @@ impl RepairPolicy {
         }
     }
 
-    /// Stored word width for `data_bits` under this policy.
-    pub fn stored_bits(&self, data_bits: u32) -> u32 {
-        data_bits + self.parity_bits(data_bits)
-    }
-
     /// The physical layout for words of `data_bits`, or `None` without
     /// ECC.
     ///
@@ -581,8 +576,6 @@ mod tests {
     fn repair_policy_metadata_and_parsing() {
         assert!(RepairPolicy::None.is_none());
         assert_eq!(RepairPolicy::None.parity_bits(8), 0);
-        assert_eq!(RepairPolicy::Secded { interleave: 1 }.stored_bits(8), 13);
-        assert_eq!(RepairPolicy::Secded { interleave: 1 }.stored_bits(32), 39);
         assert_eq!(RepairPolicy::parse("none"), Some(RepairPolicy::None));
         assert_eq!(
             RepairPolicy::parse("secded"),

@@ -50,7 +50,4 @@ pub use duty_slice::DutySliceTracker;
 pub use lifetime::{lifetime_improvement, lifetime_to_threshold, ReadFailureModel};
 pub use nbti::NbtiModel;
 pub use snm::{ButterflySnmModel, CalibratedSnmModel, SnmModel};
-pub use tech::{
-    CellExposure, CellFate, EnduranceWear, LifetimeModel, MemoryTech, ReramEnduranceLifetime,
-    SramNbtiLifetime,
-};
+pub use tech::{MemoryTech, ReramEnduranceLifetime};

@@ -1,23 +1,25 @@
 //! The memory-technology axis: which physical wear mechanism ages the
-//! weight cells, behind one [`LifetimeModel`] trait.
+//! weight cells.
 //!
 //! The paper's pipeline is hard-wired to SRAM — duty cycle → NBTI ΔVth
-//! → SNM degradation → Gaussian read failure. ReRAM crossbars age by a
-//! different mechanism entirely: every *write* consumes endurance, each
-//! cell has a lognormally distributed endurance budget, and a worn-out
-//! cell fails *hard* (stuck at one resistance state), not
-//! probabilistically per read. This module abstracts the two behind a
-//! shared trait so the campaign / injection machinery runs either
-//! technology through the same word-level paths:
+//! → SNM degradation → Gaussian read failure, computed by
+//! [`CalibratedSnmModel`](crate::snm::CalibratedSnmModel) and
+//! [`ReadFailureModel`](crate::lifetime::ReadFailureModel). ReRAM
+//! crossbars age by a different mechanism entirely: every *write*
+//! consumes endurance, each cell has a lognormally distributed
+//! endurance budget, and a worn-out cell fails *hard* (stuck at one
+//! resistance state), not probabilistically per read. [`MemoryTech`]
+//! names the two; callers `match` on it and call each technology's
+//! model directly:
 //!
-//! * [`SramNbtiLifetime`] — the existing chain, delegating to
-//!   [`CalibratedSnmModel`] and [`ReadFailureModel`] with bit-identical
-//!   arithmetic; a cell's fate is a transient per-read flip probability.
-//! * [`ReramEnduranceLifetime`] — duty-weighted write-stress wear
-//!   against a deterministic per-cell lognormal endurance threshold
-//!   (counter-hashed from a die seed, so thresholds are order- and
-//!   thread-invariant); a worn-out cell is stuck at a die-determined
-//!   value.
+//! * SRAM — the sweep's `degrade` stage calls
+//!   `CalibratedSnmModel::degradation_percent`, and fault injection
+//!   turns each duty level into a per-read flip probability;
+//! * ReRAM — [`ReramEnduranceLifetime`]: duty-weighted write-stress
+//!   wear against a deterministic per-cell lognormal endurance
+//!   threshold (counter-hashed from a die seed, so thresholds are
+//!   order- and thread-invariant); a worn-out cell is stuck at a
+//!   die-determined value ([`ReramEnduranceLifetime::stuck_at`]).
 //!
 //! The wear model: each write cycle always pays a RESET baseline
 //! ([`ReramEnduranceLifetime::RESET_WEAR`]) and pays the full SET
@@ -27,9 +29,6 @@
 //! simulators already compute, and what makes wear-leveling remap
 //! provably help: averaging physical duty toward the mean strictly
 //! lowers the maximum wear.
-
-use crate::lifetime::ReadFailureModel;
-use crate::snm::{CalibratedSnmModel, SnmModel};
 
 /// Which physical lifetime mechanism ages the weight memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -91,106 +90,6 @@ impl serde::Deserialize for MemoryTech {
     }
 }
 
-/// What one cell was exposed to over the device lifetime.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CellExposure {
-    /// Lifetime duty cycle (fraction of time storing `1`).
-    pub duty: f64,
-    /// Physical cell index within the die (unit-offset + word × width +
-    /// bit) — keys the per-cell endurance threshold; irrelevant to the
-    /// SRAM model.
-    pub cell_index: u64,
-}
-
-/// The fate of one cell at an age checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CellFate {
-    /// The cell works; reads return the stored bit.
-    Healthy,
-    /// Transient read failures: each read flips independently with this
-    /// probability (the SRAM read-noise mechanism).
-    Transient {
-        /// Per-read flip probability.
-        flip_probability: f64,
-    },
-    /// Hard wear-out fault: every read returns `value` regardless of
-    /// the stored bit (the ReRAM endurance mechanism).
-    StuckAt {
-        /// The bit the dead cell is stuck at.
-        value: bool,
-    },
-}
-
-/// One memory technology's lifetime model: how exposure becomes
-/// degradation (for the report histograms) and cell fates (for fault
-/// injection).
-pub trait LifetimeModel: Sync {
-    /// Which technology this model implements.
-    fn tech(&self) -> MemoryTech;
-
-    /// Population-level aging severity in percent at `(duty, years)`,
-    /// for the sweep histograms: SNM degradation for SRAM, consumed
-    /// median endurance for ReRAM. Deterministic in `duty` alone so
-    /// callers may memoize on it.
-    fn degradation_percent(&self, duty: f64, years: f64) -> f64;
-
-    /// The fate of one specific cell at age `years`.
-    fn cell_fate(&self, exposure: CellExposure, years: f64) -> CellFate;
-}
-
-/// The paper's SRAM chain behind the trait: duty → NBTI ΔVth → SNM
-/// degradation → Gaussian read-failure probability. Pure delegation —
-/// the arithmetic is bit-identical to calling the wrapped models
-/// directly, which is what keeps pre-axis stores byte-stable.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SramNbtiLifetime {
-    snm: CalibratedSnmModel,
-    read: ReadFailureModel,
-}
-
-impl SramNbtiLifetime {
-    /// Wraps an SNM degradation model and a read-failure model.
-    pub fn new(snm: CalibratedSnmModel, read: ReadFailureModel) -> Self {
-        Self { snm, read }
-    }
-
-    /// The paper's calibration at the default 65 nm operating point.
-    pub fn paper() -> Self {
-        Self::new(
-            CalibratedSnmModel::paper(),
-            ReadFailureModel::default_65nm(),
-        )
-    }
-
-    /// The wrapped SNM model.
-    pub fn snm(&self) -> &CalibratedSnmModel {
-        &self.snm
-    }
-
-    /// The wrapped read-failure model.
-    pub fn read(&self) -> &ReadFailureModel {
-        &self.read
-    }
-}
-
-impl LifetimeModel for SramNbtiLifetime {
-    fn tech(&self) -> MemoryTech {
-        MemoryTech::SramNbti
-    }
-
-    fn degradation_percent(&self, duty: f64, years: f64) -> f64 {
-        self.snm.degradation_percent(duty, years)
-    }
-
-    fn cell_fate(&self, exposure: CellExposure, years: f64) -> CellFate {
-        CellFate::Transient {
-            flip_probability: self
-                .read
-                .failure_probability(self.snm.degradation_percent(exposure.duty, years)),
-        }
-    }
-}
-
 /// SplitMix64 finalizer — the counter-hash behind the per-cell
 /// endurance thresholds and stuck-at values. Identical constants to the
 /// seed-mixing finalizer used by the campaign layer.
@@ -206,7 +105,7 @@ fn splitmix64(mut x: u64) -> u64 {
 const THRESHOLD_MIX: u64 = 0xE27D_0000_7EA4_D0CE;
 const STUCK_MIX: u64 = 0xE27D_0000_57C0_A7B1;
 
-/// ReRAM write-endurance wear-out behind the trait.
+/// ReRAM write-endurance wear-out.
 ///
 /// Per-cell wear after `years` at duty `d` is
 /// `years × WRITES_PER_YEAR × (RESET_WEAR + (1 − RESET_WEAR) × d)` —
@@ -239,11 +138,6 @@ impl ReramEnduranceLifetime {
         Self { die_seed }
     }
 
-    /// The die seed this model was sampled with.
-    pub fn die_seed(&self) -> u64 {
-        self.die_seed
-    }
-
     /// Accumulated wear in write cycles after `years` at duty `duty` —
     /// duty-weighted write stress, a pure function of the final duty
     /// cycle.
@@ -251,10 +145,26 @@ impl ReramEnduranceLifetime {
         years * Self::WRITES_PER_YEAR * (Self::RESET_WEAR + (1.0 - Self::RESET_WEAR) * duty)
     }
 
+    /// Consumed endurance of the *median* cell, in percent (capped at
+    /// 100) — the population-level severity the sweep histograms
+    /// aggregate. Die-independent: per-cell lognormal variation only
+    /// decides which cells die ([`Self::stuck_at`]).
+    pub fn degradation_percent(duty: f64, years: f64) -> f64 {
+        (100.0 * Self::wear(duty, years) / Self::MEDIAN_ENDURANCE_WRITES).min(100.0)
+    }
+
+    /// The bit cell `cell_index` reads back after `years` at duty
+    /// `duty` if its wear has crossed its endurance threshold, `None`
+    /// while it still works.
+    pub fn stuck_at(&self, duty: f64, cell_index: u64, years: f64) -> Option<bool> {
+        (Self::wear(duty, years) >= self.cell_threshold(cell_index))
+            .then(|| self.stuck_value(cell_index))
+    }
+
     /// This cell's endurance threshold in write cycles: lognormal with
     /// median [`Self::MEDIAN_ENDURANCE_WRITES`] and shape
     /// [`Self::SIGMA_LN`], deterministic in `(die_seed, cell_index)`.
-    pub fn cell_threshold(&self, cell_index: u64) -> f64 {
+    fn cell_threshold(&self, cell_index: u64) -> f64 {
         let h1 = splitmix64(
             self.die_seed ^ THRESHOLD_MIX ^ cell_index.wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );
@@ -270,83 +180,9 @@ impl ReramEnduranceLifetime {
     /// The value a worn-out cell reads as, deterministic in
     /// `(die_seed, cell_index)` — wear-out leaves a cell in whichever
     /// resistance state its filament froze in.
-    pub fn stuck_value(&self, cell_index: u64) -> bool {
+    fn stuck_value(&self, cell_index: u64) -> bool {
         splitmix64(self.die_seed ^ STUCK_MIX ^ cell_index.wrapping_mul(0x9E37_79B9_7F4A_7C15)) & 1
             == 1
-    }
-}
-
-impl LifetimeModel for ReramEnduranceLifetime {
-    fn tech(&self) -> MemoryTech {
-        MemoryTech::ReramEndurance
-    }
-
-    /// Consumed endurance of the *median* cell, in percent (capped at
-    /// 100) — the population-level severity metric the sweep histograms
-    /// aggregate. Per-cell lognormal variation only matters for who
-    /// actually dies, i.e. [`LifetimeModel::cell_fate`].
-    fn degradation_percent(&self, duty: f64, years: f64) -> f64 {
-        (100.0 * Self::wear(duty, years) / Self::MEDIAN_ENDURANCE_WRITES).min(100.0)
-    }
-
-    fn cell_fate(&self, exposure: CellExposure, years: f64) -> CellFate {
-        if Self::wear(exposure.duty, years) >= self.cell_threshold(exposure.cell_index) {
-            CellFate::StuckAt {
-                value: self.stuck_value(exposure.cell_index),
-            }
-        } else {
-            CellFate::Healthy
-        }
-    }
-}
-
-/// Per-cell write-stress accumulator for endurance wear.
-///
-/// Counts SET-direction writes among total writes in integer counters,
-/// so accumulation is *exactly* write-order-invariant (and shard merges
-/// are exact) — the property the endurance proptests pin. The final
-/// duty (`ones / writes`) feeds [`ReramEnduranceLifetime::wear`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EnduranceWear {
-    ones: u64,
-    writes: u64,
-}
-
-impl EnduranceWear {
-    /// An accumulator with no writes recorded.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one write of `bit` to the cell.
-    pub fn record(&mut self, bit: bool) {
-        self.ones += u64::from(bit);
-        self.writes += 1;
-    }
-
-    /// Merges another accumulator (e.g. a shard's partial counts).
-    pub fn merge(&mut self, other: &EnduranceWear) {
-        self.ones += other.ones;
-        self.writes += other.writes;
-    }
-
-    /// Total writes recorded.
-    pub fn writes(&self) -> u64 {
-        self.writes
-    }
-
-    /// Duty cycle of the recorded writes (0 when none recorded).
-    pub fn duty(&self) -> f64 {
-        if self.writes == 0 {
-            0.0
-        } else {
-            self.ones as f64 / self.writes as f64
-        }
-    }
-
-    /// Accumulated wear after `years` at the recorded duty.
-    pub fn wear(&self, years: f64) -> f64 {
-        ReramEnduranceLifetime::wear(self.duty(), years)
     }
 }
 
@@ -371,33 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn sram_lifetime_delegates_bit_identically() {
-        let model = SramNbtiLifetime::paper();
-        let snm = CalibratedSnmModel::paper();
-        let read = ReadFailureModel::default_65nm();
-        for duty in [0.0, 0.25, 0.5, 0.9, 1.0] {
-            for years in [2.0, 7.0, 10.0] {
-                assert_eq!(
-                    model.degradation_percent(duty, years),
-                    snm.degradation_percent(duty, years)
-                );
-                let exposure = CellExposure {
-                    duty,
-                    cell_index: 42,
-                };
-                let CellFate::Transient { flip_probability } = model.cell_fate(exposure, years)
-                else {
-                    panic!("SRAM fates are transient");
-                };
-                assert_eq!(
-                    flip_probability,
-                    read.failure_probability(snm.degradation_percent(duty, years))
-                );
-            }
-        }
-    }
-
-    #[test]
     fn reram_wear_scales_with_duty_and_years() {
         // duty 0 still wears (RESET baseline); duty 1 wears 5x faster
         // at RESET_WEAR = 0.2.
@@ -407,10 +216,12 @@ mod tests {
         assert!((w1 / w0 - 5.0).abs() < 1e-12);
         assert!(ReramEnduranceLifetime::wear(1.0, 2.0) < w1);
         // 7 years at duty 1.0 consumes 70% of the median endurance.
-        let model = ReramEnduranceLifetime::new(1);
-        assert!((model.degradation_percent(1.0, 7.0) - 70.0).abs() < 1e-9);
+        assert!((ReramEnduranceLifetime::degradation_percent(1.0, 7.0) - 70.0).abs() < 1e-9);
         // Degradation saturates at 100%.
-        assert_eq!(model.degradation_percent(1.0, 100.0), 100.0);
+        assert_eq!(
+            ReramEnduranceLifetime::degradation_percent(1.0, 100.0),
+            100.0
+        );
     }
 
     #[test]
@@ -441,18 +252,7 @@ mod tests {
         let n = 50_000u64;
         let dead_frac = |duty: f64, years: f64| {
             (0..n)
-                .filter(|&cell| {
-                    matches!(
-                        model.cell_fate(
-                            CellExposure {
-                                duty,
-                                cell_index: cell
-                            },
-                            years
-                        ),
-                        CellFate::StuckAt { .. }
-                    )
-                })
+                .filter(|&cell| model.stuck_at(duty, cell, years).is_some())
                 .count() as f64
                 / n as f64
         };
@@ -474,17 +274,10 @@ mod tests {
     fn reram_fates_are_deterministic_and_die_specific() {
         let a = ReramEnduranceLifetime::new(1);
         let b = ReramEnduranceLifetime::new(2);
-        let exposure = |cell_index| CellExposure {
-            duty: 1.0,
-            cell_index,
-        };
         let mut differs = false;
         for cell in 0..2_000 {
-            assert_eq!(
-                a.cell_fate(exposure(cell), 7.0),
-                a.cell_fate(exposure(cell), 7.0)
-            );
-            differs |= a.cell_fate(exposure(cell), 7.0) != b.cell_fate(exposure(cell), 7.0);
+            assert_eq!(a.stuck_at(1.0, cell, 7.0), a.stuck_at(1.0, cell, 7.0));
+            differs |= a.stuck_at(1.0, cell, 7.0) != b.stuck_at(1.0, cell, 7.0);
         }
         assert!(differs, "distinct dies must sample distinct fate maps");
         // Stuck-at polarity is roughly balanced across cells.
@@ -498,42 +291,16 @@ mod tests {
         // at every later year with the same stuck value.
         let model = ReramEnduranceLifetime::new(99);
         for cell in 0..2_000u64 {
-            let exposure = CellExposure {
-                duty: 0.8,
-                cell_index: cell,
-            };
-            let mut was_dead: Option<CellFate> = None;
+            let mut was_dead: Option<bool> = None;
             for years in [2.0, 7.0, 10.0, 20.0] {
-                let fate = model.cell_fate(exposure, years);
-                if let Some(prev) = was_dead {
-                    assert_eq!(fate, prev, "cell {cell} changed fate after death");
-                } else if matches!(fate, CellFate::StuckAt { .. }) {
-                    was_dead = Some(fate);
+                let fate = model.stuck_at(0.8, cell, years);
+                if was_dead.is_some() {
+                    assert_eq!(fate, was_dead, "cell {cell} changed fate after death");
+                } else {
+                    was_dead = fate;
                 }
             }
         }
-    }
-
-    #[test]
-    fn endurance_wear_merge_matches_serial_accumulation() {
-        let bits = [true, false, true, true, false, true, false, false, true];
-        let mut serial = EnduranceWear::new();
-        for &b in &bits {
-            serial.record(b);
-        }
-        let mut left = EnduranceWear::new();
-        let mut right = EnduranceWear::new();
-        for &b in &bits[..4] {
-            left.record(b);
-        }
-        for &b in &bits[4..] {
-            right.record(b);
-        }
-        left.merge(&right);
-        assert_eq!(left, serial);
-        assert_eq!(serial.writes(), 9);
-        assert_eq!(serial.duty(), 5.0 / 9.0);
-        assert_eq!(EnduranceWear::new().duty(), 0.0);
     }
 
     mod properties {
@@ -541,55 +308,6 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// Endurance wear accumulation is exactly write-order
-            /// invariant: any permutation of the same write multiset
-            /// produces bit-identical duty and wear.
-            #[test]
-            fn wear_is_write_order_invariant(
-                bits in proptest::collection::vec(any::<bool>(), 1..200),
-                rotation in 0usize..200,
-                years in 0.5f64..20.0,
-            ) {
-                let mut forward = EnduranceWear::new();
-                for &b in &bits {
-                    forward.record(b);
-                }
-                // A rotation + reversal reaches arbitrary reorderings
-                // across cases.
-                let r = rotation % bits.len();
-                let mut permuted = EnduranceWear::new();
-                for &b in bits[r..].iter().chain(&bits[..r]).rev() {
-                    permuted.record(b);
-                }
-                prop_assert_eq!(forward, permuted);
-                prop_assert_eq!(forward.duty().to_bits(), permuted.duty().to_bits());
-                prop_assert_eq!(forward.wear(years).to_bits(), permuted.wear(years).to_bits());
-            }
-
-            /// Sharded accumulation merged in any split position equals
-            /// the serial accumulation exactly.
-            #[test]
-            fn wear_shard_merge_is_exact(
-                bits in proptest::collection::vec(any::<bool>(), 1..200),
-                split in 0usize..200,
-            ) {
-                let split = split % (bits.len() + 1);
-                let mut serial = EnduranceWear::new();
-                for &b in &bits {
-                    serial.record(b);
-                }
-                let mut a = EnduranceWear::new();
-                let mut b_acc = EnduranceWear::new();
-                for &b in &bits[..split] {
-                    a.record(b);
-                }
-                for &b in &bits[split..] {
-                    b_acc.record(b);
-                }
-                a.merge(&b_acc);
-                prop_assert_eq!(a, serial);
-            }
-
             /// Wear is monotone in duty and years, and every cell's
             /// threshold is positive and finite.
             #[test]

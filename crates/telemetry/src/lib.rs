@@ -8,7 +8,7 @@
 //! The design constraint is the campaign determinism contract: result
 //! stores must stay **byte-identical** with telemetry on or off, at any
 //! thread or shard count. Everything here therefore only *observes* —
-//! a [`Telemetry`] handle owns a metrics [`Registry`] (a single branch
+//! a [`Telemetry`] handle owns a metrics registry (a single branch
 //! per call when disabled via [`Telemetry::noop`]) plus an optional
 //! journal file behind a mutex. Both are touched at coarse
 //! per-scenario, per-shard or per-age granularity, never inside
@@ -24,10 +24,9 @@
 //!
 //! | type | role |
 //! |------|------|
-//! | [`Registry`] | every metric: named counters, gauges, and log-bucketed [`Histogram`]s |
-//! | [`Histogram`] / [`HistogramSnapshot`] | lock-free striped latency recording; mergeable snapshots with p50/p90/p99/max |
+//! | [`Histogram`] | log-bucketed latency distribution: recorded under the registry lock, journaled, merged; p50/p90/p99/max |
 //! | [`SpanId`] | hierarchical trace spans journaled as `span_start`/`span_end` events |
-//! | [`Telemetry`] | registry + spans + the `events.jsonl` journal |
+//! | [`Telemetry`] | the metrics registry (counters, gauges, histograms as plain values under one mutex) + spans + the `events.jsonl` journal |
 //! | [`read_events`] / [`Event`] | the journal's one reader: byte-safe line split, parse, skip count, typed field access |
 //! | [`MetricsSnapshot`] | final registry state, renderable as Prometheus text exposition or JSON |
 //! | [`Progress`]  | done/total + throughput + ETA line; live `\r` rewrite on a TTY, periodic plain lines otherwise |
@@ -41,7 +40,7 @@ use std::fs::OpenOptions;
 use std::io::{IsTerminal, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
@@ -81,59 +80,35 @@ impl SpanId {
 /// `u64::MAX` (62 octaves × 4 + 4 = 252).
 pub const HISTOGRAM_BUCKETS: usize = 252;
 
-/// Concurrency stripes per histogram: recording threads hash onto a
-/// stripe so a hot histogram never serializes its writers.
-const HISTOGRAM_STRIPES: usize = 16;
-
-fn stripe_slot() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SLOT: usize = NEXT.fetch_add(1, Ordering::Relaxed) % HISTOGRAM_STRIPES;
-    }
-    SLOT.with(|s| *s)
-}
-
-struct HistogramStripe {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    sum: AtomicU64,
-}
-
-/// A lock-free log-bucketed latency histogram (HdrHistogram-style: 4
-/// sub-buckets per power-of-two octave, ~20–25% relative bucket width).
-/// Recording is one relaxed add into a per-thread stripe plus a
-/// `fetch_max` on the shared max — cheap enough to sit on instrumented
-/// paths. Reading happens through [`Histogram::snapshot`], which merges
-/// the stripes into a [`HistogramSnapshot`].
+/// A log-bucketed latency histogram (HdrHistogram-style: 4 sub-buckets
+/// per power-of-two octave, ~20–25% relative bucket width): dense
+/// bucket counts plus count / sum / exact max. The registry records
+/// into it under its lock; histograms merge associatively and
+/// commutatively (the property the proptests pin), so per-invocation
+/// `hist` journal events aggregate across resumes exactly like one
+/// histogram recorded across all of them.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
-    stripes: Vec<HistogramStripe>,
-    max: AtomicU64,
+    buckets: Vec<u64>,
+    count: u64,
+    sum: u64,
+    max: u64,
 }
 
 impl Default for Histogram {
     fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for Histogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Histogram")
-            .field("count", &self.snapshot().count())
-            .finish_non_exhaustive()
+        Self::empty()
     }
 }
 
 impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
+    /// The empty histogram (merge identity).
+    pub fn empty() -> Self {
         Self {
-            stripes: (0..HISTOGRAM_STRIPES)
-                .map(|_| HistogramStripe {
-                    buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-                    sum: AtomicU64::new(0),
-                })
-                .collect(),
-            max: AtomicU64::new(0),
+            buckets: vec![0; HISTOGRAM_BUCKETS],
+            count: 0,
+            sum: 0,
+            max: 0,
         }
     }
 
@@ -162,67 +137,15 @@ impl Histogram {
         }
     }
 
-    /// Records one observation (relaxed, stripe-local except for the
-    /// shared `fetch_max`).
-    #[inline]
-    pub fn record(&self, value: u64) {
-        let stripe = &self.stripes[stripe_slot()];
-        stripe.buckets[Self::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        stripe.sum.fetch_add(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+    /// Records one observation.
+    pub fn record(&mut self, value: u64) {
+        self.buckets[Self::bucket_index(value)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(value);
+        self.max = self.max.max(value);
     }
 
-    /// Merges the stripes into a point-in-time snapshot.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut buckets = vec![0u64; HISTOGRAM_BUCKETS];
-        let mut sum = 0u64;
-        for stripe in &self.stripes {
-            for (acc, bucket) in buckets.iter_mut().zip(stripe.buckets.iter()) {
-                *acc += bucket.load(Ordering::Relaxed);
-            }
-            sum = sum.wrapping_add(stripe.sum.load(Ordering::Relaxed));
-        }
-        let count = buckets.iter().sum();
-        HistogramSnapshot {
-            buckets,
-            count,
-            sum,
-            max: self.max.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// An immutable histogram state: dense bucket counts plus count / sum /
-/// exact max. Snapshots merge associatively and commutatively (the
-/// property the proptests pin), so per-invocation `hist` journal events
-/// aggregate across resumes exactly like live stripes aggregate across
-/// threads.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Default for HistogramSnapshot {
-    fn default() -> Self {
-        Self::empty()
-    }
-}
-
-impl HistogramSnapshot {
-    /// The zero snapshot (merge identity).
-    pub fn empty() -> Self {
-        Self {
-            buckets: vec![0; HISTOGRAM_BUCKETS],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    /// Rebuilds a snapshot from the sparse `[index, count]` pairs of a
+    /// Rebuilds a histogram from the sparse `[index, count]` pairs of a
     /// `hist` journal event. Out-of-range indices are ignored (a newer
     /// writer with a finer bucket layout must not crash an old reader).
     pub fn from_sparse(pairs: &[(usize, u64)], sum: u64, max: u64) -> Self {
@@ -268,7 +191,7 @@ impl HistogramSnapshot {
     }
 
     /// Folds `other` into `self` (bucket-wise add, max of maxes).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
+    pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += *b;
         }
@@ -312,7 +235,7 @@ pub enum MetricValue {
     /// Last-set gauge.
     Gauge(u64),
     /// Full histogram state.
-    Histogram(HistogramSnapshot),
+    Histogram(Histogram),
 }
 
 /// One named metric inside a [`MetricsSnapshot`].
@@ -326,9 +249,8 @@ pub struct MetricSample {
     pub value: MetricValue,
 }
 
-/// A point-in-time capture of every registered metric: in registration
-/// order from [`Registry::snapshot`], by name from
-/// [`Telemetry::metrics_snapshot`]. Renders as Prometheus text
+/// A point-in-time capture of every registered metric, sorted by name
+/// ([`Telemetry::metrics_snapshot`]). Renders as Prometheus text
 /// exposition (metric names prefixed `dnnlife_`, histogram buckets as
 /// cumulative `le` series) or as a JSON object via [`Serialize`] — the
 /// `--metrics-out` twin files.
@@ -414,7 +336,7 @@ impl Serialize for MetricsSnapshot {
 }
 
 /// Sparse `(index, count)` bucket pairs as the JSON `[[i,c],...]` form.
-pub fn sparse_to_value(pairs: &[(usize, u64)]) -> serde::Value {
+fn sparse_to_value(pairs: &[(usize, u64)]) -> serde::Value {
     serde::Value::Array(
         pairs
             .iter()
@@ -423,132 +345,56 @@ pub fn sparse_to_value(pairs: &[(usize, u64)]) -> serde::Value {
     )
 }
 
-/// A last-write-wins gauge (relaxed).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// Sets the gauge.
-    pub fn set(&self, value: u64) {
-        self.0.store(value, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-#[derive(Clone)]
-enum Metric {
-    Counter(Arc<AtomicU64>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
-}
-
-struct RegistryEntry {
-    name: String,
-    help: String,
-    metric: Metric,
-}
-
-/// A dynamic metrics registry: get-or-register named counters, gauges,
-/// and histograms. Registration takes a mutex (do it once, outside hot
-/// loops, and keep the returned `Arc`); recording through the returned
-/// handles is lock-free. A metric appears here, and so in every
-/// [`MetricsSnapshot`], from its first registration on.
+/// The metrics registry: every metric's name, help line and current
+/// value, behind one mutex. A metric appears here, and so in every
+/// [`MetricsSnapshot`], from its first update on.
 #[derive(Default)]
-pub struct Registry {
-    entries: Mutex<Vec<RegistryEntry>>,
-}
-
-impl std::fmt::Debug for Registry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Registry")
-            .field("metrics", &self.snapshot().metrics.len())
-            .finish_non_exhaustive()
-    }
+struct Registry {
+    entries: Mutex<Vec<MetricSample>>,
 }
 
 impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<RegistryEntry>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<MetricSample>> {
         self.entries
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn get_or_register(&self, name: &str, help: &str, make: impl FnOnce() -> Metric) -> Metric {
+    /// Applies `update` to the value of metric `name`, registering it
+    /// as `empty()` first.
+    fn update(
+        &self,
+        name: &str,
+        help: &str,
+        empty: impl FnOnce() -> MetricValue,
+        update: impl FnOnce(&mut MetricValue),
+    ) {
         let mut entries = self.lock();
-        if let Some(entry) = entries.iter().find(|e| e.name == name) {
-            return entry.metric.clone();
-        }
-        let metric = make();
-        entries.push(RegistryEntry {
-            name: name.to_string(),
-            help: help.to_string(),
-            metric: metric.clone(),
-        });
-        metric
-    }
-
-    /// Gets or registers a monotonic counter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different kind.
-    pub fn counter(&self, name: &str, help: &str) -> Arc<AtomicU64> {
-        match self.get_or_register(name, help, || Metric::Counter(Arc::default())) {
-            Metric::Counter(c) => c,
-            _ => panic!("metric {name:?} already registered as a non-counter"),
-        }
-    }
-
-    /// Gets or registers a gauge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different kind.
-    pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        match self.get_or_register(name, help, || Metric::Gauge(Arc::default())) {
-            Metric::Gauge(g) => g,
-            _ => panic!("metric {name:?} already registered as a non-gauge"),
-        }
-    }
-
-    /// Gets or registers a histogram.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different kind.
-    pub fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
-        match self.get_or_register(name, help, || Metric::Histogram(Arc::new(Histogram::new()))) {
-            Metric::Histogram(h) => h,
-            _ => panic!("metric {name:?} already registered as a non-histogram"),
-        }
+        let index = match entries.iter().position(|e| e.name == name) {
+            Some(index) => index,
+            None => {
+                entries.push(MetricSample {
+                    name: name.to_string(),
+                    help: help.to_string(),
+                    value: empty(),
+                });
+                entries.len() - 1
+            }
+        };
+        update(&mut entries[index].value);
     }
 
     /// Captures every registered metric, in registration order.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let metrics = self
-            .lock()
-            .iter()
-            .map(|entry| MetricSample {
-                name: entry.name.clone(),
-                help: entry.help.clone(),
-                value: match &entry.metric {
-                    Metric::Counter(c) => MetricValue::Counter(c.load(Ordering::Relaxed)),
-                    Metric::Gauge(g) => MetricValue::Gauge(g.get()),
-                    Metric::Histogram(h) => MetricValue::Histogram(h.snapshot()),
-                },
-            })
-            .collect();
-        MetricsSnapshot { metrics }
+    fn snapshot(&self) -> MetricsSnapshot {
+        MetricsSnapshot {
+            metrics: self.lock().clone(),
+        }
     }
+}
+
+/// The panic for an update of `name` as a kind it was not registered as.
+fn kind_mismatch(name: &str, kind: &str) -> ! {
+    panic!("metric {name:?} already registered as a non-{kind}")
 }
 
 /// The `events.jsonl` file: append-only JSON lines, flushed per event,
@@ -650,7 +496,7 @@ impl Telemetry {
             .map_or(0, |d| d.as_millis() as u64);
         Self {
             enabled,
-            registry: Registry::new(),
+            registry: Registry::default(),
             journal: journal.map(Mutex::new),
             epoch: Instant::now(),
             next_span: AtomicU64::new((unix_ms << 20) | 1),
@@ -681,11 +527,6 @@ impl Telemetry {
         NOOP.get_or_init(|| Telemetry::build(false, None))
     }
 
-    /// Whether this handle records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Adds `n` to the named monotonic counter, registering it at its
     /// first non-zero increment (a single branch when disabled). Like
     /// [`observe`], the lookup takes a short mutex: call per scenario,
@@ -695,9 +536,15 @@ impl Telemetry {
     #[inline]
     pub fn count(&self, name: &str, help: &str, n: u64) {
         if self.enabled && n != 0 {
-            self.registry
-                .counter(name, help)
-                .fetch_add(n, Ordering::Relaxed);
+            self.registry.update(
+                name,
+                help,
+                || MetricValue::Counter(0),
+                |value| match value {
+                    MetricValue::Counter(total) => *total = total.wrapping_add(n),
+                    _ => kind_mismatch(name, "counter"),
+                },
+            );
         }
     }
 
@@ -759,19 +606,34 @@ impl Telemetry {
     }
 
     /// Records `value` into the named histogram (get-or-register; a
-    /// single branch when disabled). The registry lookup takes a short
-    /// mutex — call at per-scenario granularity, or hold the
-    /// [`Registry::histogram`] `Arc` yourself for per-item loops.
+    /// single branch when disabled). The update takes the registry's
+    /// short mutex — call at per-scenario granularity.
     pub fn observe(&self, name: &str, help: &str, value: u64) {
         if self.enabled {
-            self.registry.histogram(name, help).record(value);
+            self.registry.update(
+                name,
+                help,
+                || MetricValue::Histogram(Histogram::empty()),
+                |metric| match metric {
+                    MetricValue::Histogram(h) => h.record(value),
+                    _ => kind_mismatch(name, "histogram"),
+                },
+            );
         }
     }
 
     /// Sets the named gauge (get-or-register; a no-op when disabled).
     pub fn gauge_set(&self, name: &str, help: &str, value: u64) {
         if self.enabled {
-            self.registry.gauge(name, help).set(value);
+            self.registry.update(
+                name,
+                help,
+                || MetricValue::Gauge(0),
+                |metric| match metric {
+                    MetricValue::Gauge(g) => *g = value,
+                    _ => kind_mismatch(name, "gauge"),
+                },
+            );
         }
     }
 
@@ -876,7 +738,7 @@ impl Event {
     /// Decodes a `hist` event, the [`Telemetry::emit_histograms`] wire
     /// form, into its metric name and snapshot. `None` for a line
     /// without a name; malformed bucket pairs are dropped.
-    pub fn histogram(&self) -> Option<(&str, HistogramSnapshot)> {
+    pub fn histogram(&self) -> Option<(&str, Histogram)> {
         let pairs: Vec<(usize, u64)> = match self.value.get("buckets") {
             Some(serde::Value::Array(buckets)) => buckets
                 .iter()
@@ -890,7 +752,7 @@ impl Event {
                 .collect(),
             _ => Vec::new(),
         };
-        let snapshot = HistogramSnapshot::from_sparse(
+        let snapshot = Histogram::from_sparse(
             &pairs,
             self.u64("sum").unwrap_or(0),
             self.u64("max").unwrap_or(0),
@@ -1170,7 +1032,6 @@ mod tests {
         let noop = Telemetry::noop();
         noop.count("exact_word_writes", "word writes", 5);
         assert_eq!(counter(noop, "exact_word_writes"), None);
-        assert!(!noop.is_enabled());
     }
 
     #[test]
@@ -1264,7 +1125,7 @@ mod tests {
     #[test]
     fn instrumentation_defaults_to_noop() {
         let instr = Instrumentation::default();
-        assert!(!instr.telemetry().is_enabled());
+        assert!(std::ptr::eq(instr.telemetry(), Telemetry::noop()));
         instr.tick(); // no progress: must not panic
     }
 
@@ -1307,11 +1168,7 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_track_recorded_values() {
-        let hist = Histogram::new();
-        for v in 1..=1000u64 {
-            hist.record(v);
-        }
-        let snap = hist.snapshot();
+        let snap = snapshot_of(&(1..=1000u64).collect::<Vec<_>>());
         assert_eq!(snap.count(), 1000);
         assert_eq!(snap.sum(), 500_500);
         assert_eq!(snap.max(), 1000);
@@ -1329,34 +1186,38 @@ mod tests {
     }
 
     #[test]
-    fn histogram_stripes_merge_across_threads() {
-        let hist = Histogram::new();
+    fn concurrent_observe_and_count_totals_are_exact() {
+        let tel = Telemetry::in_memory();
         std::thread::scope(|scope| {
             for t in 0..8u64 {
-                let hist = &hist;
+                let tel = &tel;
                 scope.spawn(move || {
                     for i in 0..100 {
-                        hist.record(t * 1000 + i);
+                        tel.observe("wall_us", "wall time", t * 1000 + i);
+                        tel.count("reads", "read ops", t + 1);
                     }
                 });
             }
         });
-        let snap = hist.snapshot();
-        assert_eq!(snap.count(), 800);
-        assert_eq!(snap.max(), 7099);
+        let snap = tel.metrics_snapshot();
+        let MetricValue::Histogram(hist) = &snap.metrics[1].value else {
+            panic!("wall_us is a histogram: {snap:?}");
+        };
+        assert_eq!(hist.count(), 800);
+        // Σ_t Σ_i (1000 t + i) = 100 · 1000 · 28 + 8 · 4950.
+        assert_eq!(hist.sum(), 2_800_000 + 8 * 4950);
+        assert_eq!(hist.max(), 7099);
+        // Σ_t 100 (t + 1) = 100 · 36.
+        assert_eq!(counter(&tel, "reads"), Some(3600));
     }
 
     #[test]
     fn snapshot_sparse_round_trips_and_merges() {
-        let hist = Histogram::new();
-        for v in [0u64, 1, 5, 5, 1000, 123_456] {
-            hist.record(v);
-        }
-        let snap = hist.snapshot();
-        let rebuilt = HistogramSnapshot::from_sparse(&snap.sparse(), snap.sum(), snap.max());
+        let snap = snapshot_of(&[0, 1, 5, 5, 1000, 123_456]);
+        let rebuilt = Histogram::from_sparse(&snap.sparse(), snap.sum(), snap.max());
         assert_eq!(rebuilt, snap);
 
-        let mut merged = HistogramSnapshot::empty();
+        let mut merged = Histogram::empty();
         merged.merge(&snap);
         merged.merge(&snap);
         assert_eq!(merged.count(), 2 * snap.count());
@@ -1366,19 +1227,22 @@ mod tests {
 
     #[test]
     fn registry_reuses_entries_and_snapshots_in_order() {
-        let registry = Registry::new();
-        let a = registry.counter("reads", "read ops");
-        let b = registry.counter("reads", "ignored duplicate help");
-        a.fetch_add(3, Ordering::Relaxed);
-        b.fetch_add(4, Ordering::Relaxed);
-        registry.gauge("pending", "queue depth").set(7);
-        registry.histogram("wall_us", "wall time").record(42);
+        let tel = Telemetry::in_memory();
+        tel.count("reads", "read ops", 3);
+        tel.count("reads", "ignored duplicate help", 4);
+        tel.gauge_set("pending", "queue depth", 7);
+        tel.observe("wall_us", "wall time", 42);
 
-        let snap = registry.snapshot();
+        let snap = tel.registry.snapshot();
         let names: Vec<&str> = snap.metrics.iter().map(|m| m.name.as_str()).collect();
         assert_eq!(names, ["reads", "pending", "wall_us"]);
+        assert_eq!(snap.metrics[0].help, "read ops");
         assert_eq!(snap.metrics[0].value, MetricValue::Counter(7));
         assert_eq!(snap.metrics[1].value, MetricValue::Gauge(7));
+        assert_eq!(
+            snap.metrics[2].value,
+            MetricValue::Histogram(snapshot_of(&[42]))
+        );
     }
 
     #[test]
@@ -1493,12 +1357,12 @@ mod tests {
         assert_eq!(snapshot, live);
     }
 
-    fn snapshot_of(values: &[u64]) -> HistogramSnapshot {
-        let hist = Histogram::new();
+    fn snapshot_of(values: &[u64]) -> Histogram {
+        let mut hist = Histogram::empty();
         for &v in values {
             hist.record(v);
         }
-        hist.snapshot()
+        hist
     }
 
     #[test]

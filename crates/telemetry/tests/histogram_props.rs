@@ -1,18 +1,18 @@
 //! Property tests for the log-bucketed histogram: merge is a
-//! commutative monoid over snapshots, and quantile estimates stay
+//! commutative monoid over histograms, and quantile estimates stay
 //! within one bucket of a scalar sorted-order reference for
 //! adversarial value streams (full-domain u64s, dense small values,
 //! and mixed splits).
 
-use dnnlife_telemetry::{Histogram, HistogramSnapshot};
+use dnnlife_telemetry::Histogram;
 use proptest::prelude::*;
 
-fn snapshot_of(values: &[u64]) -> HistogramSnapshot {
-    let hist = Histogram::new();
+fn snapshot_of(values: &[u64]) -> Histogram {
+    let mut hist = Histogram::empty();
     for &v in values {
         hist.record(v);
     }
-    hist.snapshot()
+    hist
 }
 
 /// Nearest-rank reference quantile over the raw values.
@@ -66,9 +66,9 @@ proptest! {
         let mut right = sa.clone();
         right.merge(&bc);
         prop_assert_eq!(&left, &right);
-        // Identity: merging the empty snapshot changes nothing.
+        // Identity: merging the empty histogram changes nothing.
         let mut with_empty = left.clone();
-        with_empty.merge(&HistogramSnapshot::empty());
+        with_empty.merge(&Histogram::empty());
         prop_assert_eq!(with_empty, left);
     }
 
