@@ -132,7 +132,11 @@ const FORMAT: Flag = opt("--format", "fp32|int8|int8-asym");
 const POLICY: Flag = opt("--policy", "SUB[,SUB,...]");
 const AGES: Flag = opt("--ages", "Y1,Y2,...");
 const TRIALS: Flag = opt("--trials", "N");
+/// The largest `--trials`: it bounds the trial job list an inject cell collects.
+const MAX_TRIALS: u32 = 1_000;
 const EVAL_IMAGES: Flag = opt("--eval-images", "N");
+/// The largest `--eval-images`, the MNIST test-set size: it bounds the eval batch.
+const MAX_EVAL_IMAGES: u32 = 10_000;
 const TRAIN_STEPS: Flag = opt("--train-steps", "N");
 const NOISE_MV: Flag = opt("--noise-mv", "F");
 const REPORT: Flag = flag("--report", "", Selector);
@@ -414,6 +418,15 @@ impl<'a> Args<'a> {
                  must fit 32-bit counts",
                 INFERENCES.name
             )));
+        }
+        Ok(n)
+    }
+
+    /// A count flag, at least 1 and at most `max`.
+    fn count(&self, flag: &Flag, default: u32, max: u32) -> Result<u32, CliError> {
+        let n = self.bounded(flag, default, ">= 1", |&n| n >= 1)?;
+        if n > max {
+            return Err(self.error(format_args!("{} must be <= {max}", flag.name)));
         }
         Ok(n)
     }
@@ -877,8 +890,8 @@ fn inject(args: &Args) -> Result<(), CliError> {
         base_seed: run.seed,
         inferences: args.inferences(defaults.inferences)?,
         ages_years: args.value(&AGES, defaults.ages_years.clone(), parse_ages)?,
-        trials: args.bounded(&TRIALS, defaults.trials, ">= 1", |&n| n >= 1)?,
-        eval_images: args.bounded(&EVAL_IMAGES, defaults.eval_images, ">= 1", |&n| n >= 1)?,
+        trials: args.count(&TRIALS, defaults.trials, MAX_TRIALS)?,
+        eval_images: args.count(&EVAL_IMAGES, defaults.eval_images, MAX_EVAL_IMAGES)?,
         train_steps: args.number(&TRAIN_STEPS, defaults.train_steps)?,
         noise_sigma_mv: args.bounded(&NOISE_MV, defaults.noise_sigma_mv, "> 0", |mv| {
             mv.is_finite() && *mv > 0.0

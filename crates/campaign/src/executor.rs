@@ -1,23 +1,24 @@
-//! Parallel campaign executor.
+//! Parallel campaign executor: one driver for scenario sweeps and
+//! fault-injection campaigns.
 //!
-//! Scenarios run as jobs on [`dnnlife_nn::exec::run_jobs`], the
+//! Items run as jobs on [`dnnlife_nn::exec::run_jobs`], the
 //! workspace's one thread pool: idle workers claim the next pending
-//! scenario from its shared queue (scenario runtimes vary by orders of
-//! magnitude between networks, so a static partition would idle
-//! cores), run it, and journal the record to the [`ResultStore`]
-//! themselves, one append and flush at a time under a lock, so every
-//! completion is durable as soon as it finishes. The store is then
-//! finalized in canonical grid order.
+//! item from its shared queue (runtimes vary by orders of magnitude
+//! between networks, so a static partition would idle cores), run it,
+//! and journal the record to the store themselves, one append and
+//! flush at a time under a lock, so every completion is durable as
+//! soon as it finishes. The store is then finalized in canonical grid
+//! order.
 //!
-//! When a grid has fewer pending scenarios than budgeted threads,
+//! When a grid has fewer pending items than budgeted threads,
 //! `run_jobs` splits the leftover threads evenly over its workers, and
-//! each scenario hands its share to the simulator (analytic cell
-//! shards / exact word shards) instead of letting it idle.
+//! each item hands its share to the simulator (analytic cell shards /
+//! exact word shards / injection trials) instead of letting it idle.
 //!
-//! Determinism: each scenario's result depends only on its spec plus
-//! the (deterministic) shard policy — never on the thread count — and
-//! the finalize pass orders the file by the grid, so the finished
-//! store is **byte-identical for any worker count** and for
+//! Determinism: each item's result depends only on its spec plus the
+//! (deterministic) shard policy — never on the thread count — and the
+//! finalize pass orders the file by the grid, so the finished store is
+//! **byte-identical for any worker count** and for
 //! interrupted-then-resumed runs.
 //!
 //! Aborts are prompt: when a journal append fails — or an external
@@ -29,6 +30,7 @@
 //! orders of magnitude shorter, so the flag exists to stop the
 //! expensive backend, not the cheap one.
 
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -39,7 +41,7 @@ use dnnlife_telemetry::{Instrumentation, SpanId};
 use serde::Serialize;
 
 use crate::grid::CampaignGrid;
-use crate::store::{ResultStore, ScenarioRecord, StoreLock};
+use crate::store::{shard_annotation, JsonlStore, ScenarioRecord, StoreLock, StoreRecord};
 
 /// Executor knobs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -77,9 +79,9 @@ pub struct CampaignOptions<'a> {
 /// What a campaign run did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignOutcome {
-    /// Scenarios executed by this invocation.
+    /// Scenarios (or cells) executed by this invocation.
     pub executed: usize,
-    /// Scenarios skipped because the store already held them.
+    /// Scenarios (or cells) skipped because the store already held them.
     pub skipped: usize,
     /// Worker threads used (1 when nothing was pending).
     pub threads: usize,
@@ -91,92 +93,36 @@ pub struct CampaignOutcome {
 ///
 /// # Errors
 ///
-/// Propagates store I/O errors, and returns
+/// Propagates store I/O errors (a store locked by another run is
+/// [`std::io::ErrorKind::WouldBlock`]), and returns
 /// [`std::io::ErrorKind::Interrupted`] when `options.cancel` was raised
 /// before every scenario finished. A panic in a worker (a scenario
 /// panicking mid-simulation) propagates after in-flight completions
 /// have been journaled.
 pub fn run_campaign(
     grid: &CampaignGrid,
-    store_path: impl Into<std::path::PathBuf>,
+    store_path: impl Into<PathBuf>,
     options: &CampaignOptions,
 ) -> std::io::Result<CampaignOutcome> {
-    let store_path = store_path.into();
-    // Held for the whole campaign: a second sweep journaling into the
-    // same file would interleave writes and corrupt it mid-line.
-    let _lock = StoreLock::acquire(&store_path)?;
-    if !options.resume && store_path.exists() {
-        std::fs::remove_file(&store_path)?;
-    }
-    let mut store = ResultStore::open(&store_path)?;
-
-    let keys = grid.keys();
-    let stale = store.stale_keys(&keys);
-    if !stale.is_empty() {
-        eprintln!(
-            "campaign `{}`: dropping {} stale record(s) from {} — they were produced \
-             by a sweep with different parameters (seed/stride/inferences/grid)",
-            grid.name,
-            stale.len(),
-            store.path().display()
-        );
-    }
-    // A stored record satisfies a scenario only if it was computed
-    // under the same word-shard annotation: shard-sensitive records
-    // (exact × DNN-Life) journaled by a sweep with a different
-    // `--shards` hold a different TRBG stream-deal, and skipping them
-    // would silently mix two deals in one store.
-    let mut shard_stale = 0usize;
-    let pending: Vec<usize> = (0..grid.scenarios.len())
-        .filter(|&i| match store.get(&keys[i]) {
-            None => true,
-            Some(record) => {
-                let stale = record.shards
-                    != crate::store::shard_annotation(&grid.scenarios[i], options.shards);
-                shard_stale += usize::from(stale);
-                stale
-            }
-        })
-        .collect();
-    if shard_stale > 0 {
-        eprintln!(
-            "campaign `{}`: re-running {shard_stale} DNN-Life exact record(s) journaled \
-             under a different --shards value (their TRBG stream split differs)",
-            grid.name,
-        );
-    }
-    let skipped = grid.scenarios.len() - pending.len();
-
-    let budget = thread_count(options.threads);
-    let threads = effective_threads(options.threads, pending.len());
-    if options.verbose {
-        eprintln!(
-            "campaign `{}`: {} scenarios ({} pending, {} already stored), {} worker(s), \
-             {} thread(s) total",
-            grid.name,
-            grid.scenarios.len(),
-            pending.len(),
-            skipped,
-            threads,
-            budget
-        );
-    }
-
-    let specs: Vec<&dnnlife_core::ExperimentSpec> =
-        pending.iter().map(|&i| &grid.scenarios[i]).collect();
     let (shards, instr) = (options.shards, options.instr);
-    let done = journal_into_store(
-        &grid.name,
-        "scenario",
-        &mut store,
-        &keys,
-        &specs,
-        budget,
-        options.cancel,
-        options.verbose,
-        instr,
-        |record| record.result.label.clone(),
-        |record| record.spec.policy.display_name().to_string(),
+    let campaign = Campaign {
+        name: &grid.name,
+        noun: "scenario",
+        items: &grid.scenarios,
+        keys: grid.keys(),
+        label: |record: &ScenarioRecord| record.result.label.clone(),
+        group: |record| record.spec.policy.display_name(),
+    };
+    drive(
+        &campaign,
+        store_path.into(),
+        options,
+        // A stored record satisfies a scenario only if it was computed
+        // under the same word-shard annotation: shard-sensitive records
+        // (exact × DNN-Life) journaled by a sweep with a different
+        // `--shards` hold a different TRBG stream-deal, and skipping
+        // them would silently mix two deals in one store.
+        |spec, record| record.shards == shard_annotation(spec, shards),
         |spec, threads, cancel, span| {
             let opts = RunOptions {
                 threads,
@@ -188,20 +134,94 @@ pub fn run_campaign(
             run_experiment_with(spec, &opts)
                 .map(|result| ScenarioRecord::annotated(spec.clone(), result, shards))
         },
-    )?;
+    )
+}
+
+/// One campaign as [`drive`] sees it.
+pub(crate) struct Campaign<'a, T, R> {
+    /// Names the campaign in stderr lines, events and its span.
+    pub name: &'a str,
+    /// What one item is called (`scenario`, `cell`).
+    pub noun: &'static str,
+    /// The items, in canonical (finalize) order.
+    pub items: &'a [T],
+    /// The items' store keys, in the same order.
+    pub keys: Vec<String>,
+    /// A record's name in progress lines.
+    pub label: fn(&R) -> String,
+    /// A record's policy, bucketing per-policy throughput in `dnnlife perf`.
+    pub group: fn(&R) -> String,
+}
+
+/// The driver of both campaign kinds: holds the store's [`StoreLock`]
+/// for the whole run, discards the store unless `options.resume`, and
+/// runs through [`journal`] every item with no stored record or with
+/// one `reusable` rejects (the sweep's `--shards` rule, which the
+/// stderr note names). `options.shards` is left to `run`.
+pub(crate) fn drive<T: Sync, R: StoreRecord + Send>(
+    campaign: &Campaign<'_, T, R>,
+    store_path: PathBuf,
+    options: &CampaignOptions,
+    reusable: impl Fn(&T, &R) -> bool,
+    run: impl Fn(&T, usize, &AtomicBool, SpanId) -> Option<R> + Sync,
+) -> std::io::Result<CampaignOutcome> {
+    let (name, noun, items, keys) = (campaign.name, campaign.noun, campaign.items, &campaign.keys);
+    // Held for the whole campaign: a second run journaling into the
+    // same file would interleave writes and corrupt it mid-line.
+    let _lock = StoreLock::acquire(&store_path)?;
+    if !options.resume && store_path.exists() {
+        std::fs::remove_file(&store_path)?;
+    }
+    let mut store = JsonlStore::<R>::open(&store_path)?;
+
+    let stale = store.stale_keys(keys);
+    if !stale.is_empty() {
+        eprintln!(
+            "campaign `{name}`: dropping {} stale record(s) from {} — they were produced \
+             by a run with different parameters (seed/stride/inferences/grid)",
+            stale.len(),
+            store.path().display()
+        );
+    }
+    let pending: Vec<&T> = items
+        .iter()
+        .zip(keys)
+        .filter(|(item, key)| store.get(key).is_none_or(|record| !reusable(item, record)))
+        .map(|(item, _)| item)
+        .collect();
+    let skipped = items.len() - pending.len();
+    let rejected = keys.iter().filter(|key| store.contains(key)).count() - skipped;
+    if rejected > 0 {
+        eprintln!(
+            "campaign `{name}`: re-running {rejected} DNN-Life exact record(s) journaled \
+             under a different --shards value (their TRBG stream split differs)"
+        );
+    }
+
+    let budget = thread_count(options.threads);
+    let threads = effective_threads(options.threads, pending.len());
+    if options.verbose {
+        eprintln!(
+            "campaign `{name}`: {} {noun}(s) ({} pending, {skipped} already stored), \
+             {threads} worker(s), {budget} thread(s) total",
+            items.len(),
+            pending.len(),
+        );
+    }
+    let executed = journal(campaign, &mut store, &pending, budget, options, run)?;
     Ok(CampaignOutcome {
-        executed: done,
+        executed,
         skipped,
         threads,
     })
 }
 
-/// The common tail of the scenario and injection campaign drivers:
-/// runs `pending` as [`run_jobs`] jobs, each worker journaling its
-/// completed record into `store` (flushing per record) under one lock,
-/// reports progress, maps a journal I/O error or a raised cancellation
-/// token to an error, and finalizes the store in canonical `keys`
-/// order. Returns the number of items journaled by this invocation.
+/// The journaling half of [`drive`]: runs `pending` as [`run_jobs`]
+/// jobs, each worker journaling its completed record into `store`
+/// (flushing per record) under one lock, reports progress, maps a
+/// journal I/O error or a raised cancellation token to an error, and
+/// finalizes the store in canonical key order. Returns the number of
+/// items journaled by this invocation.
 ///
 /// Observability rides along without touching results: each item's
 /// queue wait and run wall time accumulate into `instr.telemetry`'s
@@ -211,8 +231,7 @@ pub fn run_campaign(
 /// record ticks `instr.progress`. The campaign brackets a
 /// `campaign:{name}` trace span; each item runs under its own
 /// `scenario` child span whose id is handed to `run` as the parent for
-/// simulator-level spans. `label` names a record for progress lines;
-/// `group` buckets it for per-policy throughput in `dnnlife perf`.
+/// simulator-level spans.
 ///
 /// # Errors
 ///
@@ -222,26 +241,15 @@ pub fn run_campaign(
 /// the remainder). The interrupted message carries the full
 /// cancellation summary: completed / in-flight discarded / never
 /// started.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn journal_into_store<T, R, RunF>(
-    name: &str,
-    noun: &str,
-    store: &mut crate::store::JsonlStore<R>,
-    keys: &[String],
+fn journal<T: Sync, R: StoreRecord + Send>(
+    campaign: &Campaign<'_, T, R>,
+    store: &mut JsonlStore<R>,
     pending: &[&T],
     budget: usize,
-    cancel: Option<&AtomicBool>,
-    verbose: bool,
-    instr: Instrumentation<'_>,
-    label: fn(&R) -> String,
-    group: fn(&R) -> String,
-    run: RunF,
-) -> std::io::Result<usize>
-where
-    T: Sync,
-    R: crate::store::StoreRecord + Send,
-    RunF: Fn(&T, usize, &AtomicBool, SpanId) -> Option<R> + Sync,
-{
+    options: &CampaignOptions,
+    run: impl Fn(&T, usize, &AtomicBool, SpanId) -> Option<R> + Sync,
+) -> std::io::Result<usize> {
+    let (name, noun, cancel, instr) = (campaign.name, campaign.noun, options.cancel, options.instr);
     let telemetry = instr.telemetry();
     if let Some(progress) = instr.progress {
         progress.set_total(pending.len());
@@ -360,13 +368,13 @@ where
                 "Per-scenario queue wait in microseconds",
                 queue_nanos / 1_000,
             );
-            let label = label(&record);
+            let label = (campaign.label)(&record);
             telemetry.emit(
                 "scenario_done",
                 &[
                     ("i", (index as u64).to_value()),
                     ("label", label.to_value()),
-                    ("group", group(&record).to_value()),
+                    ("group", (campaign.group)(&record).to_value()),
                     ("wall_ms", (wall_nanos as f64 / 1e6).to_value()),
                     ("queue_ms", (queue_nanos as f64 / 1e6).to_value()),
                     ("threads", (threads as u64).to_value()),
@@ -384,7 +392,7 @@ where
             }
             *done += 1;
             instr.tick();
-            if verbose {
+            if options.verbose {
                 eprintln!("  [{done}/{}] {label}", pending.len());
             }
             Some(())
@@ -420,7 +428,7 @@ where
             ));
         }
     }
-    store.finalize(keys)?;
+    store.finalize(&campaign.keys)?;
     if let Some(progress) = instr.progress {
         progress.finish();
     }
@@ -437,13 +445,14 @@ where
     Ok(done)
 }
 
-pub(crate) fn effective_threads(requested: usize, pending: usize) -> usize {
+fn effective_threads(requested: usize, pending: usize) -> usize {
     thread_count(requested).min(pending).max(1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::ResultStore;
     use dnnlife_core::experiment::{
         DwellModel, NetworkKind, Platform, PolicySpec, SimulatorBackend,
     };
@@ -461,29 +470,35 @@ mod tests {
         dir
     }
 
-    /// Runs `specs` through [`journal_into_store`] into a store at
-    /// `path` on 2 threads, the way [`run_campaign`] does; `after`
-    /// sees each finished record before it is journaled.
+    /// Runs `specs` through [`journal`] into a store at `path` on 2
+    /// threads, the way [`run_campaign`] does but without the store
+    /// lock; `after` sees each finished record before it is journaled.
     fn journal_specs(
         path: &Path,
-        specs: &[&ExperimentSpec],
+        specs: &[ExperimentSpec],
         cancel: Option<&AtomicBool>,
         after: impl Fn(&ScenarioRecord) + Sync,
     ) -> (std::io::Result<usize>, ResultStore) {
         let mut store = ResultStore::open(path).expect("open store");
-        let keys: Vec<String> = specs.iter().map(|spec| spec.content_key()).collect();
-        let result = journal_into_store(
-            "test",
-            "scenario",
-            &mut store,
-            &keys,
-            specs,
-            2,
+        let campaign = Campaign {
+            name: "test",
+            noun: "scenario",
+            items: specs,
+            keys: specs.iter().map(|spec| spec.content_key()).collect(),
+            label: |record: &ScenarioRecord| record.result.label.clone(),
+            group: |record| record.spec.policy.display_name(),
+        };
+        let pending: Vec<&ExperimentSpec> = specs.iter().collect();
+        let options = CampaignOptions {
             cancel,
-            false,
-            Instrumentation::default(),
-            |record| record.result.label.clone(),
-            |record| record.spec.policy.display_name().to_string(),
+            ..CampaignOptions::default()
+        };
+        let result = journal(
+            &campaign,
+            &mut store,
+            &pending,
+            2,
+            &options,
             |spec, threads, cancel, _span| {
                 let opts = RunOptions {
                     threads,
@@ -559,12 +574,8 @@ mod tests {
         std::fs::write(&not_a_dir, b"").expect("write blocker file");
 
         let started = std::time::Instant::now();
-        let (result, store) = journal_specs(
-            &not_a_dir.join("store.jsonl"),
-            &[&fast, &slow],
-            None,
-            |_| {},
-        );
+        let (result, store) =
+            journal_specs(&not_a_dir.join("store.jsonl"), &[fast, slow], None, |_| {});
         let error = result.expect_err("the append error is returned");
         assert_ne!(error.kind(), std::io::ErrorKind::Interrupted, "{error}");
         assert!(store.is_empty(), "nothing may be journaled");
@@ -590,7 +601,7 @@ mod tests {
         let started = std::time::Instant::now();
         // Ctrl-C arrives as soon as the fast scenario finishes, while
         // the slow one is in flight.
-        let (result, _) = journal_specs(&path, &[&fast, &slow], Some(&cancel), |_| {
+        let (result, _) = journal_specs(&path, &[fast.clone(), slow], Some(&cancel), |_| {
             cancel.store(true, Ordering::Relaxed);
         });
         let error = result.expect_err("a raised token interrupts the run");

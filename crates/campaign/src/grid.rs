@@ -185,10 +185,10 @@ impl GridAxes {
 
 /// Derives a scenario's seed from the campaign seed and the scenario's
 /// coordinates (its seed-independent coordinate hash), finished with a
-/// SplitMix64 mix so nearby hashes decorrelate. Shared with the
-/// fault-injection grid builder so an injection scenario and its sweep
-/// twin derive identical seeds.
-pub(crate) fn scenario_seed(base_seed: u64, spec: &ExperimentSpec) -> u64 {
+/// SplitMix64 mix so nearby hashes decorrelate. The fault-injection
+/// grid builder enumerates through [`GridAxes::build`], so an injection
+/// scenario and its sweep twin derive identical seeds.
+fn scenario_seed(base_seed: u64, spec: &ExperimentSpec) -> u64 {
     let mut z = base_seed ^ spec.coordinate_hash();
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

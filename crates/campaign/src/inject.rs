@@ -4,14 +4,17 @@
 //! A [`InjectionGrid`] is the companion grid to a scenario sweep: one
 //! platform × network × format cell crossed with a policy list, each
 //! cell carrying the shared injection parameters (age checkpoints,
-//! trials, training recipe, read-noise operating point). The campaign
-//! executor runs the cells as jobs on the workspace's one thread pool
+//! trials, training recipe, read-noise operating point); its cells are
+//! enumerated by the sweep's [`GridAxes::build`], so an injection cell
+//! and its sweep twin share coordinates and seed. Injection campaigns
+//! run through the scenario sweep's driver ([`crate::executor`]): the
+//! cells run as jobs on the workspace's one thread pool
 //! ([`dnnlife_nn::exec::run_jobs`]; threads left over when there are
 //! fewer cells than threads go to each cell's duty simulation and
-//! trial fan-out), journals every completed cell to a resumable
-//! [`InjectionStore`] keyed by the spec's content hash, and finalizes
-//! the store in grid order, so finished stores are byte-identical for
-//! any thread count, exactly like scenario sweeps.
+//! trial fan-out), every completed cell is journaled to a resumable
+//! [`InjectionStore`] keyed by the spec's content hash, and the store
+//! is finalized in grid order, so finished stores are byte-identical
+//! for any thread count, exactly like scenario sweeps.
 
 use std::sync::atomic::AtomicBool;
 
@@ -24,9 +27,9 @@ use dnnlife_quant::NumberFormat;
 use dnnlife_telemetry::Instrumentation;
 use serde::{Deserialize, Serialize};
 
-use crate::executor::{effective_threads, journal_into_store};
-use crate::store::{JsonlStore, StoreLock, StoreRecord};
-use dnnlife_nn::exec::thread_count;
+use crate::executor::{drive, Campaign, CampaignOptions, CampaignOutcome};
+use crate::grid::{GridAxes, SweepOptions};
+use crate::store::{JsonlStore, StoreRecord};
 
 /// One completed injection cell: the spec, its store key, the result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -123,6 +126,10 @@ impl InjectionGrid {
     /// inject` CLI exits nonzero naming the combination) instead of
     /// writing an empty store; callers that need to diagnose a partial
     /// drop can count cells per repair value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.inferences == 0`, like [`GridAxes::build`].
     #[allow(clippy::too_many_arguments)]
     pub fn build_with_axes(
         name: impl Into<String>,
@@ -134,46 +141,42 @@ impl InjectionGrid {
         repairs: &[RepairPolicy],
         techs: &[MemoryTech],
     ) -> Self {
-        let mut specs = Vec::new();
-        let mut seen = std::collections::BTreeSet::new();
-        for &policy in policies {
-            for &repair in repairs {
-                for &tech in techs {
-                    let mut scenario = ExperimentSpec {
-                        platform,
-                        network,
-                        format,
-                        policy,
-                        inferences: params.inferences,
-                        years: 7.0,
-                        seed: 0,
-                        sample_stride: 1,
-                        backend: SimulatorBackend::Analytic,
-                        dwell: DwellModel::Uniform,
-                        repair,
-                        tech,
-                    };
-                    if !scenario.is_valid() {
-                        continue;
-                    }
-                    scenario.seed = crate::grid::scenario_seed(params.base_seed, &scenario);
-                    let spec = FaultInjectionSpec {
-                        scenario,
-                        ages_years: params.ages_years.clone(),
-                        trials: params.trials,
-                        eval_images: params.eval_images,
-                        train_steps: params.train_steps,
-                        noise_sigma_mv: params.noise_sigma_mv,
-                        data_seed: params.base_seed,
-                    };
-                    if spec.is_valid() && seen.insert(spec.content_key()) {
-                        specs.push(spec);
-                    }
-                }
-            }
+        // Single-valued other axes leave the order at policy → repair →
+        // tech; seeds derive exactly like the sweep twins'.
+        let grid = GridAxes {
+            platforms: vec![platform],
+            networks: vec![network],
+            formats: vec![format],
+            policies: policies.to_vec(),
+            lifetimes_years: vec![7.0],
+            backends: vec![SimulatorBackend::Analytic],
+            dwells: vec![DwellModel::Uniform],
+            repairs: repairs.to_vec(),
+            techs: techs.to_vec(),
+            options: SweepOptions {
+                base_seed: params.base_seed,
+                sample_stride: 1,
+                inferences: params.inferences,
+                ..SweepOptions::default()
+            },
         }
+        .build(name);
+        let specs = grid
+            .scenarios
+            .into_iter()
+            .map(|scenario| FaultInjectionSpec {
+                scenario,
+                ages_years: params.ages_years.clone(),
+                trials: params.trials,
+                eval_images: params.eval_images,
+                train_steps: params.train_steps,
+                noise_sigma_mv: params.noise_sigma_mv,
+                data_seed: params.base_seed,
+            })
+            .filter(FaultInjectionSpec::is_valid)
+            .collect();
         Self {
-            name: name.into(),
+            name: grid.name,
             specs,
         }
     }
@@ -213,84 +216,45 @@ pub struct InjectCampaignOptions<'a> {
     pub instr: Instrumentation<'a>,
 }
 
-/// What an injection campaign run did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InjectionOutcome {
-    /// Cells executed by this invocation.
-    pub executed: usize,
-    /// Cells skipped because the store already held them.
-    pub skipped: usize,
-    /// Worker threads used.
-    pub threads: usize,
-}
-
 /// Runs every cell of `grid`, journaling into (and finalizing) the
-/// injection store at `store_path`, with `options.instr` observing.
-/// Honors the `cancel` token exactly like the scenario executor: a
-/// raised token keeps journaled cells, aborts in-flight ones between
-/// trials, and returns [`std::io::ErrorKind::Interrupted`].
+/// injection store at `store_path`, with `options.instr` observing,
+/// through the same driver as [`crate::run_campaign`]. Honors the
+/// `cancel` token exactly like the scenario executor: a raised token
+/// keeps journaled cells, aborts in-flight ones between trials, and
+/// returns [`std::io::ErrorKind::Interrupted`].
 ///
 /// # Errors
 ///
-/// Propagates store I/O errors.
+/// Propagates store I/O errors (a store locked by another run is
+/// [`std::io::ErrorKind::WouldBlock`]).
 pub fn run_injection_campaign(
     grid: &InjectionGrid,
     store_path: impl Into<std::path::PathBuf>,
     options: &InjectCampaignOptions,
     cancel: Option<&AtomicBool>,
-) -> std::io::Result<InjectionOutcome> {
-    let store_path = store_path.into();
-    let _lock = StoreLock::acquire(&store_path)?;
-    if !options.resume && store_path.exists() {
-        std::fs::remove_file(&store_path)?;
-    }
-    let mut store = InjectionStore::open(&store_path)?;
-
-    let keys = grid.keys();
-    let stale = store.stale_keys(&keys);
-    if !stale.is_empty() {
-        eprintln!(
-            "inject `{}`: dropping {} stale record(s) from {} — they were produced by a \
-             campaign with different parameters",
-            grid.name,
-            stale.len(),
-            store.path().display()
-        );
-    }
-    let pending: Vec<usize> = (0..grid.specs.len())
-        .filter(|&i| !store.contains(&keys[i]))
-        .collect();
-    let skipped = grid.specs.len() - pending.len();
-
-    let budget = thread_count(options.threads);
-    let threads = effective_threads(options.threads, pending.len());
-    if options.verbose {
-        eprintln!(
-            "inject `{}`: {} cell(s) ({} pending, {} already stored), {} worker(s), \
-             {} thread(s) total",
-            grid.name,
-            grid.specs.len(),
-            pending.len(),
-            skipped,
-            threads,
-            budget
-        );
-    }
-
-    let specs: Vec<&FaultInjectionSpec> = pending.iter().map(|&i| &grid.specs[i]).collect();
+) -> std::io::Result<CampaignOutcome> {
     let instr = options.instr;
-    let done = journal_into_store(
-        &grid.name,
-        "cell",
-        &mut store,
-        &keys,
-        &specs,
-        budget,
+    let campaign = Campaign {
+        name: &grid.name,
+        noun: "cell",
+        items: &grid.specs,
+        keys: grid.keys(),
+        label: |record: &InjectionRecord| record.result.label.clone(),
+        group: |record| record.spec.scenario.policy.display_name(),
+    };
+    let driver = CampaignOptions {
+        threads: options.threads,
+        resume: options.resume,
+        verbose: options.verbose,
         cancel,
-        options.verbose,
         instr,
-        |record| record.result.label.clone(),
-        |record| record.spec.scenario.policy.display_name().to_string(),
+        ..CampaignOptions::default()
+    };
+    drive(
+        &campaign,
+        store_path.into(),
+        &driver,
+        |_, _| true,
         |spec, threads, cancel, span| {
             let opts = InjectOptions {
                 threads,
@@ -301,12 +265,7 @@ pub fn run_injection_campaign(
             };
             run_injection(spec, &opts).map(|result| InjectionRecord::new(spec.clone(), result))
         },
-    )?;
-    Ok(InjectionOutcome {
-        executed: done,
-        skipped,
-        threads,
-    })
+    )
 }
 
 /// Renders the accuracy-vs-age table of an injection store: one block

@@ -14,10 +14,13 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`grid`] | axis lists → deduplicated, validity-filtered scenario sets with deterministic per-scenario seeds |
-//! | [`executor`] | runs and journals scenarios as `dnnlife_nn::exec::run_jobs` jobs; byte-identical stores for any thread count |
+//! | [`executor`] | the one campaign driver: store lock, resume, stale records, and journaling scenarios or injection cells as `dnnlife_nn::exec::run_jobs` jobs; byte-identical stores for any thread count |
 //! | [`store`] | JSONL result store keyed by spec content hash; journaled, crash-tolerant, resumable |
 //! | [`aggregate`] | folds stored records into Fig. 9/11 tables and bias / counter-width sensitivity tables |
 //! | [`crossval`] | matched analytic↔exact scenario pairs with per-cell duty divergence |
+//! | [`inject`] | fault-injection grids and their accuracy-vs-age and SECDED tables, run through the same driver |
+//! | [`perf`] | stage, throughput and counter tables from a telemetry journal; journal-to-journal regression diffs |
+//! | [`trace`] | the journal's span forest: hot-path table, critical path and stage coverage |
 //!
 //! Two scenario axes go beyond the paper's grids: the **simulator
 //! backend** (closed-form analytic vs event-driven exact) and the
@@ -29,7 +32,8 @@
 //! `validate` subcommand can quantify their divergence per cell.
 //!
 //! The `dnnlife` binary (this crate's `src/bin/dnnlife.rs`) exposes the
-//! engine as `sweep` / `report` / `compare` / `validate` subcommands.
+//! engine as `sweep` / `report` / `compare` / `validate` / `inject` /
+//! `perf` / `trace` subcommands.
 //!
 //! # Determinism contract
 //!
@@ -99,7 +103,7 @@ pub use executor::{run_campaign, CampaignOptions, CampaignOutcome};
 pub use grid::{CampaignGrid, GridAxes};
 pub use inject::{
     accuracy_vs_age_table, ecc_comparison_table, run_injection_campaign, InjectCampaignOptions,
-    InjectionGrid, InjectionOutcome, InjectionParams, InjectionRecord, InjectionStore,
+    InjectionGrid, InjectionParams, InjectionRecord, InjectionStore,
 };
 pub use perf::{PerfDiff, PerfSummary};
 pub use store::{JsonlStore, ResultStore, ScenarioRecord, StoreLock, StoreRecord};

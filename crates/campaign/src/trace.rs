@@ -5,8 +5,9 @@
 //! The executor opens one `campaign:{name}` root span per campaign,
 //! a `scenario` span per work item, and the backends nest their own
 //! work under it (`plan_build` for the memory plan and its quantizer
-//! calibration, `exact_shard` / `exact_merge` / `analytic_shard` for
-//! the simulators, `degrade` for the per-cell degradation histogram,
+//! calibration, `duty` for the duty simulation with the simulators'
+//! `exact_shard` / `exact_merge` / `analytic_shard` under it, `degrade`
+//! for the per-cell degradation histogram,
 //! `trial_decode` / `trial_load` / `trial_score` for the injector).
 //! Every event carries the span's id and its parent's id, so the whole
 //! forest reconstructs from the journal alone — including journals

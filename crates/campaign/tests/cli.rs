@@ -542,6 +542,43 @@ fn an_inferences_value_past_the_bound_is_a_usage_error_not_a_panic() {
     }
 }
 
+/// `MAX_TRIALS` and `MAX_EVAL_IMAGES` in the binary: the largest
+/// `--trials` and `--eval-images` values.
+const MAX_TRIALS: u32 = 1_000;
+const MAX_EVAL_IMAGES: u32 = 10_000;
+
+#[test]
+fn inject_counts_past_their_bounds_are_usage_errors_before_any_store() {
+    let dir = util::scratch_dir("cli-inject-bounds");
+    let store = dir.join("x.jsonl");
+    let (trials, images) = (
+        (MAX_TRIALS + 1).to_string(),
+        (MAX_EVAL_IMAGES + 1).to_string(),
+    );
+    for (flag, value, max) in [
+        ("--trials", trials.as_str(), MAX_TRIALS),
+        ("--eval-images", images.as_str(), MAX_EVAL_IMAGES),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_dnnlife"))
+            .args(["inject", "--policy", "without", "--train-steps", "0"])
+            .args(["--ages", "0", flag, value, "--out"])
+            .arg(&store)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn dnnlife");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{flag} {value}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag} must be <= {max}")),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        for left in [store.clone(), dir.join("x.jsonl.lock")] {
+            assert!(!left.exists(), "{} left behind", left.display());
+        }
+    }
+}
+
 #[test]
 fn the_inferences_bound_keeps_every_built_in_cells_writes_in_u32() {
     use dnnlife_core::experiment::{memory_units, NetworkKind, Platform, PolicySpec};

@@ -10,7 +10,7 @@ use std::path::Path;
 
 use dnnlife_campaign::{
     accuracy_vs_age_table, ecc_comparison_table, run_injection_campaign, InjectCampaignOptions,
-    InjectionGrid, InjectionParams, InjectionStore,
+    InjectionGrid, InjectionParams, InjectionStore, StoreLock,
 };
 use dnnlife_core::experiment::{fig11_policies, NetworkKind, Platform, PolicySpec};
 use dnnlife_core::{MemoryTech, RepairPolicy};
@@ -116,6 +116,70 @@ fn injection_store_is_deterministic_resumable_and_renders() {
         assert_eq!(record.key, record.spec.content_key());
         assert_eq!(record.result.ages.len(), 2);
     }
+}
+
+/// A resumed injection campaign whose master seed changed shares no
+/// keys with the stored cells: the stale records are dropped at
+/// finalize, so the store equals a clean run under the new seed.
+#[test]
+fn resume_with_changed_seed_prunes_stale_injection_records() {
+    let dir = util::scratch_dir("inject-resume-stale");
+    let policies = [PolicySpec::None, PolicySpec::Inversion];
+    let reseeded = |base_seed| {
+        InjectionGrid::build_with_axes(
+            "inject-test",
+            Platform::TpuLike,
+            NetworkKind::CustomMnist,
+            NumberFormat::Int8Symmetric,
+            &policies,
+            &InjectionParams {
+                base_seed,
+                ..tiny_params()
+            },
+            &[RepairPolicy::None],
+            &[MemoryTech::SramNbti],
+        )
+    };
+    let (grid_a, grid_b) = (reseeded(7), reseeded(8));
+
+    let clean_b = dir.join("clean-b.jsonl");
+    run(&grid_b, &clean_b, 1, false);
+    let mixed = dir.join("mixed.jsonl");
+    run(&grid_a, &mixed, 1, false);
+    let options = InjectCampaignOptions {
+        threads: 1,
+        resume: true,
+        ..InjectCampaignOptions::default()
+    };
+    let outcome = run_injection_campaign(&grid_b, &mixed, &options, None).expect("B over A");
+    assert_eq!(outcome.executed, grid_b.len(), "no B cell was stored yet");
+    assert_eq!(outcome.skipped, 0);
+    assert_eq!(
+        std::fs::read(&mixed).expect("read mixed store"),
+        std::fs::read(&clean_b).expect("read clean store"),
+        "stale seed-7 cells leaked into the finalized seed-8 store"
+    );
+}
+
+/// A second injection campaign on a store another run holds fails
+/// with `WouldBlock` before it touches the file.
+#[test]
+fn held_lock_refuses_a_second_injection_campaign() {
+    let dir = util::scratch_dir("inject-locked");
+    let grid = tiny_grid(&[PolicySpec::None]);
+    let path = dir.join("store.jsonl");
+    run(&grid, &path, 1, false);
+    let before = std::fs::read(&path).expect("read store");
+
+    let _held = StoreLock::acquire(&path).expect("take the lock");
+    let error = run_injection_campaign(&grid, &path, &InjectCampaignOptions::default(), None)
+        .expect_err("a held lock must refuse the second run");
+    assert_eq!(error.kind(), std::io::ErrorKind::WouldBlock, "{error}");
+    assert_eq!(
+        std::fs::read(&path).expect("re-read store"),
+        before,
+        "the refused run must leave the store intact"
+    );
 }
 
 /// The exact parameter profile the committed pre-repair-axis golden

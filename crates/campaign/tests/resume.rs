@@ -3,7 +3,7 @@
 //! the interruption tore the journal mid-line.
 
 use dnnlife_campaign::grid::{CampaignGrid, GridAxes, SweepOptions};
-use dnnlife_campaign::{run_campaign, CampaignOptions, ResultStore};
+use dnnlife_campaign::{run_campaign, CampaignOptions, ResultStore, StoreLock};
 use dnnlife_core::experiment::{NetworkKind, Platform, PolicySpec, SimulatorBackend};
 use dnnlife_quant::NumberFormat;
 
@@ -165,6 +165,28 @@ fn resume_with_changed_seed_prunes_stale_records() {
     assert_eq!(
         mixed_bytes, clean_bytes,
         "stale seed-99 records leaked into the finalized seed-100 store"
+    );
+}
+
+#[test]
+fn held_lock_refuses_a_second_sweep_and_keeps_the_store() {
+    // A second sweep on a store another run holds must fail before it
+    // touches the file — even without `resume`, which would otherwise
+    // delete the store first.
+    let dir = util::scratch_dir("resume-locked");
+    let grid = test_grid();
+    let path = dir.join("store.jsonl");
+    run_campaign(&grid, &path, &CampaignOptions::default()).expect("clean run");
+    let before = std::fs::read(&path).expect("read store");
+
+    let _held = StoreLock::acquire(&path).expect("take the lock");
+    let error = run_campaign(&grid, &path, &CampaignOptions::default())
+        .expect_err("a held lock must refuse the second run");
+    assert_eq!(error.kind(), std::io::ErrorKind::WouldBlock, "{error}");
+    assert_eq!(
+        std::fs::read(&path).expect("re-read store"),
+        before,
+        "the refused run must leave the store intact"
     );
 }
 

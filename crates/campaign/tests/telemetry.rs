@@ -584,10 +584,10 @@ fn sweep_journal_reconstructs_a_complete_span_forest() {
     assert!(count("exact_shard") > 0, "labels: {labels:?}");
     assert!(count("exact_merge") > 0, "labels: {labels:?}");
     assert!(count("analytic_shard") > 0, "labels: {labels:?}");
-    // Every scenario builds its memory plan and degrades its duties
-    // exactly once, each under its own span.
+    // Every scenario builds its memory plan, simulates its duties and
+    // degrades them exactly once, each under its own span.
     for scenario in forest.spans.iter().filter(|s| s.label == "scenario") {
-        for stage in ["plan_build", "degrade"] {
+        for stage in ["plan_build", "duty", "degrade"] {
             let children = forest
                 .spans
                 .iter()
@@ -597,6 +597,7 @@ fn sweep_journal_reconstructs_a_complete_span_forest() {
         }
     }
     assert_eq!(count("plan_build"), grid.len());
+    assert_eq!(count("duty"), grid.len());
     assert_eq!(count("degrade"), grid.len());
 
     // The flame table and critical path render from the same forest.

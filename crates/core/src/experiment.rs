@@ -888,72 +888,76 @@ fn simulate_units(spec: &ExperimentSpec, opts: &RunOptions) -> Option<(Vec<Vec<f
     let blocks = units.iter().map(|u| u.block_count()).sum::<u64>() / epochs;
 
     let policy_seed = spec.policy_seed();
-    let mut duties = Vec::with_capacity(units.len());
+    // The per-unit simulation is the scenario's `duty` trace stage; the
+    // backends' shard and merge spans nest under it.
+    let span = telemetry.span_start("duty", opts.parent_span);
     // `unit` numbers the NPU FIFO slots so each gets its own TRBG
     // stream (each slot is its own memory unit with its own
     // controller; the per-shard fork streams then split from that
     // per-unit seed).
-    for (unit, source) in (0u64..).zip(&units) {
-        if source.block_count() == 0 {
-            continue;
-        }
-        if opts.cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
-            return None;
-        }
-        let geo = source.geometry();
-        // Same `RunOptions { shards }` resolution on both backends, so
-        // they share one execution story. For the analytic closed forms
-        // the shard count is pure work partitioning — never semantic
-        // (counter-seeded per-cell draws), unlike the exact DNN-Life
-        // streams.
-        let shards = opts.shards.resolve(geo.words.div_ceil(spec.sample_stride));
-        duties.push(match spec.backend {
-            SimulatorBackend::Analytic => {
-                let sim_cfg = AnalyticSimConfig {
-                    inferences: spec.inferences,
-                    sample_stride: spec.sample_stride,
-                    threads: opts.threads,
-                    shards,
-                };
-                let sampled: Vec<usize> = (0..geo.words).step_by(spec.sample_stride).collect();
-                let mut unit_duties = vec![0.0; sampled.len() * geo.word_bits as usize];
-                simulate_analytic_telemetry(
-                    source.as_ref(),
-                    &spec.policy.analytic(policy_seed),
-                    &sim_cfg,
-                    &sampled,
-                    DutyCells::Duties(&mut unit_duties),
-                    opts.telemetry,
-                    opts.parent_span,
-                );
-                unit_duties
+    let duties = (0u64..)
+        .zip(&units)
+        .filter(|(_, source)| source.block_count() > 0)
+        .map(|(unit, source)| {
+            if opts.cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
+                return None;
             }
-            SimulatorBackend::Exact => {
-                let transducer = build_transducer(
-                    &spec.policy,
-                    geo.word_bits,
-                    geo.words,
-                    spec.platform.row_words(),
-                    policy_seed.wrapping_add(unit),
-                );
-                let cfg = ExactShardConfig {
-                    shards,
-                    threads: opts.threads,
-                    cancel: opts.cancel,
-                    telemetry: opts.telemetry,
-                    parent_span: opts.parent_span,
-                };
-                simulate_exact_sharded(
-                    source.as_ref(),
-                    transducer.as_ref(),
-                    spec.inferences,
-                    spec.sample_stride,
-                    &cfg,
-                )?
-            }
-        });
-    }
-    Some((duties, blocks))
+            let geo = source.geometry();
+            // Same `RunOptions { shards }` resolution on both backends,
+            // so they share one execution story. For the analytic
+            // closed forms the shard count is pure work partitioning —
+            // never semantic (counter-seeded per-cell draws), unlike the
+            // exact DNN-Life streams.
+            let shards = opts.shards.resolve(geo.words.div_ceil(spec.sample_stride));
+            Some(match spec.backend {
+                SimulatorBackend::Analytic => {
+                    let sim_cfg = AnalyticSimConfig {
+                        inferences: spec.inferences,
+                        sample_stride: spec.sample_stride,
+                        threads: opts.threads,
+                        shards,
+                    };
+                    let sampled: Vec<usize> = (0..geo.words).step_by(spec.sample_stride).collect();
+                    let mut unit_duties = vec![0.0; sampled.len() * geo.word_bits as usize];
+                    simulate_analytic_telemetry(
+                        source.as_ref(),
+                        &spec.policy.analytic(policy_seed),
+                        &sim_cfg,
+                        &sampled,
+                        DutyCells::Duties(&mut unit_duties),
+                        opts.telemetry,
+                        span,
+                    );
+                    unit_duties
+                }
+                SimulatorBackend::Exact => {
+                    let transducer = build_transducer(
+                        &spec.policy,
+                        geo.word_bits,
+                        geo.words,
+                        spec.platform.row_words(),
+                        policy_seed.wrapping_add(unit),
+                    );
+                    let cfg = ExactShardConfig {
+                        shards,
+                        threads: opts.threads,
+                        cancel: opts.cancel,
+                        telemetry: opts.telemetry,
+                        parent_span: span,
+                    };
+                    simulate_exact_sharded(
+                        source.as_ref(),
+                        transducer.as_ref(),
+                        spec.inferences,
+                        spec.sample_stride,
+                        &cfg,
+                    )?
+                }
+            })
+        })
+        .collect::<Option<Vec<Vec<f64>>>>();
+    telemetry.span_end(span);
+    Some((duties?, blocks))
 }
 
 /// Runs one experiment with the paper-calibrated SNM model under the
